@@ -11,11 +11,10 @@ import json
 import sys
 
 from . import render, strata, verify
-from .equivariant import (LinearRep, exterior_invariant_dims, group_closure,
-                          order_histogram)
-from .fan import (SIGMA6, Cone, InconclusiveAtBound, SpanDeficient,
-                  classify_orbits, stabilizer, stratum_character_lattice,
-                  torus_coordinates)
+from .equivariant import (LinearRep, NotClosedWithinCap, exterior_invariant_dims,
+                          group_closure, order_histogram)
+from .fan import (SIGMA6, Cone, SpanDeficient, classify_orbits, stabilizer,
+                  stratum_character_lattice, torus_coordinates)
 from .forms import COEFF_ORDER, GENERATOR_NAMES
 from .mhs import UnsupportedTwist
 from .registry import load_registry
@@ -23,10 +22,12 @@ from .ssengine import (AmbiguousResolution, NoConsistentAssignment, SSPage,
                        SplitNotJustified, abutment, resolve)
 from .strata import ExpectedPageMismatch, InvariantNotConcentrated
 
-_DOMAIN_ERRORS = (SpanDeficient, InconclusiveAtBound, NoConsistentAssignment,
+_DOMAIN_ERRORS = (SpanDeficient, NotClosedWithinCap, NoConsistentAssignment,
                   SplitNotJustified, ExpectedPageMismatch,
                   InvariantNotConcentrated, UnsupportedTwist, ValueError,
                   KeyError, OSError)
+
+_FACE_DIMS = range(SIGMA6.dim() + 1)
 
 
 def _build_parser():
@@ -45,13 +46,11 @@ def _build_parser():
 
     p = fan_sub.add_parser("faces", parents=[common],
                            help="faces of the basic cone by dimension")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=int, required=True, choices=_FACE_DIMS)
 
     p = fan_sub.add_parser("orbits", parents=[common],
                            help="orbit census of faces of one dimension")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--bound", type=int, default=2,
-                   help="matrix entry bound for the fallback search (default 2)")
+    p.add_argument("--dim", type=int, required=True, choices=_FACE_DIMS)
 
     p = fan_sub.add_parser("stabilizer", parents=[common],
                            help="stabilizer and its action on the stratum torus")
@@ -93,19 +92,16 @@ def _build_parser():
                           help="compactly supported cohomology of one stratum")
     p.add_argument("--stratum", required=True, choices=strata.STRATUM_NAMES)
     p.add_argument("--registry", default=None, help="alternative registry file")
-    p.add_argument("--bound", type=int, default=2)
 
     p = sub.add_parser("betti", parents=[common],
                        help="Betti numbers of the compactified space")
     p.add_argument("space", choices=("avor3",))
     p.add_argument("--registry", default=None)
-    p.add_argument("--bound", type=int, default=2)
 
     p = sub.add_parser("verify", parents=[common],
                        help="recompute and check every published value")
     p.add_argument("what", choices=("all",))
     p.add_argument("--registry", default=None)
-    p.add_argument("--bound", type=int, default=2)
 
     return parser
 
@@ -133,8 +129,7 @@ def _run(args, out):
             names = [c.name() for c in SIGMA6.faces(args.dim)]
             out.write(render.render_faces(args.dim, names, fmt))
         elif args.command == "orbits":
-            out.write(render.render_census(
-                classify_orbits(args.dim, bound=args.bound), fmt))
+            out.write(render.render_census(classify_orbits(args.dim), fmt))
         elif args.command == "stabilizer":
             cone = Cone.from_names(args.cone)
             stab = stabilizer(cone)
@@ -186,19 +181,19 @@ def _run(args, out):
 
     if args.group == "strata":
         registry = load_registry(args.registry)
-        table = strata.stratum_table(args.stratum, registry, args.bound)
+        table = strata.stratum_table(args.stratum, registry)
         out.write(render.render_table(table, fmt))
         return 0
 
     if args.group == "betti":
         registry = load_registry(args.registry)
-        result = strata.compactification_betti(registry, args.bound)
+        result = strata.compactification_betti(registry)
         out.write(render.render_betti(result.betti, fmt))
         return 0
 
     if args.group == "verify":
         registry = load_registry(args.registry)
-        results = verify.run_all(registry, args.bound)
+        results = verify.run_all(registry)
         out.write(render.render_verification(results, fmt))
         return 0 if all(ok for _, ok, _ in results) else 1
 

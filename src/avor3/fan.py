@@ -7,21 +7,20 @@ equivalent when some g in GL(3,Z) maps one generator set onto the other
 under q |-> g^-T q g^-1, i.e. when the primitive generator lines match up
 to sign under v |-> g^-T v.
 
-When a face's generator vectors span R^3 any witness is determined by the
-images of an independent triple, so the search over signed line assignments
-is complete and inequivalence is provable.  Otherwise we fall back to an
-exhaustive scan of the unimodular matrices with entries in [-bound, bound];
-failure there is only inconclusive.
+Equivalence is decided exactly, in integers, for every span rank r of the
+generator vectors.  Hermite forms move both saturated spans onto Z^r x 0;
+each span is a direct summand of Z^3, so every GL(r,Z) map between them
+extends to GL(3,Z), and a map is pinned by the images of r independent
+vectors.  Trying every signed assignment of those images is therefore a
+complete search: a found map is re-verified as a witness, and exhausting
+the search proves inequivalence.  Stabilizers are finite only when r = 3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-
-import numpy as np
 
 from . import linalg
 from .forms import (
@@ -38,10 +37,6 @@ from .forms import (
 
 class SpanDeficient(ValueError):
     """The operation needs generator vectors spanning R^3."""
-
-
-class InconclusiveAtBound(RuntimeError):
-    """A bounded witness search could neither match nor separate two faces."""
 
 
 _FORM_NAMES = {form: name for name, form in GENERATORS.items()}
@@ -111,128 +106,84 @@ SIGMA6 = Cone(tuple(GENERATORS[n] for n in GENERATOR_NAMES))
 @dataclass(frozen=True)
 class EquivalenceResult:
     witness: object
-    verdict: str  # "equivalent" | "inequivalent" | "inconclusive"
+    verdict: str  # "equivalent" | "inequivalent"
     detail: str
 
     def __bool__(self):
         return self.verdict == "equivalent"
 
 
-_UNIMODULAR_CACHE = {}
+def _span_frame(vectors):
+    """Move the saturated span of `vectors` onto Z^r x 0.
 
-
-def unimodular_matrices(bound):
-    """All of GL(3,Z) with entries in [-bound, bound], as an (n, 9) int array.
-
-    The 3x3 determinant is linear in the first row once the complementary
-    minors are fixed, so the scan computes the three minors over all tails
-    (rows 2 and 3) once and sweeps the 2*bound+1 choices per first-row entry.
+    Returns (u, r, coords): u in GL(3,Z) with every u v in Z^r x 0, the span
+    rank r, and the first r coordinates of each u v.  u comes from the row
+    Hermite form of the matrix whose columns are the vectors.
     """
-    if bound in _UNIMODULAR_CACHE:
-        return _UNIMODULAR_CACHE[bound]
-    vals = np.arange(-bound, bound + 1, dtype=np.int64)
-    tail = np.stack(np.meshgrid(*([vals] * 6), indexing="ij"), axis=-1).reshape(-1, 6)
-    d, e, f, g, h, i = (tail[:, k] for k in range(6))
-    m1 = e * i - f * h
-    m2 = d * i - f * g
-    m3 = d * h - e * g
-    chunks = []
-    for a in vals:
-        for b in vals:
-            for c in vals:
-                dets = a * m1 - b * m2 + c * m3
-                mask = np.abs(dets) == 1
-                if mask.any():
-                    sel = tail[mask]
-                    head = np.empty((sel.shape[0], 3), dtype=np.int64)
-                    head[:, 0], head[:, 1], head[:, 2] = a, b, c
-                    chunks.append(np.hstack([head, sel]))
-    out = np.vstack(chunks)
-    _UNIMODULAR_CACHE[bound] = out
-    return out
+    h, u = linalg.hermite_form(linalg.transpose(vectors))
+    r = sum(1 for row in h if any(row))
+    return u, r, [tuple(h[i][c] for i in range(r)) for c in range(len(vectors))]
 
 
-def _line_maps_complete(source, target):
-    """All h in GL(3,Z) mapping the source line set onto the target line set.
+def _line(w):
+    """The representative of the line through w with first nonzero entry positive."""
+    return w if next(x for x in w if x) > 0 else tuple(-x for x in w)
 
-    Complete only when the source vectors span R^3: h is then pinned by the
-    images of an independent triple, and every signed assignment is tried.
+
+def _line_maps(source, target):
+    """Yield h in GL(3,Z) mapping the source line set onto the target line set.
+
+    With u_S, u_T from `_span_frame`, any such map carries the saturated
+    source span onto the saturated target span, so u_T h u_S^-1 restricts to
+    some M in GL(r,Z) matching the projected lines.  Both spans are direct
+    summands of Z^3, so every such M extends, for instance to
+    h = u_T^-1 diag(M, I) u_S.  M is pinned by the images of the r
+    independent source vectors at the Hermite pivot columns, and every
+    signed, ordered r-tuple of target vectors is tried, so the search is
+    complete: it yields one h per M, which for r = 3 is every map.
     """
-    idx = linalg.independent_triple([list(v) for v in source])
-    if idx is None:
-        raise SpanDeficient("generator vectors do not span R^3")
-    vmat = [[Fraction(source[i][r]) for i in idx] for r in range(3)]
-    vinv = linalg.inverse(vmat)
-    found = []
-    tset = set(target)
-    for triple in permutations(range(len(target)), 3):
-        for signs in product((1, -1), repeat=3):
-            wmat = [[signs[c] * target[triple[c]][r] for c in range(3)] for r in range(3)]
-            hq = linalg.mat_mul(wmat, vinv)
-            if any(x.denominator != 1 for row in hq for x in row):
+    u_s, r, src = _span_frame(source)
+    u_t, r_t, tgt = _span_frame(target)
+    if r != r_t or len(src) != len(tgt):
+        return
+    # the Hermite pivot columns form an upper triangular, nonsingular V
+    pivots = [next(c for c, v in enumerate(src) if v[i]) for i in range(r)]
+    vmat = [[src[c][i] for c in pivots] for i in range(r)]
+    adj = linalg.adjugate(vmat)
+    d = linalg.int_det(vmat)
+    tset = {_line(t) for t in tgt}
+    u_t_inv = GroupElement(u_t).inverse().rows
+    for picks in permutations(tgt, r):
+        for signs in product((1, -1), repeat=r):
+            num = [[sum(signs[c] * picks[c][i] * adj[c][j] for c in range(r))
+                    for j in range(r)] for i in range(r)]
+            if any(x % d for row in num for x in row):
                 continue
-            h = [[int(x) for x in row] for row in hq]
-            if abs(linalg.det(h)) != 1:
+            m = [[x // d for x in row] for row in num]
+            if abs(linalg.int_det(m)) != 1:
                 continue
-            images = set()
-            ok = True
-            for v in source:
-                w = tuple(sum(h[r][k] * v[k] for k in range(3)) for r in range(3))
-                w = w if next(x for x in w if x) > 0 else tuple(-x for x in w)
-                if w not in tset:
-                    ok = False
-                    break
-                images.add(w)
-            if ok and len(images) == len(tset):
-                if h not in found:
-                    found.append(h)
-    return found
-
-
-def _line_maps_bounded(source, target, bound):
-    """Unimodular h with entries in [-bound, bound] mapping source lines onto target lines."""
-    cands = unimodular_matrices(bound).reshape(-1, 3, 3)
-    if source:
-        vmat = np.array(source, dtype=np.int64).T
-        images = cands @ vmat  # (n, 3, k)
-        ok = np.ones(len(cands), dtype=bool)
-        tarr = [np.array(t, dtype=np.int64) for t in target]
-        for col in range(images.shape[2]):
-            w = images[:, :, col]
-            col_ok = np.zeros(len(cands), dtype=bool)
-            for t in tarr:
-                col_ok |= np.all(w == t, axis=1) | np.all(w == -t, axis=1)
-            ok &= col_ok
-        cands = cands[ok]
-    tset = set(target)
-    found = []
-    for harr in cands:
-        h = [[int(x) for x in row] for row in harr]
-        images = set()
-        for v in source:
-            w = tuple(sum(h[r][k] * v[k] for k in range(3)) for r in range(3))
-            w = w if next(x for x in w if x) > 0 else tuple(-x for x in w)
-            images.add(w)
-        if images != tset:
-            continue
-        found.append(h)
-        break  # one witness is enough for equivalence
-    return found
+            images = {_line(tuple(sum(row[k] * s[k] for k in range(r)) for row in m))
+                      for s in src}
+            if images != tset:
+                continue
+            block = [[(m[i][j] if i < r and j < r else int(i == j)) for j in range(3)]
+                     for i in range(3)]
+            yield linalg.mat_mul(u_t_inv, linalg.mat_mul(block, u_s))
 
 
 def _witness_from_line_map(h, c1, c2):
-    g = GroupElement(tuple(tuple(row) for row in h)).transpose().inverse()
-    assert {act_on_form(g, q) for q in c1.generators} == set(c2.generators), \
-        "witness failed re-verification"
+    g = GroupElement(h).transpose().inverse()
+    if {act_on_form(g, q) for q in c1.generators} != set(c2.generators):
+        raise AssertionError("witness failed re-verification")
     return g
 
 
-def equivalent(c1: Cone, c2: Cone, bound: int = 2) -> EquivalenceResult:
-    """Search for g in GL(3,Z) with g . c1 = c2; absence may be a proof.
+def equivalent(c1: Cone, c2: Cone) -> EquivalenceResult:
+    """Decide whether some g in GL(3,Z) has g . c1 = c2.
 
-    The verdict is "inequivalent" when invariants separate the cones or when
-    the complete spanning-triple search is exhausted, and "inconclusive" when
-    only the bounded fallback applies and finds nothing.
+    The verdict is "equivalent" with a re-verified witness, or
+    "inequivalent" when an invariant separates the cones or the complete
+    line-map search is exhausted.
     """
     invariants = (
         ("dimension", Cone.dim),
@@ -245,19 +196,12 @@ def equivalent(c1: Cone, c2: Cone, bound: int = 2) -> EquivalenceResult:
             return EquivalenceResult(None, "inequivalent", "%s differs: %d vs %d" % (label, x, y))
     if c1.dim() == 0:
         return EquivalenceResult(GroupElement.identity(), "equivalent", "zero cone")
-    if c1.span_rank() == 3:
-        maps = _line_maps_complete(c1.vectors(), c2.vectors())
-        if maps:
-            g = _witness_from_line_map(maps[0], c1, c2)
-            return EquivalenceResult(g, "equivalent", "spanning-triple search")
+    h = next(_line_maps(c1.vectors(), c2.vectors()), None)
+    if h is None:
         return EquivalenceResult(None, "inequivalent",
                                  "no line correspondence exists (complete search)")
-    maps = _line_maps_bounded(c1.vectors(), c2.vectors(), bound)
-    if maps:
-        g = _witness_from_line_map(maps[0], c1, c2)
-        return EquivalenceResult(g, "equivalent", "bounded search (bound %d)" % bound)
-    return EquivalenceResult(None, "inconclusive",
-                             "no witness with entries within %d" % bound)
+    return EquivalenceResult(_witness_from_line_map(h, c1, c2), "equivalent",
+                             "complete line-map search")
 
 
 @dataclass(frozen=True)
@@ -270,7 +214,6 @@ class OrbitClass:
 @dataclass(frozen=True)
 class OrbitCensus:
     dimension: int
-    bound: int
     orbits: tuple
 
     def counts(self):
@@ -278,28 +221,23 @@ class OrbitCensus:
 
 
 @lru_cache(maxsize=None)
-def classify_orbits(dim, bound=2, ambient=None) -> OrbitCensus:
+def classify_orbits(dim, ambient=None) -> OrbitCensus:
     """Group the dimension-`dim` faces of the basic cone into GL(3,Z) orbits.
 
     Faces are scanned in subset order, so each orbit's representative is its
-    first (lexicographically least) face.  Raises InconclusiveAtBound if a
-    bounded fallback search can neither match nor separate a pair.
+    first (lexicographically least) face.
     """
     ambient = SIGMA6 if ambient is None else ambient
     classes = []  # [representative, member count]
     for face in ambient.faces(dim):
         for cls in classes:
-            res = equivalent(face, cls[0], bound)
-            if res.verdict == "equivalent":
+            if equivalent(face, cls[0]):
                 cls[1] += 1
                 break
-            if res.verdict == "inconclusive":
-                raise InconclusiveAtBound(
-                    "faces %s and %s: %s" % (face.name(), cls[0].name(), res.detail))
         else:
             classes.append([face, 1])
     orbits = tuple(OrbitClass(rep, size, rep.cusp_rank()) for rep, size in classes)
-    return OrbitCensus(dim, bound, orbits)
+    return OrbitCensus(dim, orbits)
 
 
 @dataclass(frozen=True)
@@ -320,9 +258,8 @@ def stabilizer(c: Cone) -> StabilizerGroup:
         raise SpanDeficient(
             "stabilizer of %s is infinite: generator vectors span rank %d < 3"
             % (c.name(), c.span_rank()))
-    maps = _line_maps_complete(c.vectors(), c.vectors())
     elements = sorted(
-        (GroupElement(tuple(tuple(row) for row in h)).transpose().inverse() for h in maps),
+        (GroupElement(h).transpose().inverse() for h in _line_maps(c.vectors(), c.vectors())),
         key=lambda g: g.rows)
     group = StabilizerGroup(c, tuple(elements))
     eset = set(group.elements)

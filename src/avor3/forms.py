@@ -132,8 +132,9 @@ class GroupElement:
 def act_on_form(g: GroupElement, q: SymForm) -> SymForm:
     """g . q = g^-T q g^-1."""
     gi = g.inverse().rows
-    m = [[sum(gi[k][i] * q.matrix()[k][l] * gi[l][j] for k in range(3) for l in range(3))
-          for j in range(3)] for i in range(3)]
+    qm = q.matrix()
+    qg = [[sum(row[l] * gi[l][j] for l in range(3)) for j in range(3)] for row in qm]
+    m = [[sum(gi[k][i] * qg[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
     return SymForm.from_matrix(m)
 
 

@@ -1,7 +1,7 @@
 """Exact linear algebra over the integers and rationals.
 
-Everything in this package that is not a bulk search runs on plain Python
-ints and fractions.Fraction, so every rank, kernel and solve below is exact.
+Everything in this package runs on plain Python ints and
+fractions.Fraction, so every rank, kernel and solve below is exact.
 Matrices are lists (or tuples) of rows; vectors are flat sequences.
 """
 
@@ -205,12 +205,32 @@ def int_kernel(a):
     return out
 
 
-def independent_triple(vectors):
-    """Indices of the first three linearly independent vectors, or None."""
-    for idx in combinations(range(len(vectors)), 3):
-        if det([vectors[i] for i in idx]) != 0:
-            return idx
-    return None
+def int_det(a):
+    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
+    m = [list(row) for row in a]
+    n = len(m)
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        if m[c][c] == 0:
+            pivot = next((i for i in range(c + 1, n) if m[i][c] != 0), None)
+            if pivot is None:
+                return 0
+            m[c], m[pivot] = m[pivot], m[c]
+            sign = -sign
+        for i in range(c + 1, n):
+            for j in range(c + 1, n):
+                m[i][j] = (m[i][j] * m[c][c] - m[i][c] * m[c][j]) // prev
+        prev = m[c][c]
+    return sign * m[-1][-1] if n else 1
+
+
+def adjugate(a):
+    """Integer adjugate: adjugate(a) a = a adjugate(a) = int_det(a) I."""
+    n = len(a)
+    rows = [list(row) for row in a]
+    return [[(-1) ** (i + j) * int_det([row[:j] + row[j + 1:]
+                                         for k, row in enumerate(rows) if k != i])
+             for i in range(n)] for j in range(n)]
 
 
 def traces_of_powers(a, kmax):

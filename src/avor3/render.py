@@ -88,12 +88,12 @@ def render_faces(dim, names, fmt="text"):
 def render_census(census, fmt="text"):
     rows = [(o.representative.name(), o.size, o.cusp_rank) for o in census.orbits]
     if fmt == "json":
-        return _json({"dimension": census.dimension, "bound": census.bound,
+        return _json({"dimension": census.dimension,
                       "orbits": [{"representative": n, "size": s, "cusp_rank": c}
                                  for n, s, c in rows]})
     if fmt == "text":
         width = max(len(n) for n, _, _ in rows)
-        lines = ["orbit census: dimension %d, bound %d" % (census.dimension, census.bound)]
+        lines = ["orbit census: dimension %d" % census.dimension]
         for n, s, c in rows:
             lines.append("  %-*s  orbit size %-3d cusp rank %d" % (width, n, s, c))
         lines.append("classes: %d, faces covered: %d" % (len(rows), sum(census.counts())))

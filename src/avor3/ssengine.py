@@ -105,6 +105,8 @@ class SSPage:
 
     @classmethod
     def from_json_dict(cls, data, **kw):
+        if not isinstance(data, dict):
+            raise ValueError("a page must be a JSON object")
         entries = tuple(((e["p"], e["q"]), MhsVector.from_classes(e["classes"]))
                         for e in data["entries"])
         knowns = tuple(KnownDifferential(k["r"], k["p"], k["q"], k["rank"], k["citation"])

@@ -48,7 +48,6 @@ class StratumContribution:
 class RankThreeResult:
     table: CohomologyTable
     contributions: tuple
-    bound: int
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,7 @@ class BettiResult:
     report: object
 
 
-def rank_three_locus(bound: int = 2) -> RankThreeResult:
+def rank_three_locus() -> RankThreeResult:
     """Classes of the fully degenerate locus, one per torus-orbit stratum.
 
     Strata correspond to fan orbits whose generators span all of space
@@ -88,7 +87,7 @@ def rank_three_locus(bound: int = 2) -> RankThreeResult:
     entries = {}
     contributions = []
     for cone_dim in range(3, 7):
-        census = classify_orbits(cone_dim, bound=bound)
+        census = classify_orbits(cone_dim)
         for orbit in census.orbits:
             cone = orbit.representative
             if cone.cusp_rank() != 3:
@@ -108,7 +107,7 @@ def rank_three_locus(bound: int = 2) -> RankThreeResult:
             contributions.append(
                 StratumContribution(cone.name(), cone_dim, m, 2 * m))
     table = CohomologyTable("beta3", tuple(entries.items()))
-    return RankThreeResult(table, tuple(contributions), bound)
+    return RankThreeResult(table, tuple(contributions))
 
 
 def rank_one_locus(registry: Registry = None) -> FibrationResult:
@@ -217,7 +216,7 @@ def open_locus_table(registry: Registry = None) -> CohomologyTable:
     return CohomologyTable("a3", registry.table("a3_open").table.entries)
 
 
-def stratum_table(name: str, registry: Registry = None, bound: int = 2) -> CohomologyTable:
+def stratum_table(name: str, registry: Registry = None) -> CohomologyTable:
     if name == "a3":
         return open_locus_table(registry)
     if name == "beta1":
@@ -225,12 +224,12 @@ def stratum_table(name: str, registry: Registry = None, bound: int = 2) -> Cohom
     if name == "beta2":
         return rank_two_locus(registry).table
     if name == "beta3":
-        return rank_three_locus(bound).table
+        return rank_three_locus().table
     raise ValueError("unknown stratum %r; expected one of %s"
                      % (name, ", ".join(STRATUM_NAMES)))
 
 
-def main_first_page(registry: Registry = None, bound: int = 2) -> SSPage:
+def main_first_page(registry: Registry = None) -> SSPage:
     """First page of the stratification sequence for the whole space.
 
     Column p holds the rank-(3-p) locus: a class of degree d in that
@@ -239,7 +238,7 @@ def main_first_page(registry: Registry = None, bound: int = 2) -> SSPage:
     """
     registry = registry or load_registry()
     columns = (
-        rank_three_locus(bound).table,
+        rank_three_locus().table,
         rank_two_locus(registry).table,
         rank_one_locus(registry).table,
         registry.table("a3_open").table,
@@ -259,10 +258,10 @@ def main_first_page(registry: Registry = None, bound: int = 2) -> SSPage:
     return page
 
 
-def compactification_betti(registry: Registry = None, bound: int = 2) -> BettiResult:
+def compactification_betti(registry: Registry = None) -> BettiResult:
     """Betti numbers of the compactification from the resolved main page."""
     registry = registry or load_registry()
-    page = main_first_page(registry, bound)
+    page = main_first_page(registry)
     limit, report = resolve(page)
     table = abutment(limit, "avor3")
     betti = table.betti(2 * COMPACTIFICATION_DIMENSION)

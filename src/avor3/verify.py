@@ -14,8 +14,8 @@ from . import strata
 from .equivariant import (LinearRep, element_order, exterior_invariant_dims,
                           fixed_subspace_dims_bruteforce, group_closure,
                           order_histogram)
-from .fan import (Cone, classify_orbits, stratum_character_lattice, stabilizer,
-                  torus_coordinates)
+from .fan import (SIGMA6, Cone, classify_orbits, equivalent,
+                  stratum_character_lattice, stabilizer, torus_coordinates)
 from .forms import (COEFF_ORDER, GENERATOR_NAMES, GENERATORS, GroupElement,
                     act_on_form, dual_action_on_character, pairing)
 from .mhs import MhsVector
@@ -48,14 +48,14 @@ def _table_matches(table, expected):
     return dict(table.entries) == expected
 
 
-def check_betti_vector(registry, bound):
-    result = strata.compactification_betti(registry, bound)
+def check_betti_vector(registry):
+    result = strata.compactification_betti(registry)
     ok = result.betti == EXPECTED_BETTI
     return ok, " ".join(str(b) for b in result.betti)
 
 
-def check_main_page_resolution(registry, bound):
-    page = strata.main_first_page(registry, bound)
+def check_main_page_resolution(registry):
+    page = strata.main_first_page(registry)
     limit, report = resolve(page)
     nonzero = [d for d in report.candidates[0].decisions if d.rank]
     if [(d.r, d.p, d.q, d.rank, d.kind) for d in nonzero] != [(1, 2, 3, 1, "solver")]:
@@ -75,28 +75,43 @@ def check_main_page_resolution(registry, bound):
     return True, "unique with purity (1 differential), 2 candidates without"
 
 
-def check_orbit_census(registry, bound):
+def check_orbit_census(registry):
     expected_classes = {1: 1, 2: 1, 3: 2, 4: 2, 5: 1, 6: 1}
     details = []
     for dim, classes in sorted(expected_classes.items()):
-        census = classify_orbits(dim, bound=bound)
+        census = classify_orbits(dim)
         if len(census.orbits) != classes:
             return False, "dimension %d: %d classes" % (dim, len(census.orbits))
         details.append("%d:%d" % (dim, classes))
-    dim3 = classify_orbits(3, bound=bound)
+    dim3 = classify_orbits(3)
     if sorted(o.cusp_rank for o in dim3.orbits) != [2, 3]:
         return False, "dimension-3 cusp ranks %r" % [o.cusp_rank for o in dim3.orbits]
+    # span-deficient faces: every random GL(3,Z) image is found again
+    rng = random.Random(_SEED)
     for dim in (1, 2):
-        a = classify_orbits(dim, bound=2)
-        b = classify_orbits(dim, bound=3)
-        same = ([(o.representative.name(), o.size) for o in a.orbits]
-                == [(o.representative.name(), o.size) for o in b.orbits])
-        if not same:
-            return False, "dimension %d census changed between bounds 2 and 3" % dim
+        for face in SIGMA6.faces(dim):
+            for _ in range(3):
+                g = random_unimodular(rng)
+                image = Cone(tuple(act_on_form(g, q) for q in face.generators))
+                res = equivalent(face, image)
+                if not res or ({act_on_form(res.witness, q) for q in face.generators}
+                               != set(image.generators)):
+                    return False, "%s not matched with a random image" % face.name()
     return True, "classes per dimension " + " ".join(details)
 
 
-def check_local_cone_symmetries(registry, bound):
+def random_unimodular(rng):
+    """A random element of GL(3,Z): a sign change times six elementary matrices."""
+    g = GroupElement(((rng.choice((1, -1)), 0, 0), (0, 1, 0), (0, 0, 1)))
+    for _ in range(6):
+        i, j = rng.sample(range(3), 2)
+        rows = [[int(r == c) for c in range(3)] for r in range(3)]
+        rows[i][j] = rng.choice((-2, -1, 1, 2))
+        g = g * GroupElement(rows)
+    return g
+
+
+def check_local_cone_symmetries(registry):
     cone = Cone.from_names("a1,a2,a3")
     stab = stabilizer(cone)
     lattice = stratum_character_lattice(cone)
@@ -114,8 +129,8 @@ def check_local_cone_symmetries(registry, bound):
     return ok, "order 48, effective 24 = 4 diagonal x %d" % quotient
 
 
-def check_distinguished_dim4_symmetry(registry, bound):
-    census = classify_orbits(4, bound=bound)
+def check_distinguished_dim4_symmetry(registry):
+    census = classify_orbits(4)
     matches = []
     for orbit in census.orbits:
         lattice = stratum_character_lattice(orbit.representative)
@@ -141,10 +156,10 @@ def random_signed_permutation_rep(rng, max_dim=4):
     return LinearRep(dim, tuple(gens))
 
 
-def check_stratum_invariants(registry, bound):
+def check_stratum_invariants(registry):
     reps = 0
     for cone_dim in range(3, 7):
-        for orbit in classify_orbits(cone_dim, bound=bound).orbits:
+        for orbit in classify_orbits(cone_dim).orbits:
             cone = orbit.representative
             if cone.cusp_rank() != 3:
                 continue
@@ -166,7 +181,7 @@ def check_stratum_invariants(registry, bound):
     return True, "%d stratum actions concentrated, 50 random dual-route checks" % reps
 
 
-def check_rank_one_pipeline(registry, bound):
+def check_rank_one_pipeline(registry):
     result = strata.rank_one_locus(registry)
     if result.limit.entries != result.page.entries:
         return False, "page does not degenerate"
@@ -179,7 +194,7 @@ def check_rank_one_pipeline(registry, bound):
     return True, "degenerate page, weight-0 class in degree 5"
 
 
-def check_rank_two_pipeline(registry, bound):
+def check_rank_two_pipeline(registry):
     result = strata.rank_two_locus(registry)
     used = [(d.r, d.p, d.q, d.rank, d.kind)
             for d in result.report.candidates[0].decisions if d.rank]
@@ -193,8 +208,8 @@ def check_rank_two_pipeline(registry, bound):
     return ok, "known rank-1 differential applied, split justified"
 
 
-def check_rank_three_attribution(registry, bound):
-    result = strata.rank_three_locus(bound)
+def check_rank_three_attribution(registry):
+    result = strata.rank_three_locus()
     expected = {
         ("a1,a2,a3", 3, 3, 6),
         ("a1,a2,a3,b1", 4, 2, 4),
@@ -210,13 +225,13 @@ def check_rank_three_attribution(registry, bound):
     return ok, "5 strata attributed across dimensions 3..6"
 
 
-def check_torus_coordinates(registry, bound):
+def check_torus_coordinates(registry):
     got = tuple(ch.exponents() for ch in torus_coordinates())
     ok = got == EXPECTED_TORUS_COORDS
     return ok, "six dual characters reproduced" if ok else "coordinates %r" % (got,)
 
 
-def check_product_symmetry(registry, bound):
+def check_product_symmetry(registry):
     rep = strata.product_symmetry_rep()
     group = group_closure(rep)
     if len(group) != 12:
@@ -230,7 +245,7 @@ def check_product_symmetry(registry, bound):
     return ok, "order 12 with an order-6 element, invariants 1 0 1 0 1"
 
 
-def check_conservation_properties(registry, bound):
+def check_conservation_properties(registry):
     rng = random.Random(_SEED)
     mats = []
     for _ in range(6):
@@ -255,11 +270,11 @@ def check_conservation_properties(registry, bound):
                 if pairing(act_on_form(g, q), dual_action_on_character(g, f)) \
                         != pairing(q, f):
                     return False, "pairing is not invariant"
-    eulers = [strata.stratum_table(name, registry, bound).euler_characteristic()
+    eulers = [strata.stratum_table(name, registry).euler_characteristic()
               for name in strata.STRATUM_NAMES]
     if eulers != [5, 5, 5, 5]:
         return False, "stratum euler characteristics %r" % (eulers,)
-    result = strata.compactification_betti(registry, bound)
+    result = strata.compactification_betti(registry)
     balanced = (result.page.euler_characteristic() == 20
                 and result.table.euler_characteristic() == 20
                 and sum(result.betti) == 20)
@@ -284,13 +299,13 @@ ALL_CHECKS = (
 )
 
 
-def run_all(registry=None, bound=2):
+def run_all(registry=None):
     """Run every check; returns a list of (name, ok, detail) triples."""
     registry = registry or load_registry()
     results = []
     for name, fn in ALL_CHECKS:
         try:
-            ok, detail = fn(registry, bound)
+            ok, detail = fn(registry)
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, "raised %s: %s" % (type(exc).__name__, exc)
         results.append((name, ok, detail))

@@ -12,7 +12,7 @@ CHECKS = dict(verify.ALL_CHECKS)
 
 
 def _run(name):
-    ok, detail = CHECKS[name](REGISTRY, 2)
+    ok, detail = CHECKS[name](REGISTRY)
     assert ok, detail
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -40,6 +43,7 @@ def test_fan_faces(capsys):
 def test_fan_orbits_text(capsys):
     code, out, _ = run_cli(capsys, "fan", "orbits", "--dim", "3")
     assert code == 0
+    assert out.splitlines()[0] == "orbit census: dimension 3"
     assert "a1,a2,a3" in out and "cusp rank 3" in out
     assert out.splitlines()[-1] == "classes: 2, faces covered: 20"
 
@@ -75,6 +79,28 @@ def test_equi_invariants_from_cone(capsys):
     assert code == 0
     assert "group order 12" in out
     assert "invariant dimensions: 1 0 0" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("fan", "orbits", "--dim", "7"),
+    ("fan", "orbits", "--dim", "-1"),
+    ("fan", "faces", "--dim", "7"),
+])
+def test_face_dimension_out_of_range_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_equi_invariants_infinite_group_fails(capsys, tmp_path):
+    rep = {"dimension": 2, "generators": [[[1, 1], [0, 1]]]}
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep))
+    code, out, err = run_cli(capsys, "equi", "invariants", "--rep", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_equi_invariants_from_rep_file(capsys, tmp_path):
@@ -115,6 +141,15 @@ def test_ss_abutment(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "ss", "abutment", "--input", str(path))
     assert code == 0
     assert "H_c^5  = Q" in out
+
+
+def test_ss_resolve_rejects_non_object_page(capsys, tmp_path):
+    path = tmp_path / "page.json"
+    path.write_text("[1]")
+    code, out, err = run_cli(capsys, "ss", "resolve", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: a page must be a JSON object\n"
 
 
 def test_ss_resolve_missing_file(capsys):
@@ -163,3 +198,12 @@ def test_verify_all_passes(capsys):
     assert code == 0
     assert out.splitlines()[-1] == "12/12 checks passed"
     assert all(line.startswith("PASS") for line in out.splitlines()[:-1])
+
+
+def test_cli_import_does_not_load_numpy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, avor3.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"

@@ -1,13 +1,15 @@
+import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avor3.fan import (SIGMA6, Cone, EquivalenceResult, SpanDeficient,
                        classify_orbits, equivalent, stabilizer,
-                       stratum_character_lattice, torus_coordinates,
-                       unimodular_matrices)
-from avor3.forms import GENERATORS, SymForm, act_on_form, pairing
+                       stratum_character_lattice, torus_coordinates)
+from avor3.forms import GENERATORS, GroupElement, SymForm, act_on_form, pairing
 from avor3.equivariant import order_histogram
+from avor3.verify import random_unimodular
 
 
 def test_cone_parsing_and_names():
@@ -58,27 +60,29 @@ def test_equivalence_produces_checkable_witness():
 
 
 def test_equivalence_of_single_rays():
-    res = equivalent(Cone.from_names("a1"), Cone.from_names("b2"), bound=2)
+    res = equivalent(Cone.from_names("a1"), Cone.from_names("b2"))
     assert res.verdict == "equivalent"
     g = res.witness
     assert act_on_form(g, GENERATORS["a1"]) == GENERATORS["b2"]
 
 
-def test_bounded_search_is_only_inconclusive_on_failure():
+def test_far_ray_is_equivalent_with_verified_witness():
+    # every line map sends e1 to +-(2, 3, 1), so none has entries within [-2, 2]
     v = (2, 3, 1)
     q = SymForm.from_matrix(tuple(tuple(a * b for b in v) for a in v))
-    far = Cone((q,))
-    near = Cone.from_names("a1")
-    assert equivalent(near, far, bound=2).verdict == "inconclusive"
-    assert equivalent(near, far, bound=3).verdict == "equivalent"
+    res = equivalent(Cone.from_names("a1"), Cone((q,)))
+    assert res.verdict == "equivalent"
+    assert act_on_form(res.witness, GENERATORS["a1"]) == q
 
 
-def test_unimodular_enumeration_counts():
-    # frozen from a brute-force scan of all entry patterns
-    m1 = unimodular_matrices(1)
-    assert len(m1) == 6960
-    assert len(unimodular_matrices(2)) == 135408
-    assert all(abs(int(r)) <= 1 for row in m1[:10] for r in row)
+def _image(g, face):
+    return Cone(tuple(act_on_form(g, q) for q in face.generators))
+
+
+def _assert_found(face, image):
+    res = equivalent(face, image)
+    assert res.verdict == "equivalent"
+    assert {act_on_form(res.witness, q) for q in face.generators} == set(image.generators)
 
 
 EXPECTED_CENSUS = {
@@ -94,18 +98,35 @@ EXPECTED_CENSUS = {
 
 @pytest.mark.parametrize("dim", sorted(EXPECTED_CENSUS))
 def test_orbit_census_frozen(dim):
-    census = classify_orbits(dim, bound=2)
+    census = classify_orbits(dim)
     got = [(o.representative.name(), o.size, o.cusp_rank) for o in census.orbits]
     assert got == EXPECTED_CENSUS[dim]
     assert sum(census.counts()) == comb(6, dim)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_low_dimensions_stable_under_larger_bound(dim):
-    a = classify_orbits(dim, bound=2)
-    b = classify_orbits(dim, bound=3)
-    assert [(o.representative.name(), o.size, o.cusp_rank) for o in a.orbits] \
-        == [(o.representative.name(), o.size, o.cusp_rank) for o in b.orbits]
+def test_span_deficient_faces_match_random_images(dim):
+    rng = random.Random(dim)
+    for face in SIGMA6.faces(dim):
+        for _ in range(5):
+            _assert_found(face, _image(random_unimodular(rng), face))
+
+
+_ELEMENTARY = st.tuples(st.sampled_from([(i, j) for i in range(3) for j in range(3) if i != j]),
+                        st.integers(-3, 3))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.booleans(), st.lists(_ELEMENTARY, max_size=8))
+def test_every_face_matches_its_image(flip, steps):
+    g = GroupElement(((-1 if flip else 1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    for (i, j), k in steps:
+        rows = [[int(r == c) for c in range(3)] for r in range(3)]
+        rows[i][j] = k
+        g = g * GroupElement(rows)
+    for dim in range(7):
+        for face in SIGMA6.faces(dim):
+            _assert_found(face, _image(g, face))
 
 
 EXPECTED_STABILIZERS = {

@@ -104,12 +104,17 @@ def test_int_kernel_is_saturated_orthogonal_complement():
             assert all(p == 1 for p in pivots)
 
 
-def test_independent_triple():
-    vs = [(1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
-    triple = linalg.independent_triple(vs)
-    assert triple is not None
-    assert linalg.rank([list(vs[i]) for i in triple]) == 3
-    assert linalg.independent_triple([(1, 0, 0), (0, 1, 0), (1, 1, 0)]) is None
+def test_int_det_and_adjugate_match_rational_det():
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(0, 4)
+        a = random_matrix(rng, n, -2, 2)  # small entries: singular matrices occur
+        d = linalg.int_det(a)
+        assert d == linalg.det(a)
+        scaled = [[d * x for x in row] for row in linalg.identity(n)]
+        adj = linalg.adjugate(a)
+        assert linalg.mat_mul(adj, a) == scaled
+        assert linalg.mat_mul(a, adj) == scaled
 
 
 def principal_minor_sum(a, k):

@@ -18,12 +18,13 @@ from .fan import (SIGMA6, Cone, SpanDeficient, classify_orbits, stabilizer,
 from .forms import COEFF_ORDER, GENERATOR_NAMES
 from .mhs import UnsupportedTwist
 from .registry import load_registry
-from .ssengine import (AmbiguousResolution, NoConsistentAssignment, SSPage,
-                       SplitNotJustified, abutment, resolve)
+from .ssengine import (AmbiguousResolution, EnumerationCapExceeded,
+                       NoConsistentAssignment, SSPage, SplitNotJustified, abutment,
+                       resolve)
 from .strata import ExpectedPageMismatch, InvariantNotConcentrated
 
 _DOMAIN_ERRORS = (SpanDeficient, NotClosedWithinCap, NoConsistentAssignment,
-                  SplitNotJustified, ExpectedPageMismatch,
+                  EnumerationCapExceeded, SplitNotJustified, ExpectedPageMismatch,
                   InvariantNotConcentrated, UnsupportedTwist, ValueError,
                   KeyError, OSError)
 
@@ -109,11 +110,9 @@ def _build_parser():
 def _load_rep(path):
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    gens = tuple(tuple(tuple(int(x) for x in row) for row in g)
-                 for g in data["generators"])
-    signs = data.get("signs")
-    return LinearRep(int(data["dimension"]), gens,
-                     tuple(signs) if signs is not None else None)
+    if not isinstance(data, dict):
+        raise ValueError("a representation must be a JSON object")
+    return LinearRep(data["dimension"], data["generators"], data.get("signs"))
 
 
 def _load_page(path):

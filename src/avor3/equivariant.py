@@ -1,17 +1,20 @@
-"""Finite matrix groups over Q and their exterior-power invariants.
+"""Finite subgroups of GL(n,Z) and their exterior-power invariants.
 
-Invariant dimensions of wedge powers are computed two independent ways:
-a Molien-style average of the coefficients of det(I + t g) over the group,
-and a brute-force average of the induced matrices on each wedge power
-followed by an exact rank computation.  The first is the production path,
-the second is the oracle used to cross-check it.
+Every group here acts on an integral lattice, so matrices are tuples of
+int tuples and all arithmetic stays in the integers.  Invariant dimensions
+of wedge powers are computed two independent ways: a Molien-style sum of
+the coefficients of det(I + t g) over the group (Newton's identities on
+power traces), divided by the group order once, and the exact rank of the
+summed induced matrices on each wedge power (minors), which is the rank of
+the averaging projector.  The first is the production path, the second is
+the oracle used to cross-check it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from math import comb
 
 from . import linalg
 
@@ -21,15 +24,17 @@ class NotClosedWithinCap(RuntimeError):
 
 
 def _freeze(m):
-    return tuple(tuple(Fraction(x) for x in row) for row in m)
+    return tuple(map(tuple, m))
 
 
 @dataclass(frozen=True)
 class LinearRep:
-    """A finite subgroup of GL(n,Q) given by generating matrices.
+    """A finite subgroup of GL(n,Z) given by generating integer matrices.
 
     `signs` optionally assigns each generator a value of a multiplicative
-    order-two character; invariants are then taken with that twist.
+    order-two character; invariants are then taken with that twist.  Only
+    Python ints are accepted (no bool, float or str), and every generator
+    must have determinant +-1, as every integer matrix of finite order does.
     """
 
     dimension: int
@@ -37,22 +42,29 @@ class LinearRep:
     signs: tuple = None
 
     def __post_init__(self):
-        gens = tuple(_freeze(g) for g in self.generators)
+        n = self.dimension
+        if type(n) is not int or n < 0:
+            raise ValueError("dimension must be a nonnegative integer")
+        try:
+            gens = tuple(_freeze(g) for g in self.generators)
+            signs = None if self.signs is None else tuple(self.signs)
+        except TypeError:
+            raise ValueError("generators must be a list of matrices, "
+                             "signs a list of +-1") from None
         object.__setattr__(self, "generators", gens)
         for g in gens:
-            if len(g) != self.dimension or any(len(row) != self.dimension for row in g):
+            if len(g) != n or any(len(row) != n for row in g):
                 raise ValueError("generator shape does not match dimension")
-        if self.signs is not None:
-            signs = tuple(int(s) for s in self.signs)
-            if len(signs) != len(gens) or any(s not in (1, -1) for s in signs):
+            if any(type(x) is not int for row in g for x in row):
+                raise ValueError("generator entries must be integers")
+            d = linalg.det(g)
+            if d not in (1, -1):
+                raise ValueError("generator has determinant %d, not +-1" % d)
+        if signs is not None:
+            if len(signs) != len(gens) or any(type(s) is not int or s not in (1, -1)
+                                              for s in signs):
                 raise ValueError("signs must be one value in {1, -1} per generator")
             object.__setattr__(self, "signs", signs)
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                 for i in range(n))
 
 
 def group_closure(rep: LinearRep, cap: int = 10000):
@@ -62,8 +74,7 @@ def group_closure(rep: LinearRep, cap: int = 10000):
     than `cap` distinct elements appear, and ValueError if the declared sign
     character is not constant on each element.
     """
-    n = rep.dimension
-    ident = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    ident = _freeze(linalg.identity(rep.dimension))
     signs = rep.signs or tuple(1 for _ in rep.generators)
     chi = {ident: 1}
     frontier = [ident]
@@ -71,7 +82,7 @@ def group_closure(rep: LinearRep, cap: int = 10000):
         nxt = []
         for m in frontier:
             for g, s in zip(rep.generators, signs):
-                prod = _mat_mul(m, g)
+                prod = _freeze(linalg.mat_mul(m, g))
                 val = chi[m] * s
                 if prod in chi:
                     if chi[prod] != val:
@@ -87,12 +98,11 @@ def group_closure(rep: LinearRep, cap: int = 10000):
 
 def element_order(m, cap: int = 10000):
     """Multiplicative order of a matrix of finite order."""
-    n = len(m)
-    ident = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    ident = _freeze(linalg.identity(len(m)))
     m = _freeze(m)
     p, k = m, 1
     while p != ident:
-        p = _mat_mul(p, m)
+        p = _freeze(linalg.mat_mul(p, m))
         k += 1
         if k > cap:
             raise NotClosedWithinCap("element order exceeds %d" % cap)
@@ -108,50 +118,48 @@ def order_histogram(mats, cap: int = 10000):
 def exterior_invariant_dims(rep: LinearRep, cap: int = 10000):
     """(dim (Lambda^k V)^G)_{k=0..n} via the group average of det(I + t g).
 
-    With a sign character the result is the dimension of the isotypic part
-    for that character in each wedge power.
+    The coefficients are summed over the group in integers and divided by
+    |G| once.  With a sign character the result is the dimension of the
+    isotypic part for that character in each wedge power.
     """
     group = group_closure(rep, cap)
     n = rep.dimension
-    total = [Fraction(0)] * (n + 1)
+    total = [0] * (n + 1)
     for mat, s in group:
-        coeffs = linalg.char_poly_elementary([list(row) for row in mat])
+        coeffs = linalg.char_poly_elementary(mat)
         for k in range(n + 1):
             total[k] += s * coeffs[k]
     out = []
-    for k in range(n + 1):
-        val = total[k] / len(group)
-        if val.denominator != 1 or val < 0:
+    for t in total:
+        val, rem = divmod(t, len(group))
+        if rem or val < 0:
             raise AssertionError("group average is not a nonnegative integer")
-        out.append(int(val))
+        out.append(val)
     return tuple(out)
 
 
 def fixed_subspace_dims_bruteforce(rep: LinearRep, cap: int = 10000):
     """Oracle for exterior_invariant_dims: explicit projectors on wedge powers.
 
-    Builds the induced matrix of every group element on each wedge power,
-    averages them (with the sign twist), and takes the exact rank of the
-    resulting projector.  Only sensible for small dimensions.
+    Sums the induced matrix of every group element on each wedge power (with
+    the sign twist) and takes the exact integer rank of the sum, which is
+    |G| times the averaging projector and so has the same rank.  Only
+    sensible for small dimensions.
     """
     if rep.dimension > 6:
         raise ValueError("brute-force oracle restricted to dimension <= 6")
     group = group_closure(rep, cap)
     n = rep.dimension
     out = []
-    from math import comb
     for k in range(n + 1):
         size = comb(n, k)
-        acc = [[Fraction(0)] * size for _ in range(size)]
+        acc = [[0] * size for _ in range(size)]
         for mat, s in group:
-            wedge = linalg.exterior_power_matrix([list(row) for row in mat], k)
-            for i in range(size):
-                row = wedge[i]
+            wedge = linalg.exterior_power_matrix(mat, k)
+            for acc_row, row in zip(acc, wedge):
                 for j in range(size):
-                    acc[i][j] += s * row[j]
-        scale = Fraction(1, len(group))
-        proj = [[x * scale for x in row] for row in acc]
-        out.append(linalg.rank(proj))
+                    acc_row[j] += s * row[j]
+        out.append(linalg.rank(acc))
     return tuple(out)
 
 

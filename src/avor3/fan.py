@@ -150,7 +150,7 @@ def _line_maps(source, target):
     pivots = [next(c for c, v in enumerate(src) if v[i]) for i in range(r)]
     vmat = [[src[c][i] for c in pivots] for i in range(r)]
     adj = linalg.adjugate(vmat)
-    d = linalg.int_det(vmat)
+    d = linalg.det(vmat)
     tset = {_line(t) for t in tgt}
     u_t_inv = GroupElement(u_t).inverse().rows
     for picks in permutations(tgt, r):
@@ -160,7 +160,7 @@ def _line_maps(source, target):
             if any(x % d for row in num for x in row):
                 continue
             m = [[x // d for x in row] for row in num]
-            if abs(linalg.int_det(m)) != 1:
+            if abs(linalg.det(m)) != 1:
                 continue
             images = {_line(tuple(sum(row[k] * s[k] for k in range(r)) for row in m))
                       for s in src}
@@ -300,13 +300,10 @@ def stratum_character_lattice(c: Cone) -> CharacterLattice:
     seen = set()
     effective = []
     for g in stab.elements:
-        cols = []
-        for f in basis:
-            img = dual_action_on_character(g, f)
-            coeffs = linalg.solve_in_span(basis_rows, list(img.exponents()))
-            if coeffs is None or any(x.denominator != 1 for x in coeffs):
-                raise AssertionError("stabilizer does not preserve the character sublattice")
-            cols.append([int(x) for x in coeffs])
+        images = [dual_action_on_character(g, f).exponents() for f in basis]
+        cols = linalg.lattice_coordinates(basis_rows, images)
+        if cols is None:
+            raise AssertionError("stabilizer does not preserve the character sublattice")
         mat = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
         if mat not in seen:
             seen.add(mat)
@@ -317,6 +314,9 @@ def stratum_character_lattice(c: Cone) -> CharacterLattice:
 def torus_coordinates():
     """The six characters dual to (a1, a2, a3, b1, b2, b3) under the pairing."""
     m = [list(GENERATORS[n].coeffs()) for n in GENERATOR_NAMES]
-    inv = linalg.inverse(m)
-    cols = linalg.transpose(linalg.mat_int(inv))
-    return tuple(Character.from_exponents(col) for col in cols)
+    d = linalg.det(m)
+    adj = linalg.adjugate(m)
+    if any(x % d for row in adj for x in row):
+        raise AssertionError("generator coefficient matrix is not unimodular")
+    # the characters are the columns of m^-1 = adj(m) / det(m)
+    return tuple(Character.from_exponents([row[j] // d for row in adj]) for j in range(6))

@@ -1,13 +1,13 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Everything in this package runs on plain Python ints and
-fractions.Fraction, so every rank, kernel and solve below is exact.
-Matrices are lists (or tuples) of rows; vectors are flat sequences.
+Every matrix in this package is integral, so everything here takes and
+returns plain Python ints: ranks and determinants by fraction-free
+elimination, Hermite forms, saturated kernels and coordinates in them, all
+exact.  Matrices are lists (or tuples) of rows; vectors are flat sequences.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 
@@ -28,115 +28,74 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def mat_int(a):
-    """Cast a rational matrix with integral entries to ints; ValueError otherwise."""
-    out = []
-    for row in a:
-        r = []
-        for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError("entry %s is not an integer" % (x,))
-            r.append(f.numerator)
-        out.append(r)
-    return out
+def _eliminate(a):
+    """Row echelon form of a copy of an integer matrix by Bareiss elimination.
 
-
-def _echelon(a):
-    """Row-reduce a copy of `a` over Q; return (rows, pivot column list)."""
-    m = [[Fraction(x) for x in row] for row in a]
+    Returns (rows, pivot column list, sign of the row permutation).  After the
+    k-th pivot step every entry below the pivot rows is a (k+1) x (k+1) minor
+    of `a`, so each division by the previous pivot is exact (Bareiss 1968) and
+    no intermediate leaves the integers.
+    """
+    m = [list(row) for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
-    r = 0
+    sign, prev, r = 1, 1, 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
         if r == rows:
             break
-    return m, pivots
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        p = m[r][c]
+        for i in range(r + 1, rows):
+            f = m[i][c]
+            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], m[r])]
+        prev = p
+        pivots.append(c)
+        r += 1
+    return m, pivots, sign
 
 
 def rank(a):
     if not a or not a[0]:
         return 0
-    return len(_echelon(a)[1])
+    return len(_eliminate(a)[1])
 
 
 def det(a):
-    """Determinant over Q by fraction Gaussian elimination."""
+    """Determinant of a square integer matrix; the last Bareiss pivot."""
     n = len(a)
     if n == 0:
-        return Fraction(1)
-    m = [[Fraction(x) for x in row] for row in a]
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        result *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return sign * result
+        return 1
+    m, pivots, sign = _eliminate(a)
+    return sign * m[-1][-1] if len(pivots) == n else 0
 
 
-def solve(a, b):
-    """Solve a x = b exactly for square nonsingular a; None if singular."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    m, pivots = _echelon(aug)
-    if pivots != list(range(n)):
-        return None
-    return [m[i][n] for i in range(n)]
+def lattice_coordinates(basis_rows, vectors):
+    """Integer coordinates of each vector in a saturated lattice basis.
 
-
-def inverse(a):
-    """Exact inverse of a square rational matrix; None if singular."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    m, pivots = _echelon(aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in m]
-
-
-def solve_in_span(basis_rows, target):
-    """Express `target` as a rational combination of `basis_rows`; None if outside."""
-    if not basis_rows:
-        return [] if all(x == 0 for x in target) else None
-    cols = len(basis_rows[0])
-    aug = [[Fraction(basis_rows[j][c]) for j in range(len(basis_rows))] + [Fraction(target[c])]
-           for c in range(cols)]
-    m, pivots = _echelon(aug)
+    `basis_rows` must span a saturated sublattice of Z^n (a direct summand,
+    such as an `int_kernel` basis).  Then the Hermite form of its transpose
+    is the identity over zero rows, and the first rows of the transformation
+    are a left inverse of the basis.  Each coordinate vector is multiplied
+    back; None when some vector is outside the lattice.
+    """
     k = len(basis_rows)
-    if k in pivots:
-        return None
-    coeffs = [Fraction(0)] * k
-    for r, c in enumerate(pivots):
-        coeffs[c] = m[r][k]
-    # confirm (guards against rank-deficient bases)
-    for c in range(cols):
-        if sum(coeffs[j] * basis_rows[j][c] for j in range(k)) != target[c]:
+    h, u = hermite_form(transpose(basis_rows))
+    if h[:k] != identity(k):
+        raise ValueError("basis rows do not span a saturated lattice")
+    out = []
+    for v in vectors:
+        coeffs = mat_vec(u[:k], v)
+        back = [sum(c * row[i] for c, row in zip(coeffs, basis_rows)) for i in range(len(v))]
+        if back != list(v):
             return None
-    return coeffs
+        out.append(coeffs)
+    return out
 
 
 def hermite_form(a):
@@ -205,31 +164,12 @@ def int_kernel(a):
     return out
 
 
-def int_det(a):
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [list(row) for row in a]
-    n = len(m)
-    sign, prev = 1, 1
-    for c in range(n - 1):
-        if m[c][c] == 0:
-            pivot = next((i for i in range(c + 1, n) if m[i][c] != 0), None)
-            if pivot is None:
-                return 0
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                m[i][j] = (m[i][j] * m[c][c] - m[i][c] * m[c][j]) // prev
-        prev = m[c][c]
-    return sign * m[-1][-1] if n else 1
-
-
 def adjugate(a):
-    """Integer adjugate: adjugate(a) a = a adjugate(a) = int_det(a) I."""
+    """Integer adjugate: adjugate(a) a = a adjugate(a) = det(a) I."""
     n = len(a)
     rows = [list(row) for row in a]
-    return [[(-1) ** (i + j) * int_det([row[:j] + row[j + 1:]
-                                         for k, row in enumerate(rows) if k != i])
+    return [[(-1) ** (i + j) * det([row[:j] + row[j + 1:]
+                                     for k, row in enumerate(rows) if k != i])
              for i in range(n)] for j in range(n)]
 
 
@@ -248,16 +188,17 @@ def char_poly_elementary(a):
     """Coefficients (e_0, ..., e_n) of det(I + t a) = sum e_k t^k.
 
     Newton's identities turn the power-sum traces into elementary symmetric
-    functions of the eigenvalues, all over Q.
+    functions of the eigenvalues: k e_k = sum_i (-1)^(i-1) e_(k-i) p_i.  For
+    an integer matrix the right side is divisible by k; that is checked.
     """
     n = len(a)
     p = traces_of_powers(a, n) if n else []
-    e = [Fraction(1)]
+    e = [1]
     for k in range(1, n + 1):
-        s = Fraction(0)
-        for i in range(1, k + 1):
-            s += (-1) ** (i - 1) * e[k - i] * p[i - 1]
-        e.append(s / k)
+        s = sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1))
+        if s % k:
+            raise AssertionError("Newton identity sum is not divisible by %d" % k)
+        e.append(s // k)
     return e
 
 

@@ -24,6 +24,10 @@ class NoConsistentAssignment(RuntimeError):
     """No differential rank assignment satisfies all constraints."""
 
 
+class EnumerationCapExceeded(RuntimeError):
+    """Resolving a page would enumerate more rank assignments than the cap."""
+
+
 class AmbiguousResolution(RuntimeError):
     """Several limit pages survive; carries the full report."""
 
@@ -194,7 +198,8 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
 
     Raises AmbiguousResolution (with the report of all surviving limit
     pages) when the constraints and the optional purity filter do not pin
-    the answer, and NoConsistentAssignment when nothing survives.
+    the answer, NoConsistentAssignment when nothing survives, and
+    EnumerationCapExceeded once more than `cap` assignments are enumerated.
     """
     known_map = {(k.r, k.p, k.q): k for k in page.knowns}
     support = [pq for pq, _ in page.entries]
@@ -233,7 +238,7 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
                 count *= len(vecs)
             enumerated += count
             if enumerated > cap:
-                raise RuntimeError("assignment enumeration exceeds cap %d" % cap)
+                raise EnumerationCapExceeded("assignment enumeration exceeds cap %d" % cap)
             for combo in iproduct(*[opt[1] for opt in options]):
                 removals = {}
                 for ((p, q), _, _, _), vec in zip(options, combo):

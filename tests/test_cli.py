@@ -103,6 +103,22 @@ def test_equi_invariants_infinite_group_fails(capsys, tmp_path):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("rep", [
+    {"dimension": 2, "generators": [[[0.5, 1], [1, 0]]]},
+    {"dimension": 2, "generators": [[[0, 0], [0, 0]]]},
+    {"dimension": 2, "generators": [[["0", True], [1, 0]]]},
+    {"dimension": 2, "generators": [[[0, 1], [1, 0]]], "signs": [1.9]},
+    [1],
+], ids=["float-entry", "zero-matrix", "str-and-bool-entries", "float-sign", "not-an-object"])
+def test_equi_invariants_rejects_malformed_rep(capsys, tmp_path, rep):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep))
+    code, out, err = run_cli(capsys, "equi", "invariants", "--rep", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_equi_invariants_from_rep_file(capsys, tmp_path):
     rep = {"dimension": 2, "generators": [[[0, 1], [1, 0]]]}
     path = tmp_path / "rep.json"
@@ -200,10 +216,11 @@ def test_verify_all_passes(capsys):
     assert all(line.startswith("PASS") for line in out.splitlines()[:-1])
 
 
-def test_cli_import_does_not_load_numpy():
+@pytest.mark.parametrize("module", ("numpy", "fractions"))
+def test_cli_import_does_not_load(module):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, avor3.cli; print('numpy' in sys.modules)"
+    code = "import sys, avor3.cli; print(%r in sys.modules)" % module
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout == "False\n"

@@ -1,12 +1,11 @@
-import random
-
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from avor3 import linalg
 from avor3.equivariant import (LinearRep, NotClosedWithinCap, element_order,
                                exterior_invariant_dims,
                                fixed_subspace_dims_bruteforce, group_closure,
                                h1_pullback, order_histogram)
-from avor3.verify import random_signed_permutation_rep
 
 SWAP2 = ((0, 1), (1, 0))
 ROT3 = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
@@ -55,11 +54,62 @@ def test_trivial_group_sees_everything():
     assert exterior_invariant_dims(rep) == (1, 3, 3, 1)
 
 
-def test_dual_route_agreement_on_random_groups():
-    rng = random.Random(99)
-    for _ in range(25):
-        rep = random_signed_permutation_rep(rng)
-        assert exterior_invariant_dims(rep) == fixed_subspace_dims_bruteforce(rep)
+@st.composite
+def conjugated_signed_permutation_groups(draw):
+    """(rep, conjugate rep): signed permutations, then u g u^-1 for a random u.
+
+    u is a product of elementary matrices, so the conjugated generators are
+    dense integer matrices of the same finite group.
+    """
+    dim = draw(st.integers(2, 4))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        perm = draw(st.permutations(range(dim)))
+        flips = draw(st.lists(st.sampled_from((1, -1)), min_size=dim, max_size=dim))
+        gens.append([[flips[i] if j == perm[i] else 0 for j in range(dim)]
+                     for i in range(dim)])
+    u, u_inv = linalg.identity(dim), linalg.identity(dim)
+    steps = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 2), st.integers(-2, 2))
+    for i, j, k in draw(st.lists(steps, max_size=6)):
+        j += j >= i  # j != i
+        e, e_inv = linalg.identity(dim), linalg.identity(dim)
+        e[i][j], e_inv[i][j] = k, -k
+        u, u_inv = linalg.mat_mul(e, u), linalg.mat_mul(u_inv, e_inv)
+    conj = [linalg.mat_mul(linalg.mat_mul(u, g), u_inv) for g in gens]
+    # optionally twist by the determinant, a sign character on every such group
+    signs = tuple(linalg.det(g) for g in gens) if draw(st.booleans()) else None
+    return LinearRep(dim, gens, signs), LinearRep(dim, conj, signs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(conjugated_signed_permutation_groups())
+def test_dual_route_agreement_on_random_groups(reps):
+    rep, conj = reps
+    assert len(group_closure(conj)) == len(group_closure(rep))
+    molien = exterior_invariant_dims(conj)
+    assert molien == fixed_subspace_dims_bruteforce(conj)
+    assert molien == exterior_invariant_dims(rep)
+
+
+@pytest.mark.parametrize("generators, signs", [
+    ([[[0.5, 1], [1, 0]]], None),              # float entry
+    ([[[0, 0], [0, 0]]], None),                # det 0
+    ([[[2, 0], [0, 1]]], None),                # det 2: infinite order
+    ([[["0", True], [1, 0]]], None),           # str and bool entries
+    ([[[0, 1], [1, 0]]], [1.9]),               # float sign
+    ([[[0, 1], [1, 0]]], [True]),              # bool sign
+    ([[[0, 1], [1, 0]]], [2]),                 # not +-1
+    (5, None),                                 # not a list of matrices
+])
+def test_linear_rep_rejects_malformed_input(generators, signs):
+    with pytest.raises(ValueError):
+        LinearRep(2, generators, signs)
+
+
+@pytest.mark.parametrize("dimension", [2.0, True, "2", -1])
+def test_linear_rep_rejects_malformed_dimension(dimension):
+    with pytest.raises(ValueError):
+        LinearRep(dimension, ())
 
 
 def test_h1_pullback_shape_and_contravariance():

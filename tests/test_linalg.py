@@ -1,8 +1,8 @@
 import random
-from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avor3 import linalg
 
@@ -23,12 +23,6 @@ def test_mat_mul_matches_manual():
     assert linalg.mat_vec(a, [1, 1]) == [3, 7]
 
 
-def test_mat_int_rejects_fractions():
-    assert linalg.mat_int([[Fraction(2), Fraction(-1)]]) == [[2, -1]]
-    with pytest.raises(ValueError):
-        linalg.mat_int([[Fraction(1, 2)]])
-
-
 def test_rank_and_det_small_cases():
     assert linalg.rank([[1, 2], [2, 4]]) == 1
     assert linalg.rank([[1, 0], [0, 1]]) == 2
@@ -44,28 +38,12 @@ def test_det_multiplicative():
         assert linalg.det(linalg.mat_mul(a, b)) == linalg.det(a) * linalg.det(b)
 
 
-def test_solve_and_inverse_roundtrip():
-    rng = random.Random(11)
-    done = 0
-    while done < 20:
-        n = rng.randint(1, 4)
-        a = random_matrix(rng, n)
-        if linalg.det(a) == 0:
-            continue
-        x = [rng.randint(-4, 4) for _ in range(n)]
-        b = linalg.mat_vec(a, x)
-        assert linalg.solve(a, b) == [Fraction(v) for v in x]
-        inv = linalg.inverse(a)
-        assert linalg.mat_mul(a, inv) == [[Fraction(int(i == j)) for j in range(n)]
-                                          for i in range(n)]
-        done += 1
-    assert linalg.solve([[1, 1], [1, 1]], [1, 2]) is None
-
-
-def test_solve_in_span():
+def test_lattice_coordinates():
     basis = [[1, 0, 1], [0, 1, 1]]
-    assert linalg.solve_in_span(basis, [1, 1, 2]) == [Fraction(1), Fraction(1)]
-    assert linalg.solve_in_span(basis, [0, 0, 1]) is None
+    assert linalg.lattice_coordinates(basis, [[1, 1, 2]]) == [[1, 1]]
+    assert linalg.lattice_coordinates(basis, [[0, 0, 1]]) is None
+    with pytest.raises(ValueError):
+        linalg.lattice_coordinates([[2, 0, 0]], [[2, 0, 0]])  # not saturated
 
 
 def test_hermite_form_properties():
@@ -104,17 +82,70 @@ def test_int_kernel_is_saturated_orthogonal_complement():
             assert all(p == 1 for p in pivots)
 
 
-def test_int_det_and_adjugate_match_rational_det():
+def leibniz_det(a):
+    """Reference determinant: the signed sum over all permutations."""
+    total = 0
+    for perm in permutations(range(len(a))):
+        sign = 1
+        for i, j in combinations(range(len(perm)), 2):
+            if perm[i] > perm[j]:
+                sign = -sign
+        term = sign
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+def test_det_and_adjugate_match_leibniz():
     rng = random.Random(5)
     for _ in range(60):
         n = rng.randint(0, 4)
         a = random_matrix(rng, n, -2, 2)  # small entries: singular matrices occur
-        d = linalg.int_det(a)
-        assert d == linalg.det(a)
+        d = linalg.det(a)
+        assert d == leibniz_det(a)
         scaled = [[d * x for x in row] for row in linalg.identity(n)]
         adj = linalg.adjugate(a)
         assert linalg.mat_mul(adj, a) == scaled
         assert linalg.mat_mul(a, adj) == scaled
+
+
+@st.composite
+def _matrices(draw, max_rows=4, max_cols=4):
+    """Small integer matrices; a product through a narrow middle is rank deficient."""
+    rows, cols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    inner = draw(st.integers(1, 4))
+    entries = st.integers(-3, 3)
+    left = draw(st.lists(st.lists(entries, min_size=inner, max_size=inner),
+                         min_size=rows, max_size=rows))
+    right = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                          min_size=inner, max_size=inner))
+    return linalg.mat_mul(left, right)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices())
+def test_rank_is_largest_nonzero_minor(a):
+    rows, cols = len(a), len(a[0])
+    expected = max(k for k in range(min(rows, cols) + 1)
+                   if k == 0 or any(leibniz_det([[a[i][j] for j in c] for i in r])
+                                    for r in combinations(range(rows), k)
+                                    for c in combinations(range(cols), k)))
+    assert linalg.rank(a) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(max_rows=3, max_cols=6),
+       st.lists(st.integers(-5, 5), min_size=6, max_size=6))
+def test_lattice_coordinates_roundtrip_on_kernel_bases(a, seed):
+    basis = linalg.int_kernel(a)
+    coeffs = seed[:len(basis)]
+    v = [sum(c * row[i] for c, row in zip(coeffs, basis)) for i in range(len(a[0]))]
+    assert linalg.lattice_coordinates(basis, [v]) == [coeffs]
+    # a vector off the kernel has no coordinates
+    off = [x + y for x, y in zip(v, a[0])]
+    if any(sum(x * y for x, y in zip(row, off)) for row in a):
+        assert linalg.lattice_coordinates(basis, [off]) is None
 
 
 def principal_minor_sum(a, k):

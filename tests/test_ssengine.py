@@ -3,10 +3,11 @@ import json
 import pytest
 
 from avor3.mhs import CohomologyTable, MhsVector
-from avor3.ssengine import (AmbiguousResolution, KnownDifferential,
-                            NoConsistentAssignment, SSPage, SplitNotJustified,
-                            abutment, forced_zero, gysin_split, leray_assemble,
-                            resolve)
+from avor3.registry import load_registry
+from avor3.ssengine import (AmbiguousResolution, EnumerationCapExceeded,
+                            KnownDifferential, NoConsistentAssignment, SSPage,
+                            SplitNotJustified, abutment, forced_zero, gysin_split,
+                            leray_assemble, resolve)
 
 T = MhsVector.tate
 F = MhsVector.atom_f
@@ -99,6 +100,12 @@ def test_known_positive_rank_on_forced_zero_is_inconsistent():
     page = SSPage.from_dict(1, {(0, 0): T(0), (1, 0): T(3)}, knowns=(known,))
     with pytest.raises(NoConsistentAssignment):
         resolve(page)
+
+
+def test_resolve_cap_raises_named_error():
+    page = load_registry().page("main_e1_expected")
+    with pytest.raises(EnumerationCapExceeded):
+        resolve(page, cap=1)
 
 
 def test_purity_filter_selects_the_pure_outcome():

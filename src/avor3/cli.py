@@ -81,8 +81,6 @@ def _build_parser():
     p.add_argument("--input", required=True, help="JSON page file")
     p.add_argument("--purity", action="store_true",
                    help="require a pure limit (smooth proper abutment)")
-    p.add_argument("--dim", type=int, default=None,
-                   help="complex dimension of the abutment")
     p = ss_sub.add_parser("abutment", parents=[common],
                           help="merge a degenerate page along total degree")
     p.add_argument("--input", required=True, help="JSON page file")
@@ -115,9 +113,9 @@ def _load_rep(path):
     return LinearRep(data["dimension"], data["generators"], data.get("signs"))
 
 
-def _load_page(path):
+def _load_page(path, purity=False):
     with open(path, encoding="utf-8") as fh:
-        return SSPage.from_json_dict(json.load(fh))
+        return SSPage.from_json_dict(json.load(fh), abutment_smooth_proper=purity)
 
 
 def _run(args, out):
@@ -163,11 +161,8 @@ def _run(args, out):
         return 0
 
     if args.group == "ss":
-        page = _load_page(args.input)
         if args.command == "resolve":
-            page = SSPage(page.r, page.entries, page.knowns,
-                          abutment_smooth_proper=args.purity,
-                          abutment_dimension=args.dim, label=page.label)
+            page = _load_page(args.input, args.purity)
             try:
                 limit, report = resolve(page)
             except AmbiguousResolution as exc:
@@ -175,7 +170,7 @@ def _run(args, out):
                 return 1
             out.write(render.render_resolution(limit, report, fmt))
         else:
-            out.write(render.render_table(abutment(page), fmt))
+            out.write(render.render_table(abutment(_load_page(args.input)), fmt))
         return 0
 
     if args.group == "strata":

@@ -19,8 +19,11 @@ from math import comb
 from . import linalg
 
 
+CAP = 10000  # bound on group orders and element orders
+
+
 class NotClosedWithinCap(RuntimeError):
-    """Generating more group elements than the cap allows."""
+    """Generating more group elements, or a larger element order, than CAP."""
 
 
 def _freeze(m):
@@ -67,11 +70,11 @@ class LinearRep:
             object.__setattr__(self, "signs", signs)
 
 
-def group_closure(rep: LinearRep, cap: int = 10000):
+def group_closure(rep: LinearRep):
     """All elements of the generated group as (matrix, character value) pairs.
 
     Breadth-first products of generators; raises NotClosedWithinCap once more
-    than `cap` distinct elements appear, and ValueError if the declared sign
+    than CAP distinct elements appear, and ValueError if the declared sign
     character is not constant on each element.
     """
     ident = _freeze(linalg.identity(rep.dimension))
@@ -90,13 +93,13 @@ def group_closure(rep: LinearRep, cap: int = 10000):
                     continue
                 chi[prod] = val
                 nxt.append(prod)
-                if len(chi) > cap:
-                    raise NotClosedWithinCap("more than %d elements generated" % cap)
+                if len(chi) > CAP:
+                    raise NotClosedWithinCap("more than %d elements generated" % CAP)
         frontier = nxt
     return sorted(chi.items())
 
 
-def element_order(m, cap: int = 10000):
+def element_order(m):
     """Multiplicative order of a matrix of finite order."""
     ident = _freeze(linalg.identity(len(m)))
     m = _freeze(m)
@@ -104,25 +107,25 @@ def element_order(m, cap: int = 10000):
     while p != ident:
         p = _freeze(linalg.mat_mul(p, m))
         k += 1
-        if k > cap:
-            raise NotClosedWithinCap("element order exceeds %d" % cap)
+        if k > CAP:
+            raise NotClosedWithinCap("element order exceeds %d" % CAP)
     return k
 
 
-def order_histogram(mats, cap: int = 10000):
+def order_histogram(mats):
     """{element order: count} over an iterable of matrices."""
-    hist = Counter(element_order(m, cap) for m in mats)
+    hist = Counter(element_order(m) for m in mats)
     return dict(sorted(hist.items()))
 
 
-def exterior_invariant_dims(rep: LinearRep, cap: int = 10000):
+def exterior_invariant_dims(rep: LinearRep):
     """(dim (Lambda^k V)^G)_{k=0..n} via the group average of det(I + t g).
 
     The coefficients are summed over the group in integers and divided by
     |G| once.  With a sign character the result is the dimension of the
     isotypic part for that character in each wedge power.
     """
-    group = group_closure(rep, cap)
+    group = group_closure(rep)
     n = rep.dimension
     total = [0] * (n + 1)
     for mat, s in group:
@@ -138,7 +141,7 @@ def exterior_invariant_dims(rep: LinearRep, cap: int = 10000):
     return tuple(out)
 
 
-def fixed_subspace_dims_bruteforce(rep: LinearRep, cap: int = 10000):
+def fixed_subspace_dims_bruteforce(rep: LinearRep):
     """Oracle for exterior_invariant_dims: explicit projectors on wedge powers.
 
     Sums the induced matrix of every group element on each wedge power (with
@@ -148,7 +151,7 @@ def fixed_subspace_dims_bruteforce(rep: LinearRep, cap: int = 10000):
     """
     if rep.dimension > 6:
         raise ValueError("brute-force oracle restricted to dimension <= 6")
-    group = group_closure(rep, cap)
+    group = group_closure(rep)
     n = rep.dimension
     out = []
     for k in range(n + 1):

@@ -125,11 +125,6 @@ def _span_frame(vectors):
     return u, r, [tuple(h[i][c] for i in range(r)) for c in range(len(vectors))]
 
 
-def _line(w):
-    """The representative of the line through w with first nonzero entry positive."""
-    return w if next(x for x in w if x) > 0 else tuple(-x for x in w)
-
-
 def _line_maps(source, target):
     """Yield h in GL(3,Z) mapping the source line set onto the target line set.
 
@@ -151,7 +146,7 @@ def _line_maps(source, target):
     vmat = [[src[c][i] for c in pivots] for i in range(r)]
     adj = linalg.adjugate(vmat)
     d = linalg.det(vmat)
-    tset = {_line(t) for t in tgt}
+    tset = {linalg.lead_positive(t) for t in tgt}
     u_t_inv = GroupElement(u_t).inverse().rows
     for picks in permutations(tgt, r):
         for signs in product((1, -1), repeat=r):
@@ -162,7 +157,8 @@ def _line_maps(source, target):
             m = [[x // d for x in row] for row in num]
             if abs(linalg.det(m)) != 1:
                 continue
-            images = {_line(tuple(sum(row[k] * s[k] for k in range(r)) for row in m))
+            images = {linalg.lead_positive([sum(row[k] * s[k] for k in range(r))
+                                            for row in m])
                       for s in src}
             if images != tset:
                 continue
@@ -221,15 +217,14 @@ class OrbitCensus:
 
 
 @lru_cache(maxsize=None)
-def classify_orbits(dim, ambient=None) -> OrbitCensus:
+def classify_orbits(dim) -> OrbitCensus:
     """Group the dimension-`dim` faces of the basic cone into GL(3,Z) orbits.
 
     Faces are scanned in subset order, so each orbit's representative is its
     first (lexicographically least) face.
     """
-    ambient = SIGMA6 if ambient is None else ambient
     classes = []  # [representative, member count]
-    for face in ambient.faces(dim):
+    for face in SIGMA6.faces(dim):
         for cls in classes:
             if equivalent(face, cls[0]):
                 cls[1] += 1

@@ -6,7 +6,10 @@ q |-> g^-T q g^-1, so a rank-one form v v^T transforms by v |-> g^-T v.
 Characters of the rank-6 torus use the same coordinate order for their
 exponents and pair integrally with forms; the pairing is the plain dot
 product of coefficient vectors, which absorbs the factor-of-two convention
-on off-diagonal entries.
+on off-diagonal entries.  Equivalently, pairing(q, f) = tr(Q P) / 2 for the
+Gram matrix Q of q and the doubled character matrix P of f (diagonal 2 p_ii,
+off-diagonal p_ij).  Characters transform contragrediently, so that the
+pairing is invariant: g . f has doubled matrix g P g^T.
 """
 
 from __future__ import annotations
@@ -53,9 +56,6 @@ class SymForm:
     def rank(self):
         return linalg.rank([list(r) for r in self.matrix()])
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs())
-
     def __add__(self, other):
         return SymForm.from_coeffs(x + y for x, y in zip(self.coeffs(), other.coeffs()))
 
@@ -82,9 +82,6 @@ GENERATORS = {
     "a1": square_form(1), "a2": square_form(2), "a3": square_form(3),
     "b1": difference_form(1), "b2": difference_form(2), "b3": difference_form(3),
 }
-
-_BASIS_FORMS = tuple(SymForm.from_coeffs([int(i == j) for j in range(6)]) for i in range(6))
-
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -125,25 +122,23 @@ class GroupElement:
                   for j in range(3))
             for i in range(3)))
 
-    def apply(self, v):
-        return tuple(sum(row[k] * v[k] for k in range(3)) for row in self.rows)
+
+def _congruence(h, m):
+    """h m h^T for 3x3 matrices given as rows."""
+    mh = [[sum(row[l] * hrow[l] for l in range(3)) for hrow in h] for row in m]
+    return [[sum(h[i][k] * mh[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
 
 
 def act_on_form(g: GroupElement, q: SymForm) -> SymForm:
     """g . q = g^-T q g^-1."""
-    gi = g.inverse().rows
-    qm = q.matrix()
-    qg = [[sum(row[l] * gi[l][j] for l in range(3)) for j in range(3)] for row in qm]
-    m = [[sum(gi[k][i] * qg[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
-    return SymForm.from_matrix(m)
+    return SymForm.from_matrix(_congruence(tuple(zip(*g.inverse().rows)), q.matrix()))
 
 
 def primitive(v):
     g = gcd(gcd(abs(v[0]), abs(v[1])), abs(v[2]))
     if g > 1:
         v = tuple(x // g for x in v)
-    lead = next((x for x in v if x != 0), 1)
-    return tuple(-x for x in v) if lead < 0 else tuple(v)
+    return linalg.lead_positive(v)
 
 
 def rank1_vector(q: SymForm):
@@ -194,29 +189,18 @@ class Character:
     def exponents(self):
         return (self.p11, self.p22, self.p33, self.p23, self.p13, self.p12)
 
-    def __mul__(self, other):
-        return Character.from_exponents(x + y for x, y in zip(self.exponents(), other.exponents()))
-
-    def inverse(self):
-        return Character.from_exponents(-x for x in self.exponents())
-
 
 def pairing(q: SymForm, f: Character) -> int:
     return sum(a * p for a, p in zip(q.coeffs(), f.exponents()))
 
 
-def form_action_matrix(g: GroupElement):
-    """The 6x6 integer matrix of q |-> g . q on coefficient vectors (by columns)."""
-    cols = [act_on_form(g, b).coeffs() for b in _BASIS_FORMS]
-    return [[cols[j][i] for j in range(6)] for i in range(6)]
-
-
 def dual_action_on_character(g: GroupElement, f: Character) -> Character:
     """The contragredient action: pairing(g . q, g . f) == pairing(q, f).
 
-    Since the pairing is the coefficient dot product, the character picks up
-    the transpose of the inverse coefficient action, which is again integral.
+    The doubled character matrix P goes to g P g^T; its diagonal stays even,
+    so halving it back is exact.
     """
-    phi_inv = form_action_matrix(g.inverse())
-    p = linalg.mat_vec(linalg.transpose(phi_inv), list(f.exponents()))
-    return Character.from_exponents(p)
+    m = _congruence(g.rows, ((2 * f.p11, f.p12, f.p13),
+                             (f.p12, 2 * f.p22, f.p23),
+                             (f.p13, f.p23, 2 * f.p33)))
+    return Character(m[0][0] // 2, m[1][1] // 2, m[2][2] // 2, m[1][2], m[0][2], m[0][1])

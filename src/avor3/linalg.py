@@ -28,6 +28,11 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
+def lead_positive(v):
+    """v or -v as a tuple, whichever has its first nonzero entry positive."""
+    return tuple(-x for x in v) if next((x for x in v if x), 0) < 0 else tuple(v)
+
+
 def _eliminate(a):
     """Row echelon form of a copy of an integer matrix by Bareiss elimination.
 
@@ -155,13 +160,8 @@ def int_kernel(a):
     n = len(a[0])
     at = [[int(a[i][j]) for i in range(len(a))] for j in range(n)]
     h, u = hermite_form(at)
-    kernel = [u[i] for i in range(n) if all(x == 0 for x in h[i])]
-    # normalize sign so each basis row leads with a positive entry
-    out = []
-    for row in kernel:
-        lead = next((x for x in row if x != 0), 1)
-        out.append([-x for x in row] if lead < 0 else list(row))
-    return out
+    # each basis row leads with a positive entry
+    return [list(lead_positive(u[i])) for i in range(n) if not any(h[i])]
 
 
 def adjugate(a):

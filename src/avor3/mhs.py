@@ -20,6 +20,32 @@ class UnsupportedTwist(ValueError):
     """Tate twist requested for the extension atom F."""
 
 
+_KIND_NAMES = {int: "an integer", list: "a list", str: "a string"}
+
+
+def json_value(obj, key, path, kind=int, minimum=None, default=None):
+    """obj[key] from a parsed JSON document, checked to be of type `kind`.
+
+    Integers must be exactly int (a bool is rejected) and at least `minimum`
+    when one is given.  A missing key takes `default`, and is an error when
+    there is none.  Every error is a ValueError that names `path`, the
+    position of `obj` in the document.
+    """
+    where = path + ": " if path else ""
+    if not isinstance(obj, dict):
+        raise ValueError("%sexpected an object" % where)
+    if key not in obj:
+        if default is None:
+            raise ValueError('%smissing "%s"' % (where, key))
+        return default
+    value = obj[key]
+    if type(value) is not kind:
+        raise ValueError('%s"%s" must be %s' % (where, key, _KIND_NAMES[kind]))
+    if minimum is not None and value < minimum:
+        raise ValueError('%s"%s" must be at least %d' % (where, key, minimum))
+    return value
+
+
 @dataclass(frozen=True, order=True)
 class MhsVector:
     """A finite multiset of Tate pieces plus copies of the atom F."""
@@ -91,16 +117,19 @@ class MhsVector:
         return out
 
     @classmethod
-    def from_classes(cls, classes):
+    def from_classes(cls, classes, path="classes"):
+        """Inverse of `to_classes`; ValueError (naming `path`) on a malformed class."""
         tates = []
         f_count = 0
-        for c in classes:
+        for i, c in enumerate(classes):
+            where = "%s[%d]" % (path, i)
+            mult = json_value(c, "mult", where, minimum=1, default=1)
             if "atom" in c:
                 if c["atom"] != "F":
-                    raise ValueError("unknown atom %r" % c["atom"])
-                f_count += int(c.get("mult", 1))
+                    raise ValueError("%s: unknown atom %r" % (where, c["atom"]))
+                f_count += mult
             else:
-                tates.extend([int(c["tate"])] * int(c.get("mult", 1)))
+                tates.extend([json_value(c, "tate", where, minimum=0)] * mult)
         return cls(tuple(tates), f_count)
 
     def __str__(self):
@@ -113,10 +142,6 @@ class MhsVector:
         if self.f_count:
             parts.append("F" if self.f_count == 1 else "F^%d" % self.f_count)
         return " + ".join(parts)
-
-
-def weights(v: MhsVector):
-    return v.weights()
 
 
 @dataclass(frozen=True)
@@ -145,25 +170,11 @@ class CohomologyTable:
     def degrees(self):
         return tuple(d for d, _ in self.entries)
 
-    def as_dict(self):
-        return dict(self.entries)
-
     def add(self, other, label=None):
         acc = {}
         for d, v in self.entries + other.entries:
             acc[d] = acc.get(d, MhsVector.zero()) + v
         return CohomologyTable(label or self.label, tuple(acc.items()))
-
-    def tate_twist(self, n, label=None):
-        return CohomologyTable(label or self.label,
-                               tuple((d, v.tate_twist(n)) for d, v in self.entries))
-
-    def shift_degrees(self, n, label=None):
-        return CohomologyTable(label or self.label,
-                               tuple((d + n, v) for d, v in self.entries))
-
-    def total_dimension(self):
-        return sum(v.dimension() for _, v in self.entries)
 
     def euler_characteristic(self):
         return sum((-1) ** d * v.dimension() for d, v in self.entries)
@@ -182,29 +193,11 @@ class CohomologyTable:
 
     @classmethod
     def from_json_dict(cls, data):
-        entries = tuple((e["degree"], MhsVector.from_classes(e["classes"]))
-                        for e in data["entries"])
-        return cls(data["label"], entries)
+        entries = []
+        for i, e in enumerate(json_value(data, "entries", "", list)):
+            where = "entries[%d]" % i
+            entries.append((json_value(e, "degree", where),
+                            MhsVector.from_classes(json_value(e, "classes", where, list),
+                                                   where + ".classes")))
+        return cls(json_value(data, "label", "", str), tuple(entries))
 
-
-def poincare_dualize(table: CohomologyTable, dim: int, label=None) -> CohomologyTable:
-    """H_c^k = dual(H^{2 dim - k}) tensor Q(-dim) for a smooth space.
-
-    Tate pieces Q(-m) in degree d land as Q(-(dim - m)) in degree 2 dim - d;
-    a negative resulting twist is an error.  The atom F is carried across
-    unchanged (weight multiset {0, 6} reflected onto itself); this is only
-    meaningful in middle degree of a 6-dimensional space, where it is used.
-    """
-    out = {}
-    for d, v in table.entries:
-        nd = 2 * dim - d
-        if nd < 0:
-            raise ValueError("degree %d exceeds twice the dimension" % d)
-        tates = []
-        for m in v.tates:
-            if dim - m < 0:
-                raise ValueError("dualizing Q(%d) in dimension %d gives a negative twist"
-                                 % (-m, dim))
-            tates.append(dim - m)
-        out[nd] = out.get(nd, MhsVector.zero()) + MhsVector(tuple(tates), v.f_count)
-    return CohomologyTable(label or table.label, tuple(out.items()))

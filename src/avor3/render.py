@@ -50,26 +50,6 @@ def render_table(table, fmt="text"):
     raise _bad_format(fmt)
 
 
-def render_page(page, fmt="text"):
-    if fmt == "json":
-        return page.to_json()
-    if fmt == "text":
-        lines = ["page %s (r=%d)" % (page.label or "(unlabeled)", page.r)]
-        for (p, q), v in page.entries:
-            lines.append("  (%d,%d) = %s" % (p, q, v))
-        for k in page.knowns:
-            lines.append("  known d_%d at (%d,%d): rank %d  [%s]"
-                         % (k.r, k.p, k.q, k.rank, k.citation))
-        return "\n".join(lines) + "\n"
-    if fmt == "latex":
-        lines = ["\\begin{tabular}{lll}", "$p$ & $q$ & $E^{p,q}$ \\\\", "\\hline"]
-        for (p, q), v in page.entries:
-            lines.append("$%d$ & $%d$ & $%s$ \\\\" % (p, q, mhs_latex(v)))
-        lines.append("\\end{tabular}")
-        return "\n".join(lines) + "\n"
-    raise _bad_format(fmt)
-
-
 def render_faces(dim, names, fmt="text"):
     if fmt == "json":
         return _json({"dimension": dim, "count": len(names), "faces": list(names)})
@@ -208,7 +188,11 @@ def render_resolution(limit, report, fmt="text"):
             lines.append("  (%d,%d) = %s" % (p, q, v))
         return "\n".join(lines) + "\n"
     if fmt == "latex":
-        return render_page(limit, "latex")
+        lines = ["\\begin{tabular}{lll}", "$p$ & $q$ & $E^{p,q}$ \\\\", "\\hline"]
+        for (p, q), v in limit.entries:
+            lines.append("$%d$ & $%d$ & $%s$ \\\\" % (p, q, mhs_latex(v)))
+        lines.append("\\end{tabular}")
+        return "\n".join(lines) + "\n"
     raise _bad_format(fmt)
 
 

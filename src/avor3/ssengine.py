@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .mhs import CohomologyTable, MhsVector
+from .mhs import CohomologyTable, MhsVector, json_value
 
 
 class NoConsistentAssignment(RuntimeError):
@@ -61,7 +61,6 @@ class SSPage:
     entries: tuple = ()  # sorted tuple of ((p, q), MhsVector), zeros dropped
     knowns: tuple = ()
     abutment_smooth_proper: bool = False
-    abutment_dimension: int = None
     label: str = ""
 
     def __post_init__(self):
@@ -82,15 +81,6 @@ class SSPage:
                 return v
         return MhsVector.zero()
 
-    def support(self):
-        return tuple(pq for pq, _ in self.entries)
-
-    def as_dict(self):
-        return dict(self.entries)
-
-    def total_dimension(self):
-        return sum(v.dimension() for _, v in self.entries)
-
     def euler_characteristic(self):
         return sum((-1) ** (p + q) * v.dimension() for (p, q), v in self.entries)
 
@@ -108,24 +98,25 @@ class SSPage:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json_dict(cls, data, **kw):
+    def from_json_dict(cls, data, abutment_smooth_proper=False):
+        """Inverse of `to_json_dict`; a malformed field raises ValueError naming it."""
         if not isinstance(data, dict):
             raise ValueError("a page must be a JSON object")
-        entries = tuple(((e["p"], e["q"]), MhsVector.from_classes(e["classes"]))
-                        for e in data["entries"])
-        knowns = tuple(KnownDifferential(k["r"], k["p"], k["q"], k["rank"], k["citation"])
-                       for k in data.get("knowns", ()))
-        return cls(int(data.get("page", 1)), entries, knowns,
-                   label=data.get("label", ""), **kw)
-
-
-def forced_zero(page: SSPage, r: int, p: int, q: int) -> bool:
-    """True when d_r at (p, q) must vanish: empty end or disjoint weights."""
-    src = page.entry(p, q)
-    tgt = page.entry(p + r, q - r + 1)
-    if src.is_zero() or tgt.is_zero():
-        return True
-    return not (set(src.weights()) & set(tgt.weights()))
+        entries = []
+        for i, e in enumerate(json_value(data, "entries", "", list)):
+            where = "entries[%d]" % i
+            classes = json_value(e, "classes", where, list)
+            entries.append(((json_value(e, "p", where), json_value(e, "q", where)),
+                            MhsVector.from_classes(classes, where + ".classes")))
+        knowns = []
+        for i, k in enumerate(json_value(data, "knowns", "", list, default=[])):
+            where = "knowns[%d]" % i
+            knowns.append(KnownDifferential(
+                json_value(k, "r", where), json_value(k, "p", where),
+                json_value(k, "q", where), json_value(k, "rank", where, minimum=0),
+                json_value(k, "citation", where, str)))
+        return cls(json_value(data, "page", "", default=1), tuple(entries), tuple(knowns),
+                   abutment_smooth_proper, json_value(data, "label", "", str, default=""))
 
 
 @dataclass(frozen=True)
@@ -273,8 +264,7 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
                               final_r, candidates, enumerated)
     if len(candidates) > 1:
         raise AmbiguousResolution(report)
-    limit = SSPage(final_r, candidates[0].entries, (),
-                   page.abutment_smooth_proper, page.abutment_dimension, page.label)
+    limit = SSPage(final_r, candidates[0].entries, (), page.abutment_smooth_proper, page.label)
     return limit, report
 
 
@@ -306,7 +296,7 @@ def gysin_split(open_table: CohomologyTable, closed_table: CohomologyTable,
     return open_table.add(closed_table, label or open_table.label)
 
 
-def leray_assemble(base_tables, fiber_items, label="", r=2, knowns=()) -> SSPage:
+def leray_assemble(base_tables, fiber_items, label="", knowns=()) -> SSPage:
     """Second page of a fibration with decomposed fiber cohomology.
 
     `fiber_items` lists (fiber degree q, base table tag, Tate twist); each
@@ -318,4 +308,4 @@ def leray_assemble(base_tables, fiber_items, label="", r=2, knowns=()) -> SSPage
             raise ValueError("fiber item references unknown base table %r" % tag)
         for p, vec in base_tables[tag].entries:
             entries[(p, q)] = entries.get((p, q), MhsVector.zero()) + vec.tate_twist(twist)
-    return SSPage(r, tuple(entries.items()), tuple(knowns), label=label)
+    return SSPage(2, tuple(entries.items()), tuple(knowns), label=label)

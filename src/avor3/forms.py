@@ -1,15 +1,16 @@
 """Integral symmetric 3x3 forms, the GL(3,Z) action, and torus characters.
 
 A form is stored by its six independent entries in the fixed coordinate
-order (a11, a22, a33, a23, a13, a12).  The group acts on forms by
-q |-> g^-T q g^-1, so a rank-one form v v^T transforms by v |-> g^-T v.
-Characters of the rank-6 torus use the same coordinate order for their
-exponents and pair integrally with forms; the pairing is the plain dot
-product of coefficient vectors, which absorbs the factor-of-two convention
-on off-diagonal entries.  Equivalently, pairing(q, f) = tr(Q P) / 2 for the
-Gram matrix Q of q and the doubled character matrix P of f (diagonal 2 p_ii,
-off-diagonal p_ij).  Characters transform contragrediently, so that the
-pairing is invariant: g . f has doubled matrix g P g^T.
+order (a11, a22, a33, a23, a13, a12).  A group element g acts on vectors
+by v |-> g v and on forms by q |-> g q g^T, so a rank-one form v v^T goes
+to (g v)(g v)^T.  Characters of the rank-6 torus use the same coordinate
+order for their exponents and pair integrally with forms; the pairing is
+the plain dot product of coefficient vectors, which absorbs the
+factor-of-two convention on off-diagonal entries.  Equivalently,
+pairing(q, f) = tr(Q P) / 2 for the Gram matrix Q of q and the doubled
+character matrix P of f (diagonal 2 p_ii, off-diagonal p_ij).  Characters
+transform contragrediently, so that the pairing is invariant: g . f has
+doubled matrix g^-T P g^-1.
 """
 
 from __future__ import annotations
@@ -55,9 +56,6 @@ class SymForm:
 
     def rank(self):
         return linalg.rank([list(r) for r in self.matrix()])
-
-    def __add__(self, other):
-        return SymForm.from_coeffs(x + y for x, y in zip(self.coeffs(), other.coeffs()))
 
 
 def square_form(i):
@@ -113,9 +111,6 @@ class GroupElement:
                (d * h - e * g, b * g - a * h, a * e - b * d))
         return GroupElement(tuple(tuple(x // dt for x in row) for row in adj))
 
-    def transpose(self):
-        return GroupElement(tuple(zip(*self.rows)))
-
     def __mul__(self, other):
         return GroupElement(tuple(
             tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(3))
@@ -130,8 +125,8 @@ def _congruence(h, m):
 
 
 def act_on_form(g: GroupElement, q: SymForm) -> SymForm:
-    """g . q = g^-T q g^-1."""
-    return SymForm.from_matrix(_congruence(tuple(zip(*g.inverse().rows)), q.matrix()))
+    """g . q = g q g^T."""
+    return SymForm.from_matrix(_congruence(g.rows, q.matrix()))
 
 
 def primitive(v):
@@ -197,10 +192,11 @@ def pairing(q: SymForm, f: Character) -> int:
 def dual_action_on_character(g: GroupElement, f: Character) -> Character:
     """The contragredient action: pairing(g . q, g . f) == pairing(q, f).
 
-    The doubled character matrix P goes to g P g^T; its diagonal stays even,
-    so halving it back is exact.
+    The doubled character matrix P goes to g^-T P g^-1; its diagonal stays
+    even, so halving it back is exact.
     """
-    m = _congruence(g.rows, ((2 * f.p11, f.p12, f.p13),
-                             (f.p12, 2 * f.p22, f.p23),
-                             (f.p13, f.p23, 2 * f.p33)))
+    doubled = ((2 * f.p11, f.p12, f.p13),
+               (f.p12, 2 * f.p22, f.p23),
+               (f.p13, f.p23, 2 * f.p33))
+    m = _congruence(tuple(zip(*g.inverse().rows)), doubled)
     return Character(m[0][0] // 2, m[1][1] // 2, m[2][2] // 2, m[1][2], m[0][2], m[0][1])

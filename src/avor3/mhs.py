@@ -20,7 +20,7 @@ class UnsupportedTwist(ValueError):
     """Tate twist requested for the extension atom F."""
 
 
-_KIND_NAMES = {int: "an integer", list: "a list", str: "a string"}
+_KIND_NAMES = {int: "an integer", list: "a list", str: "a string", dict: "an object"}
 
 
 def json_value(obj, key, path, kind=int, minimum=None, default=None):

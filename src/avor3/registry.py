@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 
-from .mhs import CohomologyTable
+from .mhs import CohomologyTable, json_value
 from .ssengine import KnownDifferential, SSPage
 
 ENV_VAR = "VORONOI_STRATA_REGISTRY"
@@ -74,26 +74,44 @@ class Registry:
 
 
 def parse_registry(data, source="memory") -> Registry:
-    if data.get("format") != FORMAT:
-        raise ValueError("unrecognized registry format %r" % data.get("format"))
+    """Read a registry document; a malformed field raises ValueError naming it.
+
+    Each fiber item is a list [degree, table, twist] whose errors name those
+    three fields, e.g. `fibers.kummer_fiber[0]: "twist" must be an integer`.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("a registry must be a JSON object")
+    fmt = json_value(data, "format", "", str)
+    if fmt != FORMAT:
+        raise ValueError("unrecognized registry format %r" % fmt)
     tables = {}
-    for item in data.get("tables", ()):
+    for i, item in enumerate(json_value(data, "tables", "", list, default=[])):
         table = CohomologyTable.from_json_dict(item)
         if table.label in tables:
             raise ValueError("duplicate table label %r" % table.label)
-        tables[table.label] = RegisteredTable(table, item.get("citation", ""),
-                                              item.get("notes", ""))
+        where = "tables[%d]" % i
+        citation = json_value(item, "citation", where, str, default="")
+        tables[table.label] = RegisteredTable(table, citation,
+                                              json_value(item, "notes", where, str, default=""))
     fibers = {}
-    for name, items in data.get("fibers", {}).items():
-        fibers[name] = tuple((int(q), str(tag), int(twist)) for q, tag, twist in items)
-        for _, tag, _ in fibers[name]:
+    fiber_map = json_value(data, "fibers", "", dict, default={})
+    for name in fiber_map:
+        fiber = []
+        for i, item in enumerate(json_value(fiber_map, name, "fibers", list)):
+            where = "fibers.%s[%d]" % (name, i)
+            if type(item) is not list or len(item) != 3:
+                raise ValueError("%s: expected [degree, table, twist]" % where)
+            fields = dict(zip(("degree", "table", "twist"), item))
+            tag = json_value(fields, "table", where, str)
             if tag not in tables:
-                raise ValueError("fibration %r references unknown table %r" % (name, tag))
-    knowns = {name: KnownDifferential(int(k["r"]), int(k["p"]), int(k["q"]),
-                                      int(k["rank"]), k["citation"])
-              for name, k in data.get("knowns", {}).items()}
+                raise ValueError("%s: unknown table %r" % (where, tag))
+            fiber.append((json_value(fields, "degree", where), tag,
+                          json_value(fields, "twist", where, minimum=0)))
+        fibers[name] = tuple(fiber)
+    knowns = {name: KnownDifferential.from_json_dict(k, "knowns." + name)
+              for name, k in json_value(data, "knowns", "", dict, default={}).items()}
     pages = {}
-    for item in data.get("pages", ()):
+    for item in json_value(data, "pages", "", list, default=[]):
         page = SSPage.from_json_dict(item)
         if page.label in pages:
             raise ValueError("duplicate page label %r" % page.label)

@@ -54,6 +54,13 @@ class KnownDifferential:
         if not self.citation:
             raise ValueError("a known differential must carry a citation")
 
+    @classmethod
+    def from_json_dict(cls, data, path):
+        """A known differential from JSON; ValueError (naming `path`) if malformed."""
+        return cls(json_value(data, "r", path), json_value(data, "p", path),
+                   json_value(data, "q", path), json_value(data, "rank", path, minimum=0),
+                   json_value(data, "citation", path, str))
+
 
 @dataclass(frozen=True)
 class SSPage:
@@ -108,13 +115,8 @@ class SSPage:
             classes = json_value(e, "classes", where, list)
             entries.append(((json_value(e, "p", where), json_value(e, "q", where)),
                             MhsVector.from_classes(classes, where + ".classes")))
-        knowns = []
-        for i, k in enumerate(json_value(data, "knowns", "", list, default=[])):
-            where = "knowns[%d]" % i
-            knowns.append(KnownDifferential(
-                json_value(k, "r", where), json_value(k, "p", where),
-                json_value(k, "q", where), json_value(k, "rank", where, minimum=0),
-                json_value(k, "citation", where, str)))
+        knowns = [KnownDifferential.from_json_dict(k, "knowns[%d]" % i)
+                  for i, k in enumerate(json_value(data, "knowns", "", list, default=[]))]
         return cls(json_value(data, "page", "", default=1), tuple(entries), tuple(knowns),
                    abutment_smooth_proper, json_value(data, "label", "", str, default=""))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .equivariant import LinearRep, exterior_invariant_dims, h1_pullback
 from .fan import classify_orbits, stratum_character_lattice
 from .mhs import CohomologyTable, MhsVector
-from .registry import Registry, load_registry
+from .registry import Registry
 from .ssengine import SSPage, abutment, gysin_split, leray_assemble, resolve
 
 STRATUM_NAMES = ("a3", "beta1", "beta2", "beta3")
@@ -110,9 +110,8 @@ def rank_three_locus() -> RankThreeResult:
     return RankThreeResult(table, tuple(contributions))
 
 
-def rank_one_locus(registry: Registry = None) -> FibrationResult:
+def rank_one_locus(registry: Registry) -> FibrationResult:
     """Kummer-type family over the abelian surface moduli."""
-    registry = registry or load_registry()
     page = leray_assemble(registry.base_tables(), registry.fiber("kummer_fiber"),
                           label="beta1")
     expected = registry.pages.get("kummer_e2_expected")
@@ -175,7 +174,7 @@ def tensor_tables(a: CohomologyTable, b: CohomologyTable, label: str) -> Cohomol
     return CohomologyTable(label, tuple(entries.items()))
 
 
-def rank_two_locus(registry: Registry = None) -> RankTwoResult:
+def rank_two_locus(registry: Registry) -> RankTwoResult:
     """Rank-2 locus: C*-bundle piece plus the elliptic-product piece.
 
     The bundle piece is a fibration whose page carries one externally
@@ -184,7 +183,6 @@ def rank_two_locus(registry: Registry = None) -> RankTwoResult:
     line.  The two merge through a degreewise split that must be justified
     by weight disjointness.
     """
-    registry = registry or load_registry()
     stored = registry.page("cstar_bundle_e2")
     known = registry.known("cstar_bundle_d2")
     page = leray_assemble(registry.base_tables(), registry.fiber("cstar_fiber"),
@@ -203,12 +201,11 @@ def rank_two_locus(registry: Registry = None) -> RankTwoResult:
     return RankTwoResult(page, torus_table, product_table, table, report)
 
 
-def open_locus_table(registry: Registry = None) -> CohomologyTable:
-    registry = registry or load_registry()
+def open_locus_table(registry: Registry) -> CohomologyTable:
     return CohomologyTable("a3", registry.table("a3_open").table.entries)
 
 
-def stratum_table(name: str, registry: Registry = None) -> CohomologyTable:
+def stratum_table(name: str, registry: Registry) -> CohomologyTable:
     if name == "a3":
         return open_locus_table(registry)
     if name == "beta1":
@@ -221,14 +218,13 @@ def stratum_table(name: str, registry: Registry = None) -> CohomologyTable:
                      % (name, ", ".join(STRATUM_NAMES)))
 
 
-def main_first_page(registry: Registry = None) -> SSPage:
+def main_first_page(registry: Registry) -> SSPage:
     """First page of the stratification sequence for the whole space.
 
     Column p holds the rank-(3-p) locus: a class of degree d in that
     locus's table sits at position (p, d - p).  The abutment is the
     cohomology of the compact space, so purity of the limit is enforced.
     """
-    registry = registry or load_registry()
     columns = (
         rank_three_locus().table,
         rank_two_locus(registry).table,
@@ -248,9 +244,8 @@ def main_first_page(registry: Registry = None) -> SSPage:
     return page
 
 
-def compactification_betti(registry: Registry = None) -> BettiResult:
+def compactification_betti(registry: Registry) -> BettiResult:
     """Betti numbers of the compactification from the resolved main page."""
-    registry = registry or load_registry()
     page = main_first_page(registry)
     limit, report = resolve(page)
     table = abutment(limit, "avor3")

@@ -19,7 +19,6 @@ from .fan import (SIGMA6, Cone, classify_orbits, equivalent,
 from .forms import (COEFF_ORDER, GENERATOR_NAMES, GENERATORS, GroupElement,
                     act_on_form, dual_action_on_character, pairing)
 from .mhs import MhsVector
-from .registry import load_registry
 from .ssengine import AmbiguousResolution, resolve
 
 EXPECTED_BETTI = (1, 0, 2, 0, 4, 0, 6, 0, 4, 0, 2, 0, 1)
@@ -248,15 +247,12 @@ def check_product_symmetry(registry):
 def check_conservation_properties(registry):
     rng = random.Random(_SEED)
     mats = []
-    for _ in range(6):
-        while True:
-            rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
-            det = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-                   - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-                   + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
-            if det in (1, -1):
-                mats.append(GroupElement(tuple(tuple(r) for r in rows)))
-                break
+    while len(mats) < 6:
+        rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+        try:
+            mats.append(GroupElement(rows))
+        except ValueError:  # not unimodular: draw again
+            pass
     forms = [GENERATORS[n] for n in GENERATOR_NAMES]
     for g in mats:
         for h in mats:
@@ -299,9 +295,8 @@ ALL_CHECKS = (
 )
 
 
-def run_all(registry=None):
+def run_all(registry):
     """Run every check; returns a list of (name, ok, detail) triples."""
-    registry = registry or load_registry()
     results = []
     for name, fn in ALL_CHECKS:
         try:

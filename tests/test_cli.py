@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -232,6 +233,74 @@ def test_bad_registry_path_fails(capsys):
     code, _, err = run_cli(capsys, "betti", "avor3", "--registry", "/no/such.json")
     assert code == 1
     assert "error:" in err
+
+
+def _registry(*edits):
+    """The packaged registry document after applying each edit(data) in turn."""
+    data = json.loads(resources.files("avor3").joinpath("data/paper_data.json").read_text())
+    for edit in edits:
+        edit(data)
+    return data
+
+
+def _table(data, label):
+    return next(t for t in data["tables"] if t["label"] == label)
+
+
+def _drop_page(label):
+    def edit(data):
+        data["pages"] = [p for p in data["pages"] if p["label"] != label]
+    return edit
+
+
+_KNOWN = "knowns.cstar_bundle_d2"
+_FIBER = "fibers.kummer_fiber[0]"
+
+
+@pytest.mark.parametrize("registry,message", [
+    ([1], "a registry must be a JSON object"),
+    (_registry(lambda d: d.update(fibers=[1])), '"fibers" must be an object'),
+    (_registry(lambda d: d["knowns"].update(cstar_bundle_d2="1")),
+     _KNOWN + ": expected an object"),
+    (_registry(lambda d: d["fibers"]["kummer_fiber"][0].pop()),
+     _FIBER + ": expected [degree, table, twist]"),
+    (_registry(lambda d: d["knowns"]["cstar_bundle_d2"].pop("citation")),
+     _KNOWN + ': missing "citation"'),
+    (_registry(lambda d: d["knowns"]["cstar_bundle_d2"].update(rank=True)),
+     _KNOWN + ': "rank" must be an integer'),
+    (_registry(lambda d: d["fibers"]["kummer_fiber"][0].__setitem__(2, 0.9)),
+     _FIBER + ': "twist" must be an integer'),
+    (_registry(lambda d: d["tables"][0].update(citation=7)),
+     'tables[0]: "citation" must be a string'),
+], ids=["list-file", "fibers-list", "string-known", "short-fiber-item", "missing-citation",
+        "bool-rank", "float-twist", "number-citation"])
+def test_betti_rejects_malformed_registry(capsys, tmp_path, registry, message):
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(registry))
+    code, out, err = run_cli(capsys, "betti", "avor3", "--registry", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
+def _extra_class(label, degree, tate):
+    return lambda d: _table(d, label)["entries"].append(
+        {"degree": degree, "classes": [{"tate": tate}]})
+
+
+@pytest.mark.parametrize("argv,registry,count", [
+    (("betti", "avor3"),
+     _registry(_extra_class("a3_open", 9, 4), _drop_page("main_e1_expected")), 2),
+    (("strata", "table", "--stratum", "beta1"),
+     _registry(_extra_class("a2", 3, 2), _drop_page("kummer_e2_expected")), 4),
+], ids=["betti", "strata-table"])
+def test_ambiguous_resolution_is_an_error(capsys, tmp_path, argv, registry, count):
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(registry))
+    code, out, err = run_cli(capsys, *argv, "--registry", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: %d candidate resolutions survive\n" % count
 
 
 def test_usage_errors_exit_2(main_page_file):

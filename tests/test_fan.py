@@ -4,6 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from avor3 import linalg
 from avor3.fan import (SIGMA6, Cone, EquivalenceResult, SpanDeficient,
                        classify_orbits, equivalent, stabilizer,
                        stratum_character_lattice, torus_coordinates)
@@ -42,8 +43,13 @@ def test_cusp_and_span_ranks():
     assert Cone.from_names("a1,a2").cusp_rank() == 2
     assert Cone.from_names("a1,a2,a3").cusp_rank() == 3
     assert Cone.from_names("a1,a2,b3").cusp_rank() == 2
-    assert Cone.from_names("a1,a2,b3").span_rank() == 2
-    assert Cone.from_names("a1,a2,a3,b1").span_rank() == 3
+    # the rank of the summed Gram matrix, which for a sum of squares v v^T
+    # is also the span rank of the vectors v
+    for dim in range(7):
+        for face in SIGMA6.faces(dim):
+            total = [[sum(q.matrix()[i][j] for q in face.generators) for j in range(3)]
+                     for i in range(3)]
+            assert face.cusp_rank() == linalg.rank(total)
 
 
 def test_equivalence_produces_checkable_witness():

@@ -2,12 +2,18 @@
 
 Every group here acts on an integral lattice, so matrices are tuples of
 int tuples and all arithmetic stays in the integers.  Invariant dimensions
-of wedge powers are computed two independent ways: a Molien-style sum of
-the coefficients of det(I + t g) over the group (Newton's identities on
-power traces), divided by the group order once, and the exact rank of the
-summed induced matrices on each wedge power (minors), which is the rank of
-the averaging projector.  The first is the production path, the second is
-the oracle used to cross-check it.
+of wedge powers are computed two independent ways.  The production route is
+a Molien-style sum of the coefficients of det(I + t g) over the closed
+group (Newton's identities on power traces), divided by the group order
+once.  The oracle that cross-checks it never closes the group: a vector is
+fixed by the group exactly when each generator fixes it, so the invariants
+of each wedge power are the kernel of the generators' induced matrices
+minus the identity, stacked, and their dimension is one exact rank.
+
+Only the closure, and so only the Molien route, detects an infinite group
+(NotClosedWithinCap) or a sign character that is not well-defined on the
+group (ValueError); every cross-check runs Molien, so it validates the
+input for both.
 """
 
 from __future__ import annotations
@@ -142,27 +148,31 @@ def exterior_invariant_dims(rep: LinearRep):
 
 
 def fixed_subspace_dims_bruteforce(rep: LinearRep):
-    """Oracle for exterior_invariant_dims: explicit projectors on wedge powers.
+    """Oracle for exterior_invariant_dims: kernels of the generators' wedge powers.
 
-    Sums the induced matrix of every group element on each wedge power (with
-    the sign twist) and takes the exact integer rank of the sum, which is
-    |G| times the averaging projector and so has the same rank.  Only
-    sensible for small dimensions.
+    For each k, dim (Lambda^k V)^(G, chi) = C(n, k) - rank of the stack over
+    generators g of (Lambda^k g - chi(g) I), since a vector is in the chi-part
+    for the group exactly when it is for every generator (Serre, Linear
+    Representations of Finite Groups, 2.6).  Only the generators' exterior
+    powers are formed and the group is never closed, so this shares no step
+    with the Molien route.  For that reason it does not itself detect an
+    infinite group (NotClosedWithinCap) or an ill-defined sign character;
+    only group_closure does, which the Molien route runs on every
+    cross-check.  Restricted to dimension <= 6.
     """
     if rep.dimension > 6:
         raise ValueError("brute-force oracle restricted to dimension <= 6")
-    group = group_closure(rep)
     n = rep.dimension
+    signs = rep.signs or tuple(1 for _ in rep.generators)
     out = []
     for k in range(n + 1):
-        size = comb(n, k)
-        acc = [[0] * size for _ in range(size)]
-        for mat, s in group:
-            wedge = linalg.exterior_power_matrix(mat, k)
-            for acc_row, row in zip(acc, wedge):
-                for j in range(size):
-                    acc_row[j] += s * row[j]
-        out.append(linalg.rank(acc))
+        stack = []
+        for g, s in zip(rep.generators, signs):
+            wedge = linalg.exterior_power_matrix(g, k)
+            for i, row in enumerate(wedge):
+                row[i] -= s
+            stack.extend(wedge)
+        out.append(comb(n, k) - linalg.rank(stack))
     return tuple(out)
 
 

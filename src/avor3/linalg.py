@@ -9,6 +9,7 @@ exact.  Matrices are lists (or tuples) of rows; vectors are flat sequences.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import mul
 
 
 def identity(n):
@@ -21,11 +22,11 @@ def transpose(a):
 
 def mat_mul(a, b):
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def lead_positive(v):
@@ -174,13 +175,19 @@ def adjugate(a):
 
 
 def traces_of_powers(a, kmax):
-    """[tr(a^1), ..., tr(a^kmax)] exactly."""
-    n = len(a)
-    out = []
-    p = a
-    for _ in range(kmax):
-        out.append(sum(p[i][i] for i in range(n)))
-        p = mat_mul(p, a)
+    """[tr(a^1), ..., tr(a^kmax)] exactly.
+
+    Only a^1 .. a^h with h = ceil(kmax / 2) are formed.  Each higher trace is
+    tr(a^h a^j) for some j <= h, the entrywise product of a^h with the
+    transpose of a^j summed: n^2 multiplications instead of a product.
+    """
+    h = (kmax + 1) // 2
+    powers = [a]
+    while len(powers) < h:
+        powers.append(mat_mul(powers[-1], a))
+    out = [sum(p[i][i] for i in range(len(a))) for p in powers[:h]]
+    for p in powers[:kmax - h]:
+        out.append(sum(sum(map(mul, row, col)) for row, col in zip(powers[-1], zip(*p))))
     return out
 
 

@@ -23,6 +23,11 @@ class UnsupportedTwist(ValueError):
 _KIND_NAMES = {int: "an integer", list: "a list", str: "a string", dict: "an object"}
 
 
+def json_path(path, field):
+    """`field` under the document position `path` ("" for the top level)."""
+    return path + "." + field if path else field
+
+
 def json_value(obj, key, path, kind=int, minimum=None, default=None):
     """obj[key] from a parsed JSON document, checked to be of type `kind`.
 
@@ -192,12 +197,13 @@ class CohomologyTable:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json_dict(cls, data):
+    def from_json_dict(cls, data, path=""):
+        """Inverse of `to_json_dict`; ValueError naming the field, under `path`."""
         entries = []
-        for i, e in enumerate(json_value(data, "entries", "", list)):
-            where = "entries[%d]" % i
+        for i, e in enumerate(json_value(data, "entries", path, list)):
+            where = json_path(path, "entries[%d]" % i)
             entries.append((json_value(e, "degree", where),
                             MhsVector.from_classes(json_value(e, "classes", where, list),
                                                    where + ".classes")))
-        return cls(json_value(data, "label", "", str), tuple(entries))
+        return cls(json_value(data, "label", path, str), tuple(entries))
 

@@ -77,7 +77,9 @@ def parse_registry(data, source="memory") -> Registry:
     """Read a registry document; a malformed field raises ValueError naming it.
 
     Each fiber item is a list [degree, table, twist] whose errors name those
-    three fields, e.g. `fibers.kummer_fiber[0]: "twist" must be an integer`.
+    three fields, e.g. `fibers.kummer_fiber[0]: "twist" must be an integer`;
+    table and page errors start at their index, e.g.
+    `tables[3].entries[0].classes[0]: "tate" must be at least 0`.
     """
     if not isinstance(data, dict):
         raise ValueError("a registry must be a JSON object")
@@ -86,10 +88,10 @@ def parse_registry(data, source="memory") -> Registry:
         raise ValueError("unrecognized registry format %r" % fmt)
     tables = {}
     for i, item in enumerate(json_value(data, "tables", "", list, default=[])):
-        table = CohomologyTable.from_json_dict(item)
+        where = "tables[%d]" % i
+        table = CohomologyTable.from_json_dict(item, where)
         if table.label in tables:
             raise ValueError("duplicate table label %r" % table.label)
-        where = "tables[%d]" % i
         citation = json_value(item, "citation", where, str, default="")
         tables[table.label] = RegisteredTable(table, citation,
                                               json_value(item, "notes", where, str, default=""))
@@ -111,8 +113,8 @@ def parse_registry(data, source="memory") -> Registry:
     knowns = {name: KnownDifferential.from_json_dict(k, "knowns." + name)
               for name, k in json_value(data, "knowns", "", dict, default={}).items()}
     pages = {}
-    for item in json_value(data, "pages", "", list, default=[]):
-        page = SSPage.from_json_dict(item)
+    for i, item in enumerate(json_value(data, "pages", "", list, default=[])):
+        page = SSPage.from_json_dict(item, path="pages[%d]" % i)
         if page.label in pages:
             raise ValueError("duplicate page label %r" % page.label)
         pages[page.label] = page

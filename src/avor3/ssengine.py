@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .mhs import CohomologyTable, MhsVector, json_value
+from .mhs import CohomologyTable, MhsVector, json_path, json_value
 
 
 class NoConsistentAssignment(RuntimeError):
@@ -105,20 +105,20 @@ class SSPage:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json_dict(cls, data, abutment_smooth_proper=False):
-        """Inverse of `to_json_dict`; a malformed field raises ValueError naming it."""
+    def from_json_dict(cls, data, abutment_smooth_proper=False, path=""):
+        """Inverse of `to_json_dict`; ValueError naming the field, under `path`."""
         if not isinstance(data, dict):
-            raise ValueError("a page must be a JSON object")
+            raise ValueError("%sa page must be a JSON object" % (path + ": " if path else ""))
         entries = []
-        for i, e in enumerate(json_value(data, "entries", "", list)):
-            where = "entries[%d]" % i
+        for i, e in enumerate(json_value(data, "entries", path, list)):
+            where = json_path(path, "entries[%d]" % i)
             classes = json_value(e, "classes", where, list)
             entries.append(((json_value(e, "p", where), json_value(e, "q", where)),
                             MhsVector.from_classes(classes, where + ".classes")))
-        knowns = [KnownDifferential.from_json_dict(k, "knowns[%d]" % i)
-                  for i, k in enumerate(json_value(data, "knowns", "", list, default=[]))]
-        return cls(json_value(data, "page", "", default=1), tuple(entries), tuple(knowns),
-                   abutment_smooth_proper, json_value(data, "label", "", str, default=""))
+        knowns = [KnownDifferential.from_json_dict(k, json_path(path, "knowns[%d]" % i))
+                  for i, k in enumerate(json_value(data, "knowns", path, list, default=[]))]
+        return cls(json_value(data, "page", path, default=1), tuple(entries), tuple(knowns),
+                   abutment_smooth_proper, json_value(data, "label", path, str, default=""))
 
 
 @dataclass(frozen=True)

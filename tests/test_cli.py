@@ -272,8 +272,12 @@ _FIBER = "fibers.kummer_fiber[0]"
      _FIBER + ': "twist" must be an integer'),
     (_registry(lambda d: d["tables"][0].update(citation=7)),
      'tables[0]: "citation" must be a string'),
+    (_registry(lambda d: d["tables"][3]["entries"][0]["classes"][0].update(tate=-1)),
+     'tables[3].entries[0].classes[0]: "tate" must be at least 0'),
+    (_registry(lambda d: d["pages"][1]["entries"][0].update(p=0.5)),
+     'pages[1].entries[0]: "p" must be an integer'),
 ], ids=["list-file", "fibers-list", "string-known", "short-fiber-item", "missing-citation",
-        "bool-rank", "float-twist", "number-citation"])
+        "bool-rank", "float-twist", "number-citation", "negative-table-tate", "float-page-p"])
 def test_betti_rejects_malformed_registry(capsys, tmp_path, registry, message):
     path = tmp_path / "registry.json"
     path.write_text(json.dumps(registry))

@@ -1,3 +1,5 @@
+from math import comb, prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -56,20 +58,78 @@ def test_trivial_group_sees_everything():
     assert exterior_invariant_dims(rep) == (1, 3, 3, 1)
 
 
+def _closure(gens, signs, cap):
+    """{element: character value} of the generated group; None past cap elements.
+
+    A breadth-first closure written here, independent of group_closure.
+    """
+    ident = tuple(tuple(row) for row in linalg.identity(len(gens[0])))
+    chi = {ident: 1}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g, s in zip(gens, signs):
+                prod = tuple(tuple(sum(m[i][k] * g[k][j] for k in range(len(g)))
+                                   for j in range(len(g))) for i in range(len(g)))
+                if prod not in chi:
+                    chi[prod] = chi[m] * s
+                    nxt.append(prod)
+                    if len(chi) > cap:
+                        return None
+        frontier = nxt
+    return chi
+
+
+def _projector_sum_dims(rep):
+    """Invariant dimensions by the closure and the summed induced matrices.
+
+    The rank of sum_g chi(g) Lambda^k g, which is |G| times the projector
+    onto the chi-part of Lambda^k V.
+    """
+    n = rep.dimension
+    group = _closure(rep.generators, rep.signs or (1,) * len(rep.generators), 10 ** 4)
+    out = []
+    for k in range(n + 1):
+        size = comb(n, k)
+        acc = [[0] * size for _ in range(size)]
+        for mat, s in group.items():
+            for acc_row, row in zip(acc, linalg.exterior_power_matrix(mat, k)):
+                for j in range(size):
+                    acc_row[j] += s * row[j]
+        out.append(linalg.rank(acc))
+    return tuple(out)
+
+
+def _parity(perm):
+    return (-1) ** sum(perm[i] > perm[j] for i in range(len(perm))
+                       for j in range(i + 1, len(perm)))
+
+
 @st.composite
-def conjugated_signed_permutation_groups(draw):
+def conjugated_signed_permutation_groups(draw, max_dim=4, max_order=None):
     """(rep, conjugate rep): signed permutations, then u g u^-1 for a random u.
 
-    u is a product of elementary matrices, so the conjugated generators are
-    dense integer matrices of the same finite group.
+    A drawn generator is dropped when it would take the group past
+    `max_order` elements.  The group optionally carries one of three sign
+    characters of signed permutations: the determinant, the parity of the
+    permutation or the product of the signs.  u is a product of elementary
+    matrices, so the conjugated generators are dense integer matrices of the
+    same finite group.
     """
-    dim = draw(st.integers(2, 4))
-    gens = []
+    dim = draw(st.integers(2, max_dim))
+    character = draw(st.sampled_from((None, "det", "parity", "flips")))
+    gens, signs = [], []
     for _ in range(draw(st.integers(1, 3))):
         perm = draw(st.permutations(range(dim)))
         flips = draw(st.lists(st.sampled_from((1, -1)), min_size=dim, max_size=dim))
-        gens.append([[flips[i] if j == perm[i] else 0 for j in range(dim)]
-                     for i in range(dim)])
+        g = [[flips[i] if j == perm[i] else 0 for j in range(dim)] for i in range(dim)]
+        s = {None: 1, "det": linalg.det(g), "parity": _parity(perm),
+             "flips": prod(flips)}[character]
+        if gens and max_order and _closure(gens + [g], signs + [s], max_order) is None:
+            continue
+        gens.append(g)
+        signs.append(s)
     u, u_inv = linalg.identity(dim), linalg.identity(dim)
     steps = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 2), st.integers(-2, 2))
     for i, j, k in draw(st.lists(steps, max_size=6)):
@@ -78,8 +138,7 @@ def conjugated_signed_permutation_groups(draw):
         e[i][j], e_inv[i][j] = k, -k
         u, u_inv = linalg.mat_mul(e, u), linalg.mat_mul(u_inv, e_inv)
     conj = [linalg.mat_mul(linalg.mat_mul(u, g), u_inv) for g in gens]
-    # optionally twist by the determinant, a sign character on every such group
-    signs = tuple(linalg.det(g) for g in gens) if draw(st.booleans()) else None
+    signs = tuple(signs) if character else None
     return LinearRep(dim, gens, signs), LinearRep(dim, conj, signs)
 
 
@@ -91,6 +150,21 @@ def test_dual_route_agreement_on_random_groups(reps):
     molien = exterior_invariant_dims(conj)
     assert molien == fixed_subspace_dims_bruteforce(conj)
     assert molien == exterior_invariant_dims(rep)
+
+
+@settings(max_examples=25, deadline=None)
+@given(conjugated_signed_permutation_groups(max_dim=6, max_order=24))
+def test_generator_kernel_oracle_matches_molien_and_projector_sum(reps):
+    rep, conj = reps
+    oracle = fixed_subspace_dims_bruteforce(conj)
+    assert oracle == fixed_subspace_dims_bruteforce(rep)
+    assert oracle == exterior_invariant_dims(conj)
+    assert oracle == _projector_sum_dims(conj)
+
+
+def test_oracle_rejects_dimension_seven():
+    with pytest.raises(ValueError, match="dimension <= 6"):
+        fixed_subspace_dims_bruteforce(LinearRep(7, ()))
 
 
 @pytest.mark.parametrize("generators, signs", [

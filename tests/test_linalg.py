@@ -168,6 +168,19 @@ def test_char_poly_elementary_matches_principal_minors():
             assert coeffs[k] == principal_minor_sum(a, k)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=n, max_size=n)),
+       st.integers(0, 8))
+def test_traces_of_powers_match_repeated_products(a, kmax):
+    expected, p = [], a
+    for _ in range(kmax):
+        expected.append(sum(p[i][i] for i in range(len(a))))
+        p = linalg.mat_mul(p, a)
+    assert linalg.traces_of_powers(a, kmax) == expected
+
+
 def test_exterior_power_matrix_is_multiplicative():
     rng = random.Random(23)
     for _ in range(20):

@@ -70,11 +70,11 @@ def _closure(gens, signs, cap):
         nxt = []
         for m in frontier:
             for g, s in zip(gens, signs):
-                prod = tuple(tuple(sum(m[i][k] * g[k][j] for k in range(len(g)))
-                                   for j in range(len(g))) for i in range(len(g)))
-                if prod not in chi:
-                    chi[prod] = chi[m] * s
-                    nxt.append(prod)
+                mg = tuple(tuple(sum(m[i][k] * g[k][j] for k in range(len(g)))
+                                 for j in range(len(g))) for i in range(len(g)))
+                if mg not in chi:
+                    chi[mg] = chi[m] * s
+                    nxt.append(mg)
                     if len(chi) > cap:
                         return None
         frontier = nxt

@@ -110,6 +110,9 @@ def _load_rep(path):
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("a representation must be a JSON object")
+    for key in ("dimension", "generators"):
+        if key not in data:
+            raise ValueError('representation: missing "%s"' % key)
     return LinearRep(data["dimension"], data["generators"], data.get("signs"))
 
 

@@ -126,8 +126,24 @@ def _line_maps(source, target):
     summands of Z^3, so every such M extends, for instance to
     h = u_T^-1 diag(M, I) u_S.  M is pinned by the images of the r
     independent source vectors at the Hermite pivot columns, and every
-    signed, ordered r-tuple of target vectors is tried, so the search is
-    complete: it yields one h per M, which for r = 3 is every map.
+    signed, ordered r-tuple of target vectors is tried as those images, so
+    the search is complete: it yields one h per M, which for r = 3 is every
+    map.
+
+    With V the pivot columns and d = det V, a candidate P (the tuple as
+    columns) gives M = P adj(V) / d, so a non-pivot source vector s goes to
+    P x_s / d with x_s = adj(V) s computed once.  The checks run in this
+    order, and a candidate stops at its first failure:
+
+    1. the line test: each P x_s is divisible by d and P x_s / d lies on a
+       target line (necessary for an integral M mapping lines to lines, so
+       no map is lost);
+    2. M is integral;
+    3. |det M| = 1;
+    4. the images of all source vectors are exactly the target lines.
+
+    Callers re-verify what they keep: `equivalent` checks its witness on the
+    forms and `stabilizer` checks closure under inverse.
     """
     u_s, r, src = _span_frame(source)
     u_t, r_t, tgt = _span_frame(target)
@@ -139,10 +155,16 @@ def _line_maps(source, target):
     adj = linalg.adjugate(vmat)
     d = linalg.det(vmat)
     tset = {linalg.lead_positive(t) for t in tgt}
+    lines = tset | {tuple(-x for x in t) for t in tset}
+    xs = [linalg.mat_vec(adj, s) for c, s in enumerate(src) if c not in pivots]
+    signed = [(t, tuple(-x for x in t)) for t in tgt]
     u_t_inv = GroupElement(u_t).inverse().rows
-    for picks in permutations(tgt, r):
-        for signs in product((1, -1), repeat=r):
-            num = [[sum(signs[c] * picks[c][i] * adj[c][j] for c in range(r))
+    for chosen in permutations(signed, r):
+        for signs in product((0, 1), repeat=r):
+            picks = [pair[s] for pair, s in zip(chosen, signs)]
+            if not _images_on_lines(list(zip(*picks)), xs, d, lines):
+                continue
+            num = [[sum(picks[c][i] * adj[c][j] for c in range(r))
                     for j in range(r)] for i in range(r)]
             if any(x % d for row in num for x in row):
                 continue
@@ -157,6 +179,18 @@ def _line_maps(source, target):
             block = [[(m[i][j] if i < r and j < r else int(i == j)) for j in range(3)]
                      for i in range(3)]
             yield linalg.mat_mul(u_t_inv, linalg.mat_mul(block, u_s))
+
+
+def _images_on_lines(rows, xs, d, lines):
+    """Whether P x is divisible by d and P x / d is in `lines` for every x in xs.
+
+    `rows` are the rows of P.
+    """
+    for x in xs:
+        w = linalg.mat_vec(rows, x)
+        if any(v % d for v in w) or tuple(v // d for v in w) not in lines:
+            return False
+    return True
 
 
 def _witness_from_line_map(h, c1, c2):

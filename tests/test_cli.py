@@ -29,10 +29,24 @@ def test_betti_json(capsys):
     assert json.loads(out) == {"betti": [1, 0, 2, 0, 4, 0, 6, 0, 4, 0, 2, 0, 1]}
 
 
-def test_output_is_deterministic(capsys):
-    _, first, _ = run_cli(capsys, "fan", "orbits", "--dim", "4", "--format", "json")
-    _, second, _ = run_cli(capsys, "fan", "orbits", "--dim", "4", "--format", "json")
-    assert first == second
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def test_output_is_deterministic():
+    # fresh processes, so no lru_cache answers the second run, under two
+    # hash seeds, so no output may depend on set or dict order
+    for argv in (("fan", "orbits", "--dim", "3", "--format", "json"),
+                 ("fan", "stabilizer", "--cone", "a1,a2,a3", "--format", "json"),
+                 ("betti", "avor3"),
+                 ("verify", "all", "--format", "json")):
+        outputs = []
+        for hashseed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=_SRC, PYTHONHASHSEED=hashseed)
+            result = subprocess.run([sys.executable, "-m", "avor3.cli", *argv], env=env,
+                                    capture_output=True, check=True)
+            outputs.append(result.stdout)
+        assert outputs[0], argv
+        assert outputs[0] == outputs[1], argv
 
 
 def test_fan_faces(capsys):
@@ -118,6 +132,18 @@ def test_equi_invariants_rejects_malformed_rep(capsys, tmp_path, rep):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["dimension", "generators"])
+def test_equi_invariants_names_missing_rep_field(capsys, tmp_path, key):
+    rep = {"dimension": 2, "generators": [[[0, 1], [1, 0]]]}
+    del rep[key]
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep))
+    code, out, err = run_cli(capsys, "equi", "invariants", "--rep", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == 'error: representation: missing "%s"\n' % key
 
 
 def test_equi_invariants_from_rep_file(capsys, tmp_path):
@@ -325,8 +351,7 @@ def test_verify_all_passes(capsys):
 
 @pytest.mark.parametrize("module", ("numpy", "fractions"))
 def test_cli_import_does_not_load(module):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=_SRC)
     code = "import sys, avor3.cli; print(%r in sys.modules)" % module
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)

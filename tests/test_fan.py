@@ -1,12 +1,13 @@
 import random
+from itertools import permutations, product
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from avor3 import linalg
-from avor3.fan import (SIGMA6, Cone, EquivalenceResult, SpanDeficient,
-                       classify_orbits, equivalent, stabilizer,
+from avor3.fan import (SIGMA6, Cone, EquivalenceResult, SpanDeficient, _line_maps,
+                       _span_frame, classify_orbits, equivalent, stabilizer,
                        stratum_character_lattice, torus_coordinates)
 from avor3.forms import GENERATORS, GroupElement, SymForm, act_on_form, pairing
 from avor3.equivariant import order_histogram
@@ -133,6 +134,119 @@ def test_every_face_matches_its_image(flip, steps):
     for dim in range(7):
         for face in SIGMA6.faces(dim):
             _assert_found(face, _image(g, face))
+
+
+def _reference_line_maps(source, target):
+    """The plain signed-permutation search: every candidate M is formed in full.
+
+    For each signed, ordered r-tuple of target vectors as the images of the
+    pivot columns, M = P adj(V) / d is kept when it is integral, unimodular
+    and maps the source lines exactly onto the target lines.
+    """
+    u_s, r, src = _span_frame(source)
+    u_t, r_t, tgt = _span_frame(target)
+    if r != r_t or len(src) != len(tgt):
+        return
+    pivots = [next(c for c, v in enumerate(src) if v[i]) for i in range(r)]
+    vmat = [[src[c][i] for c in pivots] for i in range(r)]
+    adj = linalg.adjugate(vmat)
+    d = linalg.det(vmat)
+    tset = {linalg.lead_positive(t) for t in tgt}
+    u_t_inv = GroupElement(u_t).inverse().rows
+    for picks in permutations(tgt, r):
+        for signs in product((1, -1), repeat=r):
+            num = [[sum(signs[c] * picks[c][i] * adj[c][j] for c in range(r))
+                    for j in range(r)] for i in range(r)]
+            if any(x % d for row in num for x in row):
+                continue
+            m = [[x // d for x in row] for row in num]
+            if abs(linalg.det(m)) != 1:
+                continue
+            images = {linalg.lead_positive([sum(row[k] * s[k] for k in range(r))
+                                            for row in m])
+                      for s in src}
+            if images != tset:
+                continue
+            block = [[(m[i][j] if i < r and j < r else int(i == j)) for j in range(3)]
+                     for i in range(3)]
+            yield linalg.mat_mul(u_t_inv, linalg.mat_mul(block, u_s))
+
+
+def _sorted_maps(maps):
+    return sorted(tuple(map(tuple, h)) for h in maps)
+
+
+def _assert_same_maps(c1, c2):
+    # compared with multiplicity: the search yields each map once
+    got = _sorted_maps(_line_maps(c1.vectors(), c2.vectors()))
+    assert got == _sorted_maps(_reference_line_maps(c1.vectors(), c2.vectors()))
+    return got
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_line_maps_match_reference_on_face_pairs(dim):
+    faces = SIGMA6.faces(dim)
+    for c1 in faces:
+        for c2 in faces:
+            _assert_same_maps(c1, c2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(_ELEMENTARY, min_size=1, max_size=8), st.data())
+def test_line_maps_match_reference_on_images(steps, data):
+    g = GroupElement.identity()
+    for (i, j), k in steps:
+        rows = [[int(r == c) for c in range(3)] for r in range(3)]
+        rows[i][j] = k
+        g = g * GroupElement(rows)
+    for dim in range(1, 7):
+        face = data.draw(st.sampled_from(SIGMA6.faces(dim)))
+        assert _assert_same_maps(face, _image(g, face))
+
+
+def _cone_of_lines(*vectors):
+    return Cone(tuple(SymForm.from_matrix(tuple(tuple(a * b for b in v) for a in v))
+                      for v in vectors))
+
+
+# generator vectors of index 2 or 4 in their saturated span, so the pivot
+# basis has d = +-2 or +-4; every face of the basic cone has d = +-1
+NON_UNIMODULAR_CONES = {
+    "index-two": _cone_of_lines((1, 1, 0), (1, -1, 0), (0, 0, 1)),
+    "index-two-rank-two": _cone_of_lines((1, 1, 0), (1, -1, 0)),
+    "index-two-with-axis": _cone_of_lines((1, 1, 0), (1, -1, 0), (1, 0, 0)),
+    "index-four": _cone_of_lines((1, -2, 0), (1, 2, 0), (2, 1, -1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_UNIMODULAR_CONES))
+def test_line_maps_match_reference_on_non_unimodular_cones(name):
+    cone = NON_UNIMODULAR_CONES[name]
+    _, r, src = _span_frame(cone.vectors())
+    pivots = [next(c for c, v in enumerate(src) if v[i]) for i in range(r)]
+    assert abs(linalg.det([[src[c][i] for c in pivots] for i in range(r)])) in (2, 4)
+    assert _assert_same_maps(cone, cone)
+    rng = random.Random(name)
+    for _ in range(5):
+        assert _assert_same_maps(cone, _image(random_unimodular(rng), cone))
+
+
+def test_integrality_rejects_line_permutations():
+    # the full search sees all 48 signed permutations of the three lines, and
+    # every one that moves the line of (0,0,1) is rational but not integral:
+    # (1,1,0) -> (1,1,0), (1,-1,0) -> (0,0,1) sends e1 = ((1,1,0) + (1,-1,0)) / 2
+    # to ((1,1,0) + (0,0,1)) / 2
+    cone = NON_UNIMODULAR_CONES["index-two"]
+    stab = stabilizer(cone)
+    assert stab.order() == 16
+    for g in stab.elements:
+        assert [row[2] for row in g.rows] in ([0, 0, 1], [0, 0, -1])
+        assert {act_on_form(g, q) for q in cone.generators} == set(cone.generators)
+    # here some non-integral M rounds down to an integral, unimodular map of
+    # the lines that another candidate already gives, so without the
+    # integrality test the search would yield elements twice
+    stab = stabilizer(NON_UNIMODULAR_CONES["index-four"])
+    assert stab.order() == len(set(stab.elements)) == 8
 
 
 EXPECTED_STABILIZERS = {

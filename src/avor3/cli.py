@@ -11,8 +11,8 @@ import json
 import sys
 
 from . import render, strata, verify
-from .equivariant import (LinearRep, NotClosedWithinCap, exterior_invariant_dims,
-                          group_closure, order_histogram)
+from .equivariant import (MAX_DIMENSION, LinearRep, NotClosedWithinCap,
+                          exterior_invariant_dims, group_closure, order_histogram)
 from .fan import (SIGMA6, Cone, SpanDeficient, classify_orbits, stabilizer,
                   stratum_character_lattice, torus_coordinates)
 from .forms import COEFF_ORDER, GENERATOR_NAMES
@@ -113,6 +113,9 @@ def _load_rep(path):
     for key in ("dimension", "generators"):
         if key not in data:
             raise ValueError('representation: missing "%s"' % key)
+    dim = data["dimension"]
+    if type(dim) is int and dim > MAX_DIMENSION:
+        raise ValueError('representation: "dimension" must be at most %d' % MAX_DIMENSION)
     return LinearRep(data["dimension"], data["generators"], data.get("signs"))
 
 

@@ -26,6 +26,9 @@ from . import linalg
 
 
 CAP = 10000  # bound on group orders and element orders
+# largest dimension the oracle and `equi invariants --rep` accept; the
+# Molien route's power traces cost about n^4 in the dimension n
+MAX_DIMENSION = 6
 
 
 class NotClosedWithinCap(RuntimeError):
@@ -158,10 +161,10 @@ def fixed_subspace_dims_bruteforce(rep: LinearRep):
     with the Molien route.  For that reason it does not itself detect an
     infinite group (NotClosedWithinCap) or an ill-defined sign character;
     only group_closure does, which the Molien route runs on every
-    cross-check.  Restricted to dimension <= 6.
+    cross-check.  Restricted to dimension <= MAX_DIMENSION.
     """
-    if rep.dimension > 6:
-        raise ValueError("brute-force oracle restricted to dimension <= 6")
+    if rep.dimension > MAX_DIMENSION:
+        raise ValueError("brute-force oracle restricted to dimension <= %d" % MAX_DIMENSION)
     n = rep.dimension
     signs = rep.signs or tuple(1 for _ in rep.generators)
     out = []

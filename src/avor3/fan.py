@@ -25,7 +25,6 @@ from itertools import combinations, permutations, product
 
 from . import linalg
 from .forms import (
-    Character,
     GENERATOR_NAMES,
     GENERATORS,
     GroupElement,
@@ -283,8 +282,8 @@ def stabilizer(c: Cone) -> StabilizerGroup:
 class CharacterLattice:
     """Characters of the big torus that restrict to a stratum's torus factor.
 
-    `basis` spans the sublattice of characters pairing to zero with every
-    cone generator; `effective` is the (deduplicated) image of the cone's
+    `basis` spans the sublattice of characters (exponent 6-tuples) pairing
+    to zero with every cone generator; `effective` is the (deduplicated) image of the cone's
     stabilizer acting on that sublattice, written in the basis by columns.
     """
 
@@ -305,12 +304,12 @@ def stratum_character_lattice(c: Cone) -> CharacterLattice:
     stab = stabilizer(c)
     rows = [q.coeffs() for q in c.generators]
     basis_rows = linalg.int_kernel(rows) if rows else linalg.identity(6)
-    basis = tuple(Character.from_exponents(r) for r in basis_rows)
+    basis = tuple(map(tuple, basis_rows))
     d = len(basis)
     seen = set()
     effective = []
     for g in stab.elements:
-        images = [dual_action_on_character(g, f).exponents() for f in basis]
+        images = [dual_action_on_character(g, f) for f in basis]
         cols = linalg.lattice_coordinates(basis_rows, images)
         if cols is None:
             raise AssertionError("stabilizer does not preserve the character sublattice")
@@ -322,11 +321,11 @@ def stratum_character_lattice(c: Cone) -> CharacterLattice:
 
 
 def torus_coordinates():
-    """The six characters dual to (a1, a2, a3, b1, b2, b3) under the pairing."""
+    """The six exponent tuples dual to (a1, a2, a3, b1, b2, b3) under the pairing."""
     m = [list(GENERATORS[n].coeffs()) for n in GENERATOR_NAMES]
     d = linalg.det(m)
     adj = linalg.adjugate(m)
     if any(x % d for row in adj for x in row):
         raise AssertionError("generator coefficient matrix is not unimodular")
     # the characters are the columns of m^-1 = adj(m) / det(m)
-    return tuple(Character.from_exponents([row[j] // d for row in adj]) for j in range(6))
+    return tuple(tuple(row[j] // d for row in adj) for j in range(6))

@@ -43,30 +43,23 @@ class Registry:
     pages: dict
     source: str = "packaged"
 
-    def table(self, label) -> RegisteredTable:
+    def _lookup(self, mapping, kind, key):
         try:
-            return self.tables[label]
+            return mapping[key]
         except KeyError:
-            raise KeyError("registry %r has no table %r" % (self.source, label)) from None
+            raise ValueError("registry %r has no %s %r" % (self.source, kind, key)) from None
+
+    def table(self, label) -> RegisteredTable:
+        return self._lookup(self.tables, "table", label)
 
     def fiber(self, name):
-        try:
-            return self.fibers[name]
-        except KeyError:
-            raise KeyError("registry %r has no fibration %r" % (self.source, name)) from None
+        return self._lookup(self.fibers, "fibration", name)
 
     def known(self, name) -> KnownDifferential:
-        try:
-            return self.knowns[name]
-        except KeyError:
-            raise KeyError("registry %r has no known differential %r"
-                           % (self.source, name)) from None
+        return self._lookup(self.knowns, "known differential", name)
 
     def page(self, label) -> SSPage:
-        try:
-            return self.pages[label]
-        except KeyError:
-            raise KeyError("registry %r has no page %r" % (self.source, label)) from None
+        return self._lookup(self.pages, "page", label)
 
     def base_tables(self):
         """Plain label -> table mapping, as fibration assembly expects."""

@@ -115,7 +115,7 @@ def render_stabilizer(stab, lattice, histogram, fmt="text"):
 
 
 def render_characters(names, chars, order, fmt="text"):
-    rows = [(n, tuple(ch.exponents())) for n, ch in zip(names, chars)]
+    rows = list(zip(names, chars))
     if fmt == "json":
         return _json({"coefficient_order": list(order),
                       "coordinates": [{"dual_to": n, "exponents": list(e)}

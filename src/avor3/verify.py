@@ -225,7 +225,7 @@ def check_rank_three_attribution(registry):
 
 
 def check_torus_coordinates(registry):
-    got = tuple(ch.exponents() for ch in torus_coordinates())
+    got = torus_coordinates()
     ok = got == EXPECTED_TORUS_COORDS
     return ok, "six dual characters reproduced" if ok else "coordinates %r" % (got,)
 

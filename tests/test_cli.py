@@ -7,6 +7,7 @@ from importlib import resources
 import pytest
 
 from avor3 import cli
+from avor3.equivariant import MAX_DIMENSION
 from avor3.registry import load_registry
 from avor3.ssengine import SSPage
 
@@ -144,6 +145,29 @@ def test_equi_invariants_names_missing_rep_field(capsys, tmp_path, key):
     assert code == 1
     assert out == ""
     assert err == 'error: representation: missing "%s"\n' % key
+
+
+def test_equi_invariants_rejects_dimension_above_the_bound(capsys, tmp_path):
+    n = MAX_DIMENSION + 1
+    rep = {"dimension": n, "generators": [[[int(i == j) for j in range(n)] for i in range(n)]]}
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep))
+    code, out, err = run_cli(capsys, "equi", "invariants", "--rep", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == 'error: representation: "dimension" must be at most %d\n' % MAX_DIMENSION
+
+
+def test_equi_invariants_accepts_dimension_at_the_bound(capsys, tmp_path):
+    n = MAX_DIMENSION
+    swap = [[int(j == (1 - i if i < 2 else i)) for j in range(n)] for i in range(n)]
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"dimension": n, "generators": [swap]}))
+    code, out, err = run_cli(capsys, "equi", "invariants", "--rep", str(path),
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"group_order": 2,
+                               "invariant_dimensions": [1, 5, 10, 10, 5, 1, 0]}
 
 
 def test_equi_invariants_from_rep_file(capsys, tmp_path):
@@ -311,6 +335,22 @@ def test_betti_rejects_malformed_registry(capsys, tmp_path, registry, message):
     assert code == 1
     assert out == ""
     assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("edit,missing", [
+    (lambda d: d.update(tables=[t for t in d["tables"] if t["label"] != "a3_open"]),
+     "table 'a3_open'"),
+    (lambda d: d["fibers"].pop("kummer_fiber"), "fibration 'kummer_fiber'"),
+    (lambda d: d["knowns"].pop("cstar_bundle_d2"), "known differential 'cstar_bundle_d2'"),
+    (_drop_page("cstar_bundle_e2"), "page 'cstar_bundle_e2'"),
+], ids=["table", "fibration", "known", "page"])
+def test_betti_names_missing_registry_entry(capsys, tmp_path, edit, missing):
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(_registry(edit)))
+    code, out, err = run_cli(capsys, "betti", "avor3", "--registry", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: registry %r has no %s\n" % (str(path), missing)
 
 
 def _extra_class(label, degree, tate):

@@ -1,13 +1,14 @@
 import random
+from math import isqrt
+from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from avor3 import linalg
-from avor3.forms import (COEFF_ORDER, GENERATOR_NAMES, GENERATORS, Character,
-                         GroupElement, NotRankOneVector, SymForm, act_on_form,
-                         difference_form, dual_action_on_character, pairing,
-                         primitive, rank1_vector, square_form)
+from avor3.forms import (COEFF_ORDER, GENERATOR_NAMES, GENERATORS, GroupElement,
+                         NotRankOneVector, SymForm, act_on_form, dual_action_on_character,
+                         pairing, primitive, rank1_form, rank1_vector)
 
 
 def random_unimodular(rng):
@@ -21,7 +22,7 @@ def test_coeff_order_and_matrix_roundtrip():
     assert COEFF_ORDER == ("a11", "a22", "a33", "a23", "a13", "a12")
     q = SymForm(1, 2, 3, 4, 5, 6)
     assert SymForm.from_matrix(q.matrix()) == q
-    assert SymForm.from_coeffs(q.coeffs()) == q
+    assert SymForm(*q.coeffs()) == q
     with pytest.raises(ValueError):
         SymForm.from_matrix(((0, 1, 0), (0, 0, 0), (0, 0, 0)))
 
@@ -33,10 +34,10 @@ def test_generators_are_squares_of_expected_vectors():
     }
     for name, vec in expected.items():
         q = GENERATORS[name]
-        assert q.rank() == 1
+        assert q.matrix() == tuple(tuple(a * b for b in vec) for a in vec)
         assert rank1_vector(q) == vec
-    assert GENERATORS["a1"] == square_form(1)
-    assert GENERATORS["b1"] == difference_form(1)
+    assert GENERATORS["a1"] == SymForm(a11=1)
+    assert GENERATORS["b1"] == SymForm(a22=1, a33=1, a23=-1)
     assert GENERATOR_NAMES == ("a1", "a2", "a3", "b1", "b2", "b3")
 
 
@@ -59,6 +60,38 @@ def test_rank1_vector_recovers_primitive_leading_positive():
         got = rank1_vector(SymForm.from_matrix(m))
         assert got == primitive(v)
         assert next(x for x in got if x) > 0
+
+
+_VECTORS = st.tuples(*[st.integers(-5, 5)] * 3).filter(any)
+_NON_SQUARES = st.integers(2, 60).filter(lambda k: isqrt(k) ** 2 != k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VECTORS)
+def test_rank1_form_and_vector_are_inverse(v):
+    q = rank1_form(v)
+    assert q.matrix() == tuple(tuple(a * b for b in v) for a in v)
+    assert rank1_vector(q) == primitive(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VECTORS, _NON_SQUARES)
+def test_rank1_vector_rejects_non_square_and_negative_multiples(v, k):
+    coeffs = rank1_form(v).coeffs()
+    for scale in (k, -1):
+        with pytest.raises(NotRankOneVector):
+            rank1_vector(SymForm(*(scale * x for x in coeffs)))
+    with pytest.raises(NotRankOneVector):
+        rank1_vector(SymForm())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VECTORS, _VECTORS)
+def test_rank1_vector_rejects_sums_of_independent_squares(v, w):
+    assume(linalg.rank([v, w]) == 2)
+    q = SymForm(*map(add, rank1_form(v).coeffs(), rank1_form(w).coeffs()))
+    with pytest.raises(NotRankOneVector):
+        rank1_vector(q)
 
 
 def test_primitive_reduces_gcd():
@@ -111,7 +144,7 @@ _EXPONENTS = st.lists(st.integers(-5, 5), min_size=6, max_size=6)
 
 def form_action_matrix(g):
     """The 6x6 matrix of q |-> g . q on coefficient vectors, by columns."""
-    basis = [SymForm.from_coeffs([int(i == j) for j in range(6)]) for i in range(6)]
+    basis = [SymForm(*[int(i == j) for j in range(6)]) for i in range(6)]
     cols = [act_on_form(g, b).coeffs() for b in basis]
     return [[cols[j][i] for j in range(6)] for i in range(6)]
 
@@ -125,12 +158,11 @@ def test_form_action_matrix_consistency(flip, steps, coeffs, exps):
         rows = [[int(r == c) for c in range(3)] for r in range(3)]
         rows[i][j] = k
         g = g * GroupElement(rows)
-    q = SymForm.from_coeffs(coeffs)
+    q = SymForm(*coeffs)
     phi = form_action_matrix(g)
     assert tuple(linalg.mat_vec(phi, coeffs)) == act_on_form(g, q).coeffs()
     adjoint = linalg.transpose(form_action_matrix(g.inverse()))
-    f = Character.from_exponents(exps)
-    assert dual_action_on_character(g, f).exponents() == tuple(linalg.mat_vec(adjoint, exps))
+    assert dual_action_on_character(g, tuple(exps)) == tuple(linalg.mat_vec(adjoint, exps))
 
 
 def test_pairing_is_dual_invariant():
@@ -138,7 +170,7 @@ def test_pairing_is_dual_invariant():
     for _ in range(25):
         g = random_unimodular(rng)
         q = SymForm(*[rng.randint(-3, 3) for _ in range(6)])
-        f = Character.from_exponents([rng.randint(-3, 3) for _ in range(6)])
+        f = tuple(rng.randint(-3, 3) for _ in range(6))
         assert pairing(act_on_form(g, q), dual_action_on_character(g, f)) == pairing(q, f)
 
 
@@ -146,7 +178,7 @@ def test_dual_action_composes_like_the_source_action():
     rng = random.Random(25)
     for _ in range(15):
         g, h = random_unimodular(rng), random_unimodular(rng)
-        f = Character.from_exponents([rng.randint(-2, 2) for _ in range(6)])
+        f = tuple(rng.randint(-2, 2) for _ in range(6))
         lhs = dual_action_on_character(g * h, f)
         rhs = dual_action_on_character(g, dual_action_on_character(h, f))
         assert lhs == rhs

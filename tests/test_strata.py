@@ -38,14 +38,11 @@ def test_packaged_registry_contents(registry):
 
 
 def test_registry_lookup_errors(registry):
-    with pytest.raises(KeyError):
-        registry.table("nope")
-    with pytest.raises(KeyError):
-        registry.fiber("nope")
-    with pytest.raises(KeyError):
-        registry.known("nope")
-    with pytest.raises(KeyError):
-        registry.page("nope")
+    for lookup, kind in ((registry.table, "table"), (registry.fiber, "fibration"),
+                         (registry.known, "known differential"), (registry.page, "page")):
+        with pytest.raises(ValueError) as exc:
+            lookup("nope")
+        assert str(exc.value) == "registry %r has no %s 'nope'" % (registry.source, kind)
 
 
 def test_parse_registry_rejects_bad_data():

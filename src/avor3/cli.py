@@ -155,9 +155,6 @@ def _run(args, out):
     if args.group == "equi":
         if args.cone is not None:
             lattice = stratum_character_lattice(Cone.from_names(args.cone))
-            if lattice.dimension() == 0:
-                out.write(render.render_invariants((1,), 1, fmt))
-                return 0
             rep = LinearRep(lattice.dimension(), lattice.effective)
             order = lattice.effective_order()
         else:

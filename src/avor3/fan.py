@@ -290,7 +290,6 @@ class CharacterLattice:
     cone: Cone
     basis: tuple
     effective: tuple
-    stabilizer_order: int
 
     def dimension(self):
         return len(self.basis)
@@ -317,7 +316,7 @@ def stratum_character_lattice(c: Cone) -> CharacterLattice:
         if mat not in seen:
             seen.add(mat)
             effective.append(mat)
-    return CharacterLattice(c, basis, tuple(sorted(effective)), stab.order())
+    return CharacterLattice(c, basis, tuple(sorted(effective)))
 
 
 def torus_coordinates():

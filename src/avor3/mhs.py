@@ -71,10 +71,6 @@ class MhsVector:
     def tate(cls, n, mult=1):
         return cls(tates=(n,) * mult)
 
-    @classmethod
-    def atom_f(cls, mult=1):
-        return cls(f_count=mult)
-
     def is_zero(self):
         return not self.tates and self.f_count == 0
 
@@ -161,10 +157,6 @@ class CohomologyTable:
         if len({d for d, _ in cleaned}) != len(cleaned):
             raise ValueError("repeated degree")
         object.__setattr__(self, "entries", cleaned)
-
-    @classmethod
-    def from_dict(cls, label, mapping):
-        return cls(label, tuple(mapping.items()))
 
     def entry(self, degree):
         for d, v in self.entries:

@@ -4,22 +4,19 @@ The package ships a JSON registry holding the building blocks that are
 quoted from the literature rather than computed here: cohomology tables
 with citations, fibration recipes (which fiber degree carries which base
 table at which Tate twist), externally known differential ranks, and
-stored pages used as cross-checks.  A different registry file may be
-supplied explicitly or through the VORONOI_STRATA_REGISTRY environment
-variable; the packaged one is the default.
+stored pages used as cross-checks.  The packaged registry is the default;
+`load_registry(path)` (the `--registry` option) reads another file.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from importlib import resources
 
 from .mhs import CohomologyTable, json_value
 from .ssengine import KnownDifferential, SSPage
 
-ENV_VAR = "VORONOI_STRATA_REGISTRY"
 FORMAT = "avor3-registry/1"
 _PACKAGED = "data/paper_data.json"
 
@@ -29,10 +26,6 @@ class RegisteredTable:
     table: CohomologyTable
     citation: str
     notes: str = ""
-
-    @property
-    def label(self):
-        return self.table.label
 
 
 @dataclass(frozen=True)
@@ -115,9 +108,7 @@ def parse_registry(data, source="memory") -> Registry:
 
 
 def load_registry(path=None) -> Registry:
-    """Explicit path wins, then the environment variable, then the packaged file."""
-    if path is None:
-        path = os.environ.get(ENV_VAR) or None
+    """The registry file at `path`, or the packaged one when `path` is None."""
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             return parse_registry(json.load(fh), source=str(path))

@@ -141,7 +141,6 @@ class ResolutionCandidate:
 class ResolutionReport:
     label: str
     purity: bool
-    start_page: int
     final_page: int
     candidates: tuple
     enumerated: int
@@ -262,8 +261,8 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
         if key not in seen:
             seen[key] = decisions
     candidates = tuple(ResolutionCandidate(k, v) for k, v in seen.items())
-    report = ResolutionReport(page.label, page.abutment_smooth_proper, page.r,
-                              final_r, candidates, enumerated)
+    report = ResolutionReport(page.label, page.abutment_smooth_proper, final_r,
+                              candidates, enumerated)
     if len(candidates) > 1:
         raise AmbiguousResolution(report)
     limit = SSPage(final_r, candidates[0].entries, (), page.abutment_smooth_proper, page.label)

@@ -9,6 +9,11 @@ degenerate locus assembled from torus-orbit strata of the fan (rank 3).
 Each pipeline here produces a table of compactly supported cohomology
 with its Tate-type decomposition; the four tables feed a first-quadrant
 page whose resolved limit gives the Betti numbers.
+
+`compactification_betti` is the one place the whole pipeline runs: it
+computes each locus once and returns every intermediate result in one
+`BettiResult`, which `betti` prints from and every pipeline check of
+`avor3.verify` reads.  `stratum_table` computes a single stratum alone.
 """
 
 from __future__ import annotations
@@ -74,6 +79,10 @@ class BettiResult:
     table: CohomologyTable
     betti: tuple
     report: object
+    beta3: RankThreeResult
+    beta2: RankTwoResult
+    beta1: FibrationResult
+    tables: dict  # stratum name -> CohomologyTable
 
 
 def rank_three_locus() -> RankThreeResult:
@@ -96,13 +105,10 @@ def rank_three_locus() -> RankThreeResult:
             m = lattice.dimension()
             if m != COMPACTIFICATION_DIMENSION - cone_dim:
                 raise AssertionError("character lattice dimension mismatch")
-            if m:
-                rep = LinearRep(m, lattice.effective)
-                dims = exterior_invariant_dims(rep)
-                if dims != (1,) + (0,) * m:
-                    raise InvariantNotConcentrated(
-                        "stratum of %s has stabilizer invariants %r"
-                        % (cone.name(), dims))
+            dims = exterior_invariant_dims(LinearRep(m, lattice.effective))
+            if dims != (1,) + (0,) * m:
+                raise InvariantNotConcentrated(
+                    "stratum of %s has stabilizer invariants %r" % (cone.name(), dims))
             entries[2 * m] = entries.get(2 * m, MhsVector.zero()) + MhsVector.tate(m)
             contributions.append(
                 StratumContribution(cone.name(), cone_dim, m, 2 * m))
@@ -145,24 +151,14 @@ def invariant_fiber_table(rep: LinearRep, label: str) -> CohomologyTable:
     if any(mult and k % 2 for k, mult in enumerate(dims)):
         raise InvariantNotConcentrated(
             "odd-degree invariants %r do not form a Tate-type table" % (dims,))
-    entries = {}
-    for k, mult in enumerate(dims):
-        if mult:
-            vec = MhsVector.zero()
-            for _ in range(mult):
-                vec = vec + MhsVector.tate(k // 2)
-            entries[k] = vec
-    return CohomologyTable(label, tuple(entries.items()))
+    return CohomologyTable(label, tuple((k, MhsVector.tate(k // 2, mult))
+                                        for k, mult in enumerate(dims)))
 
 
 def _tensor_vectors(v: MhsVector, w: MhsVector) -> MhsVector:
     if v.f_count or w.f_count:
         raise ValueError("tensor product with the non-Tate atom is not supported")
-    out = MhsVector.zero()
-    for a in v.tates:
-        for b in w.tates:
-            out = out + MhsVector.tate(a + b)
-    return out
+    return MhsVector(tuple(a + b for a in v.tates for b in w.tates))
 
 
 def tensor_tables(a: CohomologyTable, b: CohomologyTable, label: str) -> CohomologyTable:
@@ -218,22 +214,17 @@ def stratum_table(name: str, registry: Registry) -> CohomologyTable:
                      % (name, ", ".join(STRATUM_NAMES)))
 
 
-def main_first_page(registry: Registry) -> SSPage:
+def main_first_page(tables: dict, registry: Registry) -> SSPage:
     """First page of the stratification sequence for the whole space.
 
-    Column p holds the rank-(3-p) locus: a class of degree d in that
-    locus's table sits at position (p, d - p).  The abutment is the
-    cohomology of the compact space, so purity of the limit is enforced.
+    `tables` maps each stratum name to its table.  Column p holds the
+    rank-(3-p) locus: a class of degree d in that locus's table sits at
+    position (p, d - p).  The abutment is the cohomology of the compact
+    space, so purity of the limit is enforced.
     """
-    columns = (
-        rank_three_locus().table,
-        rank_two_locus(registry).table,
-        rank_one_locus(registry).table,
-        registry.table("a3_open").table,
-    )
     entries = {}
-    for p, table in enumerate(columns):
-        for d, vec in table.entries:
+    for p, name in enumerate(("beta3", "beta2", "beta1", "a3")):
+        for d, vec in tables[name].entries:
             pos = (p, d - p)
             entries[pos] = entries.get(pos, MhsVector.zero()) + vec
     page = SSPage(1, tuple(entries.items()), (), abutment_smooth_proper=True, label="main")
@@ -245,9 +236,15 @@ def main_first_page(registry: Registry) -> SSPage:
 
 
 def compactification_betti(registry: Registry) -> BettiResult:
-    """Betti numbers of the compactification from the resolved main page."""
-    page = main_first_page(registry)
+    """Betti numbers of the compactification from the resolved main page,
+    with every locus result the computation went through."""
+    beta3 = rank_three_locus()
+    beta2 = rank_two_locus(registry)
+    beta1 = rank_one_locus(registry)
+    tables = {"a3": open_locus_table(registry), "beta1": beta1.table,
+              "beta2": beta2.table, "beta3": beta3.table}
+    page = main_first_page(tables, registry)
     limit, report = resolve(page)
     table = abutment(limit, "avor3")
     betti = table.betti(2 * COMPACTIFICATION_DIMENSION)
-    return BettiResult(page, limit, table, betti, report)
+    return BettiResult(page, limit, table, betti, report, beta3, beta2, beta1, tables)

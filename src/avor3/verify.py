@@ -1,14 +1,19 @@
 """Named verification checks, one per acceptance criterion.
 
-Each check returns (ok, detail); `run_all` wraps them with exception
-capture so a single failure cannot hide the others.  The checks recompute
-everything from scratch through the public pipelines and compare against
-independently frozen expectations.
+Each check takes `pipeline`, a callable returning the one
+`strata.BettiResult` of the registry, and returns (ok, detail).  `run_all`
+computes that result once, on first use, and shares it: the seven checks
+that read it compare its loci, tables and pages against independently
+frozen expectations, and the five fan- and group-only checks never call
+it.  Every check runs under exception capture, so a pipeline error fails
+only the checks that read the result, and no failure hides the others.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
+from functools import cache, partial
 
 from . import strata
 from .equivariant import (LinearRep, element_order, exterior_invariant_dims,
@@ -47,22 +52,20 @@ def _table_matches(table, expected):
     return dict(table.entries) == expected
 
 
-def check_betti_vector(registry):
-    result = strata.compactification_betti(registry)
+def check_betti_vector(pipeline):
+    result = pipeline()
     ok = result.betti == EXPECTED_BETTI
     return ok, " ".join(str(b) for b in result.betti)
 
 
-def check_main_page_resolution(registry):
-    page = strata.main_first_page(registry)
-    limit, report = resolve(page)
-    nonzero = [d for d in report.candidates[0].decisions if d.rank]
+def check_main_page_resolution(pipeline):
+    result = pipeline()
+    nonzero = [d for d in result.report.candidates[0].decisions if d.rank]
     if [(d.r, d.p, d.q, d.rank, d.kind) for d in nonzero] != [(1, 2, 3, 1, "solver")]:
         return False, "unexpected decisions %r" % (nonzero,)
-    if not all(w == p + q for (p, q), v in limit.entries for w in v.weights()):
+    if not all(w == p + q for (p, q), v in result.limit.entries for w in v.weights()):
         return False, "limit page is not pure"
-    loose = strata.SSPage(1, page.entries, (), abutment_smooth_proper=False,
-                          label=page.label)
+    loose = dataclasses.replace(result.page, abutment_smooth_proper=False)
     try:
         resolve(loose)
         return False, "resolution without purity was unexpectedly unique"
@@ -74,7 +77,7 @@ def check_main_page_resolution(registry):
     return True, "unique with purity (1 differential), 2 candidates without"
 
 
-def check_orbit_census(registry):
+def check_orbit_census(pipeline):
     expected_classes = {1: 1, 2: 1, 3: 2, 4: 2, 5: 1, 6: 1}
     details = []
     for dim, classes in sorted(expected_classes.items()):
@@ -110,7 +113,7 @@ def random_unimodular(rng):
     return g
 
 
-def check_local_cone_symmetries(registry):
+def check_local_cone_symmetries(pipeline):
     cone = Cone.from_names("a1,a2,a3")
     stab = stabilizer(cone)
     lattice = stratum_character_lattice(cone)
@@ -128,7 +131,7 @@ def check_local_cone_symmetries(registry):
     return ok, "order 48, effective 24 = 4 diagonal x %d" % quotient
 
 
-def check_distinguished_dim4_symmetry(registry):
+def check_distinguished_dim4_symmetry(pipeline):
     census = classify_orbits(4)
     matches = []
     for orbit in census.orbits:
@@ -155,23 +158,18 @@ def random_signed_permutation_rep(rng, max_dim=4):
     return LinearRep(dim, tuple(gens))
 
 
-def check_stratum_invariants(registry):
-    reps = 0
-    for cone_dim in range(3, 7):
-        for orbit in classify_orbits(cone_dim).orbits:
-            cone = orbit.representative
-            if cone.cusp_rank() != 3:
-                continue
-            lattice = stratum_character_lattice(cone)
-            m = lattice.dimension()
-            if m == 0:
-                continue
-            rep = LinearRep(m, lattice.effective)
-            molien = exterior_invariant_dims(rep)
-            brute = fixed_subspace_dims_bruteforce(rep)
-            if molien != (1,) + (0,) * m or molien != brute:
-                return False, "%s gives %r / %r" % (cone.name(), molien, brute)
-            reps += 1
+def check_stratum_invariants(pipeline):
+    contributions = pipeline().beta3.contributions
+    for c in contributions:
+        lattice = stratum_character_lattice(Cone.from_names(c.cone_name))
+        rep = LinearRep(lattice.dimension(), lattice.effective)
+        molien = exterior_invariant_dims(rep)
+        brute = fixed_subspace_dims_bruteforce(rep)
+        if molien != (1,) + (0,) * c.stratum_dim or molien != brute:
+            return False, "%s gives %r / %r" % (c.cone_name, molien, brute)
+    reps = sum(1 for c in contributions if c.stratum_dim)
+    if reps != 4:
+        return False, "%d nontrivial stratum actions checked, expected 4" % reps
     rng = random.Random(_SEED)
     for _ in range(50):
         rep = random_signed_permutation_rep(rng)
@@ -180,8 +178,8 @@ def check_stratum_invariants(registry):
     return True, "%d stratum actions concentrated, 50 random dual-route checks" % reps
 
 
-def check_rank_one_pipeline(registry):
-    result = strata.rank_one_locus(registry)
+def check_rank_one_pipeline(pipeline):
+    result = pipeline().beta1
     if result.limit.entries != result.page.entries:
         return False, "page does not degenerate"
     if any(d.rank for d in result.report.candidates[0].decisions):
@@ -193,8 +191,8 @@ def check_rank_one_pipeline(registry):
     return True, "degenerate page, weight-0 class in degree 5"
 
 
-def check_rank_two_pipeline(registry):
-    result = strata.rank_two_locus(registry)
+def check_rank_two_pipeline(pipeline):
+    result = pipeline().beta2
     used = [(d.r, d.p, d.q, d.rank, d.kind)
             for d in result.report.candidates[0].decisions if d.rank]
     if used != [(2, 2, 2, 1, "known")]:
@@ -207,8 +205,8 @@ def check_rank_two_pipeline(registry):
     return ok, "known rank-1 differential applied, split justified"
 
 
-def check_rank_three_attribution(registry):
-    result = strata.rank_three_locus()
+def check_rank_three_attribution(pipeline):
+    result = pipeline().beta3
     expected = {
         ("a1,a2,a3", 3, 3, 6),
         ("a1,a2,a3,b1", 4, 2, 4),
@@ -224,13 +222,13 @@ def check_rank_three_attribution(registry):
     return ok, "5 strata attributed across dimensions 3..6"
 
 
-def check_torus_coordinates(registry):
+def check_torus_coordinates(pipeline):
     got = torus_coordinates()
     ok = got == EXPECTED_TORUS_COORDS
     return ok, "six dual characters reproduced" if ok else "coordinates %r" % (got,)
 
 
-def check_product_symmetry(registry):
+def check_product_symmetry(pipeline):
     rep = strata.product_symmetry_rep()
     group = group_closure(rep)
     if len(group) != 12:
@@ -244,7 +242,7 @@ def check_product_symmetry(registry):
     return ok, "order 12 with an order-6 element, invariants 1 0 1 0 1"
 
 
-def check_conservation_properties(registry):
+def check_conservation_properties(pipeline):
     rng = random.Random(_SEED)
     mats = []
     while len(mats) < 6:
@@ -266,11 +264,10 @@ def check_conservation_properties(registry):
                 if pairing(act_on_form(g, q), dual_action_on_character(g, f)) \
                         != pairing(q, f):
                     return False, "pairing is not invariant"
-    eulers = [strata.stratum_table(name, registry).euler_characteristic()
-              for name in strata.STRATUM_NAMES]
+    result = pipeline()
+    eulers = [result.tables[name].euler_characteristic() for name in strata.STRATUM_NAMES]
     if eulers != [5, 5, 5, 5]:
         return False, "stratum euler characteristics %r" % (eulers,)
-    result = strata.compactification_betti(registry)
     balanced = (result.page.euler_characteristic() == 20
                 and result.table.euler_characteristic() == 20
                 and sum(result.betti) == 20)
@@ -296,11 +293,13 @@ ALL_CHECKS = (
 
 
 def run_all(registry):
-    """Run every check; returns a list of (name, ok, detail) triples."""
+    """Run every check on one shared pipeline result, computed on first use;
+    returns a list of (name, ok, detail) triples."""
+    pipeline = cache(partial(strata.compactification_betti, registry))
     results = []
     for name, fn in ALL_CHECKS:
         try:
-            ok, detail = fn(registry)
+            ok, detail = fn(pipeline)
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, "raised %s: %s" % (type(exc).__name__, exc)
         results.append((name, ok, detail))

@@ -2,17 +2,28 @@
 
 One test per criterion; each delegates to the matching named check in
 avor3.verify, so `avor3 verify all` and this suite can never drift apart.
+All of them read one pipeline result, as `run_all` does.  A second group
+feeds each result-reading check a doctored result and expects it to fail.
 """
 
-from avor3 import verify
-from avor3.registry import load_registry
+import json
+from dataclasses import replace
+from functools import cache, partial
+from importlib import resources
+
+import pytest
+
+from avor3 import cli, strata, verify
+from avor3.mhs import CohomologyTable
+from avor3.registry import load_registry, parse_registry
 
 REGISTRY = load_registry()
 CHECKS = dict(verify.ALL_CHECKS)
+PIPELINE = cache(partial(strata.compactification_betti, REGISTRY))
 
 
 def _run(name):
-    ok, detail = CHECKS[name](REGISTRY)
+    ok, detail = CHECKS[name](PIPELINE)
     assert ok, detail
 
 
@@ -75,3 +86,48 @@ def test_every_check_is_covered():
         if fname.startswith("test_criterion_"):
             covered.add(inspect.getsource(fn).split('_run("')[1].split('"')[0])
     assert covered == names
+
+
+# check name -> the shared result with the one field that check reads doctored
+DOCTORED = {
+    "betti_vector": lambda r: replace(r, betti=(1,) + r.betti[1:-1] + (2,)),
+    "main_page_resolution": lambda r: replace(r, limit=r.page),
+    "stratum_invariants": lambda r: replace(
+        r, beta3=replace(r.beta3, contributions=r.beta3.contributions[:3])),
+    "rank_one_pipeline": lambda r: replace(r, beta1=replace(r.beta1, table=r.beta2.table)),
+    "rank_two_pipeline": lambda r: replace(r, beta2=replace(r.beta2, table=r.beta3.table)),
+    "rank_three_attribution": lambda r: replace(
+        r, beta3=replace(r.beta3, contributions=r.beta3.contributions[1:])),
+    "conservation_properties": lambda r: replace(
+        r, tables=dict(r.tables, a3=CohomologyTable("a3", ()))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCTORED))
+def test_result_reading_check_fails_on_doctored_result(name):
+    doctored = DOCTORED[name](PIPELINE())
+    ok, detail = CHECKS[name](lambda: doctored)
+    assert ok is False, detail
+
+
+def _bad_kummer_page_registry():
+    data = json.loads(resources.files("avor3").joinpath("data/paper_data.json").read_text())
+    page = next(p for p in data["pages"] if p["label"] == "kummer_e2_expected")
+    page["entries"].append({"p": 9, "q": 9, "classes": [{"tate": 1}]})
+    return data
+
+
+def test_pipeline_error_fails_exactly_the_result_readers():
+    results = verify.run_all(parse_registry(_bad_kummer_page_registry()))
+    failed = {name: detail for name, ok, detail in results if not ok}
+    assert set(failed) == set(DOCTORED)
+    assert all(d.startswith("raised ExpectedPageMismatch: ") for d in failed.values())
+    assert len(results) - len(failed) == 5
+
+
+def test_verify_all_on_a_bad_registry_reports_5_of_12(tmp_path, capsys):
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(_bad_kummer_page_registry()))
+    code = cli.main(["verify", "all", "--registry", str(path)])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "5/12 checks passed"

@@ -97,6 +97,19 @@ def test_equi_invariants_from_cone(capsys):
     assert "invariant dimensions: 1 0 0" in out
 
 
+@pytest.mark.parametrize("fmt,expected", [
+    ("text", "group order 1\ninvariant dimensions: 1\n"),
+    ("json", '{\n  "group_order": 1,\n  "invariant_dimensions": [\n    1\n  ]\n}\n'),
+    ("latex", "\\begin{tabular}{lc}\n$k$ & 0 \\\\\n\\hline\n"
+              "$\\dim(\\Lambda^k)^G$ & 1 \\\\\n\\end{tabular}\n"),
+])
+def test_equi_invariants_on_the_zero_dimensional_stratum(capsys, fmt, expected):
+    code, out, _ = run_cli(capsys, "equi", "invariants", "--cone", "a1,a2,a3,b1,b2,b3",
+                           "--format", fmt)
+    assert code == 0
+    assert out == expected
+
+
 @pytest.mark.parametrize("argv", [
     ("fan", "orbits", "--dim", "7"),
     ("fan", "orbits", "--dim", "-1"),

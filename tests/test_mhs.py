@@ -5,20 +5,20 @@ import pytest
 from avor3.mhs import CohomologyTable, MhsVector, UnsupportedTwist
 
 T = MhsVector.tate
-F = MhsVector.atom_f
+F = MhsVector(f_count=1)
 
 
 def test_vector_normalization_and_dimension():
     v = MhsVector(tates=(3, 1, 1))
     assert v.tates == (1, 1, 3)
     assert v.dimension() == 3
-    assert F().dimension() == 2
+    assert F.dimension() == 2
     assert MhsVector.zero().is_zero()
     assert T(2, mult=3).tates == (2, 2, 2)
 
 
 def test_addition_is_multiset_union():
-    v = T(0) + T(2) + F()
+    v = T(0) + T(2) + F
     assert v.tates == (0, 2)
     assert v.f_count == 1
     assert (v + v).dimension() == 2 * v.dimension()
@@ -26,35 +26,35 @@ def test_addition_is_multiset_union():
 
 def test_weights():
     assert (T(0) + T(3)).weights() == (0, 6)
-    assert F().weights() == (0, 6)
-    assert (F() + T(1)).weight_counter() == {0: 1, 2: 1, 6: 1}
+    assert F.weights() == (0, 6)
+    assert (F + T(1)).weight_counter() == {0: 1, 2: 1, 6: 1}
 
 
 def test_tate_twist():
     assert T(1).tate_twist(2) == T(3)
-    assert F().tate_twist(0) == F()
+    assert F.tate_twist(0) == F
     with pytest.raises(UnsupportedTwist):
-        F().tate_twist(1)
+        F.tate_twist(1)
 
 
 def test_remove_weight_prefers_tate_pieces():
-    v = T(0) + F()
+    v = T(0) + F
     # a weight-0 removal takes the plain Tate class first
-    assert v.remove_weight(0) == F()
+    assert v.remove_weight(0) == F
     # with only the atom left, removal splits it
-    assert F().remove_weight(0) == T(3)
-    assert F().remove_weight(6) == T(0)
+    assert F.remove_weight(0) == T(3)
+    assert F.remove_weight(6) == T(0)
     with pytest.raises(ValueError):
         T(1).remove_weight(0)
     with pytest.raises(ValueError):
-        F().remove_weight(2)
+        F.remove_weight(2)
 
 
 def test_class_roundtrip_and_str():
-    v = T(2) + T(2) + T(0) + F()
+    v = T(2) + T(2) + T(0) + F
     classes = v.to_classes()
     assert MhsVector.from_classes(classes) == v
-    assert MhsVector.from_classes([{"atom": "F", "mult": 2}]) == F(mult=2)
+    assert MhsVector.from_classes([{"atom": "F", "mult": 2}]) == MhsVector(f_count=2)
     with pytest.raises(ValueError):
         MhsVector.from_classes([{"atom": "G"}])
     assert str(v) == "Q + Q(-2)^2 + F"
@@ -79,7 +79,7 @@ def test_table_operations():
 
 
 def test_table_json_roundtrip_is_canonical():
-    t = CohomologyTable("demo", ((0, T(0)), (2, T(1) + F())))
+    t = CohomologyTable("demo", ((0, T(0)), (2, T(1) + F)))
     text = t.to_json()
     again = CohomologyTable.from_json_dict(json.loads(text))
     assert again == t

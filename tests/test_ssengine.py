@@ -11,7 +11,6 @@ from avor3.ssengine import (AmbiguousResolution, EnumerationCapExceeded,
                             leray_assemble, resolve)
 
 T = MhsVector.tate
-F = MhsVector.atom_f
 
 
 def test_page_normalization_and_json_roundtrip():

@@ -5,14 +5,14 @@ import pytest
 
 from avor3.equivariant import LinearRep, exterior_invariant_dims, group_closure
 from avor3.mhs import CohomologyTable, MhsVector
-from avor3.registry import ENV_VAR, Registry, load_registry, parse_registry
+from avor3.registry import Registry, load_registry, parse_registry
 from avor3.ssengine import SSPage
 from avor3 import strata
 from avor3.strata import (ExpectedPageMismatch, InvariantNotConcentrated,
                           invariant_fiber_table, tensor_tables)
 
 T = MhsVector.tate
-F = MhsVector.atom_f
+F = MhsVector(f_count=1)
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +34,7 @@ def test_packaged_registry_contents(registry):
     # every imported table cites its source
     assert all(rt.citation for rt in registry.tables.values())
     assert dict(registry.table("a3_open").table.entries) == \
-        {6: F(), 8: T(4), 10: T(5), 12: T(6)}
+        {6: F, 8: T(4), 10: T(5), 12: T(6)}
 
 
 def test_registry_lookup_errors(registry):
@@ -59,24 +59,29 @@ def test_parse_registry_rejects_bad_data():
         parse_registry(bad_fiber)
 
 
-def test_registry_env_and_explicit_paths(tmp_path, monkeypatch, registry):
-    alt = {"format": "avor3-registry/1",
-           "tables": [{"label": "only", "citation": "c",
-                       "entries": [{"degree": 1, "classes": [{"tate": 0, "mult": 1}]}]}]}
+_ALT_REGISTRY = {"format": "avor3-registry/1",
+                 "tables": [{"label": "only", "citation": "c",
+                             "entries": [{"degree": 1,
+                                          "classes": [{"tate": 0, "mult": 1}]}]}]}
+
+
+def test_registry_explicit_path(tmp_path):
     path = tmp_path / "alt.json"
-    path.write_text(json.dumps(alt))
-    monkeypatch.setenv(ENV_VAR, str(path))
-    via_env = load_registry()
-    assert set(via_env.tables) == {"only"}
-    assert via_env.source == str(path)
-    # explicit path has priority over the environment
-    other = tmp_path / "alt2.json"
-    other.write_text(json.dumps(dict(alt, tables=[dict(alt["tables"][0], label="two")])))
-    assert set(load_registry(str(other)).tables) == {"two"}
+    path.write_text(json.dumps(_ALT_REGISTRY))
+    alt = load_registry(str(path))
+    assert set(alt.tables) == {"only"}
+    assert alt.source == str(path)
+
+
+def test_registry_environment_variable_is_ignored(tmp_path, monkeypatch, registry):
+    path = tmp_path / "alt.json"
+    path.write_text(json.dumps(_ALT_REGISTRY))
+    monkeypatch.setenv("VORONOI_STRATA_REGISTRY", str(path))
+    assert load_registry() == registry
 
 
 EXPECTED_TABLES = {
-    "a3": {6: F(), 8: T(4), 10: T(5), 12: T(6)},
+    "a3": {6: F, 8: T(4), 10: T(5), 12: T(6)},
     "beta1": {4: T(2), 5: T(0), 6: T(3) + T(3), 8: T(4) + T(4), 10: T(5)},
     "beta2": {2: T(1), 4: T(2), 6: T(3) + T(3), 8: T(4)},
     "beta3": {0: T(0), 2: T(1), 4: T(2) + T(2), 6: T(3)},
@@ -150,13 +155,13 @@ def test_tensor_tables():
     prod = tensor_tables(a, b, "p")
     assert dict(prod.entries) == {2: T(1), 4: T(2) + T(2)}
     with pytest.raises(ValueError):
-        tensor_tables(CohomologyTable("f", ((0, F()),)), b, "p")
+        tensor_tables(CohomologyTable("f", ((0, F),)), b, "p")
 
 
 def test_main_first_page_layout(registry):
-    page = strata.main_first_page(registry)
+    page = strata.compactification_betti(registry).page
     assert page.abutment_smooth_proper
-    assert page.entry(3, 3) == F()
+    assert page.entry(3, 3) == F
     assert page.entry(2, 3) == T(0)
     assert page.entry(0, 4) == T(2) + T(2)
     assert page.euler_characteristic() == 20

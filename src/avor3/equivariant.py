@@ -8,7 +8,9 @@ group (Newton's identities on power traces), divided by the group order
 once.  The oracle that cross-checks it never closes the group: a vector is
 fixed by the group exactly when each generator fixes it, so the invariants
 of each wedge power are the kernel of the generators' induced matrices
-minus the identity, stacked, and their dimension is one exact rank.
+minus the identity, stacked, and their dimension is one exact rank.  All
+wedge powers of a generator come from one Laplace sweep over its minors
+(`linalg.exterior_powers`), so the two routes share no step.
 
 Only the closure, and so only the Molien route, detects an infinite group
 (NotClosedWithinCap) or a sign character that is not well-defined on the
@@ -21,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
 from . import linalg
 
@@ -82,28 +85,29 @@ class LinearRep:
 def group_closure(rep: LinearRep):
     """All elements of the generated group as (matrix, character value) pairs.
 
-    Breadth-first products of generators; raises NotClosedWithinCap once more
-    than CAP distinct elements appear, and ValueError if the declared sign
-    character is not constant on each element.
+    Breadth-first products of generators, each element carrying its
+    character value; raises NotClosedWithinCap once more than CAP distinct
+    elements appear, and ValueError if the declared sign character is not
+    constant on each element.  Each generator's columns are taken once, and
+    each product is looked up once.
     """
     ident = _freeze(linalg.identity(rep.dimension))
     signs = rep.signs or tuple(1 for _ in rep.generators)
+    gens = [(tuple(zip(*g)), s) for g, s in zip(rep.generators, signs)]
     chi = {ident: 1}
-    frontier = [ident]
+    frontier = [(ident, 1)]
     while frontier:
         nxt = []
-        for m in frontier:
-            for g, s in zip(rep.generators, signs):
-                prod = _freeze(linalg.mat_mul(m, g))
-                val = chi[m] * s
-                if prod in chi:
-                    if chi[prod] != val:
-                        raise ValueError("sign character is not well-defined on the group")
-                    continue
-                chi[prod] = val
-                nxt.append(prod)
-                if len(chi) > CAP:
-                    raise NotClosedWithinCap("more than %d elements generated" % CAP)
+        for m, val in frontier:
+            for cols, s in gens:
+                prod = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in m)
+                v, size = val * s, len(chi)
+                if chi.setdefault(prod, v) != v:
+                    raise ValueError("sign character is not well-defined on the group")
+                if len(chi) > size:
+                    nxt.append((prod, v))
+                    if len(chi) > CAP:
+                        raise NotClosedWithinCap("more than %d elements generated" % CAP)
         frontier = nxt
     return sorted(chi.items())
 
@@ -157,26 +161,24 @@ def fixed_subspace_dims_bruteforce(rep: LinearRep):
     generators g of (Lambda^k g - chi(g) I), since a vector is in the chi-part
     for the group exactly when it is for every generator (Serre, Linear
     Representations of Finite Groups, 2.6).  Only the generators' exterior
-    powers are formed and the group is never closed, so this shares no step
-    with the Molien route.  For that reason it does not itself detect an
-    infinite group (NotClosedWithinCap) or an ill-defined sign character;
-    only group_closure does, which the Molien route runs on every
-    cross-check.  Restricted to dimension <= MAX_DIMENSION.
+    powers are formed, all of one generator in one Laplace sweep, and the
+    group is never closed, so this shares no step with the Molien route.
+    For that reason it does not itself detect an infinite group
+    (NotClosedWithinCap) or an ill-defined sign character; only
+    group_closure does, which the Molien route runs on every cross-check.
+    Restricted to dimension <= MAX_DIMENSION.
     """
     if rep.dimension > MAX_DIMENSION:
         raise ValueError("brute-force oracle restricted to dimension <= %d" % MAX_DIMENSION)
     n = rep.dimension
     signs = rep.signs or tuple(1 for _ in rep.generators)
-    out = []
-    for k in range(n + 1):
-        stack = []
-        for g, s in zip(rep.generators, signs):
-            wedge = linalg.exterior_power_matrix(g, k)
+    stacks = [[] for _ in range(n + 1)]
+    for g, s in zip(rep.generators, signs):
+        for stack, wedge in zip(stacks, linalg.exterior_powers(g)):
             for i, row in enumerate(wedge):
                 row[i] -= s
             stack.extend(wedge)
-        out.append(comb(n, k) - linalg.rank(stack))
-    return tuple(out)
+    return tuple(comb(n, k) - linalg.rank(stack) for k, stack in enumerate(stacks))
 
 
 def h1_pullback(b):

@@ -29,7 +29,7 @@ from .forms import (
     GENERATORS,
     GroupElement,
     act_on_form,
-    dual_action_on_character,
+    dual_action_on_characters,
     rank1_vector,
 )
 
@@ -308,8 +308,7 @@ def stratum_character_lattice(c: Cone) -> CharacterLattice:
     seen = set()
     effective = []
     for g in stab.elements:
-        images = [dual_action_on_character(g, f) for f in basis]
-        cols = linalg.lattice_coordinates(basis_rows, images)
+        cols = linalg.lattice_coordinates(basis_rows, dual_action_on_characters(g, basis))
         if cols is None:
             raise AssertionError("stabilizer does not preserve the character sublattice")
         mat = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))

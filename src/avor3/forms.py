@@ -14,7 +14,7 @@ g . f has doubled matrix g^-T P g^-1.
 
 Matrix products go through `linalg.mat_mul`.  `GroupElement.det` and
 `GroupElement.inverse` stay closed-form 3x3 expressions: every construction
-checks the determinant and a cold `verify all` inverts about 830 elements,
+checks the determinant and a cold `verify all` inverts about 500 elements,
 and the general `linalg.det` is about 35 times slower than the closed form,
 an inverse through `linalg.adjugate` about 7 times.
 """
@@ -141,14 +141,18 @@ def pairing(q: SymForm, f) -> int:
     return sum(map(mul, q.coeffs(), f))
 
 
-def dual_action_on_character(g: GroupElement, f):
-    """The contragredient action: pairing(g . q, g . f) == pairing(q, f).
+def dual_action_on_characters(g: GroupElement, chars):
+    """g . f for each character f of `chars`, as a tuple, with g inverted once.
 
-    The doubled character matrix P goes to g^-T P g^-1; its diagonal stays
-    even, so halving it back is exact.
+    The contragredient action: pairing(g . q, g . f) == pairing(q, f).  The
+    doubled character matrix P goes to g^-T P g^-1; its diagonal stays even,
+    so halving it back is exact.
     """
-    p11, p22, p33, p23, p13, p12 = f
-    doubled = ((2 * p11, p12, p13), (p12, 2 * p22, p23), (p13, p23, 2 * p33))
     inv = g.inverse().rows
-    m = linalg.mat_mul(linalg.mat_mul(linalg.transpose(inv), doubled), inv)
-    return (m[0][0] // 2, m[1][1] // 2, m[2][2] // 2, m[1][2], m[0][2], m[0][1])
+    inv_t = linalg.transpose(inv)
+    out = []
+    for p11, p22, p33, p23, p13, p12 in chars:
+        doubled = ((2 * p11, p12, p13), (p12, 2 * p22, p23), (p13, p23, 2 * p33))
+        m = linalg.mat_mul(linalg.mat_mul(inv_t, doubled), inv)
+        out.append((m[0][0] // 2, m[1][1] // 2, m[2][2] // 2, m[1][2], m[0][2], m[0][1]))
+    return tuple(out)

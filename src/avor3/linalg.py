@@ -2,8 +2,9 @@
 
 Every matrix in this package is integral, so everything here takes and
 returns plain Python ints: ranks and determinants by fraction-free
-elimination, Hermite forms, saturated kernels and coordinates in them, all
-exact.  Matrices are lists (or tuples) of rows; vectors are flat sequences.
+elimination, Hermite forms, saturated kernels and coordinates in them, and
+all exterior powers of a matrix in one Laplace sweep, all exact.  Matrices
+are lists (or tuples) of rows; vectors are flat sequences.
 """
 
 from __future__ import annotations
@@ -209,16 +210,39 @@ def char_poly_elementary(a):
     return e
 
 
-def minor(a, row_idx, col_idx):
-    return det([[a[i][j] for j in col_idx] for i in row_idx])
+def exterior_powers(a):
+    """[Lambda^0 a, Lambda^1 a, ..., Lambda^n a] of a square matrix in one sweep.
 
-
-def exterior_power_matrix(a, k):
-    """Matrix of the induced map on the k-th exterior power.
-
-    Rows and columns are indexed by the k-subsets of coordinates in
-    lexicographic order; entries are the corresponding k x k minors.
+    Rows and columns of Lambda^k a are indexed by the k-subsets of
+    coordinates in lexicographic order; entries are the k x k minors.  Each
+    minor is the Laplace expansion along its first row over the
+    (k-1) x (k-1) minors of the level below, so every minor is formed once
+    from k products, and terms with a zero factor are skipped.
     """
     n = len(a)
-    subsets = list(combinations(range(n), k))
-    return [[minor(a, rows, cols) for cols in subsets] for rows in subsets]
+    powers = [[[1]]]
+    below_index = {(): 0}
+    for k in range(1, n + 1):
+        subsets = list(combinations(range(n), k))
+        # per column subset: (column, index of the subset without it, odd position)
+        expand = [[(j, below_index[cols[:p] + cols[p + 1:]], p % 2)
+                   for p, j in enumerate(cols)] for cols in subsets]
+        below = powers[-1]
+        level = []
+        for rows in subsets:
+            top = a[rows[0]]
+            minors = below[below_index[rows[1:]]]
+            row = []
+            for terms in expand:
+                s = 0
+                for j, r, odd in terms:
+                    x = top[j]
+                    if x:
+                        y = minors[r]
+                        if y:
+                            s = s - x * y if odd else s + x * y
+                row.append(s)
+            level.append(row)
+        powers.append(level)
+        below_index = {rows: i for i, rows in enumerate(subsets)}
+    return powers

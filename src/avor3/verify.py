@@ -2,18 +2,18 @@
 
 Each check takes `pipeline`, a callable returning the one
 `strata.BettiResult` of the registry, and returns (ok, detail).  `run_all`
-computes that result once, on first use, and shares it: the seven checks
-that read it compare its loci, tables and pages against independently
-frozen expectations, and the five fan- and group-only checks never call
-it.  Every check runs under exception capture, so a pipeline error fails
-only the checks that read the result, and no failure hides the others.
+computes that result, or the error it raises, once, on first use, and
+shares it: the seven checks that read it compare its loci, tables and
+pages against independently frozen expectations, and the five fan- and
+group-only checks never call it.  Every check runs under exception
+capture, so a pipeline error fails only the checks that read the result,
+and no failure hides the others.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
-from functools import cache, partial
 
 from . import strata
 from .equivariant import (LinearRep, element_order, exterior_invariant_dims,
@@ -22,7 +22,7 @@ from .equivariant import (LinearRep, element_order, exterior_invariant_dims,
 from .fan import (SIGMA6, Cone, classify_orbits, equivalent,
                   stratum_character_lattice, stabilizer, torus_coordinates)
 from .forms import (COEFF_ORDER, GENERATOR_NAMES, GENERATORS, GroupElement,
-                    act_on_form, dual_action_on_character, pairing)
+                    act_on_form, dual_action_on_characters, pairing)
 from .mhs import MhsVector
 from .ssengine import AmbiguousResolution, resolve
 
@@ -259,11 +259,11 @@ def check_conservation_properties(pipeline):
                     return False, "composition law fails"
     chars = torus_coordinates()
     for g in mats:
+        images = dual_action_on_characters(g, chars)
         for q in forms:
-            for f in chars:
-                if pairing(act_on_form(g, q), dual_action_on_character(g, f)) \
-                        != pairing(q, f):
-                    return False, "pairing is not invariant"
+            gq = act_on_form(g, q)
+            if any(pairing(gq, gf) != pairing(q, f) for f, gf in zip(chars, images)):
+                return False, "pairing is not invariant"
     result = pipeline()
     eulers = [result.tables[name].euler_characteristic() for name in strata.STRATUM_NAMES]
     if eulers != [5, 5, 5, 5]:
@@ -292,10 +292,28 @@ ALL_CHECKS = (
 )
 
 
+def _once(fn):
+    """fn, called on first use only; later calls return its result or re-raise
+    its exception, so a failing pipeline is not re-run by every reader."""
+    memo = []
+
+    def call():
+        if not memo:
+            try:
+                memo.append((fn(), None))
+            except Exception as exc:
+                memo.append((None, exc))
+        result, exc = memo[0]
+        if exc is not None:
+            raise exc
+        return result
+    return call
+
+
 def run_all(registry):
     """Run every check on one shared pipeline result, computed on first use;
     returns a list of (name, ok, detail) triples."""
-    pipeline = cache(partial(strata.compactification_betti, registry))
+    pipeline = _once(lambda: strata.compactification_betti(registry))
     results = []
     for name, fn in ALL_CHECKS:
         try:

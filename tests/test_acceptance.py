@@ -125,6 +125,33 @@ def test_pipeline_error_fails_exactly_the_result_readers():
     assert len(results) - len(failed) == 5
 
 
+def test_pipeline_error_is_raised_once_and_shared(monkeypatch):
+    calls, compactification_betti = [], strata.compactification_betti
+
+    def counted(registry):
+        calls.append(registry)
+        return compactification_betti(registry)
+
+    monkeypatch.setattr(strata, "compactification_betti", counted)
+    results = verify.run_all(parse_registry(_bad_kummer_page_registry()))
+    assert len(calls) == 1
+    raised = "raised ExpectedPageMismatch: assembled rank-1 page differs from the stored cross-check"
+    assert results == [
+        ("betti_vector", False, raised),
+        ("main_page_resolution", False, raised),
+        ("orbit_census", True, "classes per dimension 1:1 2:1 3:2 4:2 5:1 6:1"),
+        ("local_cone_symmetries", True, "order 48, effective 24 = 4 diagonal x 6"),
+        ("distinguished_dim4_symmetry", True, "a1,a2,a3,b1 carries the order-12 action"),
+        ("stratum_invariants", False, raised),
+        ("rank_one_pipeline", False, raised),
+        ("rank_two_pipeline", False, raised),
+        ("rank_three_attribution", False, raised),
+        ("torus_coordinates", True, "six dual characters reproduced"),
+        ("product_symmetry", True, "order 12 with an order-6 element, invariants 1 0 1 0 1"),
+        ("conservation_properties", False, raised),
+    ]
+
+
 def test_verify_all_on_a_bad_registry_reports_5_of_12(tmp_path, capsys):
     path = tmp_path / "registry.json"
     path.write_text(json.dumps(_bad_kummer_page_registry()))

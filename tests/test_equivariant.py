@@ -89,16 +89,13 @@ def _projector_sum_dims(rep):
     """
     n = rep.dimension
     group = _closure(rep.generators, rep.signs or (1,) * len(rep.generators), 10 ** 4)
-    out = []
-    for k in range(n + 1):
-        size = comb(n, k)
-        acc = [[0] * size for _ in range(size)]
-        for mat, s in group.items():
-            for acc_row, row in zip(acc, linalg.exterior_power_matrix(mat, k)):
-                for j in range(size):
-                    acc_row[j] += s * row[j]
-        out.append(linalg.rank(acc))
-    return tuple(out)
+    sums = [[[0] * comb(n, k) for _ in range(comb(n, k))] for k in range(n + 1)]
+    for mat, s in group.items():
+        for acc, wedge in zip(sums, linalg.exterior_powers(mat)):
+            for acc_row, row in zip(acc, wedge):
+                for j, x in enumerate(row):
+                    acc_row[j] += s * x
+    return tuple(linalg.rank(acc) for acc in sums)
 
 
 def _parity(perm):
@@ -140,6 +137,16 @@ def conjugated_signed_permutation_groups(draw, max_dim=4, max_order=None):
     conj = [linalg.mat_mul(linalg.mat_mul(u, g), u_inv) for g in gens]
     signs = tuple(signs) if character else None
     return LinearRep(dim, gens, signs), LinearRep(dim, conj, signs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(conjugated_signed_permutation_groups())
+def test_group_closure_matches_independent_closure(reps):
+    for rep in reps:
+        group = group_closure(rep)
+        signs = rep.signs or (1,) * len(rep.generators)
+        assert dict(group) == _closure(rep.generators, signs, 10 ** 4)
+        assert group == sorted(group)
 
 
 @settings(max_examples=25, deadline=None)

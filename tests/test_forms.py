@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from avor3 import linalg
 from avor3.forms import (COEFF_ORDER, GENERATOR_NAMES, GENERATORS, GroupElement,
-                         NotRankOneVector, SymForm, act_on_form, dual_action_on_character,
+                         NotRankOneVector, SymForm, act_on_form, dual_action_on_characters,
                          pairing, primitive, rank1_form, rank1_vector)
 
 
@@ -162,7 +162,7 @@ def test_form_action_matrix_consistency(flip, steps, coeffs, exps):
     phi = form_action_matrix(g)
     assert tuple(linalg.mat_vec(phi, coeffs)) == act_on_form(g, q).coeffs()
     adjoint = linalg.transpose(form_action_matrix(g.inverse()))
-    assert dual_action_on_character(g, tuple(exps)) == tuple(linalg.mat_vec(adjoint, exps))
+    assert dual_action_on_characters(g, [exps]) == (tuple(linalg.mat_vec(adjoint, exps)),)
 
 
 def test_pairing_is_dual_invariant():
@@ -170,15 +170,16 @@ def test_pairing_is_dual_invariant():
     for _ in range(25):
         g = random_unimodular(rng)
         q = SymForm(*[rng.randint(-3, 3) for _ in range(6)])
-        f = tuple(rng.randint(-3, 3) for _ in range(6))
-        assert pairing(act_on_form(g, q), dual_action_on_character(g, f)) == pairing(q, f)
+        chars = [tuple(rng.randint(-3, 3) for _ in range(6)) for _ in range(3)]
+        for f, gf in zip(chars, dual_action_on_characters(g, chars)):
+            assert pairing(act_on_form(g, q), gf) == pairing(q, f)
 
 
 def test_dual_action_composes_like_the_source_action():
     rng = random.Random(25)
     for _ in range(15):
         g, h = random_unimodular(rng), random_unimodular(rng)
-        f = tuple(rng.randint(-2, 2) for _ in range(6))
-        lhs = dual_action_on_character(g * h, f)
-        rhs = dual_action_on_character(g, dual_action_on_character(h, f))
+        chars = [tuple(rng.randint(-2, 2) for _ in range(6)) for _ in range(2)]
+        lhs = dual_action_on_characters(g * h, chars)
+        rhs = dual_action_on_characters(g, dual_action_on_characters(h, chars))
         assert lhs == rhs

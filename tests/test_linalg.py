@@ -181,18 +181,34 @@ def test_traces_of_powers_match_repeated_products(a, kmax):
     assert linalg.traces_of_powers(a, kmax) == expected
 
 
-def test_exterior_power_matrix_is_multiplicative():
+_SQUARE = st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SQUARE)
+def test_exterior_powers_are_the_minors(a):
+    n = len(a)
+    powers = linalg.exterior_powers(a)
+    assert len(powers) == n + 1
+    for k, wedge in enumerate(powers):
+        subsets = list(combinations(range(n), k))
+        assert wedge == [[leibniz_det([[a[i][j] for j in cols] for i in rows])
+                          for cols in subsets] for rows in subsets]
+    assert powers[0] == [[1]]
+    if n:
+        assert powers[1] == a
+    assert powers[n] == [[linalg.det(a)]]
+
+
+def test_exterior_powers_are_multiplicative():
+    # Cauchy-Binet: Lambda^k (a b) = Lambda^k a Lambda^k b
     rng = random.Random(23)
     for _ in range(20):
         n = rng.randint(2, 4)
-        k = rng.randint(1, n)
         a, b = random_matrix(rng, n, -3, 3), random_matrix(rng, n, -3, 3)
-        lhs = linalg.exterior_power_matrix(linalg.mat_mul(a, b), k)
-        rhs = linalg.mat_mul(linalg.exterior_power_matrix(a, k),
-                             linalg.exterior_power_matrix(b, k))
+        lhs = linalg.exterior_powers(linalg.mat_mul(a, b))
+        rhs = [linalg.mat_mul(x, y)
+               for x, y in zip(linalg.exterior_powers(a), linalg.exterior_powers(b))]
         assert lhs == rhs
-
-
-def test_exterior_power_top_is_det():
-    a = [[1, 2, 0], [0, 1, 3], [1, 0, 1]]
-    assert linalg.exterior_power_matrix(a, 3) == [[linalg.det(a)]]

@@ -12,12 +12,51 @@ here (none are ever needed), and twisting it raises UnsupportedTwist.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
 
 class UnsupportedTwist(ValueError):
     """Tate twist requested for the extension atom F."""
+
+
+def weight_counts(tates, f_count):
+    """{weight: dimension} of the Tate pieces `tates` plus `f_count` atoms F."""
+    counts = {}
+    for n in tates:
+        counts[2 * n] = counts.get(2 * n, 0) + 1
+    if f_count:
+        counts[0] = counts.get(0, 0) + f_count
+        counts[6] = counts.get(6, 0) + f_count
+    return counts
+
+
+def remove_weight(tates, f_count, w, k=1):
+    """Drop k dimensions of weight w (a differential cancelled them).
+
+    `tates` is a sorted tuple of Tate exponents.  Tate pieces of weight w go
+    first; each further dimension splits an F atom, whose complementary
+    piece stays as a pure Tate class: weight 0 leaves Q(-3), weight 6 leaves
+    Q.  Returns the new (tates, f_count), or None when fewer than k
+    dimensions of weight w are there.
+    """
+    if w % 2:
+        return None
+    n = w // 2
+    lo = bisect_left(tates, n)
+    hi = bisect_right(tates, n, lo)
+    taken = min(k, hi - lo)
+    tates = tates[:lo] + tates[lo + taken:]
+    split = k - taken
+    if split:
+        if w not in (0, 6) or split > f_count:
+            return None
+        left = 3 if w == 0 else 0
+        at = bisect_left(tates, left)
+        tates = tates[:at] + (left,) * split + tates[at:]
+        f_count -= split
+    return tates, f_count
 
 
 _KIND_NAMES = {int: "an integer", list: "a list", str: "a string", dict: "an object"}
@@ -86,29 +125,11 @@ class MhsVector:
         w.extend([0, 6] * self.f_count)
         return tuple(sorted(w))
 
-    def weight_counter(self):
-        return Counter(self.weights())
-
     def tate_twist(self, n):
         """Tensor with Q(-n): each Q(-m) becomes Q(-m-n)."""
         if n != 0 and self.f_count:
             raise UnsupportedTwist("the extension atom F cannot be Tate twisted")
         return MhsVector(tuple(m + n for m in self.tates), self.f_count)
-
-    def remove_weight(self, w):
-        """Drop one dimension of weight w (a differential cancelled it).
-
-        Removing a graded piece of an F atom leaves the complementary piece
-        as a pure Tate class: weight 0 leaves Q(-3), weight 6 leaves Q.
-        """
-        if w % 2 == 0 and (w // 2) in self.tates:
-            t = list(self.tates)
-            t.remove(w // 2)
-            return MhsVector(tuple(t), self.f_count)
-        if self.f_count and w in (0, 6):
-            left = 3 if w == 0 else 0
-            return MhsVector(self.tates + (left,), self.f_count - 1)
-        raise ValueError("no weight-%d piece to remove" % w)
 
     def to_classes(self):
         out = []

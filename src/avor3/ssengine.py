@@ -8,16 +8,21 @@ per-weight rank assignment for the remaining differentials, page by page,
 cancelling matched-weight dimensions on both ends, and keeps the outcomes
 that survive all constraints; an optional purity filter discards outcomes
 whose limit page carries a weight different from its total degree anywhere.
+
+While it enumerates, a state maps each position to a plain (tates, f_count)
+pair and carries its decisions as plain tuples; the MhsVectors and
+DifferentialDecisions of the report are built once per surviving candidate.
+The enumeration cap counts the assignments tried at each state of each page.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .mhs import CohomologyTable, MhsVector, json_path, json_value
+from .mhs import (CohomologyTable, MhsVector, json_path, json_value, remove_weight,
+                  weight_counts)
 
 
 class NoConsistentAssignment(RuntimeError):
@@ -146,43 +151,26 @@ class ResolutionReport:
     enumerated: int
 
 
-def _weight_overlap_candidates(entries, r):
-    """Differentials at page r with nonzero ends and shared weights.
+def _cancel(entries, cancels):
+    """`entries` with k dimensions of weight w removed at each (position, w, k).
 
-    Returns [( (p, q), {weight: max cancellable} )] in position order.
+    Positions left empty are dropped; None when a removal is impossible.
+    The result does not depend on the order of the cancels: at one position
+    the F atoms left are min(f_count, weight-0 dimension, weight-6 dimension)
+    after all of them, and a removal fails only when its weight has run out.
     """
-    out = []
-    for (p, q), src in sorted(entries.items()):
-        tgt = entries.get((p + r, q - r + 1))
-        if tgt is None:
-            continue
-        sc, tc = src.weight_counter(), tgt.weight_counter()
-        caps = {w: min(sc[w], tc[w]) for w in sorted(set(sc) & set(tc))}
-        if caps:
-            out.append(((p, q), caps))
-    return out
-
-
-def _apply_removals(entries, removals):
-    """Cancel the given weight multiset at each position; None if impossible."""
     out = dict(entries)
-    for pq, cnt in removals.items():
-        vec = out.get(pq, MhsVector.zero())
-        for w, k in cnt.items():
-            for _ in range(k):
-                try:
-                    vec = vec.remove_weight(w)
-                except ValueError:
-                    return None
-        if vec.is_zero():
-            out.pop(pq, None)
+    for pq, w, k in cancels:
+        pair = out.get(pq)
+        if pair is not None:
+            pair = remove_weight(*pair, w, k)
+        if pair is None:
+            return None
+        if pair[0] or pair[1]:
+            out[pq] = pair
         else:
-            out[pq] = vec
+            del out[pq]
     return out
-
-
-def _is_pure(entries):
-    return all(w == p + q for (p, q), v in entries.items() for w in v.weights())
 
 
 def resolve(page: SSPage, cap: int = 10 ** 6):
@@ -192,6 +180,13 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
     pages) when the constraints and the optional purity filter do not pin
     the answer, NoConsistentAssignment when nothing survives, and
     EnumerationCapExceeded once more than `cap` assignments are enumerated.
+    The count starts at 1 and adds, for each state on each page, the number
+    of assignments tried there.
+
+    A state maps each position to a plain (tates, f_count) pair and carries
+    its decisions as (r, p, q, rank, kind, citation) tuples; the MhsVectors
+    and DifferentialDecisions of the report are built once per distinct
+    value among the surviving candidates.
     """
     known_map = {(k.r, k.p, k.q): k for k in page.knowns}
     support = [pq for pq, _ in page.entries]
@@ -201,66 +196,69 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
     rset = sorted(rset)
     final_r = (max(rset) + 1) if rset else page.r
 
-    states = [(dict(page.entries), ())]
+    # positions stay in sorted order: a state only rewrites or drops them
+    states = [({pq: (v.tates, v.f_count) for pq, v in page.entries}, ())]
     enumerated = 1
     for r in rset:
+        positive_knowns = {(k.p, k.q) for k in page.knowns if k.r == r and k.rank > 0}
         nxt = []
         for entries, decisions in states:
-            cands = _weight_overlap_candidates(entries, r)
-            cand_pos = {pq for pq, _ in cands}
+            # each differential with nonzero ends and shared weights, with
+            # every per-weight rank vector allowed: (source, [(cancels, decision)])
+            options = []
+            for (p, q), src in entries.items():
+                tgt = entries.get((p + r, q - r + 1))
+                if tgt is None:
+                    continue
+                sc, tc = weight_counts(*src), weight_counts(*tgt)
+                ws = sorted(sc.keys() & tc.keys())
+                if not ws:
+                    continue
+                known = known_map.get((r, p, q))
+                kind, citation = ("solver", "") if known is None else ("known", known.citation)
+                choices = []
+                for combo in iproduct(*[range(min(sc[w], tc[w]) + 1) for w in ws]):
+                    rank = sum(combo)
+                    if known is None or rank == known.rank:
+                        cancels = tuple((pq, w, k) for w, k in zip(ws, combo) if k
+                                        for pq in ((p, q), (p + r, q - r + 1)))
+                        choices.append((cancels, (r, p, q, rank, kind, citation)))
+                options.append(((p, q), choices))
             # a positive known rank at a position with no possible nonzero
             # differential is a contradiction; drop this state
-            if any(k.rank > 0 and k.r == r and (k.p, k.q) not in cand_pos
-                   for k in page.knowns):
+            if not positive_knowns <= {pq for pq, _ in options}:
                 continue
-            options = []
-            for (p, q), caps in cands:
-                ws = sorted(caps)
-                vecs = [dict(zip(ws, combo))
-                        for combo in iproduct(*[range(caps[w] + 1) for w in ws])]
-                known = known_map.get((r, p, q))
-                if known is not None:
-                    vecs = [v for v in vecs if sum(v.values()) == known.rank]
-                    kind, citation = "known", known.citation
-                else:
-                    kind, citation = "solver", ""
-                options.append(((p, q), vecs, kind, citation))
             count = 1
-            for _, vecs, _, _ in options:
-                count *= len(vecs)
+            for _, choices in options:
+                count *= len(choices)
             enumerated += count
             if enumerated > cap:
                 raise EnumerationCapExceeded("assignment enumeration exceeds cap %d" % cap)
-            for combo in iproduct(*[opt[1] for opt in options]):
-                removals = {}
-                for ((p, q), _, _, _), vec in zip(options, combo):
-                    for w, k in vec.items():
-                        if k:
-                            removals.setdefault((p, q), Counter())[w] += k
-                            removals.setdefault((p + r, q - r + 1), Counter())[w] += k
-                new_entries = _apply_removals(entries, removals)
-                if new_entries is None:
-                    continue
-                new_decisions = decisions + tuple(
-                    DifferentialDecision(r, p, q, sum(vec.values()), kind, citation)
-                    for ((p, q), _, kind, citation), vec in zip(options, combo))
-                nxt.append((new_entries, new_decisions))
+            for combo in iproduct(*[choices for _, choices in options]):
+                new_entries = _cancel(entries, [c for cancels, _ in combo for c in cancels])
+                if new_entries is not None:
+                    nxt.append((new_entries, decisions + tuple(d for _, d in combo)))
         states = nxt
         if not states:
             break
 
     if page.abutment_smooth_proper:
-        states = [(e, d) for e, d in states if _is_pure(e)]
+        states = [(e, d) for e, d in states
+                  if all(not f and all(2 * n == p + q for n in tates)
+                         for (p, q), (tates, f) in e.items())]
     if not states:
         raise NoConsistentAssignment(
             "no differential assignment for %r survives all constraints"
             % (page.label or "page"))
     seen = {}
     for entries, decisions in states:
-        key = tuple(sorted(entries.items()))
-        if key not in seen:
-            seen[key] = decisions
-    candidates = tuple(ResolutionCandidate(k, v) for k, v in seen.items())
+        seen.setdefault(tuple(entries.items()), decisions)
+    del states
+    vectors = {pair: MhsVector(*pair) for pair in {pair for key in seen for _, pair in key}}
+    decided = {d: DifferentialDecision(*d) for d in {d for ds in seen.values() for d in ds}}
+    candidates = tuple(ResolutionCandidate(tuple((pq, vectors[pair]) for pq, pair in key),
+                                           tuple(decided[d] for d in decisions))
+                       for key, decisions in seen.items())
     report = ResolutionReport(page.label, page.abutment_smooth_proper, final_r,
                               candidates, enumerated)
     if len(candidates) > 1:
@@ -271,10 +269,13 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
 
 def abutment(page: SSPage, label=None) -> CohomologyTable:
     """Total cohomology of a degenerate (limit) page: sum along p + q = k."""
-    acc = {}
+    by_degree = {}
     for (p, q), v in page.entries:
-        acc[p + q] = acc.get(p + q, MhsVector.zero()) + v
-    return CohomologyTable(label or page.label, tuple(acc.items()))
+        by_degree.setdefault(p + q, []).append(v)
+    return CohomologyTable(label or page.label, tuple(
+        (k, vs[0] if len(vs) == 1 else
+         MhsVector(sum((v.tates for v in vs), ()), sum(v.f_count for v in vs)))
+        for k, vs in by_degree.items()))
 
 
 def gysin_split(open_table: CohomologyTable, closed_table: CohomologyTable,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from avor3.mhs import CohomologyTable, MhsVector, UnsupportedTwist
+from avor3.mhs import CohomologyTable, MhsVector, UnsupportedTwist, remove_weight, weight_counts
 
 T = MhsVector.tate
 F = MhsVector(f_count=1)
@@ -27,7 +27,9 @@ def test_addition_is_multiset_union():
 def test_weights():
     assert (T(0) + T(3)).weights() == (0, 6)
     assert F.weights() == (0, 6)
-    assert (F + T(1)).weight_counter() == {0: 1, 2: 1, 6: 1}
+    assert weight_counts((1,), 1) == {0: 1, 2: 1, 6: 1}
+    assert weight_counts((0, 0, 3), 2) == {0: 4, 6: 3}
+    assert weight_counts((), 0) == {}
 
 
 def test_tate_twist():
@@ -38,16 +40,26 @@ def test_tate_twist():
 
 
 def test_remove_weight_prefers_tate_pieces():
-    v = T(0) + F
-    # a weight-0 removal takes the plain Tate class first
-    assert v.remove_weight(0) == F
-    # with only the atom left, removal splits it
-    assert F.remove_weight(0) == T(3)
-    assert F.remove_weight(6) == T(0)
-    with pytest.raises(ValueError):
-        T(1).remove_weight(0)
-    with pytest.raises(ValueError):
-        F.remove_weight(2)
+    # a weight-0 removal takes the plain Tate class first (Q + F -> F)
+    assert remove_weight((0,), 1, 0) == ((), 1)
+    # with only the atom left, removal splits it: F -> Q(-3), F -> Q
+    assert remove_weight((), 1, 0) == ((3,), 0)
+    assert remove_weight((), 1, 6) == ((0,), 0)
+    # nothing of the weight: a Tate class of another weight, or a weight F lacks
+    assert remove_weight((1,), 0, 0) is None
+    assert remove_weight((), 1, 2) is None
+
+
+def test_remove_weight_of_k_is_k_single_removals():
+    # Tate pieces first, then one atom per further dimension, tates kept sorted
+    assert remove_weight((0, 1, 3), 2, 6, 2) == ((0, 0, 1), 1)
+    assert remove_weight((0, 1, 3), 2, 6, 3) == ((0, 0, 0, 1), 0)
+    assert remove_weight((0, 1, 3), 2, 6, 4) is None
+    assert remove_weight((0, 0, 2), 1, 0, 3) == ((2, 3), 0)
+    assert remove_weight((1, 1, 2), 0, 2, 2) == ((2,), 0)
+    assert remove_weight((1, 1, 2), 0, 2, 3) is None
+    assert remove_weight((1,), 0, 3) is None
+    assert remove_weight((1,), 3, 4, 0) == ((1,), 3)
 
 
 def test_class_roundtrip_and_str():

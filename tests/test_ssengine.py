@@ -1,14 +1,17 @@
 import json
+from collections import Counter
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from avor3.mhs import CohomologyTable, MhsVector
 from avor3.registry import load_registry
-from avor3.ssengine import (AmbiguousResolution, EnumerationCapExceeded,
-                            KnownDifferential, NoConsistentAssignment, SSPage,
-                            SplitNotJustified, abutment, gysin_split,
-                            leray_assemble, resolve)
+from avor3.ssengine import (AmbiguousResolution, DifferentialDecision,
+                            EnumerationCapExceeded, KnownDifferential,
+                            NoConsistentAssignment, ResolutionCandidate,
+                            ResolutionReport, SSPage, SplitNotJustified, abutment,
+                            gysin_split, leray_assemble, resolve)
 
 T = MhsVector.tate
 
@@ -244,3 +247,189 @@ def test_pages_survive_a_json_round_trip(entries, knowns):
     again = SSPage.from_json_dict(json.loads(page.to_json()))
     assert again == page
     assert again.to_json() == page.to_json()
+
+
+# --- the enumeration as it stood before states became plain pairs -------------
+# kept only as an oracle: it works on MhsVectors throughout and cancels one
+# weight-w dimension at a time
+
+def _reference_remove_weight(vec, w):
+    if w % 2 == 0 and (w // 2) in vec.tates:
+        t = list(vec.tates)
+        t.remove(w // 2)
+        return MhsVector(tuple(t), vec.f_count)
+    if vec.f_count and w in (0, 6):
+        left = 3 if w == 0 else 0
+        return MhsVector(vec.tates + (left,), vec.f_count - 1)
+    raise ValueError("no weight-%d piece to remove" % w)
+
+
+def _weight_overlap_candidates(entries, r):
+    out = []
+    for (p, q), src in sorted(entries.items()):
+        tgt = entries.get((p + r, q - r + 1))
+        if tgt is None:
+            continue
+        sc, tc = Counter(src.weights()), Counter(tgt.weights())
+        caps = {w: min(sc[w], tc[w]) for w in sorted(set(sc) & set(tc))}
+        if caps:
+            out.append(((p, q), caps))
+    return out
+
+
+def _apply_removals(entries, removals):
+    out = dict(entries)
+    for pq, cnt in removals.items():
+        vec = out.get(pq, MhsVector.zero())
+        for w, k in cnt.items():
+            for _ in range(k):
+                try:
+                    vec = _reference_remove_weight(vec, w)
+                except ValueError:
+                    return None
+        if vec.is_zero():
+            out.pop(pq, None)
+        else:
+            out[pq] = vec
+    return out
+
+
+def _is_pure(entries):
+    return all(w == p + q for (p, q), v in entries.items() for w in v.weights())
+
+
+def _reference_resolve(page, cap=10 ** 6):
+    """(report, None) or (None, exception type), as `resolve` decides."""
+    known_map = {(k.r, k.p, k.q): k for k in page.knowns}
+    support = [pq for pq, _ in page.entries]
+    rset = {p2 - p1 for (p1, q1) in support for (p2, q2) in support
+            if p2 - p1 >= max(page.r, 1) and q2 - q1 == 1 - (p2 - p1)}
+    rset.update(k.r for k in page.knowns if k.r >= max(page.r, 1))
+    rset = sorted(rset)
+    final_r = (max(rset) + 1) if rset else page.r
+    states = [(dict(page.entries), ())]
+    enumerated = 1
+    for r in rset:
+        nxt = []
+        for entries, decisions in states:
+            cands = _weight_overlap_candidates(entries, r)
+            cand_pos = {pq for pq, _ in cands}
+            if any(k.rank > 0 and k.r == r and (k.p, k.q) not in cand_pos
+                   for k in page.knowns):
+                continue
+            options = []
+            for (p, q), caps in cands:
+                ws = sorted(caps)
+                vecs = [dict(zip(ws, combo))
+                        for combo in iproduct(*[range(caps[w] + 1) for w in ws])]
+                known = known_map.get((r, p, q))
+                if known is not None:
+                    vecs = [v for v in vecs if sum(v.values()) == known.rank]
+                    kind, citation = "known", known.citation
+                else:
+                    kind, citation = "solver", ""
+                options.append(((p, q), vecs, kind, citation))
+            count = 1
+            for _, vecs, _, _ in options:
+                count *= len(vecs)
+            enumerated += count
+            if enumerated > cap:
+                return None, EnumerationCapExceeded
+            for combo in iproduct(*[opt[1] for opt in options]):
+                removals = {}
+                for ((p, q), _, _, _), vec in zip(options, combo):
+                    for w, k in vec.items():
+                        if k:
+                            removals.setdefault((p, q), Counter())[w] += k
+                            removals.setdefault((p + r, q - r + 1), Counter())[w] += k
+                new_entries = _apply_removals(entries, removals)
+                if new_entries is None:
+                    continue
+                new_decisions = decisions + tuple(
+                    DifferentialDecision(r, p, q, sum(vec.values()), kind, citation)
+                    for ((p, q), _, kind, citation), vec in zip(options, combo))
+                nxt.append((new_entries, new_decisions))
+        states = nxt
+        if not states:
+            break
+    if page.abutment_smooth_proper:
+        states = [(e, d) for e, d in states if _is_pure(e)]
+    if not states:
+        return None, NoConsistentAssignment
+    seen = {}
+    for entries, decisions in states:
+        key = tuple(sorted(entries.items()))
+        if key not in seen:
+            seen[key] = decisions
+    candidates = tuple(ResolutionCandidate(k, v) for k, v in seen.items())
+    return ResolutionReport(page.label, page.abutment_smooth_proper, final_r,
+                            candidates, enumerated), None
+
+
+def _outcome(page, cap=10 ** 6):
+    """(report, None) or (None, exception type) from `resolve`."""
+    try:
+        return resolve(page, cap=cap)[1], None
+    except AmbiguousResolution as exc:
+        return exc.report, None
+    except (NoConsistentAssignment, EnumerationCapExceeded) as exc:
+        return None, type(exc)
+
+
+_KNOWNS = st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3),
+                             st.integers(0, 2)), max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ENTRIES, _KNOWNS, st.booleans(), st.integers(1, 40))
+def test_resolve_matches_the_reference_enumeration(entries, knowns, purity, cap):
+    page = SSPage.from_dict(
+        1, {pq: MhsVector.from_classes(c) for pq, c in entries.items()},
+        knowns=tuple(KnownDifferential(r, p, q, rank, "ref") for r, p, q, rank in knowns),
+        abutment_smooth_proper=purity, label="ref")
+    for limit in (10 ** 6, cap):
+        report, error = _outcome(page, limit)
+        expected, expected_error = _reference_resolve(page, limit)
+        assert error is expected_error
+        if expected is None:
+            continue
+        assert (report.final_page, report.enumerated) == (expected.final_page,
+                                                          expected.enumerated)
+        assert [(c.entries, c.decisions) for c in report.candidates] == [
+            (c.entries, c.decisions) for c in expected.candidates]
+        assert report == expected
+
+
+def _weight_graded_euler(entries):
+    """{w: sum over entries of (-1)^(p+q) dim Gr^W_w}, zero values dropped."""
+    out = Counter()
+    for (p, q), v in entries:
+        for w in v.weights():
+            out[w] += (-1) ** (p + q)
+    return {w: e for w, e in out.items() if e}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ENTRIES, _KNOWNS, st.booleans())
+def test_every_candidate_keeps_the_weight_graded_euler_characteristic(entries, knowns,
+                                                                      purity):
+    page = SSPage.from_dict(
+        1, {pq: MhsVector.from_classes(c) for pq, c in entries.items()},
+        knowns=tuple(KnownDifferential(r, p, q, rank, "ref") for r, p, q, rank in knowns),
+        abutment_smooth_proper=purity)
+    before = _weight_graded_euler(page.entries)
+    report, _ = _outcome(page)
+    for candidate in (report.candidates if report else ()):
+        assert _weight_graded_euler(candidate.entries) == before
+
+
+def test_cap_admits_exactly_the_enumerated_count():
+    # the main registry page, and a small page whose count sums several
+    # states on each of two pages
+    ambiguous = SSPage.from_dict(1, {(0, 0): T(0) + T(1), (1, 0): T(0) + T(1),
+                                     (0, 1): T(1), (2, 0): T(1) + T(1)})
+    assert len(_outcome(ambiguous)[0].candidates) > 1
+    for page in (load_registry().page("main_e1_expected"), ambiguous):
+        report, _ = _outcome(page)
+        assert _outcome(page, report.enumerated) == (report, None)
+        assert _outcome(page, report.enumerated - 1) == (None, EnumerationCapExceeded)

@@ -239,6 +239,7 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
                 if new_entries is not None:
                     nxt.append((new_entries, decisions + tuple(d for _, d in combo)))
         states = nxt
+        del nxt  # so that `del states` below frees the last page's states
         if not states:
             break
 

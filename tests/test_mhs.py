@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from avor3.mhs import CohomologyTable, MhsVector, UnsupportedTwist, remove_weight, weight_counts
+from avor3.mhs import (CohomologyTable, MhsVector, UnsupportedTwist, remove_weight,
+                       weight_counts)
 
 T = MhsVector.tate
 F = MhsVector(f_count=1)

@@ -387,17 +387,10 @@ def test_resolve_matches_the_reference_enumeration(entries, knowns, purity, cap)
         1, {pq: MhsVector.from_classes(c) for pq, c in entries.items()},
         knowns=tuple(KnownDifferential(r, p, q, rank, "ref") for r, p, q, rank in knowns),
         abutment_smooth_proper=purity, label="ref")
+    # equal reports have equal final pages, counts, and candidate entries and
+    # decisions in order
     for limit in (10 ** 6, cap):
-        report, error = _outcome(page, limit)
-        expected, expected_error = _reference_resolve(page, limit)
-        assert error is expected_error
-        if expected is None:
-            continue
-        assert (report.final_page, report.enumerated) == (expected.final_page,
-                                                          expected.enumerated)
-        assert [(c.entries, c.decisions) for c in report.candidates] == [
-            (c.entries, c.decisions) for c in expected.candidates]
-        assert report == expected
+        assert _outcome(page, limit) == _reference_resolve(page, limit)
 
 
 def _weight_graded_euler(entries):

@@ -7,14 +7,19 @@ part.  F has weight multiset {0, 6}; its weight-0 piece is a sub-object, so
 a rank-one map from a weight-0 class into F can cancel it and leave Q(-3),
 while cancelling the weight-6 piece leaves Q.  F does not admit Tate twists
 here (none are ever needed), and twisting it raises UnsupportedTwist.
+
+Tables and pages hold graded entries, a tuple of (key, MhsVector) sorted by
+key (a degree or a (p, q) position), no key repeated and no vector zero;
+only this module builds, sums, looks up, reads and writes them.
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
+
+_KEY_FIELDS = {"degree": ("degree",), "position": ("p", "q")}
 
 
 class UnsupportedTwist(ValueError):
@@ -98,7 +103,7 @@ class MhsVector:
     f_count: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "tates", tuple(sorted(int(n) for n in self.tates)))
+        object.__setattr__(self, "tates", tuple(sorted(self.tates)))
         if self.f_count < 0:
             raise ValueError("negative multiplicity")
 
@@ -131,12 +136,13 @@ class MhsVector:
             raise UnsupportedTwist("the extension atom F cannot be Tate twisted")
         return MhsVector(tuple(m + n for m in self.tates), self.f_count)
 
+    def runs(self):
+        """(n, multiplicity) of each distinct Q(-n), by increasing n."""
+        return [(n, sum(1 for _ in run)) for n, run in groupby(self.tates)]
+
     def to_classes(self):
-        out = []
-        for n, mult in sorted(Counter(self.tates).items()):
-            out.append({"tate": n, "mult": mult})
-        out.extend({"atom": "F"} for _ in range(self.f_count))
-        return out
+        return ([{"tate": n, "mult": mult} for n, mult in self.runs()]
+                + [{"atom": "F"} for _ in range(self.f_count)])
 
     @classmethod
     def from_classes(cls, classes, path="classes"):
@@ -155,15 +161,62 @@ class MhsVector:
         return cls(tuple(tates), f_count)
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for n, mult in sorted(Counter(self.tates).items()):
-            base = "Q" if n == 0 else "Q(%d)" % (-n)
-            parts.append(base if mult == 1 else "%s^%d" % (base, mult))
-        if self.f_count:
-            parts.append("F" if self.f_count == 1 else "F^%d" % self.f_count)
-        return " + ".join(parts)
+        return spell(self, lambda n: "Q" if n == 0 else "Q(%d)" % (-n), "F", "%s^%d", " + ")
+
+
+def spell(v, tate, atom, power, plus):
+    """`v` written out: Q(-n) as tate(n) and F as `atom`, k > 1 equal pieces
+    as power % (piece, k), joined by `plus`; "0" when v is zero."""
+    runs = [(tate(n), k) for n, k in v.runs()]
+    if v.f_count:
+        runs.append((atom, v.f_count))
+    return plus.join(name if k == 1 else power % (name, k) for name, k in runs) or "0"
+
+
+def graded(pairs):
+    """Graded entries of (key, MhsVector) pairs: the vectors at one key summed
+    (one new MhsVector for a key with several), zeros dropped, sorted by key."""
+    parts = {}
+    for key, v in pairs:
+        parts.setdefault(key, []).append(v)
+    summed = [(key, vs[0] if len(vs) == 1 else
+               MhsVector(tuple(n for u in vs for n in u.tates), sum(u.f_count for u in vs)))
+              for key, vs in sorted(parts.items())]
+    return tuple(e for e in summed if not e[1].is_zero())
+
+
+def canonical(entries, kind):
+    """`entries` sorted by key with zero vectors dropped; a repeated key, a
+    "degree" or a "position" as `kind` says, is a ValueError."""
+    out = tuple(sorted(e for e in entries if not e[1].is_zero()))
+    if len({key for key, _ in out}) != len(out):
+        raise ValueError("repeated " + kind)
+    return out
+
+
+def entry_at(entries, key):
+    """The vector at `key` of graded `entries`, zero when there is none."""
+    return next((v for k, v in entries if k == key), MhsVector())
+
+
+def entries_to_json(entries, kind):
+    """The JSON "entries" array of graded entries keyed by `kind`."""
+    fields = _KEY_FIELDS[kind]
+    return [dict(zip(fields, key if len(fields) > 1 else (key,)), classes=v.to_classes())
+            for key, v in entries]
+
+
+def entries_from_json(data, path, kind):
+    """The (key, MhsVector) pairs of data["entries"], keyed by `kind`;
+    ValueError naming the field, under `path`."""
+    fields = _KEY_FIELDS[kind]
+    entries = []
+    for i, e in enumerate(json_value(data, "entries", path, list)):
+        where = json_path(path, "entries[%d]" % i)
+        key = tuple(json_value(e, f, where) for f in fields)
+        v = MhsVector.from_classes(json_value(e, "classes", where, list), where + ".classes")
+        entries.append((key if len(fields) > 1 else key[0], v))
+    return entries
 
 
 @dataclass(frozen=True)
@@ -174,25 +227,13 @@ class CohomologyTable:
     entries: tuple = ()  # sorted tuple of (degree, MhsVector), zero entries dropped
 
     def __post_init__(self):
-        cleaned = tuple(sorted((int(d), v) for d, v in self.entries if not v.is_zero()))
-        if len({d for d, _ in cleaned}) != len(cleaned):
-            raise ValueError("repeated degree")
-        object.__setattr__(self, "entries", cleaned)
+        object.__setattr__(self, "entries", canonical(self.entries, "degree"))
 
     def entry(self, degree):
-        for d, v in self.entries:
-            if d == degree:
-                return v
-        return MhsVector.zero()
+        return entry_at(self.entries, degree)
 
     def degrees(self):
         return tuple(d for d, _ in self.entries)
-
-    def add(self, other, label=None):
-        acc = {}
-        for d, v in self.entries + other.entries:
-            acc[d] = acc.get(d, MhsVector.zero()) + v
-        return CohomologyTable(label or self.label, tuple(acc.items()))
 
     def euler_characteristic(self):
         return sum((-1) ** d * v.dimension() for d, v in self.entries)
@@ -201,22 +242,11 @@ class CohomologyTable:
         return tuple(self.entry(d).dimension() for d in range(max_degree + 1))
 
     def to_json_dict(self):
-        return {
-            "label": self.label,
-            "entries": [{"degree": d, "classes": v.to_classes()} for d, v in self.entries],
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return {"label": self.label, "entries": entries_to_json(self.entries, "degree")}
 
     @classmethod
     def from_json_dict(cls, data, path=""):
         """Inverse of `to_json_dict`; ValueError naming the field, under `path`."""
-        entries = []
-        for i, e in enumerate(json_value(data, "entries", path, list)):
-            where = json_path(path, "entries[%d]" % i)
-            entries.append((json_value(e, "degree", where),
-                            MhsVector.from_classes(json_value(e, "classes", where, list),
-                                                   where + ".classes")))
-        return cls(json_value(data, "label", path, str), tuple(entries))
+        entries = entries_from_json(data, path, "degree")
+        return cls(json_value(data, "label", path, str), entries)
 

@@ -7,7 +7,8 @@ inputs give byte-identical output.
 from __future__ import annotations
 
 import json
-from collections import Counter
+
+from .mhs import entries_to_json, spell
 
 FORMATS = ("text", "json", "latex")
 
@@ -21,21 +22,13 @@ def _bad_format(fmt):
 
 
 def mhs_latex(v):
-    if v.is_zero():
-        return "0"
-    parts = []
-    for n, mult in sorted(Counter(v.tates).items()):
-        base = "\\mathbf{Q}" if n == 0 else "\\mathbf{Q}(%d)" % (-n)
-        parts.append(base if mult == 1 else base + "^{\\oplus %d}" % mult)
-    if v.f_count:
-        base = "\\mathrm{F}"
-        parts.append(base if v.f_count == 1 else base + "^{\\oplus %d}" % v.f_count)
-    return " \\oplus ".join(parts)
+    return spell(v, lambda n: "\\mathbf{Q}" if n == 0 else "\\mathbf{Q}(%d)" % (-n),
+                 "\\mathrm{F}", "%s^{\\oplus %d}", " \\oplus ")
 
 
 def render_table(table, fmt="text"):
     if fmt == "json":
-        return table.to_json()
+        return _json(table.to_json_dict())
     if fmt == "text":
         lines = ["table %s" % table.label]
         for d in table.degrees():
@@ -200,8 +193,7 @@ def render_ambiguity(report, fmt="text"):
     if fmt == "json":
         return _json({"label": report.label, "purity": report.purity,
                       "candidates": [
-                          {"entries": [{"p": p, "q": q, "classes": v.to_classes()}
-                                       for (p, q), v in c.entries],
+                          {"entries": entries_to_json(c.entries, "position"),
                            "decisions": _decision_rows(c.decisions)}
                           for c in report.candidates]})
     if fmt in ("text", "latex"):

@@ -17,12 +17,11 @@ The enumeration cap counts the assignments tried at each state of each page.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .mhs import (CohomologyTable, MhsVector, json_path, json_value, remove_weight,
-                  weight_counts)
+from .mhs import (CohomologyTable, MhsVector, canonical, entries_from_json, entries_to_json,
+                  entry_at, graded, json_path, json_value, remove_weight, weight_counts)
 
 
 class NoConsistentAssignment(RuntimeError):
@@ -76,11 +75,7 @@ class SSPage:
     label: str = ""
 
     def __post_init__(self):
-        cleaned = tuple(sorted(((int(p), int(q)), v)
-                               for (p, q), v in self.entries if not v.is_zero()))
-        if len({pq for pq, _ in cleaned}) != len(cleaned):
-            raise ValueError("repeated position")
-        object.__setattr__(self, "entries", cleaned)
+        object.__setattr__(self, "entries", canonical(self.entries, "position"))
         object.__setattr__(self, "knowns", tuple(self.knowns))
 
     @classmethod
@@ -88,10 +83,7 @@ class SSPage:
         return cls(r, tuple(mapping.items()), **kw)
 
     def entry(self, p, q):
-        for pq, v in self.entries:
-            if pq == (p, q):
-                return v
-        return MhsVector.zero()
+        return entry_at(self.entries, (p, q))
 
     def euler_characteristic(self):
         return sum((-1) ** (p + q) * v.dimension() for (p, q), v in self.entries)
@@ -100,29 +92,20 @@ class SSPage:
         return {
             "label": self.label,
             "page": self.r,
-            "entries": [{"p": p, "q": q, "classes": v.to_classes()}
-                        for (p, q), v in self.entries],
+            "entries": entries_to_json(self.entries, "position"),
             "knowns": [{"r": k.r, "p": k.p, "q": k.q, "rank": k.rank,
                         "citation": k.citation} for k in self.knowns],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json_dict(cls, data, abutment_smooth_proper=False, path=""):
         """Inverse of `to_json_dict`; ValueError naming the field, under `path`."""
         if not isinstance(data, dict):
             raise ValueError("%sa page must be a JSON object" % (path + ": " if path else ""))
-        entries = []
-        for i, e in enumerate(json_value(data, "entries", path, list)):
-            where = json_path(path, "entries[%d]" % i)
-            classes = json_value(e, "classes", where, list)
-            entries.append(((json_value(e, "p", where), json_value(e, "q", where)),
-                            MhsVector.from_classes(classes, where + ".classes")))
+        entries = entries_from_json(data, path, "position")
         knowns = [KnownDifferential.from_json_dict(k, json_path(path, "knowns[%d]" % i))
                   for i, k in enumerate(json_value(data, "knowns", path, list, default=[]))]
-        return cls(json_value(data, "page", path, default=1), tuple(entries), tuple(knowns),
+        return cls(json_value(data, "page", path, default=1), entries, tuple(knowns),
                    abutment_smooth_proper, json_value(data, "label", path, str, default=""))
 
 
@@ -270,13 +253,8 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
 
 def abutment(page: SSPage, label=None) -> CohomologyTable:
     """Total cohomology of a degenerate (limit) page: sum along p + q = k."""
-    by_degree = {}
-    for (p, q), v in page.entries:
-        by_degree.setdefault(p + q, []).append(v)
-    return CohomologyTable(label or page.label, tuple(
-        (k, vs[0] if len(vs) == 1 else
-         MhsVector(sum((v.tates for v in vs), ()), sum(v.f_count for v in vs)))
-        for k, vs in by_degree.items()))
+    return CohomologyTable(label or page.label,
+                           graded((p + q, v) for (p, q), v in page.entries))
 
 
 def gysin_split(open_table: CohomologyTable, closed_table: CohomologyTable,
@@ -296,7 +274,8 @@ def gysin_split(open_table: CohomologyTable, closed_table: CohomologyTable,
         if set(c.weights()) & set(o.weights()):
             raise SplitNotJustified(
                 "connecting map into degree %d not forced to vanish" % k)
-    return open_table.add(closed_table, label or open_table.label)
+    return CohomologyTable(label or open_table.label,
+                           graded(open_table.entries + closed_table.entries))
 
 
 def leray_assemble(base_tables, fiber_items, label="", knowns=()) -> SSPage:
@@ -305,10 +284,10 @@ def leray_assemble(base_tables, fiber_items, label="", knowns=()) -> SSPage:
     `fiber_items` lists (fiber degree q, base table tag, Tate twist); each
     contributes base[p] twisted at position (p, q).
     """
-    entries = {}
-    for q, tag, twist in fiber_items:
-        if tag not in base_tables:
-            raise ValueError("fiber item references unknown base table %r" % tag)
-        for p, vec in base_tables[tag].entries:
-            entries[(p, q)] = entries.get((p, q), MhsVector.zero()) + vec.tate_twist(twist)
-    return SSPage(2, tuple(entries.items()), tuple(knowns), label=label)
+    def parts():
+        for q, tag, twist in fiber_items:
+            if tag not in base_tables:
+                raise ValueError("fiber item references unknown base table %r" % tag)
+            for p, vec in base_tables[tag].entries:
+                yield (p, q), vec.tate_twist(twist)
+    return SSPage(2, graded(parts()), tuple(knowns), label=label)

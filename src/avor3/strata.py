@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .equivariant import LinearRep, exterior_invariant_dims, h1_pullback
 from .fan import classify_orbits, stratum_character_lattice
-from .mhs import CohomologyTable, MhsVector
+from .mhs import CohomologyTable, MhsVector, graded
 from .registry import Registry
 from .ssengine import SSPage, abutment, gysin_split, leray_assemble, resolve
 
@@ -93,7 +93,7 @@ def rank_three_locus() -> RankThreeResult:
     carry no cohomology beyond degree zero, so each stratum of complex
     dimension m contributes a single Tate class Q(-m) in degree 2m.
     """
-    entries = {}
+    classes = []
     contributions = []
     for cone_dim in range(3, 7):
         census = classify_orbits(cone_dim)
@@ -109,10 +109,10 @@ def rank_three_locus() -> RankThreeResult:
             if dims != (1,) + (0,) * m:
                 raise InvariantNotConcentrated(
                     "stratum of %s has stabilizer invariants %r" % (cone.name(), dims))
-            entries[2 * m] = entries.get(2 * m, MhsVector.zero()) + MhsVector.tate(m)
+            classes.append((2 * m, MhsVector.tate(m)))
             contributions.append(
                 StratumContribution(cone.name(), cone_dim, m, 2 * m))
-    table = CohomologyTable("beta3", tuple(entries.items()))
+    table = CohomologyTable("beta3", graded(classes))
     return RankThreeResult(table, tuple(contributions))
 
 
@@ -162,12 +162,8 @@ def _tensor_vectors(v: MhsVector, w: MhsVector) -> MhsVector:
 
 
 def tensor_tables(a: CohomologyTable, b: CohomologyTable, label: str) -> CohomologyTable:
-    entries = {}
-    for d1, v in a.entries:
-        for d2, w in b.entries:
-            key = d1 + d2
-            entries[key] = entries.get(key, MhsVector.zero()) + _tensor_vectors(v, w)
-    return CohomologyTable(label, tuple(entries.items()))
+    return CohomologyTable(label, graded((d1 + d2, _tensor_vectors(v, w))
+                                         for d1, v in a.entries for d2, w in b.entries))
 
 
 def rank_two_locus(registry: Registry) -> RankTwoResult:
@@ -222,12 +218,9 @@ def main_first_page(tables: dict, registry: Registry) -> SSPage:
     position (p, d - p).  The abutment is the cohomology of the compact
     space, so purity of the limit is enforced.
     """
-    entries = {}
-    for p, name in enumerate(("beta3", "beta2", "beta1", "a3")):
-        for d, vec in tables[name].entries:
-            pos = (p, d - p)
-            entries[pos] = entries.get(pos, MhsVector.zero()) + vec
-    page = SSPage(1, tuple(entries.items()), (), abutment_smooth_proper=True, label="main")
+    columns = enumerate(("beta3", "beta2", "beta1", "a3"))
+    entries = graded(((p, d - p), vec) for p, name in columns for d, vec in tables[name].entries)
+    page = SSPage(1, entries, (), abutment_smooth_proper=True, label="main")
     expected = registry.pages.get("main_e1_expected")
     if expected is not None and expected.entries != page.entries:
         raise ExpectedPageMismatch(

@@ -197,7 +197,7 @@ def test_equi_invariants_from_rep_file(capsys, tmp_path):
 def main_page_file(tmp_path):
     page = load_registry().page("main_e1_expected")
     path = tmp_path / "page.json"
-    path.write_text(page.to_json())
+    path.write_text(json.dumps(page.to_json_dict()))
     return str(path)
 
 
@@ -217,7 +217,7 @@ def test_ss_resolve_without_purity_is_ambiguous(capsys, main_page_file):
 def test_ss_abutment(capsys, tmp_path):
     page = load_registry().page("kummer_e2_expected")
     path = tmp_path / "kummer.json"
-    path.write_text(page.to_json())
+    path.write_text(json.dumps(page.to_json_dict()))
     code, out, _ = run_cli(capsys, "ss", "abutment", "--input", str(path))
     assert code == 0
     assert "H_c^5  = Q" in out

@@ -141,12 +141,7 @@ def _run(args, out):
             out.write(render.render_stabilizer(stab, lattice, hist, fmt))
         elif args.command == "cusp-rank":
             cone = Cone.from_names(args.cone)
-            rank = cone.cusp_rank()
-            if fmt == "json":
-                out.write(json.dumps({"cone": cone.name(), "cusp_rank": rank},
-                                     indent=2, sort_keys=True) + "\n")
-            else:
-                out.write("cusp rank of %s: %d\n" % (cone.name(), rank))
+            out.write(render.render_cusp_rank(cone.name(), cone.cusp_rank(), fmt))
         elif args.command == "torus-coords":
             out.write(render.render_characters(GENERATOR_NAMES, torus_coordinates(),
                                                COEFF_ORDER, fmt))

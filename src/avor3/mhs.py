@@ -19,6 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import groupby
 
+MAX_CLASSES = 10_000  # classes, counted with multiplicity, in one entries array
 _KEY_FIELDS = {"degree": ("degree",), "position": ("p", "q")}
 
 
@@ -147,21 +148,31 @@ class MhsVector:
     @classmethod
     def from_classes(cls, classes, path="classes"):
         """Inverse of `to_classes`; ValueError (naming `path`) on a malformed class."""
-        tates = []
-        f_count = 0
-        for i, c in enumerate(classes):
-            where = "%s[%d]" % (path, i)
-            mult = json_value(c, "mult", where, minimum=1, default=1)
-            if "atom" in c:
-                if c["atom"] != "F":
-                    raise ValueError("%s: unknown atom %r" % (where, c["atom"]))
-                f_count += mult
-            else:
-                tates.extend([json_value(c, "tate", where, minimum=0)] * mult)
-        return cls(tuple(tates), f_count)
+        return _read_classes(classes, path, 0)[0]
 
     def __str__(self):
         return spell(self, lambda n: "Q" if n == 0 else "Q(%d)" % (-n), "F", "%s^%d", " + ")
+
+
+def _read_classes(classes, path, count):
+    """(MhsVector, count plus its classes) of a JSON class list; ValueError
+    naming `path` on a malformed class, or before a class would take the
+    count past MAX_CLASSES."""
+    tates = []
+    f_count = 0
+    for i, c in enumerate(classes):
+        where = "%s[%d]" % (path, i)
+        mult = json_value(c, "mult", where, minimum=1, default=1)
+        count += mult
+        if count > MAX_CLASSES:
+            raise ValueError("%s: more than %d classes in all entries" % (where, MAX_CLASSES))
+        if "atom" in c:
+            if c["atom"] != "F":
+                raise ValueError("%s: unknown atom %r" % (where, c["atom"]))
+            f_count += mult
+        else:
+            tates.extend([json_value(c, "tate", where, minimum=0)] * mult)
+    return MhsVector(tuple(tates), f_count), count
 
 
 def spell(v, tate, atom, power, plus):
@@ -208,13 +219,16 @@ def entries_to_json(entries, kind):
 
 def entries_from_json(data, path, kind):
     """The (key, MhsVector) pairs of data["entries"], keyed by `kind`;
-    ValueError naming the field, under `path`."""
+    ValueError naming the field, under `path`.  All entries together hold
+    at most MAX_CLASSES classes, counted with multiplicity."""
     fields = _KEY_FIELDS[kind]
     entries = []
+    count = 0
     for i, e in enumerate(json_value(data, "entries", path, list)):
         where = json_path(path, "entries[%d]" % i)
         key = tuple(json_value(e, f, where) for f in fields)
-        v = MhsVector.from_classes(json_value(e, "classes", where, list), where + ".classes")
+        classes = json_value(e, "classes", where, list)
+        v, count = _read_classes(classes, where + ".classes", count)
         entries.append((key if len(fields) > 1 else key[0], v))
     return entries
 

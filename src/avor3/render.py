@@ -81,6 +81,17 @@ def render_census(census, fmt="text"):
     raise _bad_format(fmt)
 
 
+def render_cusp_rank(name, rank, fmt="text"):
+    if fmt == "json":
+        return _json({"cone": name, "cusp_rank": rank})
+    if fmt == "text":
+        return "cusp rank of %s: %d\n" % (name, rank)
+    if fmt == "latex":
+        return ("\\begin{tabular}{lr}\ncone & cusp rank \\\\\n\\hline\n%s & %d \\\\\n"
+                "\\end{tabular}\n" % (name.replace(",", ", "), rank))
+    raise _bad_format(fmt)
+
+
 def render_stabilizer(stab, lattice, histogram, fmt="text"):
     hist_txt = " ".join("%d:%d" % (k, v) for k, v in sorted(histogram.items()))
     if fmt == "json":

@@ -77,6 +77,11 @@ class SSPage:
     def __post_init__(self):
         object.__setattr__(self, "entries", canonical(self.entries, "position"))
         object.__setattr__(self, "knowns", tuple(self.knowns))
+        seen = set()
+        for k in self.knowns:
+            if (k.r, k.p, k.q) in seen:
+                raise ValueError("repeated known differential d_%d at (%d,%d)" % (k.r, k.p, k.q))
+            seen.add((k.r, k.p, k.q))
 
     @classmethod
     def from_dict(cls, r, mapping, **kw):

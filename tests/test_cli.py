@@ -8,6 +8,7 @@ import pytest
 
 from avor3 import cli
 from avor3.equivariant import MAX_DIMENSION
+from avor3.mhs import MAX_CLASSES
 from avor3.registry import load_registry
 from avor3.ssengine import SSPage
 
@@ -81,6 +82,13 @@ def test_fan_cusp_rank(capsys):
     code, out, _ = run_cli(capsys, "fan", "cusp-rank", "--cone", "a1,a2,b3")
     assert code == 0
     assert out == "cusp rank of a1,a2,b3: 2\n"
+
+
+def test_fan_cusp_rank_latex(capsys):
+    code, out, _ = run_cli(capsys, "fan", "cusp-rank", "--cone", "a1,a2,b3", "--format", "latex")
+    assert code == 0
+    assert out == ("\\begin{tabular}{lr}\ncone & cusp rank \\\\\n\\hline\n"
+                   "a1, a2, b3 & 2 \\\\\n\\end{tabular}\n")
 
 
 def test_fan_torus_coords_json(capsys):
@@ -266,6 +274,42 @@ def test_ss_resolve_rejects_malformed_page(capsys, tmp_path, page, message):
     assert err == "error: %s\n" % message and "Traceback" not in err
 
 
+def test_ss_resolve_rejects_repeated_known(capsys, tmp_path):
+    # rank 0 then rank 1 at one d_1, in either order: no order may decide
+    for ranks in ((0, 1), (1, 0)):
+        page = _page(entries=[{"p": 0, "q": 0, "classes": [{"tate": 0}]},
+                              {"p": 1, "q": 0, "classes": [{"tate": 0}]}],
+                     knowns=[{"r": 1, "p": 0, "q": 0, "rank": rank, "citation": "ref"}
+                             for rank in ranks])
+        path = tmp_path / "page.json"
+        path.write_text(json.dumps(page))
+        code, out, err = run_cli(capsys, "ss", "resolve", "--input", str(path))
+        assert (code, out, err) == (1, "", "error: repeated known differential d_1 at (0,0)\n")
+
+
+@pytest.mark.parametrize("classes,where", [
+    ([[{"tate": 0, "mult": MAX_CLASSES + 1}]], "entries[0].classes[0]"),
+    ([[{"tate": 0, "mult": MAX_CLASSES}], [{"atom": "F"}]], "entries[1].classes[0]"),
+], ids=["one-class", "across-entries"])
+def test_ss_abutment_rejects_more_classes_than_the_bound(capsys, tmp_path, classes, where):
+    path = tmp_path / "page.json"
+    path.write_text(json.dumps(_page(entries=[{"p": p, "q": 0, "classes": c}
+                                              for p, c in enumerate(classes)])))
+    code, out, err = run_cli(capsys, "ss", "abutment", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: %s: more than %d classes in all entries\n" % (where, MAX_CLASSES)
+
+
+def test_ss_abutment_accepts_the_class_bound(capsys, tmp_path):
+    path = tmp_path / "page.json"
+    path.write_text(json.dumps(_page(entries=[
+        {"p": 0, "q": 0, "classes": [{"tate": 0, "mult": MAX_CLASSES - 1}]},
+        {"p": 1, "q": 0, "classes": [{"atom": "F"}]}])))
+    code, out, _ = run_cli(capsys, "ss", "abutment", "--input", str(path))
+    assert code == 0
+    assert out == "table bad\n  H_c^0  = Q^%d\n  H_c^1  = F\n" % (MAX_CLASSES - 1)
+
+
 def test_ss_resolve_missing_file(capsys):
     code, _, err = run_cli(capsys, "ss", "resolve", "--input", "/no/such/file.json")
     assert code == 1
@@ -339,8 +383,12 @@ _FIBER = "fibers.kummer_fiber[0]"
      'tables[3].entries[0].classes[0]: "tate" must be at least 0'),
     (_registry(lambda d: d["pages"][1]["entries"][0].update(p=0.5)),
      'pages[1].entries[0]: "p" must be an integer'),
+    (_registry(lambda d: d["tables"][3]["entries"][0]["classes"][0].update(
+        mult=MAX_CLASSES + 1)),
+     'tables[3].entries[0].classes[0]: more than %d classes in all entries' % MAX_CLASSES),
 ], ids=["list-file", "fibers-list", "string-known", "short-fiber-item", "missing-citation",
-        "bool-rank", "float-twist", "number-citation", "negative-table-tate", "float-page-p"])
+        "bool-rank", "float-twist", "number-citation", "negative-table-tate", "float-page-p",
+        "huge-table-mult"])
 def test_betti_rejects_malformed_registry(capsys, tmp_path, registry, message):
     path = tmp_path / "registry.json"
     path.write_text(json.dumps(registry))

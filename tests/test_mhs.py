@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from avor3.mhs import (CohomologyTable, MhsVector, UnsupportedTwist, graded, remove_weight,
-                       weight_counts)
+from avor3.mhs import (MAX_CLASSES, CohomologyTable, MhsVector, UnsupportedTwist, graded,
+                       remove_weight, weight_counts)
 
 T = MhsVector.tate
 F = MhsVector(f_count=1)
@@ -98,3 +98,22 @@ def test_table_json_roundtrip_is_canonical():
     assert again == t
     assert text == json.dumps(again.to_json_dict(), sort_keys=True)
 
+
+
+def test_graded_sums_each_key_once_and_drops_zeros():
+    v = T(1) + F
+    out = graded([(2, T(1)), (0, v), (2, T(0)), (1, MhsVector()), (3, F), (3, MhsVector())])
+    assert out == ((0, v), (2, T(0) + T(1)), (3, F))
+    assert out[0][1] is v  # a key with one part keeps its vector
+
+
+def test_entries_hold_at_most_max_classes():
+    data = {"label": "x", "entries": [{"degree": 0, "classes": [{"tate": 0,
+                                                                  "mult": MAX_CLASSES}]}]}
+    assert CohomologyTable.from_json_dict(data).entry(0).dimension() == MAX_CLASSES
+    data["entries"].append({"degree": 1, "classes": [{"atom": "F"}]})
+    with pytest.raises(ValueError, match=r"^tables\[2\]\.entries\[1\]\.classes\[0\]: "
+                                         "more than 10000 classes in all entries$"):
+        CohomologyTable.from_json_dict(data, "tables[2]")
+    with pytest.raises(ValueError, match=r"^classes\[0\]: more than 10000"):
+        MhsVector.from_classes([{"tate": 1, "mult": MAX_CLASSES + 1}])

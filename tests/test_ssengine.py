@@ -29,6 +29,26 @@ def test_page_normalization_and_json_roundtrip():
         SSPage(1, (((0, 0), T(0)), ((0, 0), T(1))))
 
 
+def test_repeated_known_differential_is_rejected():
+    # of two knowns at one differential, the later one used to decide the rank
+    entries = {(0, 0): T(0), (1, 0): T(0)}
+    for ranks in ((0, 1), (1, 0)):
+        knowns = tuple(KnownDifferential(1, 0, 0, rank, "ref %d" % rank) for rank in ranks)
+        with pytest.raises(ValueError, match=r"^repeated known differential d_1 at \(0,0\)$"):
+            SSPage.from_dict(1, entries, knowns=knowns)
+
+
+@given(st.lists(st.tuples(st.integers(1, 2), st.integers(0, 1), st.integers(0, 1),
+                          st.integers(0, 1)), max_size=4))
+def test_a_page_takes_at_most_one_known_per_differential(knowns):
+    ks = tuple(KnownDifferential(r, p, q, rank, "ref") for r, p, q, rank in knowns)
+    if len({k[:3] for k in knowns}) < len(knowns):
+        with pytest.raises(ValueError, match="repeated known differential"):
+            SSPage(1, (), ks)
+    else:
+        assert SSPage(1, (), ks).knowns == ks
+
+
 def test_known_differential_validation():
     with pytest.raises(ValueError):
         KnownDifferential(2, 0, 0, -1, "x")
@@ -190,6 +210,11 @@ _ENTRIES = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _CLA
                            max_size=5)
 
 
+# (r, p, q, rank); a page holds at most one known differential per (r, p, q)
+_KNOWNS = st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3),
+                             st.integers(0, 2)), max_size=2, unique_by=lambda k: k[:3])
+
+
 def _page_json(entries, label="random"):
     return {"label": label, "page": 1, "knowns": [],
             "entries": [{"p": p, "q": q, "classes": c} for (p, q), c in entries]}
@@ -237,8 +262,7 @@ def test_purity_on_limits_are_purity_off_limits(entries):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_ENTRIES, st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3),
-                                    st.integers(0, 2)), max_size=2))
+@given(_ENTRIES, _KNOWNS)
 def test_pages_survive_a_json_round_trip(entries, knowns):
     page = SSPage.from_dict(
         1, {pq: MhsVector.from_classes(c) for pq, c in entries.items()},
@@ -375,10 +399,6 @@ def _outcome(page, cap=10 ** 6):
         return exc.report, None
     except (NoConsistentAssignment, EnumerationCapExceeded) as exc:
         return None, type(exc)
-
-
-_KNOWNS = st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3),
-                             st.integers(0, 2)), max_size=2)
 
 
 @settings(max_examples=300, deadline=None)

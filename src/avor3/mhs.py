@@ -109,10 +109,6 @@ class MhsVector:
             raise ValueError("negative multiplicity")
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def tate(cls, n, mult=1):
         return cls(tates=(n,) * mult)
 

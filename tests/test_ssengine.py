@@ -17,7 +17,7 @@ T = MhsVector.tate
 
 
 def test_page_normalization_and_json_roundtrip():
-    page = SSPage.from_dict(2, {(1, 0): T(1), (0, 0): MhsVector.zero()},
+    page = SSPage.from_dict(2, {(1, 0): T(1), (0, 0): MhsVector()},
                             knowns=(KnownDifferential(2, 1, 0, 0, "somewhere"),),
                             label="p")
     assert [pq for pq, _ in page.entries] == [(1, 0)]
@@ -305,7 +305,7 @@ def _weight_overlap_candidates(entries, r):
 def _apply_removals(entries, removals):
     out = dict(entries)
     for pq, cnt in removals.items():
-        vec = out.get(pq, MhsVector.zero())
+        vec = out.get(pq, MhsVector())
         for w, k in cnt.items():
             for _ in range(k):
                 try:

@@ -3,7 +3,8 @@
 Every command runs in-process through `cli.main`.  Page files are written
 from the raw dicts of the packaged `paper_data.json`, so no library writer
 sits between the registry and the command under test.  An argv word of the
-form "{label}" stands for the file of the registry page `label`.
+form "{name}" stands for an input file the test writes: the registry page
+`name`, a representation in REPS, or BAD_REGISTRY.
 
 After an intended change of output, rewrite the stored file with
 
@@ -26,6 +27,15 @@ FORMATS = ("text", "json", "latex")
 PAGES = ("kummer_e2_expected", "cstar_bundle_e2", "main_e1_expected")
 CUSP_RANK_THREE = ("a1,a2,a3", "a1,a2,a3,b1", "a1,a2,b1,b2", "a1,a2,a3,b1,b2",
                    "a1,a2,a3,b1,b2,b3")
+# the symmetric group S3 permuting three coordinates, plain and sign-twisted
+S3 = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]]
+REPS = {"swap": {"dimension": 2, "generators": [[[0, 1], [1, 0]]]},
+        "swap_signed": {"dimension": 2, "generators": [[[0, 1], [1, 0]]], "signs": [-1]},
+        "s3": {"dimension": 3, "generators": S3},
+        "s3_signed": {"dimension": 3, "generators": S3, "signs": [-1, 1]}}
+# the packaged registry with one extra entry on the stored page
+# kummer_e2_expected: seven checks fail with a detail that names no file
+BAD_REGISTRY = "bad_registry"
 
 
 def golden_commands():
@@ -45,19 +55,35 @@ def golden_commands():
     for fmt in ("text", "json"):
         cmds.extend(["equi", "invariants", "--cone", c, "--format", fmt]
                     for c in CUSP_RANK_THREE)
+    for fmt in FORMATS:
+        cmds.extend(["fan", "faces", "--dim", str(d), "--format", fmt] for d in range(7))
+        cmds.extend(["fan", "stabilizer", "--cone", c, "--format", fmt]
+                    for c in CUSP_RANK_THREE + ("a1,a2,b3",))
+        cmds.append(["fan", "torus-coords", "--format", fmt])
+        cmds.extend(["equi", "invariants", "--rep", "{%s}" % r, "--format", fmt]
+                    for r in REPS)
+        cmds.append(["verify", "all", "--registry", "{%s}" % BAD_REGISTRY, "--format", fmt])
+    cmds.extend(["equi", "invariants", "--cone", c, "--format", "latex"]
+                for c in CUSP_RANK_THREE)
     return cmds
 
 
-def write_pages(directory):
-    """{"{label}": path} for each registry page, written from the raw JSON."""
+def write_inputs(directory):
+    """{"{name}": path} for each registry page, representation and the bad
+    registry, written from raw JSON."""
     text = resources.files("avor3").joinpath("data/paper_data.json").read_text("utf-8")
-    raw = {p["label"]: p for p in json.loads(text)["pages"]}
+    docs = dict(REPS)
+    docs.update((p["label"], p) for p in json.loads(text)["pages"] if p["label"] in PAGES)
+    bad = json.loads(text)
+    page = next(p for p in bad["pages"] if p["label"] == "kummer_e2_expected")
+    page["entries"].append({"p": 9, "q": 9, "classes": [{"tate": 1}]})
+    docs[BAD_REGISTRY] = bad
     paths = {}
-    for label in PAGES:
-        path = os.path.join(directory, label + ".json")
+    for name, doc in docs.items():
+        path = os.path.join(directory, name + ".json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(raw[label], fh)
-        paths["{%s}" % label] = path
+            json.dump(doc, fh)
+        paths["{%s}" % name] = path
     return paths
 
 
@@ -79,7 +105,7 @@ def test_golden_file_pins_every_command():
 
 
 def test_stdout_matches_golden(tmp_path):
-    paths = write_pages(str(tmp_path))
+    paths = write_inputs(str(tmp_path))
     differ = [" ".join(g["argv"]) for g in _stored() if run(g["argv"], paths) != g]
     assert differ == []
 
@@ -87,7 +113,7 @@ def test_stdout_matches_golden(tmp_path):
 if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
-        paths = write_pages(tmp)
+        paths = write_inputs(tmp)
         with contextlib.redirect_stderr(io.StringIO()):
             records = [run(argv, paths) for argv in golden_commands()]
     with open(GOLDEN, "w", encoding="utf-8") as fh:

@@ -125,7 +125,7 @@ def _load_page(path, purity=False):
 
 
 def _run(args, out):
-    fmt = getattr(args, "format", "text")
+    fmt = args.format
 
     if args.group == "fan":
         if args.command == "faces":

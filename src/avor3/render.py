@@ -14,6 +14,11 @@ from .mhs import entries_to_json, spell
 
 FORMATS = ("text", "json", "latex")
 
+# LaTeX's special characters, for cells that hold plain text
+_TEX_ESCAPES = str.maketrans({c: "\\" + c for c in "&%$#_{}"}
+                             | {"\\": "\\textbackslash{}", "~": "\\textasciitilde{}",
+                                "^": "\\textasciicircum{}"})
+
 
 def _emit(fmt, data, text_lines, spec=None, header=None, rows=()):
     """`data` as JSON, `text_lines` as text, or a LaTeX tabular with column
@@ -164,5 +169,6 @@ def render_verification(results, fmt="text"):
                   for n, ok, detail in results]
                  + ["%d/%d checks passed" % (passed, len(results))],
                  "lll", ("check", "status", "detail"),
-                 [(n.replace("_", "\\_"), "pass" if ok else "fail", detail)
+                 [(n.translate(_TEX_ESCAPES), "pass" if ok else "fail",
+                   detail.translate(_TEX_ESCAPES))
                   for n, ok, detail in results])

@@ -457,3 +457,16 @@ def test_cli_import_does_not_load(module):
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout == "False\n"
+
+
+def test_verify_all_latex_escapes_a_failing_detail(capsys, tmp_path, monkeypatch):
+    # the registry's name and the table label carry "_", special in LaTeX text
+    monkeypatch.chdir(tmp_path)
+    registry = _registry(
+        lambda d: d.update(tables=[t for t in d["tables"] if t["label"] != "a3_open"]))
+    (tmp_path / "bad_reg.json").write_text(json.dumps(registry))
+    code, out, _ = run_cli(capsys, "verify", "all", "--registry", "bad_reg.json",
+                           "--format", "latex")
+    assert code == 1
+    assert out.splitlines()[3] == ("betti\\_vector & fail & raised ValueError: registry "
+                                   "'bad\\_reg.json' has no table 'a3\\_open' \\\\")

@@ -16,6 +16,7 @@ only this module builds, sums, looks up, reads and writes them.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -71,6 +72,18 @@ _KIND_NAMES = {int: "an integer", list: "a list", str: "a string", dict: "an obj
 def json_path(path, field):
     """`field` under the document position `path` ("" for the top level)."""
     return path + "." + field if path else field
+
+
+@contextmanager
+def located(path):
+    """Put `path`, a document position, in front of a ValueError raised in
+    the block; the top level ("") adds nothing."""
+    try:
+        yield
+    except ValueError as exc:
+        if not path:
+            raise
+        raise ValueError("%s: %s" % (path, exc)) from None
 
 
 def json_value(obj, key, path, kind=int, minimum=None, default=None):
@@ -194,10 +207,11 @@ def graded(pairs):
 
 def canonical(entries, kind):
     """`entries` sorted by key with zero vectors dropped; a repeated key, a
-    "degree" or a "position" as `kind` says, is a ValueError."""
+    "degree" or a "position" as `kind` says, is a ValueError naming it."""
     out = tuple(sorted(e for e in entries if not e[1].is_zero()))
-    if len({key for key, _ in out}) != len(out):
-        raise ValueError("repeated " + kind)
+    for (key, _), (again, _) in zip(out, out[1:]):
+        if key == again:
+            raise ValueError("repeated %s %s" % (kind, str(key).replace(" ", "")))
     return out
 
 
@@ -258,5 +272,7 @@ class CohomologyTable:
     def from_json_dict(cls, data, path=""):
         """Inverse of `to_json_dict`; ValueError naming the field, under `path`."""
         entries = entries_from_json(data, path, "degree")
-        return cls(json_value(data, "label", path, str), entries)
+        label = json_value(data, "label", path, str)
+        with located(path):
+            return cls(label, entries)
 

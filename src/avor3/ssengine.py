@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .mhs import (CohomologyTable, MhsVector, canonical, entries_from_json, entries_to_json,
-                  entry_at, graded, json_path, json_value, remove_weight, weight_counts)
+                  entry_at, graded, json_path, json_value, located, remove_weight,
+                  weight_counts)
 
 
 class NoConsistentAssignment(RuntimeError):
@@ -110,8 +111,10 @@ class SSPage:
         entries = entries_from_json(data, path, "position")
         knowns = [KnownDifferential.from_json_dict(k, json_path(path, "knowns[%d]" % i))
                   for i, k in enumerate(json_value(data, "knowns", path, list, default=[]))]
-        return cls(json_value(data, "page", path, default=1), entries, tuple(knowns),
-                   abutment_smooth_proper, json_value(data, "label", path, str, default=""))
+        r = json_value(data, "page", path, default=1)
+        label = json_value(data, "label", path, str, default="")
+        with located(path):
+            return cls(r, entries, tuple(knowns), abutment_smooth_proper, label)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import pytest
 from avor3 import cli
 from avor3.equivariant import MAX_DIMENSION
 from avor3.mhs import MAX_CLASSES
-from avor3.registry import load_registry
+from avor3.registry import load_registry, parse_registry
 from avor3.ssengine import SSPage
 
 
@@ -287,6 +287,15 @@ def test_ss_resolve_rejects_repeated_known(capsys, tmp_path):
         assert (code, out, err) == (1, "", "error: repeated known differential d_1 at (0,0)\n")
 
 
+def test_ss_resolve_names_a_repeated_position(capsys, tmp_path):
+    page = _page()
+    page["entries"].append({"p": 0, "q": 0, "classes": [{"tate": 1}]})
+    path = tmp_path / "page.json"
+    path.write_text(json.dumps(page))
+    code, out, err = run_cli(capsys, "ss", "resolve", "--input", str(path))
+    assert (code, out, err) == (1, "", "error: repeated position (0,0)\n")
+
+
 @pytest.mark.parametrize("classes,where", [
     ([[{"tate": 0, "mult": MAX_CLASSES + 1}]], "entries[0].classes[0]"),
     ([[{"tate": 0, "mult": MAX_CLASSES}], [{"atom": "F"}]], "entries[1].classes[0]"),
@@ -396,6 +405,21 @@ def test_betti_rejects_malformed_registry(capsys, tmp_path, registry, message):
     assert code == 1
     assert out == ""
     assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d["pages"][1]["entries"].append(dict(d["pages"][1]["entries"][0])),
+     "pages[1]: repeated position (2,2)"),
+    (lambda d: d["tables"][3]["entries"].append({"degree": 4, "classes": [{"tate": 1}]}),
+     "tables[3]: repeated degree 4"),
+    (lambda d: d["pages"][2].update(knowns=[{"r": 1, "p": 0, "q": 0, "rank": r,
+                                             "citation": "ref"} for r in (0, 1)]),
+     "pages[2]: repeated known differential d_1 at (0,0)"),
+], ids=["page-position", "table-degree", "page-known"])
+def test_parse_registry_names_the_document_of_a_repeated_key(edit, message):
+    with pytest.raises(ValueError) as exc:
+        parse_registry(_registry(edit))
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("edit,missing", [

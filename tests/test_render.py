@@ -2,7 +2,8 @@ import pytest
 
 from avor3 import render
 from avor3.equivariant import order_histogram
-from avor3.fan import Cone, classify_orbits, stabilizer, stratum_character_lattice, torus_coordinates
+from avor3.fan import (Cone, classify_orbits, stabilizer, stratum_character_lattice,
+                       torus_coordinates)
 from avor3.forms import COEFF_ORDER, GENERATOR_NAMES
 from avor3.mhs import CohomologyTable, MhsVector
 from avor3.registry import load_registry
@@ -39,8 +40,6 @@ def test_every_renderer_rejects_an_unknown_format():
     args = _arguments()
     assert set(args) == {n for n in dir(render) if n.startswith("render_")}
     for name, a in sorted(args.items()):
-        for fmt in render.FORMATS:
-            assert getattr(render, name)(*a, fmt).endswith("\n")
         with pytest.raises(ValueError) as exc:
             getattr(render, name)(*a, "html")
         assert str(exc.value) == "unknown format 'html'; expected one of text, json, latex", name

@@ -1,4 +1,5 @@
-"""Golden stdout: the exit code and the sha256 of stdout of pinned commands.
+"""Golden output: the exit code, the sha256 of stdout and the stderr text of
+pinned commands.
 
 Every command runs in-process through `cli.main`.  Page files are written
 from the raw dicts of the packaged `paper_data.json`, so no library writer
@@ -29,10 +30,15 @@ CUSP_RANK_THREE = ("a1,a2,a3", "a1,a2,a3,b1", "a1,a2,b1,b2", "a1,a2,a3,b1,b2",
                    "a1,a2,a3,b1,b2,b3")
 # the symmetric group S3 permuting three coordinates, plain and sign-twisted
 S3 = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]]
+# the same generators conjugated, u g u^-1 with u = [[1,2,1],[1,3,2],[0,1,2]]
+S3_DENSE = [[[7, -5, 2], [12, -9, 4], [6, -5, 3]], [[4, -3, 2], [9, -7, 4], [9, -7, 3]]]
 REPS = {"swap": {"dimension": 2, "generators": [[[0, 1], [1, 0]]]},
         "swap_signed": {"dimension": 2, "generators": [[[0, 1], [1, 0]]], "signs": [-1]},
         "s3": {"dimension": 3, "generators": S3},
-        "s3_signed": {"dimension": 3, "generators": S3, "signs": [-1, 1]}}
+        "s3_signed": {"dimension": 3, "generators": S3, "signs": [-1, 1]},
+        "s3_dense": {"dimension": 3, "generators": S3_DENSE},
+        # of infinite order: the closure stops at its element cap
+        "shear": {"dimension": 2, "generators": [[[1, 1], [0, 1]]]}}
 # the packaged registry with one extra entry on the stored page
 # kummer_e2_expected: seven checks fail with a detail that names no file
 BAD_REGISTRY = "bad_registry"
@@ -88,11 +94,12 @@ def write_inputs(directory):
 
 
 def run(argv, paths):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([paths.get(a, a) for a in argv])
     return {"argv": argv, "exit": code,
-            "sha256": hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()}
+            "sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
+            "stderr": err.getvalue()}
 
 
 def _stored():
@@ -114,8 +121,7 @@ if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_inputs(tmp)
-        with contextlib.redirect_stderr(io.StringIO()):
-            records = [run(argv, paths) for argv in golden_commands()]
+        records = [run(argv, paths) for argv in golden_commands()]
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         fh.write("[\n%s\n]\n" % ",\n".join(json.dumps(r) for r in records))
     sys.stderr.write("wrote %d commands to %s\n" % (len(records), GOLDEN))

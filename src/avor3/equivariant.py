@@ -3,8 +3,9 @@
 Every group here acts on an integral lattice, so matrices are tuples of
 int tuples and all arithmetic stays in the integers.  Invariant dimensions
 of wedge powers are computed two independent ways.  The production route is
-a Molien-style sum of the coefficients of det(I + t g) over the closed
-group (Newton's identities on power traces), divided by the group order
+a Molien-style sum of the coefficients of det(I + t g) over the group,
+closed on the orbits of the basis vectors so that a product is n index
+lookups (Newton's identities on power traces), divided by the group order
 once.  The oracle that cross-checks it never closes the group: a vector is
 fixed by the group exactly when each generator fixes it, so the invariants
 of each wedge power are the kernel of the generators' induced matrices
@@ -12,10 +13,10 @@ minus the identity, stacked, and their dimension is one exact rank.  All
 wedge powers of a generator come from one Laplace sweep over its minors
 (`linalg.exterior_powers`), so the two routes share no step.
 
-Only the closure, and so only the Molien route, detects an infinite group
-(NotClosedWithinCap) or a sign character that is not well-defined on the
-group (ValueError); every cross-check runs Molien, so it validates the
-input for both.
+Only `_closure`, and so only `group_closure` and the Molien route, detects
+an infinite group (NotClosedWithinCap) or a sign character that is not
+well-defined on the group (ValueError); every cross-check runs Molien, so
+it validates the input for both.
 """
 
 from __future__ import annotations
@@ -23,14 +24,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from operator import mul
+from operator import getitem, mul
 
 from . import linalg
 
 
 CAP = 10000  # bound on group orders and element orders
 # largest dimension the oracle and `equi invariants --rep` accept; the
-# Molien route's power traces cost about n^4 in the dimension n
+# oracle's k-th wedge powers have C(n, k)^2 entries
 MAX_DIMENSION = 6
 
 
@@ -82,34 +83,51 @@ class LinearRep:
             object.__setattr__(self, "signs", signs)
 
 
-def group_closure(rep: LinearRep):
-    """All elements of the generated group as (matrix, character value) pairs.
+def _closure(rep: LinearRep):
+    """(orbit O of e_1 .. e_n, generators as maps of O-indices, elements).
 
-    Breadth-first products of generators, each element carrying its
-    character value; raises NotClosedWithinCap once more than CAP distinct
-    elements appear, and ValueError if the declared sign character is not
-    constant on each element.  Each generator's columns are taken once, and
-    each product is looked up once.
+    An element x, the tuple of O-indices of its columns, maps to (chi(x), k,
+    parent) with x = g_k parent.  NotClosedWithinCap past CAP elements or
+    n CAP orbit vectors (then an orbit exceeds CAP); ValueError if chi is
+    ill-defined.
     """
-    ident = _freeze(linalg.identity(rep.dimension))
+    n = rep.dimension
     signs = rep.signs or tuple(1 for _ in rep.generators)
-    gens = [(tuple(zip(*g)), s) for g, s in zip(rep.generators, signs)]
-    chi = {ident: 1}
-    frontier = [(ident, 1)]
-    while frontier:
-        nxt = []
-        for m, val in frontier:
-            for cols, s in gens:
-                prod = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in m)
-                v, size = val * s, len(chi)
-                if chi.setdefault(prod, v) != v:
-                    raise ValueError("sign character is not well-defined on the group")
-                if len(chi) > size:
-                    nxt.append((prod, v))
-                    if len(chi) > CAP:
-                        raise NotClosedWithinCap("more than %d elements generated" % CAP)
-        frontier = nxt
-    return sorted(chi.items())
+    orbit = [tuple(row) for row in linalg.identity(n)]
+    index = {v: i for i, v in enumerate(orbit)}
+    acts = [[] for _ in rep.generators]
+    for v in orbit:  # the list grows while it is walked
+        for g, act in zip(rep.generators, acts):
+            w = tuple([sum(map(mul, row, v)) for row in g])
+            i = index.get(w)
+            if i is None:
+                i = index[w] = len(orbit)
+                orbit.append(w)
+                if i >= n * CAP:
+                    raise NotClosedWithinCap("more than %d elements generated" % CAP)
+            act.append(i)
+    ident = tuple(range(n))
+    elements, queue = {ident: (1, None, None)}, [ident]
+    for m in queue:  # breadth first: the queue grows while it is walked
+        val = elements[m][0]
+        for k, (act, s) in enumerate(zip(acts, signs)):
+            prod = tuple(map(act.__getitem__, m))
+            known = elements.get(prod)
+            if known is None:
+                elements[prod] = (val * s, k, m)
+                queue.append(prod)
+                if len(elements) > CAP:
+                    raise NotClosedWithinCap("more than %d elements generated" % CAP)
+            elif known[0] != val * s:
+                raise ValueError("sign character is not well-defined on the group")
+    return orbit, acts, elements
+
+
+def group_closure(rep: LinearRep):
+    """All elements of the generated group as sorted (matrix, character value) pairs."""
+    orbit, _, elements = _closure(rep)
+    return sorted((tuple(zip(*map(orbit.__getitem__, m))), v)
+                  for m, (v, _, _) in elements.items())
 
 
 def element_order(m):
@@ -134,24 +152,36 @@ def order_histogram(mats):
 def exterior_invariant_dims(rep: LinearRep):
     """(dim (Lambda^k V)^G)_{k=0..n} via the group average of det(I + t g).
 
+    Newton's identities give them from the traces of x^j, whose columns are
+    those of x^(j-1) through x's generator word, once per set of traces.
     The coefficients are summed over the group in integers and divided by
     |G| once.  With a sign character the result is the dimension of the
     isotypic part for that character in each wedge power.
     """
-    group = group_closure(rep)
+    orbit, acts, elements = _closure(rep)
     n = rep.dimension
+    weights = Counter()  # power traces -> signed count of elements with them
+    for m, (s, k, parent) in elements.items():
+        word = []  # x = g_k g_k' ..., so g_k acts last
+        while k is not None:
+            word.append(acts[k].__getitem__)
+            _, k, parent = elements[parent]
+        powers = [m]
+        for _ in range(n - 1):
+            cols = powers[-1]
+            for act in reversed(word):
+                cols = tuple(map(act, cols))
+            powers.append(cols)
+        weights[tuple(sum(map(getitem, map(orbit.__getitem__, cols), range(n)))
+                      for cols in powers[:n])] += s
     total = [0] * (n + 1)
-    for mat, s in group:
-        coeffs = linalg.char_poly_elementary(mat)
-        for k in range(n + 1):
-            total[k] += s * coeffs[k]
-    out = []
-    for t in total:
-        val, rem = divmod(t, len(group))
-        if rem or val < 0:
-            raise AssertionError("group average is not a nonnegative integer")
-        out.append(val)
-    return tuple(out)
+    for traces, count in weights.items():
+        for j, e in enumerate(linalg.elementary_from_power_sums(traces)):
+            total[j] += count * e
+    out = [divmod(t, len(elements)) for t in total]
+    if any(rem or val < 0 for val, rem in out):
+        raise AssertionError("group average is not a nonnegative integer")
+    return tuple(val for val, _ in out)
 
 
 def fixed_subspace_dims_bruteforce(rep: LinearRep):
@@ -164,8 +194,8 @@ def fixed_subspace_dims_bruteforce(rep: LinearRep):
     powers are formed, all of one generator in one Laplace sweep, and the
     group is never closed, so this shares no step with the Molien route.
     For that reason it does not itself detect an infinite group
-    (NotClosedWithinCap) or an ill-defined sign character; only
-    group_closure does, which the Molien route runs on every cross-check.
+    (NotClosedWithinCap) or an ill-defined sign character; only _closure
+    does, which the Molien route runs on every cross-check.
     Restricted to dimension <= MAX_DIMENSION.
     """
     if rep.dimension > MAX_DIMENSION:

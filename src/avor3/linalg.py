@@ -175,34 +175,14 @@ def adjugate(a):
              for i in range(n)] for j in range(n)]
 
 
-def traces_of_powers(a, kmax):
-    """[tr(a^1), ..., tr(a^kmax)] exactly.
+def elementary_from_power_sums(p):
+    """(e_0, ..., e_n) from power sums (p_1, ..., p_n) by Newton's identities.
 
-    Only a^1 .. a^h with h = ceil(kmax / 2) are formed.  Each higher trace is
-    tr(a^h a^j) for some j <= h, the entrywise product of a^h with the
-    transpose of a^j summed: n^2 multiplications instead of a product.
+    With p_k = tr(a^k) for an integer matrix a, e_k is the t^k coefficient of
+    det(I + t a) and k divides sum_i (-1)^(i-1) e_(k-i) p_i; that is checked.
     """
-    h = (kmax + 1) // 2
-    powers = [a]
-    while len(powers) < h:
-        powers.append(mat_mul(powers[-1], a))
-    out = [sum(p[i][i] for i in range(len(a))) for p in powers[:h]]
-    for p in powers[:kmax - h]:
-        out.append(sum(sum(map(mul, row, col)) for row, col in zip(powers[-1], zip(*p))))
-    return out
-
-
-def char_poly_elementary(a):
-    """Coefficients (e_0, ..., e_n) of det(I + t a) = sum e_k t^k.
-
-    Newton's identities turn the power-sum traces into elementary symmetric
-    functions of the eigenvalues: k e_k = sum_i (-1)^(i-1) e_(k-i) p_i.  For
-    an integer matrix the right side is divisible by k; that is checked.
-    """
-    n = len(a)
-    p = traces_of_powers(a, n) if n else []
     e = [1]
-    for k in range(1, n + 1):
+    for k in range(1, len(p) + 1):
         s = sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1))
         if s % k:
             raise AssertionError("Newton identity sum is not divisible by %d" % k)

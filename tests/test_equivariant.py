@@ -98,6 +98,36 @@ def _projector_sum_dims(rep):
     return tuple(linalg.rank(acc) for acc in sums)
 
 
+def _reference_molien(rep):
+    """Molien by matrix arithmetic on the closure above.
+
+    For each element g, tr(g^j) comes from matrix powers, only up to
+    h = ceil(n / 2) of them, the higher traces as tr(g^h g^j); Newton's
+    identities turn them into the coefficients of det(I + t g), which are
+    summed with the character and divided by the group order.
+    """
+    n = rep.dimension
+    group = _closure(rep.generators, rep.signs or (1,) * len(rep.generators), 10 ** 4)
+    total = [0] * (n + 1)
+    for mat, s in group.items():
+        h = (n + 1) // 2
+        powers = [mat]
+        while len(powers) < h:
+            powers.append(linalg.mat_mul(powers[-1], mat))
+        p = [sum(q[i][i] for i in range(n)) for q in powers]
+        p += [sum(powers[-1][i][k] * q[k][i] for i in range(n) for k in range(n))
+              for q in powers[:n - h]]
+        e = [1]
+        for k in range(1, n + 1):
+            t = sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1))
+            assert t % k == 0
+            e.append(t // k)
+        for k in range(n + 1):
+            total[k] += s * e[k]
+    assert all(t % len(group) == 0 for t in total)
+    return tuple(t // len(group) for t in total)
+
+
 def _parity(perm):
     return (-1) ** sum(perm[i] > perm[j] for i in range(len(perm))
                        for j in range(i + 1, len(perm)))
@@ -212,3 +242,48 @@ def test_h1_pullback_shape_and_contravariance():
 def test_molien_rejects_nothing_on_identity_signs():
     rep = LinearRep(2, (SWAP2,), signs=(1,))
     assert exterior_invariant_dims(rep) == exterior_invariant_dims(LinearRep(2, (SWAP2,)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(conjugated_signed_permutation_groups(max_dim=6, max_order=96))
+def test_orbit_molien_matches_matrix_molien(reps):
+    for rep in reps:
+        assert exterior_invariant_dims(rep) == _reference_molien(rep)
+
+
+def _signed_permutation_generators(n):
+    """A transposition, an n-cycle and one sign change: they generate B_n."""
+    swap = [[1 if j == (1, 0, *range(2, n))[i] else 0 for j in range(n)] for i in range(n)]
+    cycle = [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
+    flip = [[(-1 if i == 0 else 1) if i == j else 0 for j in range(n)] for i in range(n)]
+    return [swap, cycle, flip]
+
+
+def test_element_cap_with_small_orbits():
+    # B6 has 46080 elements, but its orbits hold only the 12 vectors +-e_i
+    with pytest.raises(NotClosedWithinCap, match="more than 10000 elements"):
+        group_closure(LinearRep(6, _signed_permutation_generators(6)))
+
+
+def test_dimension_zero():
+    rep = LinearRep(0, ())
+    assert group_closure(rep) == [((), 1)]
+    assert exterior_invariant_dims(rep) == (1,)
+
+
+def test_generator_listed_twice_with_both_signs():
+    with pytest.raises(ValueError, match="sign character"):
+        group_closure(LinearRep(2, (SWAP2, SWAP2), signs=(1, -1)))
+
+
+def test_large_groups_molien_matches_oracle():
+    b5 = LinearRep(5, _signed_permutation_generators(5))
+    # S7 on the A6 root lattice: the simple reflections a_j -> a_j - C_ij a_i,
+    # C the Cartan matrix, in the basis of simple roots
+    cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(6)]
+              for i in range(6)]
+    s7 = LinearRep(6, [[[(r == j) - (r == i) * cartan[i][j] for j in range(6)]
+                        for r in range(6)] for i in range(6)])
+    for rep, order in ((b5, 3840), (s7, 5040)):
+        assert len(group_closure(rep)) == order
+        assert exterior_invariant_dims(rep) == fixed_subspace_dims_bruteforce(rep)

@@ -156,29 +156,27 @@ def principal_minor_sum(a, k):
     return total
 
 
-def test_char_poly_elementary_matches_principal_minors():
-    # coefficient of t^k in det(I + t a) is the sum of k x k principal minors
+def test_elementary_from_power_sums_matches_principal_minors():
+    # coefficient of t^k in det(I + t a) is the sum of k x k principal minors;
+    # the power sums tr(a^j) come from repeated products
     rng = random.Random(19)
     for _ in range(30):
-        n = rng.randint(1, 4)
+        n = rng.randint(0, 4)
         a = random_matrix(rng, n, -3, 3)
-        coeffs = linalg.char_poly_elementary(a)
+        traces, p = [], a
+        for _ in range(n):
+            traces.append(sum(p[i][i] for i in range(n)))
+            p = linalg.mat_mul(p, a)
+        coeffs = linalg.elementary_from_power_sums(traces)
         assert len(coeffs) == n + 1
         for k in range(n + 1):
             assert coeffs[k] == principal_minor_sum(a, k)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6).flatmap(
-    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
-                       min_size=n, max_size=n)),
-       st.integers(0, 8))
-def test_traces_of_powers_match_repeated_products(a, kmax):
-    expected, p = [], a
-    for _ in range(kmax):
-        expected.append(sum(p[i][i] for i in range(len(a))))
-        p = linalg.mat_mul(p, a)
-    assert linalg.traces_of_powers(a, kmax) == expected
+def test_elementary_from_power_sums_checks_divisibility():
+    # power sums (1, 0) would need e_2 = 1/2: no integer matrix has them
+    with pytest.raises(AssertionError, match="not divisible by 2"):
+        linalg.elementary_from_power_sums((1, 0))
 
 
 _SQUARE = st.integers(0, 5).flatmap(

@@ -74,16 +74,25 @@ def json_path(path, field):
     return path + "." + field if path else field
 
 
+class LocatedError(ValueError):
+    """LocatedError(path, message), shown as "path: message"."""
+
+    def __str__(self):
+        return "%s: %s" % self.args
+
+
 @contextmanager
 def located(path):
     """Put `path`, a document position, in front of a ValueError raised in
-    the block; the top level ("") adds nothing."""
+    the block, or of the position a LocatedError names; "" adds nothing."""
     try:
         yield
+    except LocatedError as exc:
+        raise LocatedError(json_path(path, exc.args[0]), exc.args[1]) from None
     except ValueError as exc:
         if not path:
             raise
-        raise ValueError("%s: %s" % (path, exc)) from None
+        raise LocatedError(path, exc) from None
 
 
 def json_value(obj, key, path, kind=int, minimum=None, default=None):

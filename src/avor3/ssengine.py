@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .mhs import (CohomologyTable, MhsVector, canonical, entries_from_json, entries_to_json,
-                  entry_at, graded, json_path, json_value, located, remove_weight,
-                  weight_counts)
+from .mhs import (CohomologyTable, LocatedError, MhsVector, canonical, entries_from_json,
+                  entries_to_json, entry_at, graded, json_path, json_value, located,
+                  remove_weight, weight_counts)
 
 
 class NoConsistentAssignment(RuntimeError):
@@ -78,11 +78,11 @@ class SSPage:
     def __post_init__(self):
         object.__setattr__(self, "entries", canonical(self.entries, "position"))
         object.__setattr__(self, "knowns", tuple(self.knowns))
-        seen = set()
-        for k in self.knowns:
-            if (k.r, k.p, k.q) in seen:
-                raise ValueError("repeated known differential d_%d at (%d,%d)" % (k.r, k.p, k.q))
-            seen.add((k.r, k.p, k.q))
+        keys = [(k.r, k.p, k.q) for k in self.knowns]
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise LocatedError("knowns[%d]" % i,
+                                   "repeated known differential d_%d at (%d,%d)" % key)
 
     @classmethod
     def from_dict(cls, r, mapping, **kw):

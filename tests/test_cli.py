@@ -284,7 +284,8 @@ def test_ss_resolve_rejects_repeated_known(capsys, tmp_path):
         path = tmp_path / "page.json"
         path.write_text(json.dumps(page))
         code, out, err = run_cli(capsys, "ss", "resolve", "--input", str(path))
-        assert (code, out, err) == (1, "", "error: repeated known differential d_1 at (0,0)\n")
+        assert (code, out, err) == (
+            1, "", "error: knowns[1]: repeated known differential d_1 at (0,0)\n")
 
 
 def test_ss_resolve_names_a_repeated_position(capsys, tmp_path):
@@ -414,7 +415,7 @@ def test_betti_rejects_malformed_registry(capsys, tmp_path, registry, message):
      "tables[3]: repeated degree 4"),
     (lambda d: d["pages"][2].update(knowns=[{"r": 1, "p": 0, "q": 0, "rank": r,
                                              "citation": "ref"} for r in (0, 1)]),
-     "pages[2]: repeated known differential d_1 at (0,0)"),
+     "pages[2].knowns[1]: repeated known differential d_1 at (0,0)"),
 ], ids=["page-position", "table-degree", "page-known"])
 def test_parse_registry_names_the_document_of_a_repeated_key(edit, message):
     with pytest.raises(ValueError) as exc:

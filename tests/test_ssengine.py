@@ -34,7 +34,8 @@ def test_repeated_known_differential_is_rejected():
     entries = {(0, 0): T(0), (1, 0): T(0)}
     for ranks in ((0, 1), (1, 0)):
         knowns = tuple(KnownDifferential(1, 0, 0, rank, "ref %d" % rank) for rank in ranks)
-        with pytest.raises(ValueError, match=r"^repeated known differential d_1 at \(0,0\)$"):
+        with pytest.raises(ValueError, match=r"^knowns\[1\]: repeated known "
+                                             r"differential d_1 at \(0,0\)$"):
             SSPage.from_dict(1, entries, knowns=knowns)
 
 

@@ -12,7 +12,7 @@ import sys
 
 from . import render, strata, verify
 from .equivariant import (MAX_DIMENSION, LinearRep, NotClosedWithinCap,
-                          exterior_invariant_dims, group_closure, order_histogram)
+                          exterior_invariant_dims, group_order, order_histogram)
 from .fan import (SIGMA6, Cone, SpanDeficient, classify_orbits, stabilizer,
                   stratum_character_lattice, torus_coordinates)
 from .forms import COEFF_ORDER, GENERATOR_NAMES
@@ -154,7 +154,7 @@ def _run(args, out):
             order = lattice.effective_order()
         else:
             rep = _load_rep(args.rep)
-            order = len(group_closure(rep))
+            order = group_order(rep)
         out.write(render.render_invariants(exterior_invariant_dims(rep), order, fmt))
         return 0
 

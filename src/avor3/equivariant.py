@@ -13,10 +13,10 @@ minus the identity, stacked, and their dimension is one exact rank.  All
 wedge powers of a generator come from one Laplace sweep over its minors
 (`linalg.exterior_powers`), so the two routes share no step.
 
-Only `_closure`, and so only `group_closure` and the Molien route, detects
-an infinite group (NotClosedWithinCap) or a sign character that is not
-well-defined on the group (ValueError); every cross-check runs Molien, so
-it validates the input for both.
+Only `_closure`, and so only `group_closure`, `group_order` and the Molien
+route, detects an infinite group (NotClosedWithinCap) or a sign character
+that is not well-defined on the group (ValueError); every cross-check runs
+Molien, so it validates the input for both.
 """
 
 from __future__ import annotations
@@ -128,6 +128,11 @@ def group_closure(rep: LinearRep):
     orbit, _, elements = _closure(rep)
     return sorted((tuple(zip(*map(orbit.__getitem__, m))), v)
                   for m, (v, _, _) in elements.items())
+
+
+def group_order(rep: LinearRep):
+    """The number of elements of the generated group, from one `_closure`."""
+    return len(_closure(rep)[2])
 
 
 def element_order(m):

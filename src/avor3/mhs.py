@@ -203,24 +203,24 @@ def spell(v, tate, atom, power, plus):
 
 
 def graded(pairs):
-    """Graded entries of (key, MhsVector) pairs: the vectors at one key summed
-    (one new MhsVector for a key with several), zeros dropped, sorted by key."""
+    """Graded entries of (key, MhsVector) pairs, zero vectors skipped as read:
+    those at one key summed (one new MhsVector for several), sorted by key."""
     parts = {}
     for key, v in pairs:
-        parts.setdefault(key, []).append(v)
-    summed = [(key, vs[0] if len(vs) == 1 else
-               MhsVector(tuple(n for u in vs for n in u.tates), sum(u.f_count for u in vs)))
-              for key, vs in sorted(parts.items())]
-    return tuple(e for e in summed if not e[1].is_zero())
+        if v.tates or v.f_count:
+            parts.setdefault(key, []).append(v)
+    return tuple((key, vs[0] if len(vs) == 1 else
+                  MhsVector(tuple(n for u in vs for n in u.tates), sum(u.f_count for u in vs)))
+                 for key, vs in sorted(parts.items()))
 
 
 def canonical(entries, kind):
     """`entries` sorted by key with zero vectors dropped; a repeated key, a
-    "degree" or a "position" as `kind` says, is a ValueError naming it."""
-    out = tuple(sorted(e for e in entries if not e[1].is_zero()))
-    for (key, _), (again, _) in zip(out, out[1:]):
-        if key == again:
-            raise ValueError("repeated %s %s" % (kind, str(key).replace(" ", "")))
+    "degree" or a "position" as `kind` says, is a ValueError naming the first."""
+    out = tuple(sorted(e for e in entries if e[1].tates or e[1].f_count))
+    if len(dict(out)) < len(out):
+        key = next(key for (key, _), (again, _) in zip(out, out[1:]) if key == again)
+        raise ValueError("repeated %s %s" % (kind, str(key).replace(" ", "")))
     return out
 
 

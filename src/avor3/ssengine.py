@@ -12,13 +12,16 @@ whose limit page carries a weight different from its total degree anywhere.
 While it enumerates, a state maps each position to a plain (tates, f_count)
 pair and carries its decisions as plain tuples; the MhsVectors and
 DifferentialDecisions of the report are built once per surviving candidate.
-The enumeration cap counts the assignments tried at each state of each page.
+Arrows and rank choices are built per page, and assignments are extended one
+differential at a time.  The enumeration cap counts the assignments tried at
+each state of each page, whether or not their removals succeed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from math import prod
 
 from .mhs import (CohomologyTable, LocatedError, MhsVector, canonical, entries_from_json,
                   entries_to_json, entry_at, graded, json_path, json_value, located,
@@ -78,11 +81,12 @@ class SSPage:
     def __post_init__(self):
         object.__setattr__(self, "entries", canonical(self.entries, "position"))
         object.__setattr__(self, "knowns", tuple(self.knowns))
-        keys = [(k.r, k.p, k.q) for k in self.knowns]
-        for i, key in enumerate(keys):
-            if key in keys[:i]:
+        seen = set()
+        for i, key in enumerate((k.r, k.p, k.q) for k in self.knowns):
+            if key in seen:
                 raise LocatedError("knowns[%d]" % i,
                                    "repeated known differential d_%d at (%d,%d)" % key)
+            seen.add(key)
 
     @classmethod
     def from_dict(cls, r, mapping, **kw):
@@ -164,6 +168,23 @@ def _cancel(entries, cancels):
     return out
 
 
+def _choices(r, src, tgt, pairs, known):
+    """(cancels, decision) of each per-weight rank vector of d_r: src -> tgt,
+    whose ends hold `pairs`, of the `known` rank if any; None when an end is
+    empty or the two share no weight."""
+    if None in pairs:
+        return None
+    sc, tc = weight_counts(*pairs[0]), weight_counts(*pairs[1])
+    ws = sorted(sc.keys() & tc.keys())
+    if not ws:
+        return None
+    kind, citation = ("solver", "") if known is None else ("known", known.citation)
+    return [(tuple((pq, w, k) for w, k in zip(ws, combo) if k for pq in (src, tgt)),
+             (r, *src, sum(combo), kind, citation))
+            for combo in iproduct(*[range(min(sc[w], tc[w]) + 1) for w in ws])
+            if known is None or sum(combo) == known.rank]
+
+
 def resolve(page: SSPage, cap: int = 10 ** 6):
     """Run the page to its limit; return (limit page, report) if unique.
 
@@ -177,10 +198,16 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
     A state maps each position to a plain (tates, f_count) pair and carries
     its decisions as (r, p, q, rank, kind, citation) tuples; the MhsVectors
     and DifferentialDecisions of the report are built once per distinct
-    value among the surviving candidates.
+    value among the surviving candidates.  Page r lists its arrows once and
+    keeps each differential's choices per pair of end values; a state's
+    assignments grow one differential at a time in the order of the full
+    product, so a failed removal drops all extensions of its partial one.
     """
     known_map = {(k.r, k.p, k.q): k for k in page.knowns}
-    support = [pq for pq, _ in page.entries]
+    positive_knowns = {}  # r -> positions of its knowns of positive rank
+    for k in (k for k in page.knowns if k.rank > 0):
+        positive_knowns.setdefault(k.r, set()).add((k.p, k.q))
+    support = dict(page.entries)  # sorted positions, each found in one lookup
     rset = {p2 - p1 for (p1, q1) in support for (p2, q2) in support
             if p2 - p1 >= max(page.r, 1) and q2 - q1 == 1 - (p2 - p1)}
     rset.update(k.r for k in page.knowns if k.r >= max(page.r, 1))
@@ -191,44 +218,34 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
     states = [({pq: (v.tates, v.f_count) for pq, v in page.entries}, ())]
     enumerated = 1
     for r in rset:
-        positive_knowns = {(k.p, k.q) for k in page.knowns if k.r == r and k.rank > 0}
+        # a state only rewrites or drops positions of the input page
+        arrows = [(pq, t) for pq in support if (t := (pq[0] + r, pq[1] - r + 1)) in support]
+        needed = positive_knowns.get(r)
+        memo = {}  # (source, (its pair, target pair)) -> `_choices`, for this page only
         nxt = []
         for entries, decisions in states:
             # each differential with nonzero ends and shared weights, with
             # every per-weight rank vector allowed: (source, [(cancels, decision)])
             options = []
-            for (p, q), src in entries.items():
-                tgt = entries.get((p + r, q - r + 1))
-                if tgt is None:
-                    continue
-                sc, tc = weight_counts(*src), weight_counts(*tgt)
-                ws = sorted(sc.keys() & tc.keys())
-                if not ws:
-                    continue
-                known = known_map.get((r, p, q))
-                kind, citation = ("solver", "") if known is None else ("known", known.citation)
-                choices = []
-                for combo in iproduct(*[range(min(sc[w], tc[w]) + 1) for w in ws]):
-                    rank = sum(combo)
-                    if known is None or rank == known.rank:
-                        cancels = tuple((pq, w, k) for w, k in zip(ws, combo) if k
-                                        for pq in ((p, q), (p + r, q - r + 1)))
-                        choices.append((cancels, (r, p, q, rank, kind, citation)))
-                options.append(((p, q), choices))
+            for src, tgt in arrows:
+                key = (src, (entries.get(src), entries.get(tgt)))
+                if key not in memo:
+                    memo[key] = _choices(r, src, tgt, key[1], known_map.get((r,) + src))
+                if memo[key] is not None:
+                    options.append((src, memo[key]))
             # a positive known rank at a position with no possible nonzero
             # differential is a contradiction; drop this state
-            if not positive_knowns <= {pq for pq, _ in options}:
+            if needed and not needed <= {pq for pq, _ in options}:
                 continue
-            count = 1
-            for _, choices in options:
-                count *= len(choices)
-            enumerated += count
+            enumerated += prod(len(choices) for _, choices in options)
             if enumerated > cap:
                 raise EnumerationCapExceeded("assignment enumeration exceeds cap %d" % cap)
-            for combo in iproduct(*[choices for _, choices in options]):
-                new_entries = _cancel(entries, [c for cancels, _ in combo for c in cancels])
-                if new_entries is not None:
-                    nxt.append((new_entries, decisions + tuple(d for _, d in combo)))
+            # the product of the choices, one differential at a time
+            partial = [(entries, decisions)]
+            for _, choices in options:
+                partial = [(out, ds + (d,)) for e, ds in partial for cancels, d in choices
+                           if (out := _cancel(e, cancels)) is not None]
+            nxt.extend(partial)
         states = nxt
         del nxt  # so that `del states` below frees the last page's states
         if not states:

@@ -7,7 +7,7 @@ from avor3 import linalg
 from avor3.equivariant import (LinearRep, NotClosedWithinCap, element_order,
                                exterior_invariant_dims,
                                fixed_subspace_dims_bruteforce, group_closure,
-                               h1_pullback, order_histogram)
+                               group_order, h1_pullback, order_histogram)
 
 SWAP2 = ((0, 1), (1, 0))
 ROT3 = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
@@ -25,6 +25,8 @@ def test_group_closure_cap():
     shear = ((1, 1), (0, 1))  # infinite order
     with pytest.raises(NotClosedWithinCap, match="more than 10000 elements"):
         group_closure(LinearRep(2, (shear,)))
+    with pytest.raises(NotClosedWithinCap, match="more than 10000 elements"):
+        group_order(LinearRep(2, (shear,)))
     with pytest.raises(NotClosedWithinCap, match="element order exceeds 10000"):
         element_order(shear)
 
@@ -177,6 +179,7 @@ def test_group_closure_matches_independent_closure(reps):
         signs = rep.signs or (1,) * len(rep.generators)
         assert dict(group) == _closure(rep.generators, signs, 10 ** 4)
         assert group == sorted(group)
+        assert group_order(rep) == len(group)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,9 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
-from avor3.mhs import (MAX_CLASSES, CohomologyTable, MhsVector, UnsupportedTwist, graded,
-                       remove_weight, weight_counts)
+from avor3.mhs import (MAX_CLASSES, CohomologyTable, MhsVector, UnsupportedTwist, canonical,
+                       graded, remove_weight, weight_counts)
 
 T = MhsVector.tate
 F = MhsVector(f_count=1)
@@ -99,12 +100,38 @@ def test_table_json_roundtrip_is_canonical():
     assert text == json.dumps(again.to_json_dict(), sort_keys=True)
 
 
-
 def test_graded_sums_each_key_once_and_drops_zeros():
     v = T(1) + F
     out = graded([(2, T(1)), (0, v), (2, T(0)), (1, MhsVector()), (3, F), (3, MhsVector())])
     assert out == ((0, v), (2, T(0) + T(1)), (3, F))
     assert out[0][1] is v  # a key with one part keeps its vector
+
+
+# zero vectors included: no Tate piece and no atom
+_VECTORS = st.builds(MhsVector, st.lists(st.integers(0, 3), max_size=3), st.integers(0, 2))
+_NONZERO = _VECTORS.filter(lambda v: not v.is_zero())
+_POSITIONS = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), _VECTORS), max_size=12))
+def test_graded_is_the_plain_sum_by_key(pairs):
+    sums = {}
+    for key, v in pairs:
+        sums[key] = sums.get(key, MhsVector()) + v
+    assert graded(pairs) == tuple(sorted((key, v) for key, v in sums.items()
+                                         if not v.is_zero()))
+
+
+@given(st.dictionaries(_POSITIONS, _NONZERO, min_size=1, max_size=6), st.data())
+def test_canonical_names_the_first_repeated_key(entries, data):
+    repeated = data.draw(st.sets(st.sampled_from(sorted(entries)), min_size=1))
+    zeros = [(pq, MhsVector()) for pq in data.draw(st.lists(_POSITIONS, max_size=3))]
+    items = list(entries.items()) + zeros
+    assert canonical(data.draw(st.permutations(items)), "position") == tuple(
+        sorted(entries.items()))  # a zero vector never counts as a repeat
+    items += [(pq, data.draw(_NONZERO)) for pq in repeated]
+    with pytest.raises(ValueError, match=r"^repeated position \(%d,%d\)$" % min(repeated)):
+        canonical(data.draw(st.permutations(items)), "position")
 
 
 def test_entries_hold_at_most_max_classes():

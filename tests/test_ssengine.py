@@ -1,4 +1,5 @@
 import json
+import time
 from collections import Counter
 from itertools import product as iproduct
 
@@ -402,17 +403,62 @@ def _outcome(page, cap=10 ** 6):
         return None, type(exc)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_ENTRIES, _KNOWNS, st.booleans(), st.integers(1, 40))
-def test_resolve_matches_the_reference_enumeration(entries, knowns, purity, cap):
-    page = SSPage.from_dict(
+def _reference_page(entries, knowns, purity):
+    return SSPage.from_dict(
         1, {pq: MhsVector.from_classes(c) for pq, c in entries.items()},
         knowns=tuple(KnownDifferential(r, p, q, rank, "ref") for r, p, q, rank in knowns),
         abutment_smooth_proper=purity, label="ref")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ENTRIES, _KNOWNS, st.booleans(), st.integers(1, 40))
+def test_resolve_matches_the_reference_enumeration(entries, knowns, purity, cap):
+    page = _reference_page(entries, knowns, purity)
     # equal reports have equal final pages, counts, and candidate entries and
     # decisions in order
     for limit in (10 ** 6, cap):
         assert _outcome(page, limit) == _reference_resolve(page, limit)
+
+
+# larger pages, many differentials on each: only under a small cap, so the
+# enumeration stays short either way
+_WIDE_ENTRIES = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)), _CLASSES,
+                                max_size=10)
+_WIDE_KNOWNS = st.lists(st.tuples(st.integers(1, 5), st.integers(0, 5), st.integers(0, 5),
+                                  st.integers(0, 2)), max_size=2, unique_by=lambda k: k[:3])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_WIDE_ENTRIES, _WIDE_KNOWNS, st.booleans(), st.integers(1, 1000))
+def test_resolve_matches_the_reference_enumeration_on_wide_pages(entries, knowns, purity,
+                                                                 cap):
+    page = _reference_page(entries, knowns, purity)
+    assert _outcome(page, cap) == _reference_resolve(page, cap)
+
+
+def test_a_failed_removal_drops_the_extensions_of_its_partial_assignment():
+    # (0,0) -> (1,0) -> (2,0) on page 1: the middle class can die only once,
+    # so of the four assignments the one firing both differentials fails
+    page = SSPage.from_dict(1, {(0, 0): T(0), (1, 0): T(0), (2, 0): T(0)}, label="chain")
+    report, _ = _outcome(page)
+    assert report == _reference_resolve(page)[0]
+    assert (report.final_page, report.enumerated) == (2, 5)
+    assert [[d.rank for d in c.decisions] for c in report.candidates] == [[0, 0], [0, 1],
+                                                                          [1, 0]]
+    assert [[pq for pq, _ in c.entries] for c in report.candidates] == [
+        [(0, 0), (1, 0), (2, 0)], [(0, 0)], [(2, 0)]]
+
+
+def test_many_known_differentials_take_linear_time():
+    # 20 000 knowns, each on its own page: repeats are sought in one pass, and
+    # the knowns of each page are found without rescanning all of them
+    knowns = tuple(KnownDifferential(r, 0, 0, 0, "ref") for r in range(1, 20_001))
+    start = time.perf_counter()
+    page = SSPage.from_dict(1, {(0, 0): T(0)}, knowns=knowns)
+    limit, report = resolve(page)
+    assert time.perf_counter() - start < 5
+    assert (limit.r, limit.entries) == (20_001, (((0, 0), T(0)),))
+    assert report.candidates[0].decisions == ()
 
 
 def _weight_graded_euler(entries):

@@ -207,7 +207,7 @@ def graded(pairs):
     those at one key summed (one new MhsVector for several), sorted by key."""
     parts = {}
     for key, v in pairs:
-        if v.tates or v.f_count:
+        if not v.is_zero():
             parts.setdefault(key, []).append(v)
     return tuple((key, vs[0] if len(vs) == 1 else
                   MhsVector(tuple(n for u in vs for n in u.tates), sum(u.f_count for u in vs)))
@@ -217,7 +217,7 @@ def graded(pairs):
 def canonical(entries, kind):
     """`entries` sorted by key with zero vectors dropped; a repeated key, a
     "degree" or a "position" as `kind` says, is a ValueError naming the first."""
-    out = tuple(sorted(e for e in entries if e[1].tates or e[1].f_count))
+    out = tuple(sorted(e for e in entries if not e[1].is_zero()))
     if len(dict(out)) < len(out):
         key = next(key for (key, _), (again, _) in zip(out, out[1:]) if key == again)
         raise ValueError("repeated %s %s" % (kind, str(key).replace(" ", "")))

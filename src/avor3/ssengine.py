@@ -218,7 +218,6 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
     states = [({pq: (v.tates, v.f_count) for pq, v in page.entries}, ())]
     enumerated = 1
     for r in rset:
-        # a state only rewrites or drops positions of the input page
         arrows = [(pq, t) for pq in support if (t := (pq[0] + r, pq[1] - r + 1)) in support]
         needed = positive_knowns.get(r)
         memo = {}  # (source, (its pair, target pair)) -> `_choices`, for this page only
@@ -237,9 +236,12 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
             # differential is a contradiction; drop this state
             if needed and not needed <= {pq for pq, _ in options}:
                 continue
-            enumerated += prod(len(choices) for _, choices in options)
+            count = prod(len(choices) for _, choices in options)
+            enumerated += count
             if enumerated > cap:
                 raise EnumerationCapExceeded("assignment enumeration exceeds cap %d" % cap)
+            if not count:  # a known rank no choice reaches: no assignment to expand
+                continue
             # the product of the choices, one differential at a time
             partial = [(entries, decisions)]
             for _, choices in options:

@@ -6,6 +6,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from avor3 import ssengine
 from avor3.mhs import CohomologyTable, MhsVector
 from avor3.registry import load_registry
 from avor3.ssengine import (AmbiguousResolution, DifferentialDecision,
@@ -449,9 +450,46 @@ def test_a_failed_removal_drops_the_extensions_of_its_partial_assignment():
         [(0, 0), (1, 0), (2, 0)], [(0, 0)], [(2, 0)]]
 
 
+def test_an_unreachable_known_rank_stops_the_page_before_any_expansion(monkeypatch):
+    # six arrows (0,i) -> (1,i) of four choices each come first; the last
+    # arrow's known rank 9 is out of reach of its one shared dimension, so the
+    # product is empty and not one partial assignment may be built
+    entries = {(p, i): T(0) + T(0) + T(0) for p in (0, 1) for i in range(6)}
+    entries.update({(0, 6): T(0), (1, 6): T(0)})
+    page = SSPage.from_dict(1, entries, knowns=(KnownDifferential(1, 0, 6, 9, "ref"),))
+    calls = []
+    cancel = ssengine._cancel
+    monkeypatch.setattr(ssengine, "_cancel", lambda *a: calls.append(a) or cancel(*a))
+    assert _outcome(page) == _reference_resolve(page) == (None, NoConsistentAssignment)
+    assert calls == []
+
+
+class _CountedKnown(KnownDifferential):
+    """A known differential that counts the reads of its fields."""
+    reads = 0
+
+    def __getattribute__(self, name):
+        if name in ("r", "p", "q", "rank"):
+            _CountedKnown.reads += 1
+        return super().__getattribute__(name)
+
+
+def _known_field_reads(n):
+    _CountedKnown.reads = 0
+    knowns = tuple(_CountedKnown(r, 0, 0, 0, "ref") for r in range(1, n + 1))
+    limit, report = resolve(SSPage.from_dict(1, {(0, 0): T(0)}, knowns=knowns))
+    assert (limit.r, limit.entries) == (n + 1, (((0, 0), T(0)),))
+    assert report.candidates[0].decisions == ()
+    return _CountedKnown.reads
+
+
 def test_many_known_differentials_take_linear_time():
-    # 20 000 knowns, each on its own page: repeats are sought in one pass, and
-    # the knowns of each page are found without rescanning all of them
+    # knowns, each on its own page: repeats are sought in one pass, and the
+    # knowns of each page are found without rescanning all of them; the fields
+    # read grow with the count, where a rescan per known or per page would
+    # read four times as many for twice the knowns
+    assert _known_field_reads(1000) > 0
+    assert _known_field_reads(2000) <= 2 * _known_field_reads(1000)
     knowns = tuple(KnownDifferential(r, 0, 0, 0, "ref") for r in range(1, 20_001))
     start = time.perf_counter()
     page = SSPage.from_dict(1, {(0, 0): T(0)}, knowns=knowns)

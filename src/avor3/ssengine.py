@@ -3,25 +3,29 @@
 A page holds entries E_r^{p,q} (MhsVectors) and optional externally known
 differential ranks.  Differentials on page r go (p, q) -> (p+r, q-r+1) and
 are morphisms of Hodge structures, so they vanish outright whenever source
-and target share no weight (strictness).  The resolver enumerates every
-per-weight rank assignment for the remaining differentials, page by page,
-cancelling matched-weight dimensions on both ends, and keeps the outcomes
-that survive all constraints; an optional purity filter discards outcomes
-whose limit page carries a weight different from its total degree anywhere.
+and target share no weight (strictness).  The others split the positions
+into blocks that no differential joins.  The resolver runs each block alone:
+it enumerates every per-weight rank assignment for the block's differentials,
+page by page, cancelling matched-weight dimensions on both ends, and keeps
+the outcomes that survive all constraints; an optional purity filter
+discards outcomes that carry a weight different from the total degree
+anywhere.  The limit pages of the page are the products of its blocks'.
 
-While it enumerates, a state maps each position to a plain (tates, f_count)
-pair and carries its decisions as plain tuples; the MhsVectors and
-DifferentialDecisions of the report are built once per surviving candidate.
-Arrows and rank choices are built per page, and assignments are extended one
-differential at a time.  The enumeration cap counts the assignments tried at
-each state of each page, whether or not their removals succeed.
+While it enumerates, a state maps each position of its block to a plain
+(tates, f_count) pair and carries its decisions as plain tuples; the
+MhsVectors and DifferentialDecisions of the report are built once per
+distinct value.  Rank choices are built per block and page, and assignments
+are extended one differential at a time.  The enumeration cap counts the
+assignments tried at each state of each block on each of its pages, whether
+or not their removals succeed, and bounds the number of limit pages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from math import prod
+from operator import attrgetter, itemgetter
 
 from .mhs import (CohomologyTable, LocatedError, MhsVector, canonical, entries_from_json,
                   entries_to_json, entry_at, graded, json_path, json_value, located,
@@ -81,8 +85,11 @@ class SSPage:
     def __post_init__(self):
         object.__setattr__(self, "entries", canonical(self.entries, "position"))
         object.__setattr__(self, "knowns", tuple(self.knowns))
-        seen = set()
+        seen, first = set(), max(self.r, 1)
         for i, key in enumerate((k.r, k.p, k.q) for k in self.knowns):
+            if key[0] < first:  # the page no longer has it, so it would go unused
+                raise LocatedError("knowns[%d]" % i, "known differential d_%d at (%d,%d) "
+                                   "precedes page %d" % (key + (first,)))
             if key in seen:
                 raise LocatedError("knowns[%d]" % i,
                                    "repeated known differential d_%d at (%d,%d)" % key)
@@ -185,96 +192,165 @@ def _choices(r, src, tgt, pairs, known):
             if known is None or sum(combo) == known.rank]
 
 
+def _is_pure(pq, pair):
+    """Whether the entry `pair` at `pq` has weight p + q throughout (no F atom)."""
+    tates, f_count = pair
+    return not f_count and all(2 * n == pq[0] + pq[1] for n in tates)
+
+
+def _blocks(support, weights, start):
+    """(last r of a differential or 0, blocks) of the positions in `support`.
+
+    A differential d_r (r >= `start`) joins a position of total degree k to
+    one of degree k + 1, so only positions on adjacent diagonals are paired.
+    One whose ends share no weight vanishes by strictness and joins nothing.
+    A block is a class of positions joined by the others: (its positions,
+    {r: [(source, target)]}) with pages and sources in order.  Blocks come in
+    the order of their first positions; positions of no block are fixed.
+    """
+    diagonals = {}  # total degree -> [(p, position)], in position order
+    for pq in support:
+        diagonals.setdefault(pq[0] + pq[1], []).append((pq[0], pq))
+    last, arrows = 0, []
+    for k, sources in diagonals.items():
+        targets = diagonals.get(k + 1, ())
+        for p1, src in sources:
+            for p2, tgt in targets:
+                if p2 - p1 >= start:
+                    last = max(last, p2 - p1)
+                    if not weights[src].keys().isdisjoint(weights[tgt]):
+                        arrows.append((p2 - p1, src, tgt))
+    leader = {}  # union-find over the ends of the differentials kept
+
+    def find(pq):
+        while leader.setdefault(pq, pq) != pq:
+            leader[pq] = pq = leader[leader[pq]]
+        return pq
+
+    for _, src, tgt in arrows:
+        leader[find(tgt)] = find(src)
+    blocks = {}
+    for pq in support:
+        if pq in leader:
+            blocks.setdefault(find(pq), ([], {}))[0].append(pq)
+    for r, src, tgt in sorted(arrows):
+        blocks[find(src)][1].setdefault(r, []).append((src, tgt))
+    return last, list(blocks.values())
+
+
+_POSITION = itemgetter(0)
+_DECISION_ORDER = attrgetter("r", "p", "q")
+
+
 def resolve(page: SSPage, cap: int = 10 ** 6):
     """Run the page to its limit; return (limit page, report) if unique.
 
     Raises AmbiguousResolution (with the report of all surviving limit
     pages) when the constraints and the optional purity filter do not pin
     the answer, NoConsistentAssignment when nothing survives, and
-    EnumerationCapExceeded once more than `cap` assignments are enumerated.
-    The count starts at 1 and adds, for each state on each page, the number
-    of assignments tried there.
+    EnumerationCapExceeded once more than `cap` assignments are enumerated,
+    or before more than `cap` limit pages would be built.
 
-    A state maps each position to a plain (tates, f_count) pair and carries
-    its decisions as (r, p, q, rank, kind, citation) tuples; the MhsVectors
-    and DifferentialDecisions of the report are built once per distinct
-    value among the surviving candidates.  Page r lists its arrows once and
-    keeps each differential's choices per pair of end values; a state's
-    assignments grow one differential at a time in the order of the full
-    product, so a failed removal drops all extensions of its partial one.
+    No differential joins two blocks (see `_blocks`), so each block runs
+    alone, on its own pages, and the page's limits are the products of its
+    blocks' limits.  Candidates come in product order over the blocks, in
+    enumeration order within a block; a candidate's decisions, sorted by
+    (r, p, q), are the first assignment found for its limit.  The count
+    starts at 1 and adds, for each state of each block on each of its pages,
+    the number of assignments tried there.  A known rank out of reach of its
+    differential's input ends, or a fixed position failing the purity
+    filter, raises NoConsistentAssignment before any block is enumerated.
+
+    A state maps each position of its block to a plain (tates, f_count) pair
+    and carries its decisions as (r, p, q, rank, kind, citation) tuples; the
+    MhsVectors and DifferentialDecisions of the report are built once per
+    distinct value among the blocks' limits.  On each page a block keeps each
+    differential's choices per pair of end values, and a state's assignments
+    grow one differential at a time in the order of the full product, so a
+    failed removal drops all extensions of its partial assignment.
     """
-    known_map = {(k.r, k.p, k.q): k for k in page.knowns}
-    positive_knowns = {}  # r -> positions of its knowns of positive rank
-    for k in (k for k in page.knowns if k.rank > 0):
-        positive_knowns.setdefault(k.r, set()).add((k.p, k.q))
-    support = dict(page.entries)  # sorted positions, each found in one lookup
-    rset = {p2 - p1 for (p1, q1) in support for (p2, q2) in support
-            if p2 - p1 >= max(page.r, 1) and q2 - q1 == 1 - (p2 - p1)}
-    rset.update(k.r for k in page.knowns if k.r >= max(page.r, 1))
-    rset = sorted(rset)
-    final_r = (max(rset) + 1) if rset else page.r
+    support = {pq: (v.tates, v.f_count) for pq, v in page.entries}
+    weights = {pq: weight_counts(*pair) for pq, pair in support.items()}
+    last, blocks = _blocks(support, weights, max(page.r, 1))
+    last = max([last] + [k.r for k in page.knowns])
+    final_r = last + 1 if last else page.r
+    nothing = NoConsistentAssignment("no differential assignment for %r survives all "
+                                     "constraints" % (page.label or "page"))
+    known_map = {}
+    for k in page.knowns:
+        sc = weights.get((k.p, k.q), {})
+        tc = weights.get((k.p + k.r, k.q - k.r + 1), {})
+        if k.rank > sum(min(n, tc[w]) for w, n in sc.items() if w in tc):
+            raise nothing
+        known_map[k.r, (k.p, k.q)] = k
+    purity = page.abutment_smooth_proper
+    joined = {pq for positions, _ in blocks for pq in positions}
+    fixed = tuple((pq, v) for pq, v in page.entries if pq not in joined)
+    if purity and not all(_is_pure(pq, support[pq]) for pq, _ in fixed):
+        raise nothing
 
-    # positions stay in sorted order: a state only rewrites or drops them
-    states = [({pq: (v.tates, v.f_count) for pq, v in page.entries}, ())]
     enumerated = 1
-    for r in rset:
-        arrows = [(pq, t) for pq in support if (t := (pq[0] + r, pq[1] - r + 1)) in support]
-        needed = positive_knowns.get(r)
-        memo = {}  # (source, (its pair, target pair)) -> `_choices`, for this page only
-        nxt = []
+    limits = []  # per block, {limit entries: decisions of the first assignment}
+    for positions, pages in blocks:
+        states = [({pq: support[pq] for pq in positions}, ())]
+        for r, arrows in pages.items():
+            arrows = [(src, tgt, known_map.get((r, src))) for src, tgt in arrows]
+            memo = {}  # (source, its pair, target pair) -> `_choices`, for this page only
+            nxt = []
+            for entries, decisions in states:
+                options = []  # the choices of each differential with nonzero ends
+                for src, tgt, known in arrows:
+                    key = (src, entries.get(src), entries.get(tgt))
+                    if key not in memo:
+                        memo[key] = _choices(r, src, tgt, key[1:], known)
+                    if memo[key] is not None:
+                        options.append(memo[key])
+                    elif known is not None and known.rank:
+                        break  # a positive known rank with no choice: drop the state
+                else:
+                    count = prod(map(len, options))
+                    enumerated += count
+                    if enumerated > cap:
+                        raise EnumerationCapExceeded(
+                            "assignment enumeration exceeds cap %d" % cap)
+                    # the product of the choices, one differential at a time
+                    partial = [(entries, decisions)] if count else []
+                    for choices in options:
+                        partial = [(out, ds + (d,)) for e, ds in partial
+                                   for cancels, d in choices
+                                   if (out := _cancel(e, cancels)) is not None]
+                    nxt.extend(partial)
+            states = nxt
+            if not states:
+                raise nothing
+        seen = {}
         for entries, decisions in states:
-            # each differential with nonzero ends and shared weights, with
-            # every per-weight rank vector allowed: (source, [(cancels, decision)])
-            options = []
-            for src, tgt in arrows:
-                key = (src, (entries.get(src), entries.get(tgt)))
-                if key not in memo:
-                    memo[key] = _choices(r, src, tgt, key[1], known_map.get((r,) + src))
-                if memo[key] is not None:
-                    options.append((src, memo[key]))
-            # a positive known rank at a position with no possible nonzero
-            # differential is a contradiction; drop this state
-            if needed and not needed <= {pq for pq, _ in options}:
-                continue
-            count = prod(len(choices) for _, choices in options)
-            enumerated += count
-            if enumerated > cap:
-                raise EnumerationCapExceeded("assignment enumeration exceeds cap %d" % cap)
-            if not count:  # a known rank no choice reaches: no assignment to expand
-                continue
-            # the product of the choices, one differential at a time
-            partial = [(entries, decisions)]
-            for _, choices in options:
-                partial = [(out, ds + (d,)) for e, ds in partial for cancels, d in choices
-                           if (out := _cancel(e, cancels)) is not None]
-            nxt.extend(partial)
-        states = nxt
-        del nxt  # so that `del states` below frees the last page's states
-        if not states:
-            break
+            if not purity or all(_is_pure(*item) for item in entries.items()):
+                seen.setdefault(tuple(entries.items()), decisions)
+        if not seen:
+            raise nothing
+        limits.append(seen)
+    combined = prod(map(len, limits))
+    if combined > cap:
+        raise EnumerationCapExceeded("%d limit pages exceed cap %d" % (combined, cap))
 
-    if page.abutment_smooth_proper:
-        states = [(e, d) for e, d in states
-                  if all(not f and all(2 * n == p + q for n in tates)
-                         for (p, q), (tates, f) in e.items())]
-    if not states:
-        raise NoConsistentAssignment(
-            "no differential assignment for %r survives all constraints"
-            % (page.label or "page"))
-    seen = {}
-    for entries, decisions in states:
-        seen.setdefault(tuple(entries.items()), decisions)
-    del states
-    vectors = {pair: MhsVector(*pair) for pair in {pair for key in seen for _, pair in key}}
-    decided = {d: DifferentialDecision(*d) for d in {d for ds in seen.values() for d in ds}}
-    candidates = tuple(ResolutionCandidate(tuple((pq, vectors[pair]) for pq, pair in key),
-                                           tuple(decided[d] for d in decisions))
-                       for key, decisions in seen.items())
-    report = ResolutionReport(page.label, page.abutment_smooth_proper, final_r,
-                              candidates, enumerated)
+    vectors = {pair: MhsVector(*pair) for seen in limits for key in seen for _, pair in key}
+    decided = {d: DifferentialDecision(*d) for seen in limits for ds in seen.values()
+               for d in ds}
+    # the candidates of the blocks so far, each the concatenated limits of its
+    # blocks after the fixed positions, in product order
+    partial = [(fixed, ())]
+    for seen in limits:
+        parts = [(tuple((pq, vectors[pair]) for pq, pair in key),
+                  tuple(decided[d] for d in ds)) for key, ds in seen.items()]
+        partial = [(e + pe, ds + pds) for e, ds in partial for pe, pds in parts]
+    candidates = tuple(ResolutionCandidate(tuple(sorted(e, key=_POSITION)),
+                                           tuple(sorted(ds, key=_DECISION_ORDER)))
+                       for e, ds in partial)
+    report = ResolutionReport(page.label, purity, final_r, candidates, enumerated)
     if len(candidates) > 1:
         raise AmbiguousResolution(report)
-    limit = SSPage(final_r, candidates[0].entries, (), page.abutment_smooth_proper, page.label)
+    limit = SSPage(final_r, candidates[0].entries, (), purity, page.label)
     return limit, report
 
 

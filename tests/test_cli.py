@@ -288,6 +288,18 @@ def test_ss_resolve_rejects_repeated_known(capsys, tmp_path):
             1, "", "error: knowns[1]: repeated known differential d_1 at (0,0)\n")
 
 
+def test_ss_resolve_rejects_a_known_of_an_earlier_page(capsys, tmp_path):
+    # an E_2 page no longer has d_1: its rank and citation would go unused
+    page = _page(page=2, entries=[{"p": 0, "q": 0, "classes": [{"tate": 0}]},
+                                  {"p": 1, "q": 0, "classes": [{"tate": 0}]}],
+                 knowns=[{"r": 1, "p": 0, "q": 0, "rank": 1, "citation": "ref"}])
+    path = tmp_path / "page.json"
+    path.write_text(json.dumps(page))
+    code, out, err = run_cli(capsys, "ss", "resolve", "--input", str(path))
+    assert (code, out, err) == (
+        1, "", "error: knowns[0]: known differential d_1 at (0,0) precedes page 2\n")
+
+
 def test_ss_resolve_names_a_repeated_position(capsys, tmp_path):
     page = _page()
     page["entries"].append({"p": 0, "q": 0, "classes": [{"tate": 1}]})
@@ -396,9 +408,12 @@ _FIBER = "fibers.kummer_fiber[0]"
     (_registry(lambda d: d["tables"][3]["entries"][0]["classes"][0].update(
         mult=MAX_CLASSES + 1)),
      'tables[3].entries[0].classes[0]: more than %d classes in all entries' % MAX_CLASSES),
+    (_registry(lambda d: d["pages"][0].update(knowns=[{"r": 1, "p": 0, "q": 0, "rank": 0,
+                                                       "citation": "ref"}])),
+     "pages[0].knowns[0]: known differential d_1 at (0,0) precedes page 2"),
 ], ids=["list-file", "fibers-list", "string-known", "short-fiber-item", "missing-citation",
         "bool-rank", "float-twist", "number-citation", "negative-table-tate", "float-page-p",
-        "huge-table-mult"])
+        "huge-table-mult", "early-page-known"])
 def test_betti_rejects_malformed_registry(capsys, tmp_path, registry, message):
     path = tmp_path / "registry.json"
     path.write_text(json.dumps(registry))

@@ -2,10 +2,11 @@
 pinned commands.
 
 Every command runs in-process through `cli.main`.  Page files are written
-from the raw dicts of the packaged `paper_data.json`, so no library writer
-sits between the registry and the command under test.  An argv word of the
-form "{name}" stands for an input file the test writes: the registry page
-`name`, a representation in REPS, or BAD_REGISTRY.
+from the raw dicts of the packaged `paper_data.json` or of TWO_BLOCKS, so no
+library writer sits between the registry and the command under test.  An
+argv word of the form "{name}" stands for an input file the test writes:
+the registry page `name`, a representation in REPS, TWO_BLOCKS or
+BAD_REGISTRY.
 
 After an intended change of output, rewrite the stored file with
 
@@ -39,6 +40,12 @@ REPS = {"swap": {"dimension": 2, "generators": [[[0, 1], [1, 0]]]},
         "s3_dense": {"dimension": 3, "generators": S3_DENSE},
         # of infinite order: the closure stops at its element cap
         "shear": {"dimension": 2, "generators": [[[1, 1], [0, 1]]]}}
+# two blocks that no differential joins, each ambiguous: d_2 (0,1) -> (2,0)
+# holds the first position and d_1 (0,3) -> (1,3) the first page, and the
+# candidates come in product order over the blocks in position order
+TWO_BLOCKS = {"label": "two_blocks", "page": 1, "knowns": [], "entries": [
+    {"p": 0, "q": 1, "classes": [{"tate": 0}]}, {"p": 2, "q": 0, "classes": [{"tate": 0}]},
+    {"p": 0, "q": 3, "classes": [{"tate": 1}]}, {"p": 1, "q": 3, "classes": [{"tate": 1}]}]}
 # the packaged registry with one extra entry on the stored page
 # kummer_e2_expected: seven checks fail with a detail that names no file
 BAD_REGISTRY = "bad_registry"
@@ -71,14 +78,16 @@ def golden_commands():
         cmds.append(["verify", "all", "--registry", "{%s}" % BAD_REGISTRY, "--format", fmt])
     cmds.extend(["equi", "invariants", "--cone", c, "--format", "latex"]
                 for c in CUSP_RANK_THREE)
+    cmds.extend(["ss", "resolve", "--input", "{two_blocks}", "--format", fmt]
+                for fmt in FORMATS)
     return cmds
 
 
 def write_inputs(directory):
-    """{"{name}": path} for each registry page, representation and the bad
-    registry, written from raw JSON."""
+    """{"{name}": path} for each registry page, representation, the
+    two-block page and the bad registry, written from raw JSON."""
     text = resources.files("avor3").joinpath("data/paper_data.json").read_text("utf-8")
-    docs = dict(REPS)
+    docs = dict(REPS, two_blocks=TWO_BLOCKS)
     docs.update((p["label"], p) for p in json.loads(text)["pages"] if p["label"] in PAGES)
     bad = json.loads(text)
     page = next(p for p in bad["pages"] if p["label"] == "kummer_e2_expected")

@@ -41,6 +41,21 @@ def test_repeated_known_differential_is_rejected():
             SSPage.from_dict(1, entries, knowns=knowns)
 
 
+def test_a_known_differential_of_an_earlier_page_is_rejected():
+    # d_1 on an E_2 page used to resolve the page with no decision, so its
+    # rank and citation appeared nowhere
+    entries = {(0, 0): T(0), (1, 0): T(0)}
+    d1, d2 = (KnownDifferential(r, 0, 0, 1, "ref") for r in (1, 2))
+    with pytest.raises(ValueError, match=r"^knowns\[1\]: known differential d_1 at "
+                                         r"\(0,0\) precedes page 2$"):
+        SSPage.from_dict(2, entries, knowns=(d2, d1))
+    with pytest.raises(ValueError, match=r"^knowns\[0\]: known differential d_0 at "
+                                         r"\(0,0\) precedes page 1$"):
+        SSPage.from_dict(0, entries, knowns=(KnownDifferential(0, 0, 0, 0, "ref"),))
+    assert SSPage.from_dict(0, entries, knowns=(d1,)).knowns == (d1,)
+    assert SSPage.from_dict(2, entries, knowns=(d2,)).knowns == (d2,)
+
+
 @given(st.lists(st.tuples(st.integers(1, 2), st.integers(0, 1), st.integers(0, 1),
                           st.integers(0, 1)), max_size=4))
 def test_a_page_takes_at_most_one_known_per_differential(knowns):
@@ -134,6 +149,27 @@ def test_known_positive_rank_on_forced_zero_is_inconsistent():
     page = SSPage.from_dict(1, {(0, 0): T(0), (1, 0): T(3)}, knowns=(known,))
     with pytest.raises(NoConsistentAssignment):
         resolve(page)
+
+
+def test_a_positive_known_off_the_support_is_inconsistent():
+    # d_2 (0,0) -> (2,-1) of rank 1, with no entry at (2,-1)
+    known = KnownDifferential(2, 0, 0, 1, "ref")
+    page = SSPage.from_dict(1, {(0, 0): T(0), (1, 0): T(0)}, knowns=(known,), label="off")
+    with pytest.raises(NoConsistentAssignment,
+                       match="^no differential assignment for 'off' survives all "
+                             "constraints$"):
+        resolve(page)
+
+
+def test_a_known_out_of_reach_is_found_before_the_cap():
+    # four d_1 blocks of three choices each, and a d_2 of rank 1 off the
+    # support: the reference reaches page 2 only after 81 assignments, past
+    # the cap, where nothing survives whatever the cap
+    entries = {(p, q): T(0) + T(0) for p in (0, 1) for q in range(4)}
+    page = SSPage.from_dict(1, entries, knowns=(KnownDifferential(2, 5, 5, 1, "ref"),))
+    assert _reference_resolve(page, cap=5) == (None, EnumerationCapExceeded)
+    assert _reference_resolve(page) == (None, NoConsistentAssignment)
+    assert _outcome(page, cap=5) == (None, NoConsistentAssignment)
 
 
 def test_resolve_cap_raises_named_error():
@@ -404,6 +440,35 @@ def _outcome(page, cap=10 ** 6):
         return None, type(exc)
 
 
+def _summary(outcome):
+    """What `resolve` and the reference must agree on: the exception type, or
+    the kind, the final page and the set of (entries, decisions) pairs.  The
+    decisions of a candidate are compared in (r, p, q) order, the order of
+    the reference."""
+    report, error = outcome
+    if report is None:
+        return error
+    kind = "ambiguous" if len(report.candidates) > 1 else "unique"
+    return kind, report.final_page, frozenset(
+        (c.entries, tuple(sorted(c.decisions, key=lambda d: (d.r, d.p, d.q))))
+        for c in report.candidates)
+
+
+def _check_cap(page, cap, full):
+    """Under `cap`, `resolve` gives its uncapped outcome `full` or raises
+    EnumerationCapExceeded: exactly when the uncapped count or number of
+    limit pages exceeds the cap, and never where the uncapped run finds
+    that nothing survives only after the cap."""
+    capped = _outcome(page, cap)
+    report, _ = full
+    if report is None:
+        assert capped in (full, (None, EnumerationCapExceeded))
+    elif report.enumerated > cap or len(report.candidates) > cap:
+        assert capped == (None, EnumerationCapExceeded)
+    else:
+        assert capped == full
+
+
 def _reference_page(entries, knowns, purity):
     return SSPage.from_dict(
         1, {pq: MhsVector.from_classes(c) for pq, c in entries.items()},
@@ -415,14 +480,15 @@ def _reference_page(entries, knowns, purity):
 @given(_ENTRIES, _KNOWNS, st.booleans(), st.integers(1, 40))
 def test_resolve_matches_the_reference_enumeration(entries, knowns, purity, cap):
     page = _reference_page(entries, knowns, purity)
-    # equal reports have equal final pages, counts, and candidate entries and
-    # decisions in order
-    for limit in (10 ** 6, cap):
-        assert _outcome(page, limit) == _reference_resolve(page, limit)
+    full = _outcome(page)
+    assert _summary(full) == _summary(_reference_resolve(page))
+    # the count sums over blocks where the reference multiplies, so each is
+    # capped on its own count
+    _check_cap(page, cap, full)
 
 
-# larger pages, many differentials on each: only under a small cap, so the
-# enumeration stays short either way
+# larger pages, many differentials on each: the reference runs only under a
+# small cap, so its enumeration stays short
 _WIDE_ENTRIES = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)), _CLASSES,
                                 max_size=10)
 _WIDE_KNOWNS = st.lists(st.tuples(st.integers(1, 5), st.integers(0, 5), st.integers(0, 5),
@@ -434,7 +500,11 @@ _WIDE_KNOWNS = st.lists(st.tuples(st.integers(1, 5), st.integers(0, 5), st.integ
 def test_resolve_matches_the_reference_enumeration_on_wide_pages(entries, knowns, purity,
                                                                  cap):
     page = _reference_page(entries, knowns, purity)
-    assert _outcome(page, cap) == _reference_resolve(page, cap)
+    full = _outcome(page)
+    reference = _reference_resolve(page, cap)
+    if reference != (None, EnumerationCapExceeded):
+        assert _summary(full) == _summary(reference)
+    _check_cap(page, cap, full)
 
 
 def test_a_failed_removal_drops_the_extensions_of_its_partial_assignment():
@@ -452,8 +522,8 @@ def test_a_failed_removal_drops_the_extensions_of_its_partial_assignment():
 
 def test_an_unreachable_known_rank_stops_the_page_before_any_expansion(monkeypatch):
     # six arrows (0,i) -> (1,i) of four choices each come first; the last
-    # arrow's known rank 9 is out of reach of its one shared dimension, so the
-    # product is empty and not one partial assignment may be built
+    # arrow's known rank 9 is out of reach of its one shared dimension, so
+    # nothing survives and not one partial assignment may be built
     entries = {(p, i): T(0) + T(0) + T(0) for p in (0, 1) for i in range(6)}
     entries.update({(0, 6): T(0), (1, 6): T(0)})
     page = SSPage.from_dict(1, entries, knowns=(KnownDifferential(1, 0, 6, 9, "ref"),))
@@ -499,6 +569,37 @@ def test_many_known_differentials_take_linear_time():
     assert report.candidates[0].decisions == ()
 
 
+class _CountedPosition(tuple):
+    """A position that counts how often it is read."""
+    reads = 0
+
+    def __iter__(self):
+        _CountedPosition.reads += 1
+        return super().__iter__()
+
+    def __getitem__(self, index):
+        _CountedPosition.reads += 1
+        return super().__getitem__(index)
+
+
+def _position_reads(side):
+    # Q(-p-q) at each position of a side x side square: the ends of every
+    # differential differ in weight, so the page is its own limit
+    entries = {_CountedPosition((p, q)): T(p + q) for p in range(side) for q in range(side)}
+    page = SSPage.from_dict(1, entries)
+    _CountedPosition.reads = 0
+    limit, _ = resolve(page)
+    assert (limit.r, limit.entries) == (side, page.entries)
+    return _CountedPosition.reads
+
+
+def test_differentials_are_found_without_pairing_every_two_positions():
+    # positions are read a bounded number of times each, where pairing every
+    # two would read sixteen times as many for four times the positions
+    assert _position_reads(16) > 0
+    assert _position_reads(32) <= 8 * _position_reads(16)
+
+
 def _weight_graded_euler(entries):
     """{w: sum over entries of (-1)^(p+q) dim Gr^W_w}, zero values dropped."""
     out = Counter()
@@ -523,12 +624,65 @@ def test_every_candidate_keeps_the_weight_graded_euler_characteristic(entries, k
 
 
 def test_cap_admits_exactly_the_enumerated_count():
-    # the main registry page, and a small page whose count sums several
-    # states on each of two pages
-    ambiguous = SSPage.from_dict(1, {(0, 0): T(0) + T(1), (1, 0): T(0) + T(1),
-                                     (0, 1): T(1), (2, 0): T(1) + T(1)})
+    # the main registry page, a small page whose count sums several states on
+    # each of two pages, and that page beside a second block, a chain whose
+    # known rank leaves one limit, whose count adds to the first block's
+    ambiguous = {(0, 0): T(0) + T(1), (1, 0): T(0) + T(1), (0, 1): T(1), (2, 0): T(1) + T(1)}
+    chain = {(0, 4): T(2), (1, 4): T(2), (2, 4): T(2)}
+    known = (KnownDifferential(1, 0, 4, 1, "ref"),)
+    both = SSPage.from_dict(1, {**ambiguous, **chain}, knowns=known)
+    ambiguous, other = (SSPage.from_dict(1, ambiguous),
+                        SSPage.from_dict(1, chain, knowns=known))
     assert len(_outcome(ambiguous)[0].candidates) > 1
-    for page in (load_registry().page("main_e1_expected"), ambiguous):
+    assert _outcome(both)[0].enumerated == (_outcome(ambiguous)[0].enumerated
+                                            + _outcome(other)[0].enumerated - 1)
+    for page in (load_registry().page("main_e1_expected"), ambiguous, both):
         report, _ = _outcome(page)
+        assert _summary((report, None)) == _summary(_reference_resolve(page))
         assert _outcome(page, report.enumerated) == (report, None)
         assert _outcome(page, report.enumerated - 1) == (None, EnumerationCapExceeded)
+
+
+def _pairs(n, purity):
+    """n independent d_1 pairs of Q(-1)^2, in degrees where no class is pure."""
+    return SSPage.from_dict(1, {(p, q): T(1) + T(1) for q in range(3, 3 + n) for p in (0, 1)},
+                            abutment_smooth_proper=purity, label="pairs")
+
+
+def test_independent_blocks_add_their_counts():
+    # one block per pair, three ranks each: the count adds, and purity keeps
+    # only rank 2 in every block; the full product would enumerate 3^20
+    limit, report = resolve(_pairs(20, True))
+    assert limit.entries == ()
+    assert report.enumerated <= 61
+    assert [d.rank for d in report.candidates[0].decisions] == [2] * 20
+
+
+def test_cap_bounds_the_limit_pages_before_they_are_built(monkeypatch):
+    # 3^13 limit pages from 40 enumerated assignments
+    built = []
+    monkeypatch.setattr(ssengine, "ResolutionCandidate", lambda *a: built.append(a))
+    with pytest.raises(EnumerationCapExceeded, match="^1594323 limit pages exceed cap"):
+        resolve(_pairs(13, False))
+    assert built == []
+    with pytest.raises(AmbiguousResolution):
+        resolve(_pairs(2, False), cap=9)
+    with pytest.raises(EnumerationCapExceeded):
+        resolve(_pairs(2, False), cap=8)
+
+
+def test_candidates_come_in_product_order_over_blocks():
+    # block A, d_2 (0,1) -> (2,0), holds the first position; block B,
+    # d_1 (0,3) -> (1,3), holds the first page.  The reference runs page 1
+    # first and so varies A fastest; the blocks vary B fastest.
+    page = SSPage.from_dict(1, {(0, 1): T(0), (2, 0): T(0), (0, 3): T(1), (1, 3): T(1)})
+    report, _ = _outcome(page)
+    reference, _ = _reference_resolve(page)
+    assert _summary((report, None)) == _summary((reference, None))
+    assert [[(d.r, d.p, d.q, d.rank) for d in c.decisions] for c in report.candidates] == [
+        [(1, 0, 3, 0), (2, 0, 1, 0)], [(1, 0, 3, 1), (2, 0, 1, 0)],
+        [(1, 0, 3, 0), (2, 0, 1, 1)], [(1, 0, 3, 1), (2, 0, 1, 1)]]
+    assert [[(d.p, d.rank) for d in c.decisions] for c in reference.candidates] == [
+        [(0, 0), (0, 0)], [(0, 0), (0, 1)], [(0, 1), (0, 0)], [(0, 1), (0, 1)]]
+    assert report.candidates[0].entries == page.entries
+    assert [pq for pq, _ in report.candidates[1].entries] == [(0, 1), (2, 0)]

@@ -23,7 +23,7 @@ or not their removals succeed, and bounds the number of limit pages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product as iproduct
+from itertools import product as iproduct
 from math import prod
 from operator import attrgetter, itemgetter
 

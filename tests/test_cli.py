@@ -262,9 +262,10 @@ def _page(classes=None, entry=(), known=(), **top):
     (_page(known={"citation": None}), 'knowns[0]: missing "citation"'),
     (_page(known={"rank": "1"}), 'knowns[0]: "rank" must be an integer'),
     (_page(entries={"p": 0}), '"entries" must be a list'),
+    (_page(page=2), "knowns[0]: known differential d_1 at (0,0) precedes page 2"),
 ], ids=["negative-tate", "negative-mult", "string-tate", "float-mult", "float-p",
         "bool-tate", "bool-page", "missing-classes", "missing-citation",
-        "string-rank", "entries-object"])
+        "string-rank", "entries-object", "early-page-known"])
 def test_ss_resolve_rejects_malformed_page(capsys, tmp_path, page, message):
     path = tmp_path / "page.json"
     path.write_text(json.dumps(page))
@@ -286,18 +287,6 @@ def test_ss_resolve_rejects_repeated_known(capsys, tmp_path):
         code, out, err = run_cli(capsys, "ss", "resolve", "--input", str(path))
         assert (code, out, err) == (
             1, "", "error: knowns[1]: repeated known differential d_1 at (0,0)\n")
-
-
-def test_ss_resolve_rejects_a_known_of_an_earlier_page(capsys, tmp_path):
-    # an E_2 page no longer has d_1: its rank and citation would go unused
-    page = _page(page=2, entries=[{"p": 0, "q": 0, "classes": [{"tate": 0}]},
-                                  {"p": 1, "q": 0, "classes": [{"tate": 0}]}],
-                 knowns=[{"r": 1, "p": 0, "q": 0, "rank": 1, "citation": "ref"}])
-    path = tmp_path / "page.json"
-    path.write_text(json.dumps(page))
-    code, out, err = run_cli(capsys, "ss", "resolve", "--input", str(path))
-    assert (code, out, err) == (
-        1, "", "error: knowns[0]: known differential d_1 at (0,0) precedes page 2\n")
 
 
 def test_ss_resolve_names_a_repeated_position(capsys, tmp_path):

@@ -442,23 +442,21 @@ def _outcome(page, cap=10 ** 6):
 
 def _summary(outcome):
     """What `resolve` and the reference must agree on: the exception type, or
-    the kind, the final page and the set of (entries, decisions) pairs.  The
-    decisions of a candidate are compared in (r, p, q) order, the order of
-    the reference."""
+    the kind, the final page and the set of (entries, decisions) pairs, with
+    each candidate's decisions in (r, p, q) order on both sides."""
     report, error = outcome
     if report is None:
         return error
     kind = "ambiguous" if len(report.candidates) > 1 else "unique"
-    return kind, report.final_page, frozenset(
-        (c.entries, tuple(sorted(c.decisions, key=lambda d: (d.r, d.p, d.q))))
-        for c in report.candidates)
+    return kind, report.final_page, frozenset((c.entries, c.decisions)
+                                              for c in report.candidates)
 
 
 def _check_cap(page, cap, full):
     """Under `cap`, `resolve` gives its uncapped outcome `full` or raises
-    EnumerationCapExceeded: exactly when the uncapped count or number of
-    limit pages exceeds the cap, and never where the uncapped run finds
-    that nothing survives only after the cap."""
+    EnumerationCapExceeded, the latter exactly when the uncapped count or
+    number of limit pages exceeds the cap; where nothing survives, either
+    may come first."""
     capped = _outcome(page, cap)
     report, _ = full
     if report is None:

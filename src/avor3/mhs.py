@@ -9,16 +9,18 @@ while cancelling the weight-6 piece leaves Q.  F does not admit Tate twists
 here (none are ever needed), and twisting it raises UnsupportedTwist.
 
 Tables and pages hold graded entries, a tuple of (key, MhsVector) sorted by
-key (a degree or a (p, q) position), no key repeated and no vector zero;
-only this module builds, sums, looks up, reads and writes them.
+key (a degree or a (p, q) position), no key repeated and no vector zero.
+Their constructors take any (key, MhsVector) pairs and normalise them with
+`graded`, which sums the vectors at one key; only this module reads and
+writes entries.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby
+from operator import itemgetter
 
 MAX_CLASSES = 10_000  # classes, counted with multiplicity, in one entries array
 _KEY_FIELDS = {"degree": ("degree",), "position": ("p", "q")}
@@ -28,29 +30,29 @@ class UnsupportedTwist(ValueError):
     """Tate twist requested for the extension atom F."""
 
 
-def weight_counts(tates, f_count):
-    """{weight: dimension} of the Tate pieces `tates` plus `f_count` atoms F."""
+def weight_counts(v):
+    """{weight: dimension} of the MhsVector `v`."""
     counts = {}
-    for n in tates:
+    for n in v.tates:
         counts[2 * n] = counts.get(2 * n, 0) + 1
-    if f_count:
-        counts[0] = counts.get(0, 0) + f_count
-        counts[6] = counts.get(6, 0) + f_count
+    if v.f_count:
+        counts[0] = counts.get(0, 0) + v.f_count
+        counts[6] = counts.get(6, 0) + v.f_count
     return counts
 
 
-def remove_weight(tates, f_count, w, k=1):
-    """Drop k dimensions of weight w (a differential cancelled them).
+def remove_weight(v, w, k=1):
+    """The MhsVector `v` less k dimensions of weight w (a differential
+    cancelled them).
 
-    `tates` is a sorted tuple of Tate exponents.  Tate pieces of weight w go
-    first; each further dimension splits an F atom, whose complementary
-    piece stays as a pure Tate class: weight 0 leaves Q(-3), weight 6 leaves
-    Q.  Returns the new (tates, f_count), or None when fewer than k
-    dimensions of weight w are there.
+    Tate pieces of weight w go first; each further dimension splits an F
+    atom, whose complementary piece stays as a pure Tate class: weight 0
+    leaves Q(-3), weight 6 leaves Q.  None when fewer than k dimensions of
+    weight w are there.
     """
     if w % 2:
         return None
-    n = w // 2
+    tates, f_count, n = v.tates, v.f_count, w // 2
     lo = bisect_left(tates, n)
     hi = bisect_right(tates, n, lo)
     taken = min(k, hi - lo)
@@ -63,7 +65,7 @@ def remove_weight(tates, f_count, w, k=1):
         at = bisect_left(tates, left)
         tates = tates[:at] + (left,) * split + tates[at:]
         f_count -= split
-    return tates, f_count
+    return MhsVector(tates, f_count)
 
 
 _KIND_NAMES = {int: "an integer", list: "a list", str: "a string", dict: "an object"}
@@ -79,20 +81,6 @@ class LocatedError(ValueError):
 
     def __str__(self):
         return "%s: %s" % self.args
-
-
-@contextmanager
-def located(path):
-    """Put `path`, a document position, in front of a ValueError raised in
-    the block, or of the position a LocatedError names; "" adds nothing."""
-    try:
-        yield
-    except LocatedError as exc:
-        raise LocatedError(json_path(path, exc.args[0]), exc.args[1]) from None
-    except ValueError as exc:
-        if not path:
-            raise
-        raise LocatedError(path, exc) from None
 
 
 def json_value(obj, key, path, kind=int, minimum=None, default=None):
@@ -185,6 +173,8 @@ def _read_classes(classes, path, count):
         if count > MAX_CLASSES:
             raise ValueError("%s: more than %d classes in all entries" % (where, MAX_CLASSES))
         if "atom" in c:
+            if "tate" in c:
+                raise ValueError('%s: a class holds "tate" or "atom", not both' % where)
             if c["atom"] != "F":
                 raise ValueError("%s: unknown atom %r" % (where, c["atom"]))
             f_count += mult
@@ -205,23 +195,17 @@ def spell(v, tate, atom, power, plus):
 def graded(pairs):
     """Graded entries of (key, MhsVector) pairs, zero vectors skipped as read:
     those at one key summed (one new MhsVector for several), sorted by key."""
-    parts = {}
+    parts, repeated = {}, {}
     for key, v in pairs:
         if not v.is_zero():
-            parts.setdefault(key, []).append(v)
-    return tuple((key, vs[0] if len(vs) == 1 else
-                  MhsVector(tuple(n for u in vs for n in u.tates), sum(u.f_count for u in vs)))
-                 for key, vs in sorted(parts.items()))
-
-
-def canonical(entries, kind):
-    """`entries` sorted by key with zero vectors dropped; a repeated key, a
-    "degree" or a "position" as `kind` says, is a ValueError naming the first."""
-    out = tuple(sorted(e for e in entries if not e[1].is_zero()))
-    if len(dict(out)) < len(out):
-        key = next(key for (key, _), (again, _) in zip(out, out[1:]) if key == again)
-        raise ValueError("repeated %s %s" % (kind, str(key).replace(" ", "")))
-    return out
+            if key in parts:
+                repeated.setdefault(key, [parts[key]]).append(v)
+            else:
+                parts[key] = v
+    for key, vs in repeated.items():
+        parts[key] = MhsVector(tuple([n for u in vs for n in u.tates]),
+                               sum([u.f_count for u in vs]))
+    return tuple(sorted(parts.items(), key=itemgetter(0)))
 
 
 def entry_at(entries, key):
@@ -239,7 +223,9 @@ def entries_to_json(entries, kind):
 def entries_from_json(data, path, kind):
     """The (key, MhsVector) pairs of data["entries"], keyed by `kind`;
     ValueError naming the field, under `path`.  All entries together hold
-    at most MAX_CLASSES classes, counted with multiplicity."""
+    at most MAX_CLASSES classes, counted with multiplicity.  Once all are
+    read, a key repeated with nonzero vectors, a "degree" or a "position" as
+    `kind` says, is a ValueError naming the smallest such key."""
     fields = _KEY_FIELDS[kind]
     entries = []
     count = 0
@@ -249,6 +235,11 @@ def entries_from_json(data, path, kind):
         classes = json_value(e, "classes", where, list)
         v, count = _read_classes(classes, where + ".classes", count)
         entries.append((key if len(fields) > 1 else key[0], v))
+    keys = sorted(key for key, v in entries if not v.is_zero())
+    for key, again in zip(keys, keys[1:]):
+        if key == again:
+            raise ValueError("%srepeated %s %s" % (path + ": " if path else "", kind,
+                                                   str(key).replace(" ", "")))
     return entries
 
 
@@ -257,10 +248,10 @@ class CohomologyTable:
     """A graded collection of MhsVectors indexed by cohomological degree."""
 
     label: str
-    entries: tuple = ()  # sorted tuple of (degree, MhsVector), zero entries dropped
+    entries: tuple = ()  # (degree, MhsVector) pairs, normalised by `graded`
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", canonical(self.entries, "degree"))
+        object.__setattr__(self, "entries", graded(self.entries))
 
     def entry(self, degree):
         return entry_at(self.entries, degree)
@@ -281,7 +272,5 @@ class CohomologyTable:
     def from_json_dict(cls, data, path=""):
         """Inverse of `to_json_dict`; ValueError naming the field, under `path`."""
         entries = entries_from_json(data, path, "degree")
-        label = json_value(data, "label", path, str)
-        with located(path):
-            return cls(label, entries)
+        return cls(json_value(data, "label", path, str), entries)
 

@@ -77,7 +77,7 @@ def parse_registry(data, source="memory") -> Registry:
         where = "tables[%d]" % i
         table = CohomologyTable.from_json_dict(item, where)
         if table.label in tables:
-            raise ValueError("duplicate table label %r" % table.label)
+            raise ValueError("%s: duplicate table label %r" % (where, table.label))
         citation = json_value(item, "citation", where, str, default="")
         tables[table.label] = RegisteredTable(table, citation,
                                               json_value(item, "notes", where, str, default=""))
@@ -100,9 +100,10 @@ def parse_registry(data, source="memory") -> Registry:
               for name, k in json_value(data, "knowns", "", dict, default={}).items()}
     pages = {}
     for i, item in enumerate(json_value(data, "pages", "", list, default=[])):
-        page = SSPage.from_json_dict(item, path="pages[%d]" % i)
+        where = "pages[%d]" % i
+        page = SSPage.from_json_dict(item, path=where)
         if page.label in pages:
-            raise ValueError("duplicate page label %r" % page.label)
+            raise ValueError("%s: duplicate page label %r" % (where, page.label))
         pages[page.label] = page
     return Registry(tables, fibers, knowns, pages, source)
 

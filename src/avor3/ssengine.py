@@ -11,13 +11,10 @@ the outcomes that survive all constraints; an optional purity filter
 discards outcomes that carry a weight different from the total degree
 anywhere.  The limit pages of the page are the products of its blocks'.
 
-While it enumerates, a state maps each position of its block to a plain
-(tates, f_count) pair and carries its decisions as plain tuples; the
-MhsVectors and DifferentialDecisions of the report are built once per
-distinct value.  Rank choices are built per block and page, and assignments
-are extended one differential at a time.  The enumeration cap counts the
-assignments tried at each state of each block on each of its pages, whether
-or not their removals succeed, and bounds the number of limit pages.
+Rank choices are built per block and page, and assignments are extended
+one differential at a time.  The enumeration cap counts the assignments
+tried at each state of each block on each of its pages, whether or not
+their removals succeed, and bounds the number of limit pages.
 """
 
 from __future__ import annotations
@@ -27,9 +24,8 @@ from itertools import product as iproduct
 from math import prod
 from operator import attrgetter, itemgetter
 
-from .mhs import (CohomologyTable, LocatedError, MhsVector, canonical, entries_from_json,
-                  entries_to_json, entry_at, graded, json_path, json_value, located,
-                  remove_weight, weight_counts)
+from .mhs import (CohomologyTable, LocatedError, entries_from_json, entries_to_json, entry_at,
+                  graded, json_path, json_value, remove_weight, weight_counts)
 
 
 class NoConsistentAssignment(RuntimeError):
@@ -77,13 +73,13 @@ class KnownDifferential:
 @dataclass(frozen=True)
 class SSPage:
     r: int
-    entries: tuple = ()  # sorted tuple of ((p, q), MhsVector), zeros dropped
+    entries: tuple = ()  # ((p, q), MhsVector) pairs, normalised by `graded`
     knowns: tuple = ()
     abutment_smooth_proper: bool = False
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", canonical(self.entries, "position"))
+        object.__setattr__(self, "entries", graded(self.entries))
         object.__setattr__(self, "knowns", tuple(self.knowns))
         seen, first = set(), max(self.r, 1)
         for i, key in enumerate((k.r, k.p, k.q) for k in self.knowns):
@@ -122,10 +118,12 @@ class SSPage:
         entries = entries_from_json(data, path, "position")
         knowns = [KnownDifferential.from_json_dict(k, json_path(path, "knowns[%d]" % i))
                   for i, k in enumerate(json_value(data, "knowns", path, list, default=[]))]
-        r = json_value(data, "page", path, default=1)
+        r = json_value(data, "page", path, minimum=0, default=1)
         label = json_value(data, "label", path, str, default="")
-        with located(path):
+        try:
             return cls(r, entries, tuple(knowns), abutment_smooth_proper, label)
+        except LocatedError as exc:
+            raise LocatedError(json_path(path, exc.args[0]), exc.args[1]) from None
 
 
 @dataclass(frozen=True)
@@ -163,39 +161,38 @@ def _cancel(entries, cancels):
     """
     out = dict(entries)
     for pq, w, k in cancels:
-        pair = out.get(pq)
-        if pair is not None:
-            pair = remove_weight(*pair, w, k)
-        if pair is None:
+        v = out.get(pq)
+        if v is not None:
+            v = remove_weight(v, w, k)
+        if v is None:
             return None
-        if pair[0] or pair[1]:
-            out[pq] = pair
-        else:
+        if v.is_zero():
             del out[pq]
+        else:
+            out[pq] = v
     return out
 
 
-def _choices(r, src, tgt, pairs, known):
+def _choices(r, src, tgt, ends, known):
     """(cancels, decision) of each per-weight rank vector of d_r: src -> tgt,
-    whose ends hold `pairs`, of the `known` rank if any; None when an end is
-    empty or the two share no weight."""
-    if None in pairs:
+    whose ends hold the vectors `ends`, of the `known` rank if any; None when
+    an end is empty or the two share no weight."""
+    if None in ends:
         return None
-    sc, tc = weight_counts(*pairs[0]), weight_counts(*pairs[1])
+    sc, tc = weight_counts(ends[0]), weight_counts(ends[1])
     ws = sorted(sc.keys() & tc.keys())
     if not ws:
         return None
     kind, citation = ("solver", "") if known is None else ("known", known.citation)
     return [(tuple((pq, w, k) for w, k in zip(ws, combo) if k for pq in (src, tgt)),
-             (r, *src, sum(combo), kind, citation))
+             DifferentialDecision(r, *src, sum(combo), kind, citation))
             for combo in iproduct(*[range(min(sc[w], tc[w]) + 1) for w in ws])
             if known is None or sum(combo) == known.rank]
 
 
-def _is_pure(pq, pair):
-    """Whether the entry `pair` at `pq` has weight p + q throughout (no F atom)."""
-    tates, f_count = pair
-    return not f_count and all(2 * n == pq[0] + pq[1] for n in tates)
+def _is_pure(pq, v):
+    """Whether the vector `v` at `pq` has weight p + q throughout (no F atom)."""
+    return not v.f_count and all(2 * n == pq[0] + pq[1] for n in v.tates)
 
 
 def _blocks(support, weights, start):
@@ -261,16 +258,13 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
     differential's input ends, or a fixed position failing the purity
     filter, raises NoConsistentAssignment before any block is enumerated.
 
-    A state maps each position of its block to a plain (tates, f_count) pair
-    and carries its decisions as (r, p, q, rank, kind, citation) tuples; the
-    MhsVectors and DifferentialDecisions of the report are built once per
-    distinct value among the blocks' limits.  On each page a block keeps each
-    differential's choices per pair of end values, and a state's assignments
-    grow one differential at a time in the order of the full product, so a
-    failed removal drops all extensions of its partial assignment.
+    On each page a block keeps each differential's choices per pair of end
+    values, and a state's assignments grow one differential at a time in the
+    order of the full product, so a failed removal drops all extensions of
+    its partial assignment.
     """
-    support = {pq: (v.tates, v.f_count) for pq, v in page.entries}
-    weights = {pq: weight_counts(*pair) for pq, pair in support.items()}
+    support = dict(page.entries)
+    weights = {pq: weight_counts(v) for pq, v in support.items()}
     last, blocks = _blocks(support, weights, max(page.r, 1))
     last = max([last] + [k.r for k in page.knowns])
     final_r = last + 1 if last else page.r
@@ -286,7 +280,7 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
     purity = page.abutment_smooth_proper
     joined = {pq for positions, _ in blocks for pq in positions}
     fixed = tuple((pq, v) for pq, v in page.entries if pq not in joined)
-    if purity and not all(_is_pure(pq, support[pq]) for pq, _ in fixed):
+    if purity and not all(_is_pure(*item) for item in fixed):
         raise nothing
 
     enumerated = 1
@@ -295,7 +289,7 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
         states = [({pq: support[pq] for pq in positions}, ())]
         for r, arrows in pages.items():
             arrows = [(src, tgt, known_map.get((r, src))) for src, tgt in arrows]
-            memo = {}  # (source, its pair, target pair) -> `_choices`, for this page only
+            memo = {}  # (source, its vector, target vector) -> `_choices`, for this page only
             nxt = []
             for entries, decisions in states:
                 options = []  # the choices of each differential with nonzero ends
@@ -334,16 +328,11 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
     if combined > cap:
         raise EnumerationCapExceeded("%d limit pages exceed cap %d" % (combined, cap))
 
-    vectors = {pair: MhsVector(*pair) for seen in limits for key in seen for _, pair in key}
-    decided = {d: DifferentialDecision(*d) for seen in limits for ds in seen.values()
-               for d in ds}
     # the candidates of the blocks so far, each the concatenated limits of its
     # blocks after the fixed positions, in product order
     partial = [(fixed, ())]
     for seen in limits:
-        parts = [(tuple((pq, vectors[pair]) for pq, pair in key),
-                  tuple(decided[d] for d in ds)) for key, ds in seen.items()]
-        partial = [(e + pe, ds + pds) for e, ds in partial for pe, pds in parts]
+        partial = [(e + pe, ds + pds) for e, ds in partial for pe, pds in seen.items()]
     candidates = tuple(ResolutionCandidate(tuple(sorted(e, key=_POSITION)),
                                            tuple(sorted(ds, key=_DECISION_ORDER)))
                        for e, ds in partial)
@@ -356,8 +345,7 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
 
 def abutment(page: SSPage, label=None) -> CohomologyTable:
     """Total cohomology of a degenerate (limit) page: sum along p + q = k."""
-    return CohomologyTable(label or page.label,
-                           graded((p + q, v) for (p, q), v in page.entries))
+    return CohomologyTable(label or page.label, [(p + q, v) for (p, q), v in page.entries])
 
 
 def gysin_split(open_table: CohomologyTable, closed_table: CohomologyTable,
@@ -378,7 +366,7 @@ def gysin_split(open_table: CohomologyTable, closed_table: CohomologyTable,
             raise SplitNotJustified(
                 "connecting map into degree %d not forced to vanish" % k)
     return CohomologyTable(label or open_table.label,
-                           graded(open_table.entries + closed_table.entries))
+                           open_table.entries + closed_table.entries)
 
 
 def leray_assemble(base_tables, fiber_items, label="", knowns=()) -> SSPage:
@@ -393,4 +381,4 @@ def leray_assemble(base_tables, fiber_items, label="", knowns=()) -> SSPage:
                 raise ValueError("fiber item references unknown base table %r" % tag)
             for p, vec in base_tables[tag].entries:
                 yield (p, q), vec.tate_twist(twist)
-    return SSPage(2, graded(parts()), tuple(knowns), label=label)
+    return SSPage(2, parts(), tuple(knowns), label=label)

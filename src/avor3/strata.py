@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .equivariant import LinearRep, exterior_invariant_dims, h1_pullback
 from .fan import classify_orbits, stratum_character_lattice
-from .mhs import CohomologyTable, MhsVector, graded
+from .mhs import CohomologyTable, MhsVector
 from .registry import Registry
 from .ssengine import SSPage, abutment, gysin_split, leray_assemble, resolve
 
@@ -112,7 +112,7 @@ def rank_three_locus() -> RankThreeResult:
             classes.append((2 * m, MhsVector.tate(m)))
             contributions.append(
                 StratumContribution(cone.name(), cone_dim, m, 2 * m))
-    table = CohomologyTable("beta3", graded(classes))
+    table = CohomologyTable("beta3", classes)
     return RankThreeResult(table, tuple(contributions))
 
 
@@ -162,8 +162,8 @@ def _tensor_vectors(v: MhsVector, w: MhsVector) -> MhsVector:
 
 
 def tensor_tables(a: CohomologyTable, b: CohomologyTable, label: str) -> CohomologyTable:
-    return CohomologyTable(label, graded((d1 + d2, _tensor_vectors(v, w))
-                                         for d1, v in a.entries for d2, w in b.entries))
+    return CohomologyTable(label, ((d1 + d2, _tensor_vectors(v, w))
+                                   for d1, v in a.entries for d2, w in b.entries))
 
 
 def rank_two_locus(registry: Registry) -> RankTwoResult:
@@ -219,7 +219,7 @@ def main_first_page(tables: dict, registry: Registry) -> SSPage:
     space, so purity of the limit is enforced.
     """
     columns = enumerate(("beta3", "beta2", "beta1", "a3"))
-    entries = graded(((p, d - p), vec) for p, name in columns for d, vec in tables[name].entries)
+    entries = (((p, d - p), vec) for p, name in columns for d, vec in tables[name].entries)
     page = SSPage(1, entries, (), abutment_smooth_proper=True, label="main")
     expected = registry.pages.get("main_e1_expected")
     if expected is not None and expected.entries != page.entries:

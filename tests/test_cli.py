@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -263,9 +264,13 @@ def _page(classes=None, entry=(), known=(), **top):
     (_page(known={"rank": "1"}), 'knowns[0]: "rank" must be an integer'),
     (_page(entries={"p": 0}), '"entries" must be a list'),
     (_page(page=2), "knowns[0]: known differential d_1 at (0,0) precedes page 2"),
+    (_page(page=-3), '"page" must be at least 0'),
+    (_page([{"tate": 0, "atom": "F"}]),
+     'entries[0].classes[0]: a class holds "tate" or "atom", not both'),
 ], ids=["negative-tate", "negative-mult", "string-tate", "float-mult", "float-p",
         "bool-tate", "bool-page", "missing-classes", "missing-citation",
-        "string-rank", "entries-object", "early-page-known"])
+        "string-rank", "entries-object", "early-page-known", "negative-page",
+        "tate-and-atom"])
 def test_ss_resolve_rejects_malformed_page(capsys, tmp_path, page, message):
     path = tmp_path / "page.json"
     path.write_text(json.dumps(page))
@@ -296,6 +301,42 @@ def test_ss_resolve_names_a_repeated_position(capsys, tmp_path):
     path.write_text(json.dumps(page))
     code, out, err = run_cli(capsys, "ss", "resolve", "--input", str(path))
     assert (code, out, err) == (1, "", "error: repeated position (0,0)\n")
+
+
+@pytest.mark.parametrize("top", [{"knowns": [{"r": 1}]}, {"page": True}, {"label": 7}],
+                         ids=["knowns", "page", "label"])
+def test_a_repeated_position_is_named_before_the_other_page_fields(capsys, tmp_path, top):
+    # the entries are read, and checked for repeats, first
+    page = _page(**top)
+    page["entries"].append({"p": 0, "q": 0, "classes": [{"tate": 1}]})
+    path = tmp_path / "page.json"
+    path.write_text(json.dumps(page))
+    code, out, err = run_cli(capsys, "ss", "resolve", "--input", str(path))
+    assert (code, out, err) == (1, "", "error: repeated position (0,0)\n")
+
+
+_README = os.path.join(os.path.dirname(_SRC), "README.md")
+
+
+def test_every_json_block_of_the_readme_runs(capsys, tmp_path):
+    # a page through both `ss` commands, a representation through `equi invariants`
+    with open(_README, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```json\n(.*?)^```$", fh.read(), re.S | re.M)
+    assert blocks
+    for i, block in enumerate(blocks):
+        path = tmp_path / ("block%d.json" % i)
+        path.write_text(block)
+        data = json.loads(block)
+        if "generators" in data:
+            commands = [("equi", "invariants", "--rep", str(path))]
+        else:
+            assert "entries" in data, block
+            commands = [("ss", command, "--input", str(path))
+                        for command in ("resolve", "abutment")]
+        for argv in commands:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), (argv, block, err)
+            assert out
 
 
 @pytest.mark.parametrize("classes,where", [
@@ -400,9 +441,16 @@ _FIBER = "fibers.kummer_fiber[0]"
     (_registry(lambda d: d["pages"][0].update(knowns=[{"r": 1, "p": 0, "q": 0, "rank": 0,
                                                        "citation": "ref"}])),
      "pages[0].knowns[0]: known differential d_1 at (0,0) precedes page 2"),
+    (_registry(lambda d: d["tables"][3]["entries"][0]["classes"][0].update(atom="F")),
+     'tables[3].entries[0].classes[0]: a class holds "tate" or "atom", not both'),
+    (_registry(lambda d: d["tables"].append(dict(d["tables"][1]))),
+     "tables[6]: duplicate table label 'a2'"),
+    (_registry(lambda d: d["pages"].append(dict(d["pages"][0]))),
+     "pages[3]: duplicate page label 'kummer_e2_expected'"),
 ], ids=["list-file", "fibers-list", "string-known", "short-fiber-item", "missing-citation",
         "bool-rank", "float-twist", "number-citation", "negative-table-tate", "float-page-p",
-        "huge-table-mult", "early-page-known"])
+        "huge-table-mult", "early-page-known", "tate-and-atom", "duplicate-table-label",
+        "duplicate-page-label"])
 def test_betti_rejects_malformed_registry(capsys, tmp_path, registry, message):
     path = tmp_path / "registry.json"
     path.write_text(json.dumps(registry))

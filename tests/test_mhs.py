@@ -1,13 +1,16 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from avor3.mhs import (MAX_CLASSES, CohomologyTable, MhsVector, UnsupportedTwist, canonical,
-                       graded, remove_weight, weight_counts)
+from avor3.mhs import (MAX_CLASSES, CohomologyTable, MhsVector, UnsupportedTwist,
+                       entries_to_json, graded, remove_weight, weight_counts)
+from avor3.ssengine import SSPage
 
 T = MhsVector.tate
 F = MhsVector(f_count=1)
+V = MhsVector
 
 
 def test_vector_normalization_and_dimension():
@@ -29,9 +32,9 @@ def test_addition_is_multiset_union():
 def test_weights():
     assert (T(0) + T(3)).weights() == (0, 6)
     assert F.weights() == (0, 6)
-    assert weight_counts((1,), 1) == {0: 1, 2: 1, 6: 1}
-    assert weight_counts((0, 0, 3), 2) == {0: 4, 6: 3}
-    assert weight_counts((), 0) == {}
+    assert weight_counts(V((1,), 1)) == {0: 1, 2: 1, 6: 1}
+    assert weight_counts(V((0, 0, 3), 2)) == {0: 4, 6: 3}
+    assert weight_counts(V((), 0)) == {}
 
 
 def test_tate_twist():
@@ -43,25 +46,25 @@ def test_tate_twist():
 
 def test_remove_weight_prefers_tate_pieces():
     # a weight-0 removal takes the plain Tate class first (Q + F -> F)
-    assert remove_weight((0,), 1, 0) == ((), 1)
+    assert remove_weight(V((0,), 1), 0) == V((), 1)
     # with only the atom left, removal splits it: F -> Q(-3), F -> Q
-    assert remove_weight((), 1, 0) == ((3,), 0)
-    assert remove_weight((), 1, 6) == ((0,), 0)
+    assert remove_weight(V((), 1), 0) == V((3,), 0)
+    assert remove_weight(V((), 1), 6) == V((0,), 0)
     # nothing of the weight: a Tate class of another weight, or a weight F lacks
-    assert remove_weight((1,), 0, 0) is None
-    assert remove_weight((), 1, 2) is None
+    assert remove_weight(V((1,), 0), 0) is None
+    assert remove_weight(V((), 1), 2) is None
 
 
 def test_remove_weight_of_k_is_k_single_removals():
     # Tate pieces first, then one atom per further dimension, tates kept sorted
-    assert remove_weight((0, 1, 3), 2, 6, 2) == ((0, 0, 1), 1)
-    assert remove_weight((0, 1, 3), 2, 6, 3) == ((0, 0, 0, 1), 0)
-    assert remove_weight((0, 1, 3), 2, 6, 4) is None
-    assert remove_weight((0, 0, 2), 1, 0, 3) == ((2, 3), 0)
-    assert remove_weight((1, 1, 2), 0, 2, 2) == ((2,), 0)
-    assert remove_weight((1, 1, 2), 0, 2, 3) is None
-    assert remove_weight((1,), 0, 3) is None
-    assert remove_weight((1,), 3, 4, 0) == ((1,), 3)
+    assert remove_weight(V((0, 1, 3), 2), 6, 2) == V((0, 0, 1), 1)
+    assert remove_weight(V((0, 1, 3), 2), 6, 3) == V((0, 0, 0, 1), 0)
+    assert remove_weight(V((0, 1, 3), 2), 6, 4) is None
+    assert remove_weight(V((0, 0, 2), 1), 0, 3) == V((2, 3), 0)
+    assert remove_weight(V((1, 1, 2), 0), 2, 2) == V((2,), 0)
+    assert remove_weight(V((1, 1, 2), 0), 2, 3) is None
+    assert remove_weight(V((1,), 0), 3) is None
+    assert remove_weight(V((1,), 3), 4, 0) == V((1,), 3)
 
 
 def test_class_roundtrip_and_str():
@@ -79,8 +82,8 @@ def test_table_drops_zero_entries_and_sorts():
     t = CohomologyTable("x", ((4, T(2)), (0, T(0)), (2, MhsVector())))
     assert t.degrees() == (0, 4)
     assert t.entry(2).is_zero()
-    with pytest.raises(ValueError):
-        CohomologyTable("x", ((0, T(0)), (0, T(1))))
+    # vectors at one degree are summed
+    assert CohomologyTable("x", ((0, T(0)), (0, T(1)))).entries == ((0, T(0) + T(1)),)
 
 
 def test_table_operations():
@@ -122,16 +125,42 @@ def test_graded_is_the_plain_sum_by_key(pairs):
                                          if not v.is_zero()))
 
 
+@given(st.lists(st.tuples(st.integers(0, 4), _VECTORS), max_size=12),
+       st.lists(st.tuples(_POSITIONS, _VECTORS), max_size=12))
+def test_constructors_normalise_their_entries_with_graded(degrees, positions):
+    assert CohomologyTable("x", degrees).entries == graded(degrees)
+    assert SSPage(1, positions).entries == graded(positions)
+
+
+def _key(pq, kind):
+    """A page's key ("position") or a table's ("degree") for the position
+    `pq`; the degree 4p + q orders the keys as the positions."""
+    return pq if kind == "position" else 4 * pq[0] + pq[1]
+
+
+def _read_entries(items, kind):
+    """The entries read back from a page or table document holding the
+    ((p, q), MhsVector) `items`, keyed by `kind`."""
+    document = {"label": "x",
+                "entries": entries_to_json([(_key(pq, kind), v) for pq, v in items], kind)}
+    read = SSPage.from_json_dict if kind == "position" else CohomologyTable.from_json_dict
+    return read(document).entries
+
+
 @given(st.dictionaries(_POSITIONS, _NONZERO, min_size=1, max_size=6), st.data())
-def test_canonical_names_the_first_repeated_key(entries, data):
+def test_json_reader_names_the_first_repeated_key(entries, data):
+    # one draw, read as a page and as a table
     repeated = data.draw(st.sets(st.sampled_from(sorted(entries)), min_size=1))
     zeros = [(pq, MhsVector()) for pq in data.draw(st.lists(_POSITIONS, max_size=3))]
-    items = list(entries.items()) + zeros
-    assert canonical(data.draw(st.permutations(items)), "position") == tuple(
-        sorted(entries.items()))  # a zero vector never counts as a repeat
-    items += [(pq, data.draw(_NONZERO)) for pq in repeated]
-    with pytest.raises(ValueError, match=r"^repeated position \(%d,%d\)$" % min(repeated)):
-        canonical(data.draw(st.permutations(items)), "position")
+    items = data.draw(st.permutations(list(entries.items()) + zeros))
+    again = data.draw(st.permutations(items + [(pq, data.draw(_NONZERO)) for pq in repeated]))
+    for kind in ("position", "degree"):
+        # a zero vector never counts as a repeat
+        assert _read_entries(items, kind) == tuple(
+            (_key(pq, kind), v) for pq, v in sorted(entries.items()))
+        key = str(_key(min(repeated), kind)).replace(" ", "")
+        with pytest.raises(ValueError, match=r"^repeated %s %s$" % (kind, re.escape(key))):
+            _read_entries(again, kind)
 
 
 def test_entries_hold_at_most_max_classes():

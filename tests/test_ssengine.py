@@ -27,8 +27,8 @@ def test_page_normalization_and_json_roundtrip():
     assert again.entries == page.entries
     assert again.knowns == page.knowns
     assert again.label == "p"
-    with pytest.raises(ValueError):
-        SSPage(1, (((0, 0), T(0)), ((0, 0), T(1))))
+    # vectors at one position are summed
+    assert SSPage(1, (((0, 0), T(0)), ((0, 0), T(1)))).entries == (((0, 0), T(0) + T(1)),)
 
 
 def test_repeated_known_differential_is_rejected():

@@ -1,32 +1,23 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 when a verification fails or a resolution is
-ambiguous or inconsistent, 2 on usage errors.
+Exit codes: 0 on success, 1 when a verification fails or on an `Avor3Error`
+or `OSError` (one `error:` line), 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import render, strata, verify
-from .equivariant import (MAX_DIMENSION, LinearRep, NotClosedWithinCap,
-                          exterior_invariant_dims, group_order, order_histogram)
-from .fan import (SIGMA6, Cone, SpanDeficient, classify_orbits, stabilizer,
-                  stratum_character_lattice, torus_coordinates)
+from . import Avor3Error, InputError, render, strata, verify
+from .equivariant import (MAX_DIMENSION, LinearRep, exterior_invariant_dims, group_order,
+                          order_histogram)
+from .fan import (SIGMA6, Cone, classify_orbits, stabilizer, stratum_character_lattice,
+                  torus_coordinates)
 from .forms import COEFF_ORDER, GENERATOR_NAMES
-from .mhs import UnsupportedTwist
+from .mhs import read_json
 from .registry import load_registry
-from .ssengine import (AmbiguousResolution, EnumerationCapExceeded,
-                       NoConsistentAssignment, SSPage, SplitNotJustified, abutment,
-                       resolve)
-from .strata import ExpectedPageMismatch, InvariantNotConcentrated
-
-_DOMAIN_ERRORS = (SpanDeficient, NotClosedWithinCap, NoConsistentAssignment,
-                  AmbiguousResolution, EnumerationCapExceeded, SplitNotJustified,
-                  ExpectedPageMismatch, InvariantNotConcentrated, UnsupportedTwist,
-                  ValueError, KeyError, OSError)
+from .ssengine import AmbiguousResolution, SSPage, abutment, resolve
 
 _FACE_DIMS = range(SIGMA6.dim() + 1)
 
@@ -106,22 +97,20 @@ def _build_parser():
 
 
 def _load_rep(path):
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, dict):
-        raise ValueError("a representation must be a JSON object")
+        raise InputError("", "a representation must be a JSON object")
     for key in ("dimension", "generators"):
         if key not in data:
-            raise ValueError('representation: missing "%s"' % key)
+            raise InputError("representation", 'missing "%s"' % key)
     dim = data["dimension"]
     if type(dim) is int and dim > MAX_DIMENSION:
-        raise ValueError('representation: "dimension" must be at most %d' % MAX_DIMENSION)
+        raise InputError("representation", '"dimension" must be at most %d' % MAX_DIMENSION)
     return LinearRep(data["dimension"], data["generators"], data.get("signs"))
 
 
 def _load_page(path, purity=False):
-    with open(path, encoding="utf-8") as fh:
-        return SSPage.from_json_dict(json.load(fh), abutment_smooth_proper=purity)
+    return SSPage.from_json_dict(read_json(path), abutment_smooth_proper=purity)
 
 
 def _run(args, out):
@@ -197,7 +186,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _run(args, sys.stdout)
-    except _DOMAIN_ERRORS as exc:
+    except (Avor3Error, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -15,7 +15,7 @@ wedge powers of a generator come from one Laplace sweep over its minors
 
 Only `_closure`, and so only `group_closure`, `group_order` and the Molien
 route, detects an infinite group (NotClosedWithinCap) or a sign character
-that is not well-defined on the group (ValueError); every cross-check runs
+that is not well-defined on the group (InputError); every cross-check runs
 Molien, so it validates the input for both.
 """
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import comb
 from operator import getitem, mul
 
-from . import linalg
+from . import Avor3Error, InputError, linalg
 
 
 CAP = 10000  # bound on group orders and element orders
@@ -35,7 +35,7 @@ CAP = 10000  # bound on group orders and element orders
 MAX_DIMENSION = 6
 
 
-class NotClosedWithinCap(RuntimeError):
+class NotClosedWithinCap(Avor3Error):
     """Generating more group elements, or a larger element order, than CAP."""
 
 
@@ -60,26 +60,26 @@ class LinearRep:
     def __post_init__(self):
         n = self.dimension
         if type(n) is not int or n < 0:
-            raise ValueError("dimension must be a nonnegative integer")
+            raise InputError("", "dimension must be a nonnegative integer")
         try:
             gens = tuple(_freeze(g) for g in self.generators)
             signs = None if self.signs is None else tuple(self.signs)
         except TypeError:
-            raise ValueError("generators must be a list of matrices, "
-                             "signs a list of +-1") from None
+            raise InputError("", "generators must be a list of matrices, "
+                                 "signs a list of +-1") from None
         object.__setattr__(self, "generators", gens)
         for g in gens:
             if len(g) != n or any(len(row) != n for row in g):
-                raise ValueError("generator shape does not match dimension")
+                raise InputError("", "generator shape does not match dimension")
             if any(type(x) is not int for row in g for x in row):
-                raise ValueError("generator entries must be integers")
+                raise InputError("", "generator entries must be integers")
             d = linalg.det(g)
             if d not in (1, -1):
-                raise ValueError("generator has determinant %d, not +-1" % d)
+                raise InputError("", "generator has determinant %d, not +-1" % d)
         if signs is not None:
             if len(signs) != len(gens) or any(type(s) is not int or s not in (1, -1)
                                               for s in signs):
-                raise ValueError("signs must be one value in {1, -1} per generator")
+                raise InputError("", "signs must be one value in {1, -1} per generator")
             object.__setattr__(self, "signs", signs)
 
 
@@ -88,7 +88,7 @@ def _closure(rep: LinearRep):
 
     An element x, the tuple of O-indices of its columns, maps to (chi(x), k,
     parent) with x = g_k parent.  NotClosedWithinCap past CAP elements or
-    n CAP orbit vectors (then an orbit exceeds CAP); ValueError if chi is
+    n CAP orbit vectors (then an orbit exceeds CAP); InputError if chi is
     ill-defined.
     """
     n = rep.dimension
@@ -119,7 +119,7 @@ def _closure(rep: LinearRep):
                 if len(elements) > CAP:
                     raise NotClosedWithinCap("more than %d elements generated" % CAP)
             elif known[0] != val * s:
-                raise ValueError("sign character is not well-defined on the group")
+                raise InputError("", "sign character is not well-defined on the group")
     return orbit, acts, elements
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from . import linalg
+from . import Avor3Error, InputError, linalg
 from .forms import (
     GENERATOR_NAMES,
     GENERATORS,
@@ -34,7 +34,7 @@ from .forms import (
 )
 
 
-class SpanDeficient(ValueError):
+class SpanDeficient(Avor3Error):
     """The operation needs generator vectors spanning R^3."""
 
 
@@ -65,10 +65,10 @@ class Cone:
         names = [t.strip() for t in text.split(",")]
         for n in names:
             if n not in GENERATORS:
-                raise ValueError("unknown generator %r (use a1..a3, b1..b3)" % n)
+                raise InputError("", "unknown generator %r (use a1..a3, b1..b3)" % n)
         ordered = sorted(set(names), key=GENERATOR_NAMES.index)
         if len(ordered) != len(names):
-            raise ValueError("repeated generator in %r" % text)
+            raise InputError("", "repeated generator in %r" % text)
         return cls(tuple(GENERATORS[n] for n in ordered))
 
     def name(self):
@@ -306,16 +306,12 @@ def stratum_character_lattice(c: Cone) -> CharacterLattice:
     basis = tuple(map(tuple, basis_rows))
     d = len(basis)
     seen = set()
-    effective = []
     for g in stab.elements:
         cols = linalg.lattice_coordinates(basis_rows, dual_action_on_characters(g, basis))
         if cols is None:
             raise AssertionError("stabilizer does not preserve the character sublattice")
-        mat = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-        if mat not in seen:
-            seen.add(mat)
-            effective.append(mat)
-    return CharacterLattice(c, basis, tuple(sorted(effective)))
+        seen.add(tuple(tuple(cols[j][i] for j in range(d)) for i in range(d)))
+    return CharacterLattice(c, basis, tuple(sorted(seen)))
 
 
 def torus_coordinates():

@@ -17,17 +17,20 @@ writes entries.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
+from . import Avor3Error, InputError
+
 MAX_CLASSES = 10_000  # classes, counted with multiplicity, in one entries array
 _KEY_FIELDS = {"degree": ("degree",), "position": ("p", "q")}
 
 
-class UnsupportedTwist(ValueError):
-    """Tate twist requested for the extension atom F."""
+class UnsupportedTwist(Avor3Error, ValueError):
+    """A Tate twist or a tensor product of the extension atom F."""
 
 
 def weight_counts(v):
@@ -76,11 +79,14 @@ def json_path(path, field):
     return path + "." + field if path else field
 
 
-class LocatedError(ValueError):
-    """LocatedError(path, message), shown as "path: message"."""
-
-    def __str__(self):
-        return "%s: %s" % self.args
+def read_json(path):
+    """The JSON document in the file at `path`; InputError when it is not
+    UTF-8 (a ValueError), not JSON (one too) or nested too deep to parse."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise InputError("", str(exc)) from None
 
 
 def json_value(obj, key, path, kind=int, minimum=None, default=None):
@@ -88,21 +94,20 @@ def json_value(obj, key, path, kind=int, minimum=None, default=None):
 
     Integers must be exactly int (a bool is rejected) and at least `minimum`
     when one is given.  A missing key takes `default`, and is an error when
-    there is none.  Every error is a ValueError that names `path`, the
-    position of `obj` in the document.
+    there is none.  Every error is an InputError at `path`, the position of
+    `obj` in the document.
     """
-    where = path + ": " if path else ""
     if not isinstance(obj, dict):
-        raise ValueError("%sexpected an object" % where)
+        raise InputError(path, "expected an object")
     if key not in obj:
         if default is None:
-            raise ValueError('%smissing "%s"' % (where, key))
+            raise InputError(path, 'missing "%s"' % key)
         return default
     value = obj[key]
     if type(value) is not kind:
-        raise ValueError('%s"%s" must be %s' % (where, key, _KIND_NAMES[kind]))
+        raise InputError(path, '"%s" must be %s' % (key, _KIND_NAMES[kind]))
     if minimum is not None and value < minimum:
-        raise ValueError('%s"%s" must be at least %d' % (where, key, minimum))
+        raise InputError(path, '"%s" must be at least %d' % (key, minimum))
     return value
 
 
@@ -153,7 +158,7 @@ class MhsVector:
 
     @classmethod
     def from_classes(cls, classes, path="classes"):
-        """Inverse of `to_classes`; ValueError (naming `path`) on a malformed class."""
+        """Inverse of `to_classes`; InputError at `path` on a malformed class."""
         return _read_classes(classes, path, 0)[0]
 
     def __str__(self):
@@ -161,8 +166,8 @@ class MhsVector:
 
 
 def _read_classes(classes, path, count):
-    """(MhsVector, count plus its classes) of a JSON class list; ValueError
-    naming `path` on a malformed class, or before a class would take the
+    """(MhsVector, count plus its classes) of a JSON class list; InputError
+    under `path` on a malformed class, or before a class would take the
     count past MAX_CLASSES."""
     tates = []
     f_count = 0
@@ -171,12 +176,12 @@ def _read_classes(classes, path, count):
         mult = json_value(c, "mult", where, minimum=1, default=1)
         count += mult
         if count > MAX_CLASSES:
-            raise ValueError("%s: more than %d classes in all entries" % (where, MAX_CLASSES))
+            raise InputError(where, "more than %d classes in all entries" % MAX_CLASSES)
         if "atom" in c:
             if "tate" in c:
-                raise ValueError('%s: a class holds "tate" or "atom", not both' % where)
+                raise InputError(where, 'a class holds "tate" or "atom", not both')
             if c["atom"] != "F":
-                raise ValueError("%s: unknown atom %r" % (where, c["atom"]))
+                raise InputError(where, "unknown atom %r" % (c["atom"],))
             f_count += mult
         else:
             tates.extend([json_value(c, "tate", where, minimum=0)] * mult)
@@ -222,10 +227,10 @@ def entries_to_json(entries, kind):
 
 def entries_from_json(data, path, kind):
     """The (key, MhsVector) pairs of data["entries"], keyed by `kind`;
-    ValueError naming the field, under `path`.  All entries together hold
+    InputError naming the field, under `path`.  All entries together hold
     at most MAX_CLASSES classes, counted with multiplicity.  Once all are
     read, a key repeated with nonzero vectors, a "degree" or a "position" as
-    `kind` says, is a ValueError naming the smallest such key."""
+    `kind` says, is an InputError naming the smallest such key."""
     fields = _KEY_FIELDS[kind]
     entries = []
     count = 0
@@ -238,8 +243,7 @@ def entries_from_json(data, path, kind):
     keys = sorted(key for key, v in entries if not v.is_zero())
     for key, again in zip(keys, keys[1:]):
         if key == again:
-            raise ValueError("%srepeated %s %s" % (path + ": " if path else "", kind,
-                                                   str(key).replace(" ", "")))
+            raise InputError(path, "repeated %s %s" % (kind, str(key).replace(" ", "")))
     return entries
 
 
@@ -270,7 +274,7 @@ class CohomologyTable:
 
     @classmethod
     def from_json_dict(cls, data, path=""):
-        """Inverse of `to_json_dict`; ValueError naming the field, under `path`."""
+        """Inverse of `to_json_dict`; InputError naming the field, under `path`."""
         entries = entries_from_json(data, path, "degree")
         return cls(json_value(data, "label", path, str), entries)
 

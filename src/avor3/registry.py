@@ -14,7 +14,8 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .mhs import CohomologyTable, json_value
+from . import InputError
+from .mhs import CohomologyTable, json_value, read_json
 from .ssengine import KnownDifferential, SSPage
 
 FORMAT = "avor3-registry/1"
@@ -40,7 +41,7 @@ class Registry:
         try:
             return mapping[key]
         except KeyError:
-            raise ValueError("registry %r has no %s %r" % (self.source, kind, key)) from None
+            raise InputError("", "registry %r has no %s %r" % (self.source, kind, key)) from None
 
     def table(self, label) -> RegisteredTable:
         return self._lookup(self.tables, "table", label)
@@ -60,7 +61,7 @@ class Registry:
 
 
 def parse_registry(data, source="memory") -> Registry:
-    """Read a registry document; a malformed field raises ValueError naming it.
+    """Read a registry document; a malformed field raises InputError naming it.
 
     Each fiber item is a list [degree, table, twist] whose errors name those
     three fields, e.g. `fibers.kummer_fiber[0]: "twist" must be an integer`;
@@ -68,16 +69,16 @@ def parse_registry(data, source="memory") -> Registry:
     `tables[3].entries[0].classes[0]: "tate" must be at least 0`.
     """
     if not isinstance(data, dict):
-        raise ValueError("a registry must be a JSON object")
+        raise InputError("", "a registry must be a JSON object")
     fmt = json_value(data, "format", "", str)
     if fmt != FORMAT:
-        raise ValueError("unrecognized registry format %r" % fmt)
+        raise InputError("", "unrecognized registry format %r" % fmt)
     tables = {}
     for i, item in enumerate(json_value(data, "tables", "", list, default=[])):
         where = "tables[%d]" % i
         table = CohomologyTable.from_json_dict(item, where)
         if table.label in tables:
-            raise ValueError("%s: duplicate table label %r" % (where, table.label))
+            raise InputError(where, "duplicate table label %r" % table.label)
         citation = json_value(item, "citation", where, str, default="")
         tables[table.label] = RegisteredTable(table, citation,
                                               json_value(item, "notes", where, str, default=""))
@@ -88,11 +89,11 @@ def parse_registry(data, source="memory") -> Registry:
         for i, item in enumerate(json_value(fiber_map, name, "fibers", list)):
             where = "fibers.%s[%d]" % (name, i)
             if type(item) is not list or len(item) != 3:
-                raise ValueError("%s: expected [degree, table, twist]" % where)
+                raise InputError(where, "expected [degree, table, twist]")
             fields = dict(zip(("degree", "table", "twist"), item))
             tag = json_value(fields, "table", where, str)
             if tag not in tables:
-                raise ValueError("%s: unknown table %r" % (where, tag))
+                raise InputError(where, "unknown table %r" % tag)
             fiber.append((json_value(fields, "degree", where), tag,
                           json_value(fields, "twist", where, minimum=0)))
         fibers[name] = tuple(fiber)
@@ -103,7 +104,7 @@ def parse_registry(data, source="memory") -> Registry:
         where = "pages[%d]" % i
         page = SSPage.from_json_dict(item, path=where)
         if page.label in pages:
-            raise ValueError("%s: duplicate page label %r" % (where, page.label))
+            raise InputError(where, "duplicate page label %r" % page.label)
         pages[page.label] = page
     return Registry(tables, fibers, knowns, pages, source)
 
@@ -111,7 +112,6 @@ def parse_registry(data, source="memory") -> Registry:
 def load_registry(path=None) -> Registry:
     """The registry file at `path`, or the packaged one when `path` is None."""
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            return parse_registry(json.load(fh), source=str(path))
+        return parse_registry(read_json(path), source=str(path))
     text = resources.files("avor3").joinpath(_PACKAGED).read_text("utf-8")
     return parse_registry(json.loads(text), source="packaged")

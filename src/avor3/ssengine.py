@@ -24,19 +24,20 @@ from itertools import product as iproduct
 from math import prod
 from operator import attrgetter, itemgetter
 
-from .mhs import (CohomologyTable, LocatedError, entries_from_json, entries_to_json, entry_at,
-                  graded, json_path, json_value, remove_weight, weight_counts)
+from . import Avor3Error, InputError
+from .mhs import (CohomologyTable, entries_from_json, entries_to_json, entry_at, graded,
+                  json_path, json_value, remove_weight, weight_counts)
 
 
-class NoConsistentAssignment(RuntimeError):
+class NoConsistentAssignment(Avor3Error):
     """No differential rank assignment satisfies all constraints."""
 
 
-class EnumerationCapExceeded(RuntimeError):
+class EnumerationCapExceeded(Avor3Error):
     """Resolving a page would enumerate more rank assignments than the cap."""
 
 
-class AmbiguousResolution(RuntimeError):
+class AmbiguousResolution(Avor3Error):
     """Several limit pages survive; carries the full report."""
 
     def __init__(self, report):
@@ -44,7 +45,7 @@ class AmbiguousResolution(RuntimeError):
         super().__init__("%d candidate resolutions survive" % len(report.candidates))
 
 
-class SplitNotJustified(RuntimeError):
+class SplitNotJustified(Avor3Error):
     """The long exact sequence is not forced to split degreewise."""
 
 
@@ -58,16 +59,20 @@ class KnownDifferential:
 
     def __post_init__(self):
         if self.rank < 0:
-            raise ValueError("negative rank")
+            raise InputError("", "negative rank")
         if not self.citation:
-            raise ValueError("a known differential must carry a citation")
+            raise InputError("", "a known differential must carry a citation")
 
     @classmethod
     def from_json_dict(cls, data, path):
-        """A known differential from JSON; ValueError (naming `path`) if malformed."""
-        return cls(json_value(data, "r", path), json_value(data, "p", path),
-                   json_value(data, "q", path), json_value(data, "rank", path, minimum=0),
-                   json_value(data, "citation", path, str))
+        """A known differential from JSON; InputError at `path` if malformed."""
+        fields = (json_value(data, "r", path), json_value(data, "p", path),
+                  json_value(data, "q", path), json_value(data, "rank", path, minimum=0),
+                  json_value(data, "citation", path, str))
+        try:
+            return cls(*fields)
+        except InputError as exc:  # an empty citation
+            raise InputError(path, exc.args[1]) from None
 
 
 @dataclass(frozen=True)
@@ -84,11 +89,11 @@ class SSPage:
         seen, first = set(), max(self.r, 1)
         for i, key in enumerate((k.r, k.p, k.q) for k in self.knowns):
             if key[0] < first:  # the page no longer has it, so it would go unused
-                raise LocatedError("knowns[%d]" % i, "known differential d_%d at (%d,%d) "
-                                   "precedes page %d" % (key + (first,)))
+                raise InputError("knowns[%d]" % i, "known differential d_%d at (%d,%d) "
+                                 "precedes page %d" % (key + (first,)))
             if key in seen:
-                raise LocatedError("knowns[%d]" % i,
-                                   "repeated known differential d_%d at (%d,%d)" % key)
+                raise InputError("knowns[%d]" % i,
+                                 "repeated known differential d_%d at (%d,%d)" % key)
             seen.add(key)
 
     @classmethod
@@ -112,9 +117,9 @@ class SSPage:
 
     @classmethod
     def from_json_dict(cls, data, abutment_smooth_proper=False, path=""):
-        """Inverse of `to_json_dict`; ValueError naming the field, under `path`."""
+        """Inverse of `to_json_dict`; InputError naming the field, under `path`."""
         if not isinstance(data, dict):
-            raise ValueError("%sa page must be a JSON object" % (path + ": " if path else ""))
+            raise InputError(path, "a page must be a JSON object")
         entries = entries_from_json(data, path, "position")
         knowns = [KnownDifferential.from_json_dict(k, json_path(path, "knowns[%d]" % i))
                   for i, k in enumerate(json_value(data, "knowns", path, list, default=[]))]
@@ -122,8 +127,8 @@ class SSPage:
         label = json_value(data, "label", path, str, default="")
         try:
             return cls(r, entries, tuple(knowns), abutment_smooth_proper, label)
-        except LocatedError as exc:
-            raise LocatedError(json_path(path, exc.args[0]), exc.args[1]) from None
+        except InputError as exc:
+            raise InputError(json_path(path, exc.args[0]), exc.args[1]) from None
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import Avor3Error
 from .equivariant import LinearRep, exterior_invariant_dims, h1_pullback
 from .fan import classify_orbits, stratum_character_lattice
-from .mhs import CohomologyTable, MhsVector
+from .mhs import CohomologyTable, MhsVector, UnsupportedTwist
 from .registry import Registry
 from .ssengine import SSPage, abutment, gysin_split, leray_assemble, resolve
 
@@ -31,11 +32,11 @@ STRATUM_NAMES = ("a3", "beta1", "beta2", "beta3")
 COMPACTIFICATION_DIMENSION = 6
 
 
-class InvariantNotConcentrated(RuntimeError):
+class InvariantNotConcentrated(Avor3Error):
     """A symmetry group leaves more cohomology than the pipeline assumes."""
 
 
-class ExpectedPageMismatch(RuntimeError):
+class ExpectedPageMismatch(Avor3Error):
     """A freshly assembled page disagrees with the stored cross-check copy."""
 
 
@@ -157,7 +158,7 @@ def invariant_fiber_table(rep: LinearRep, label: str) -> CohomologyTable:
 
 def _tensor_vectors(v: MhsVector, w: MhsVector) -> MhsVector:
     if v.f_count or w.f_count:
-        raise ValueError("tensor product with the non-Tate atom is not supported")
+        raise UnsupportedTwist("tensor product with the non-Tate atom is not supported")
     return MhsVector(tuple(a + b for a in v.tates for b in w.tates))
 
 

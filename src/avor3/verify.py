@@ -2,7 +2,7 @@
 
 Each check takes `pipeline`, a callable returning the one
 `strata.BettiResult` of the registry, and returns (ok, detail).  `run_all`
-computes that result, or the error it raises, once, on first use, and
+computes that result, or the error it raises, once, before the checks, and
 shares it: the seven checks that read it compare its loci, tables and
 pages against independently frozen expectations, and the five fan- and
 group-only checks never call it.  Every check runs under exception
@@ -292,28 +292,19 @@ ALL_CHECKS = (
 )
 
 
-def _once(fn):
-    """fn, called on first use only; later calls return its result or re-raise
-    its exception, so a failing pipeline is not re-run by every reader."""
-    memo = []
-
-    def call():
-        if not memo:
-            try:
-                memo.append((fn(), None))
-            except Exception as exc:
-                memo.append((None, exc))
-        result, exc = memo[0]
-        if exc is not None:
-            raise exc
-        return result
-    return call
-
-
 def run_all(registry):
-    """Run every check on one shared pipeline result, computed on first use;
-    returns a list of (name, ok, detail) triples."""
-    pipeline = _once(lambda: strata.compactification_betti(registry))
+    """Run every check on one shared pipeline result, computed first; returns
+    a list of (name, ok, detail) triples."""
+    try:
+        result, error = strata.compactification_betti(registry), None
+    except Exception as exc:  # fails the checks that read the result
+        result, error = None, exc
+
+    def pipeline():
+        if error is not None:
+            raise error
+        return result
+
     results = []
     for name, fn in ALL_CHECKS:
         try:

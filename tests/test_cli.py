@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import re
@@ -6,8 +9,9 @@ import sys
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from avor3 import cli
+from avor3 import cli, strata
 from avor3.equivariant import MAX_DIMENSION
 from avor3.mhs import MAX_CLASSES
 from avor3.registry import load_registry, parse_registry
@@ -267,10 +271,11 @@ def _page(classes=None, entry=(), known=(), **top):
     (_page(page=-3), '"page" must be at least 0'),
     (_page([{"tate": 0, "atom": "F"}]),
      'entries[0].classes[0]: a class holds "tate" or "atom", not both'),
+    (_page(known={"citation": ""}), "knowns[0]: a known differential must carry a citation"),
 ], ids=["negative-tate", "negative-mult", "string-tate", "float-mult", "float-p",
         "bool-tate", "bool-page", "missing-classes", "missing-citation",
         "string-rank", "entries-object", "early-page-known", "negative-page",
-        "tate-and-atom"])
+        "tate-and-atom", "empty-citation"])
 def test_ss_resolve_rejects_malformed_page(capsys, tmp_path, page, message):
     path = tmp_path / "page.json"
     path.write_text(json.dumps(page))
@@ -362,6 +367,35 @@ def test_ss_abutment_accepts_the_class_bound(capsys, tmp_path):
     assert out == "table bad\n  H_c^0  = Q^%d\n  H_c^1  = F\n" % (MAX_CLASSES - 1)
 
 
+@pytest.mark.parametrize("argv", [("ss", "resolve", "--input"), ("equi", "invariants", "--rep"),
+                                  ("betti", "avor3", "--registry")],
+                         ids=["page", "rep", "registry"])
+@pytest.mark.parametrize("content,message", [
+    (b"nope", "Expecting value: line 1 column 1 (char 0)"),
+    (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b"[" * 200000 + b"]" * 200000, None),  # deeper than the recursion limit
+], ids=["not-json", "not-utf8", "nested-too-deep"])
+def test_an_unreadable_file_is_one_error_line(capsys, tmp_path, argv, content, message):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert message is None or err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("error", [ValueError("a bug"), KeyError("a bug")],
+                         ids=["ValueError", "KeyError"])
+def test_a_library_error_that_is_no_avor3_error_propagates(monkeypatch, error):
+    # only an Avor3Error or an OSError is the user's; anything else is a bug
+    def broken(registry):
+        raise error
+    monkeypatch.setattr(strata, "compactification_betti", broken)
+    with pytest.raises(type(error)) as exc:
+        cli.main(["betti", "avor3"])
+    assert exc.value is error
+
+
 def test_ss_resolve_missing_file(capsys):
     code, _, err = run_cli(capsys, "ss", "resolve", "--input", "/no/such/file.json")
     assert code == 1
@@ -447,10 +481,12 @@ _FIBER = "fibers.kummer_fiber[0]"
      "tables[6]: duplicate table label 'a2'"),
     (_registry(lambda d: d["pages"].append(dict(d["pages"][0]))),
      "pages[3]: duplicate page label 'kummer_e2_expected'"),
+    (_registry(lambda d: d["knowns"]["cstar_bundle_d2"].update(citation="")),
+     _KNOWN + ": a known differential must carry a citation"),
 ], ids=["list-file", "fibers-list", "string-known", "short-fiber-item", "missing-citation",
         "bool-rank", "float-twist", "number-citation", "negative-table-tate", "float-page-p",
         "huge-table-mult", "early-page-known", "tate-and-atom", "duplicate-table-label",
-        "duplicate-page-label"])
+        "duplicate-page-label", "empty-citation"])
 def test_betti_rejects_malformed_registry(capsys, tmp_path, registry, message):
     path = tmp_path / "registry.json"
     path.write_text(json.dumps(registry))
@@ -545,5 +581,114 @@ def test_verify_all_latex_escapes_a_failing_detail(capsys, tmp_path, monkeypatch
     code, out, _ = run_cli(capsys, "verify", "all", "--registry", "bad_reg.json",
                            "--format", "latex")
     assert code == 1
-    assert out.splitlines()[3] == ("betti\\_vector & fail & raised ValueError: registry "
+    assert out.splitlines()[3] == ("betti\\_vector & fail & raised InputError: registry "
                                    "'bad\\_reg.json' has no table 'a3\\_open' \\\\")
+
+
+_PACKAGED = json.loads(resources.files("avor3").joinpath("data/paper_data.json").read_text())
+_S3 = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]]
+_DOCUMENTS = {  # the files the fuzz mutates, by argv placeholder
+    "{page}": _PACKAGED["pages"],
+    "{rep}": [{"dimension": 2, "generators": [[[0, 1], [1, 0]]], "signs": [-1]},
+              {"dimension": 3, "generators": _S3, "signs": [-1, 1]}],
+    "{registry}": [_PACKAGED],
+}
+_COMMANDS = (
+    ("fan", "faces", "--dim", "{dim}"),
+    ("fan", "orbits", "--dim", "{dim}"),
+    ("fan", "stabilizer", "--cone", "{cone}"),
+    ("fan", "cusp-rank", "--cone", "{cone}"),
+    ("fan", "torus-coords"),
+    ("equi", "invariants", "--cone", "{cone}"),
+    ("equi", "invariants", "--rep", "{rep}"),
+    ("ss", "resolve", "--input", "{page}"),
+    ("ss", "resolve", "--input", "{page}", "--purity"),
+    ("ss", "abutment", "--input", "{page}"),
+    ("strata", "table", "--stratum", "{stratum}", "--registry", "{registry}"),
+    ("betti", "avor3", "--registry", "{registry}"),
+    ("verify", "all", "--registry", "{registry}"),
+)
+_WORDS = {
+    "{dim}": [str(d) for d in range(7)] + ["-1", "7"],
+    "{cone}": ["a1,a2,a3", "a1,a2,a3,b1", "a1,a2,b1,b2", "a1,a2,b3", "b3, a1 ,a2", "a1", "0",
+               "", "a1,a1", "a9", "a1,,a2"],
+    "{stratum}": list(strata.STRATUM_NAMES) + ["beta9"],
+}
+# argv words put in, or swapped for another; none abbreviates --help
+_TOKENS = ("", "x", "-1", "7", "a9", "avor3", "all", "beta1", "json", "latex", "--dim",
+           "--cone", "--format", "--purity", "--input", "--rep", "--registry", "--bogus")
+# JSON values swapped in for a value of the document, and out-of-range integers;
+# none takes a class count, a dimension or a group past the library's caps
+_SWAPS = (None, True, 2.5, "x", "F", [], {}, [0], {"tate": 0})
+_INTEGERS = (-1, 0, 10 ** 9, -(10 ** 9), MAX_CLASSES + 1)
+
+
+def _nodes(value, parent, key):
+    """(parent, key) of every value under `value`, then of `value` itself."""
+    if isinstance(value, (dict, list)):
+        for k in list(value) if isinstance(value, dict) else range(len(value)):
+            yield from _nodes(value[k], value, k)
+    yield parent, key
+
+
+def _mutated(data, document):
+    """`document` after one to three edits, each at a drawn position: a type
+    swap, a deleted key or list item, or an integer put out of range."""
+    root = [copy.deepcopy(document)]
+    for _ in range(data.draw(st.integers(1, 3))):
+        nodes = list(_nodes(root[0], root, 0))
+        edit = data.draw(st.sampled_from(("swap", "delete", "integer")))
+        if edit == "integer":
+            nodes = [(p, k) for p, k in nodes if type(p[k]) is int] or nodes
+        parent, key = data.draw(st.sampled_from(nodes))
+        if edit == "delete" and parent is not root:
+            del parent[key]
+        elif edit == "integer":
+            parent[key] = data.draw(st.sampled_from(_INTEGERS))
+        else:
+            parent[key] = copy.deepcopy(data.draw(st.sampled_from(_SWAPS)))
+    return root[0]
+
+
+def _main(argv):
+    """(exit code, stdout, stderr, whether argparse exited) of `cli.main(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, exited = cli.main(argv), False
+        except SystemExit as exc:  # a usage error; any other exception fails the test
+            code, exited = exc.code, True
+    return code, out.getvalue(), err.getvalue(), exited
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_no_cli_input_prints_a_traceback(fuzz_dir, data):
+    argv = list(data.draw(st.sampled_from(_COMMANDS)))
+    for i, word in enumerate(argv):
+        if word in _WORDS:
+            argv[i] = data.draw(st.sampled_from(_WORDS[word]))
+        elif word in _DOCUMENTS:
+            document = data.draw(st.sampled_from(_DOCUMENTS[word]))
+            path = fuzz_dir / "input.json"
+            path.write_text(json.dumps(_mutated(data, document)))
+            argv[i] = str(path)
+    argv += data.draw(st.sampled_from(([], ["--format", "json"], ["--format", "latex"])))
+    for _ in range(data.draw(st.integers(0, 5)) // 3):  # argv mostly kept
+        i = data.draw(st.integers(0, len(argv)))
+        edit = data.draw(st.sampled_from(("insert", "replace", "delete")))
+        if edit != "insert" and i < len(argv):
+            del argv[i]
+        if edit != "delete":
+            argv.insert(i, data.draw(st.sampled_from(_TOKENS)))
+    code, out, err, exited = _main(argv)
+    if exited:
+        assert (code, out) == (2, ""), argv
+    else:
+        assert code in (0, 1), argv
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), (argv, err)

@@ -81,7 +81,8 @@ def json_path(path, field):
 
 def read_json(path):
     """The JSON document in the file at `path`; InputError when it is not
-    UTF-8 (a ValueError), not JSON (one too) or nested too deep to parse."""
+    UTF-8 or not JSON (ValueErrors of the decoder) or nested too deep to
+    parse (a RecursionError)."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)

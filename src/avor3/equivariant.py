@@ -13,16 +13,19 @@ minus the identity, stacked, and their dimension is one exact rank.  All
 wedge powers of a generator come from one Laplace sweep over its minors
 (`linalg.exterior_powers`), so the two routes share no step.
 
-Only `_closure`, and so only `group_closure`, `group_order` and the Molien
-route, detects an infinite group (NotClosedWithinCap) or a sign character
-that is not well-defined on the group (InputError); every cross-check runs
-Molien, so it validates the input for both.
+Each `LinearRep` closes its group once, on first use, and keeps the closure,
+which `group_closure`, `group_order` and the Molien route all read.  Only
+that closure detects an infinite group (NotClosedWithinCap) or a
+sign character that is not well-defined on the group (InputError); a failed
+closure is not kept, so it raises again on every call.  Every cross-check
+runs Molien, so it validates the input for both routes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from operator import getitem, mul
 
@@ -82,14 +85,20 @@ class LinearRep:
                 raise InputError("", "signs must be one value in {1, -1} per generator")
             object.__setattr__(self, "signs", signs)
 
+    @cached_property
+    def _closed(self):
+        """`_closure(self)`, computed on first use and kept on the instance."""
+        return _closure(self)
+
 
 def _closure(rep: LinearRep):
     """(orbit O of e_1 .. e_n, generators as maps of O-indices, elements).
 
-    An element x, the tuple of O-indices of its columns, maps to (chi(x), k,
-    parent) with x = g_k parent.  NotClosedWithinCap past CAP elements or
-    n CAP orbit vectors (then an orbit exceeds CAP); InputError if chi is
-    ill-defined.
+    O and the maps are tuples.  An element x, the tuple of O-indices of its
+    columns, maps to (chi(x), k, parent) with x = g_k parent; callers share
+    the triple through `LinearRep._closed`, so `elements` is read-only.
+    NotClosedWithinCap past CAP elements or n CAP orbit vectors (then an
+    orbit exceeds CAP); InputError if chi is ill-defined.
     """
     n = rep.dimension
     signs = rep.signs or tuple(1 for _ in rep.generators)
@@ -120,19 +129,19 @@ def _closure(rep: LinearRep):
                     raise NotClosedWithinCap("more than %d elements generated" % CAP)
             elif known[0] != val * s:
                 raise InputError("", "sign character is not well-defined on the group")
-    return orbit, acts, elements
+    return tuple(orbit), tuple(map(tuple, acts)), elements
 
 
 def group_closure(rep: LinearRep):
     """All elements of the generated group as sorted (matrix, character value) pairs."""
-    orbit, _, elements = _closure(rep)
+    orbit, _, elements = rep._closed
     return sorted((tuple(zip(*map(orbit.__getitem__, m))), v)
                   for m, (v, _, _) in elements.items())
 
 
 def group_order(rep: LinearRep):
-    """The number of elements of the generated group, from one `_closure`."""
-    return len(_closure(rep)[2])
+    """The number of elements of the generated group, from its one closure."""
+    return len(rep._closed[2])
 
 
 def element_order(m):
@@ -163,7 +172,7 @@ def exterior_invariant_dims(rep: LinearRep):
     |G| once.  With a sign character the result is the dimension of the
     isotypic part for that character in each wedge power.
     """
-    orbit, acts, elements = _closure(rep)
+    orbit, acts, elements = rep._closed
     n = rep.dimension
     weights = Counter()  # power traces -> signed count of elements with them
     for m, (s, k, parent) in elements.items():
@@ -199,8 +208,8 @@ def fixed_subspace_dims_bruteforce(rep: LinearRep):
     powers are formed, all of one generator in one Laplace sweep, and the
     group is never closed, so this shares no step with the Molien route.
     For that reason it does not itself detect an infinite group
-    (NotClosedWithinCap) or an ill-defined sign character; only _closure
-    does, which the Molien route runs on every cross-check.
+    (NotClosedWithinCap) or an ill-defined sign character; only the closure
+    does, which the Molien route reads on every cross-check.
     Restricted to dimension <= MAX_DIMENSION.
     """
     if rep.dimension > MAX_DIMENSION:

@@ -182,7 +182,7 @@ def _read_classes(classes, path, count):
             if "tate" in c:
                 raise InputError(where, 'a class holds "tate" or "atom", not both')
             if c["atom"] != "F":
-                raise InputError(where, "unknown atom %r" % (c["atom"],))
+                raise InputError(where, '"atom" must be "F"')
             f_count += mult
         else:
             tates.extend([json_value(c, "tate", where, minimum=0)] * mult)

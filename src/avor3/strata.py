@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import Avor3Error
+from . import Avor3Error, InputError
 from .equivariant import LinearRep, exterior_invariant_dims, h1_pullback
 from .fan import classify_orbits, stratum_character_lattice
 from .mhs import CohomologyTable, MhsVector, UnsupportedTwist
@@ -178,8 +178,11 @@ def rank_two_locus(registry: Registry) -> RankTwoResult:
     """
     stored = registry.page("cstar_bundle_e2")
     known = registry.known("cstar_bundle_d2")
-    page = leray_assemble(registry.base_tables(), registry.fiber("cstar_fiber"),
-                          label=stored.label, knowns=(known,))
+    try:
+        page = leray_assemble(registry.base_tables(), registry.fiber("cstar_fiber"),
+                              label=stored.label, knowns=(known,))
+    except InputError as exc:  # the page's first known is this registry field
+        raise InputError("knowns.cstar_bundle_d2", exc.args[1]) from None
     if page.entries != stored.entries:
         raise ExpectedPageMismatch(
             "assembled rank-2 bundle page differs from the stored cross-check")

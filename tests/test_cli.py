@@ -272,10 +272,12 @@ def _page(classes=None, entry=(), known=(), **top):
     (_page([{"tate": 0, "atom": "F"}]),
      'entries[0].classes[0]: a class holds "tate" or "atom", not both'),
     (_page(known={"citation": ""}), "knowns[0]: a known differential must carry a citation"),
+    # the offending value is not echoed, so the line stays short however large it is
+    (_page([{"atom": [[[["x" * 50]]]] * 30}]), 'entries[0].classes[0]: "atom" must be "F"'),
 ], ids=["negative-tate", "negative-mult", "string-tate", "float-mult", "float-p",
         "bool-tate", "bool-page", "missing-classes", "missing-citation",
         "string-rank", "entries-object", "early-page-known", "negative-page",
-        "tate-and-atom", "empty-citation"])
+        "tate-and-atom", "empty-citation", "large-atom"])
 def test_ss_resolve_rejects_malformed_page(capsys, tmp_path, page, message):
     path = tmp_path / "page.json"
     path.write_text(json.dumps(page))
@@ -483,10 +485,13 @@ _FIBER = "fibers.kummer_fiber[0]"
      "pages[3]: duplicate page label 'kummer_e2_expected'"),
     (_registry(lambda d: d["knowns"]["cstar_bundle_d2"].update(citation="")),
      _KNOWN + ": a known differential must carry a citation"),
+    # only the assembled rank-2 page sees this, but the error names the registry field
+    (_registry(lambda d: d["knowns"]["cstar_bundle_d2"].update(r=1)),
+     _KNOWN + ": known differential d_1 at (2,2) precedes page 2"),
 ], ids=["list-file", "fibers-list", "string-known", "short-fiber-item", "missing-citation",
         "bool-rank", "float-twist", "number-citation", "negative-table-tate", "float-page-p",
         "huge-table-mult", "early-page-known", "tate-and-atom", "duplicate-table-label",
-        "duplicate-page-label", "empty-citation"])
+        "duplicate-page-label", "empty-citation", "early-registry-known"])
 def test_betti_rejects_malformed_registry(capsys, tmp_path, registry, message):
     path = tmp_path / "registry.json"
     path.write_text(json.dumps(registry))

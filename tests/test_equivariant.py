@@ -1,9 +1,10 @@
+from itertools import permutations
 from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avor3 import linalg
+from avor3 import InputError, equivariant, linalg
 from avor3.equivariant import (LinearRep, NotClosedWithinCap, element_order,
                                exterior_invariant_dims,
                                fixed_subspace_dims_bruteforce, group_closure,
@@ -23,10 +24,11 @@ def test_group_closure_symmetric_group():
 
 def test_group_closure_cap():
     shear = ((1, 1), (0, 1))  # infinite order
-    with pytest.raises(NotClosedWithinCap, match="more than 10000 elements"):
-        group_closure(LinearRep(2, (shear,)))
-    with pytest.raises(NotClosedWithinCap, match="more than 10000 elements"):
-        group_order(LinearRep(2, (shear,)))
+    rep = LinearRep(2, (shear,))
+    # a failed closure is not kept, so every call on the one rep raises again
+    for call in (group_closure, group_closure, group_order, exterior_invariant_dims):
+        with pytest.raises(NotClosedWithinCap, match="more than 10000 elements"):
+            call(rep)
     with pytest.raises(NotClosedWithinCap, match="element order exceeds 10000"):
         element_order(shear)
 
@@ -202,6 +204,40 @@ def test_generator_kernel_oracle_matches_molien_and_projector_sum(reps):
     assert oracle == _projector_sum_dims(conj)
 
 
+def test_a_representation_closes_its_group_once(monkeypatch):
+    closures = []
+    close = equivariant._closure
+    monkeypatch.setattr(equivariant, "_closure", lambda rep: closures.append(rep) or close(rep))
+    t = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    rep = LinearRep(3, (t, ROT3), signs=(-1, 1))
+    assert fixed_subspace_dims_bruteforce(rep) == (0, 0, 1, 1)
+    assert closures == []  # the oracle never closes the group
+    assert len(group_closure(rep)) == group_order(rep) == 6
+    assert exterior_invariant_dims(rep) == (0, 0, 1, 1)
+    assert group_closure(rep) == group_closure(LinearRep(3, (t, ROT3), signs=(-1, 1)))
+    assert closures == [rep, rep]  # one for each of the two equal representations
+
+
+_CLOSING_CALLS = (group_closure, group_order, exterior_invariant_dims,
+                  fixed_subspace_dims_bruteforce)
+
+
+@settings(max_examples=20, deadline=None)
+@given(conjugated_signed_permutation_groups(max_dim=3))
+def test_the_kept_closure_changes_no_result_and_no_identity(reps):
+    # each call on its own fresh representation, against all four on one
+    # representation in every order; equality, hash and repr ignore the closure
+    for rep in reps:
+        fields = (rep.dimension, rep.generators, rep.signs)
+        expected = [call(LinearRep(*fields)) for call in _CLOSING_CALLS]
+        for order in permutations(_CLOSING_CALLS):
+            closed = LinearRep(*fields)
+            got = {call: call(closed) for call in order}
+            assert [got[call] for call in _CLOSING_CALLS] == expected
+            twin = LinearRep(*fields)
+            assert (closed, hash(closed), repr(closed)) == (twin, hash(twin), repr(twin))
+
+
 def test_oracle_rejects_dimension_seven():
     with pytest.raises(ValueError, match="dimension <= 6"):
         fixed_subspace_dims_bruteforce(LinearRep(7, ()))
@@ -275,8 +311,10 @@ def test_dimension_zero():
 
 
 def test_generator_listed_twice_with_both_signs():
-    with pytest.raises(ValueError, match="sign character"):
-        group_closure(LinearRep(2, (SWAP2, SWAP2), signs=(1, -1)))
+    rep = LinearRep(2, (SWAP2, SWAP2), signs=(1, -1))
+    for call in (group_closure, group_order, exterior_invariant_dims):
+        with pytest.raises(InputError, match="sign character is not well-defined"):
+            call(rep)
 
 
 def test_large_groups_molien_matches_oracle():

@@ -23,6 +23,7 @@ runs Molien, so it validates the input for both routes.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -166,28 +167,28 @@ def order_histogram(mats):
 def exterior_invariant_dims(rep: LinearRep):
     """(dim (Lambda^k V)^G)_{k=0..n} via the group average of det(I + t g).
 
-    Newton's identities give them from the traces of x^j, whose columns are
-    those of x^(j-1) through x's generator word, once per set of traces.
+    Newton's identities give them from the traces of x^j.  The elements are
+    walked in closure order, parent before child, and each element's
+    permutation of the orbit is its generator's map applied to its parent's,
+    so the columns of x^j are those of x^(j-1) looked up once through it.
     The coefficients are summed over the group in integers and divided by
     |G| once.  With a sign character the result is the dimension of the
     isotypic part for that character in each wedge power.
     """
     orbit, acts, elements = rep._closed
     n = rep.dimension
+    diag = [[v[i] for v in orbit] for i in range(n)]  # diag[i][o] = orbit[o][i]
+    # element -> its permutation of the orbit indices, as a compact int array
+    # (one tuple per element of a large orbit would raise the peak memory)
+    perms = {}
     weights = Counter()  # power traces -> signed count of elements with them
     for m, (s, k, parent) in elements.items():
-        word = []  # x = g_k g_k' ..., so g_k acts last
-        while k is not None:
-            word.append(acts[k].__getitem__)
-            _, k, parent = elements[parent]
+        perms[m] = perm = array("i", range(len(orbit)) if k is None
+                                else map(acts[k].__getitem__, perms[parent]))
         powers = [m]
         for _ in range(n - 1):
-            cols = powers[-1]
-            for act in reversed(word):
-                cols = tuple(map(act, cols))
-            powers.append(cols)
-        weights[tuple(sum(map(getitem, map(orbit.__getitem__, cols), range(n)))
-                      for cols in powers[:n])] += s
+            powers.append(tuple(map(perm.__getitem__, powers[-1])))
+        weights[tuple(sum(map(getitem, diag, cols)) for cols in powers[:n])] += s
     total = [0] * (n + 1)
     for traces, count in weights.items():
         for j, e in enumerate(linalg.elementary_from_power_sums(traces)):

@@ -39,15 +39,27 @@ def _eliminate(a):
     """Row echelon form of a copy of an integer matrix by Bareiss elimination.
 
     Returns (rows, pivot column list, sign of the row permutation).  After the
-    k-th pivot step every entry below the pivot rows is a (k+1) x (k+1) minor
-    of `a`, so each division by the previous pivot is exact (Bareiss 1968) and
-    no intermediate leaves the integers.
+    k-th pivot step every Bareiss entry below the pivot rows is a
+    (k+1) x (k+1) minor of `a`, so each division by the previous pivot is
+    exact (Bareiss 1968) and no intermediate leaves the integers.
+
+    The elimination is lazy.  A row with 0 in the pivot column would only be
+    scaled by p_k / p_(k-1), and across skipped steps these factors
+    telescope, so the row is left as it is and remembers the step t it is
+    current at: its Bareiss value is its stored value times p_(k-1) / d_t,
+    d_t being the divisor of step t.  When the row is next rewritten, that
+    step divides by d_t instead of p_(k-1), which applies the pending factor
+    in the same pass; when it becomes the pivot row it is first multiplied
+    by p_(k-1) and divided exactly by d_t.  So each pivot row is the eager
+    Bareiss row, and every row below the last pivot row is zero.
     """
     m = [list(row) for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
-    sign, prev, r = 1, 1, 0
+    divisors = [1]  # divisors[k]: the divisor of step k, the pivot of step k - 1
+    current = [0] * rows  # the step each row is current at
+    sign, r = 1, 0
     for c in range(cols):
         if r == rows:
             break
@@ -56,12 +68,20 @@ def _eliminate(a):
             continue
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
+            current[r], current[pivot] = current[pivot], current[r]
             sign = -sign
-        p = m[r][c]
+        prev = divisors[r]
+        top = m[r]
+        if current[r] != r:
+            top = m[r] = [x * prev // divisors[current[r]] for x in top]
+        p = top[c]
         for i in range(r + 1, rows):
             f = m[i][c]
-            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], m[r])]
-        prev = p
+            if f:
+                d = divisors[current[i]]
+                m[i] = [(p * x - f * y) // d for x, y in zip(m[i], top)]
+                current[i] = r + 1
+        divisors.append(p)
         pivots.append(c)
         r += 1
     return m, pivots, sign
@@ -112,7 +132,7 @@ def hermite_form(a):
     positive and is zero below each pivot.  Plain integer row reduction; the
     matrices here are tiny so no care about coefficient growth is needed.
     """
-    h = [list(map(int, row)) for row in a]
+    h = [list(row) for row in a]
     rows = len(h)
     cols = len(h[0]) if rows else 0
     u = identity(rows)
@@ -160,8 +180,7 @@ def int_kernel(a):
     if not a:
         return identity(0)
     n = len(a[0])
-    at = [[int(a[i][j]) for i in range(len(a))] for j in range(n)]
-    h, u = hermite_form(at)
+    h, u = hermite_form(transpose(a))
     # each basis row leads with a positive entry
     return [list(lead_positive(u[i])) for i in range(n) if not any(h[i])]
 

@@ -310,6 +310,14 @@ def test_dimension_zero():
     assert exterior_invariant_dims(rep) == (1,)
 
 
+def test_dimension_one():
+    # n = 1: one power trace per element and no power step
+    rep = LinearRep(1, (((-1,),),))
+    assert exterior_invariant_dims(rep) == fixed_subspace_dims_bruteforce(rep) == (1, 0)
+    twisted = LinearRep(1, (((-1,),),), signs=(-1,))
+    assert exterior_invariant_dims(twisted) == fixed_subspace_dims_bruteforce(twisted) == (0, 1)
+
+
 def test_generator_listed_twice_with_both_signs():
     rep = LinearRep(2, (SWAP2, SWAP2), signs=(1, -1))
     for call in (group_closure, group_order, exterior_invariant_dims):

@@ -123,15 +123,56 @@ def _matrices(draw, max_rows=4, max_cols=4):
     return linalg.mat_mul(left, right)
 
 
+def largest_nonzero_minor(a):
+    rows, cols = len(a), len(a[0])
+    return max(k for k in range(min(rows, cols) + 1)
+               if k == 0 or any(leibniz_det([[a[i][j] for j in c] for i in r])
+                                for r in combinations(range(rows), k)
+                                for c in combinations(range(cols), k)))
+
+
 @settings(max_examples=100, deadline=None)
 @given(_matrices())
 def test_rank_is_largest_nonzero_minor(a):
-    rows, cols = len(a), len(a[0])
-    expected = max(k for k in range(min(rows, cols) + 1)
-                   if k == 0 or any(leibniz_det([[a[i][j] for j in c] for i in r])
-                                    for r in combinations(range(rows), k)
-                                    for c in combinations(range(cols), k)))
-    assert linalg.rank(a) == expected
+    assert linalg.rank(a) == largest_nonzero_minor(a)
+
+
+@st.composite
+def _sparse_matrices(draw, max_size=5):
+    """Mostly-zero integer matrices: many rows hold 0 in a pivot column, so
+    they lag behind the elimination for several steps, pivot rows included."""
+    rows, cols = draw(st.integers(1, max_size)), draw(st.integers(1, max_size))
+    if draw(st.booleans()):
+        cols = rows
+    entries = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2, -3))
+    return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_matrices())
+def test_lazy_elimination_on_sparse_matrices(a):
+    assert linalg.rank(a) == largest_nonzero_minor(a)
+    m, pivots, _ = linalg._eliminate(a)
+    assert not any(x for row in m[len(pivots):] for x in row)
+    if len(a) == len(a[0]):
+        assert linalg.det(a) == leibniz_det(a)
+
+
+def test_lazy_elimination_row_lagging_two_steps_becomes_the_pivot():
+    # Row 3 is 0 in the pivot columns of steps 0 and 1, so it is scaled by
+    # neither; at step 2 it is the only row with a nonzero in column 2 and is
+    # brought current (times p_1 = 5 over d_0 = 1) as the pivot row.  The old
+    # row 2 then lags one step and becomes the last pivot (times 25 / 5).
+    a = [[2, 1, 0, 1],
+         [1, 3, 0, 0],
+         [1, 1, 0, 1],
+         [0, 0, 5, 1]]
+    m, pivots, sign = linalg._eliminate(a)
+    assert m == [[2, 1, 0, 1], [0, 5, 0, -1], [0, 0, 25, 5], [0, 0, 0, 15]]
+    assert (pivots, sign) == ([0, 1, 2, 3], -1)
+    assert linalg.det(a) == leibniz_det(a) == -15
+    assert linalg.rank(a) == 4
 
 
 @settings(max_examples=100, deadline=None)

@@ -70,10 +70,9 @@ def _eliminate(a):
             m[r], m[pivot] = m[pivot], m[r]
             current[r], current[pivot] = current[pivot], current[r]
             sign = -sign
-        prev = divisors[r]
         top = m[r]
         if current[r] != r:
-            top = m[r] = [x * prev // divisors[current[r]] for x in top]
+            top = m[r] = [x * divisors[r] // divisors[current[r]] for x in top]
         p = top[c]
         for i in range(r + 1, rows):
             f = m[i][c]

@@ -5,8 +5,9 @@ int tuples and all arithmetic stays in the integers.  Invariant dimensions
 of wedge powers are computed two independent ways.  The production route is
 a Molien-style sum of the coefficients of det(I + t g) over the group,
 closed on the orbits of the basis vectors so that a product is n index
-lookups (Newton's identities on power traces), divided by the group order
-once.  The oracle that cross-checks it never closes the group: a vector is
+lookups (Newton's identities on the traces of g^j for j <= n/2, the upper
+coefficients by the symmetry e_(n-k) = det(g) e_k), divided by the group
+order once.  The oracle that cross-checks it never closes the group: a vector is
 fixed by the group exactly when each generator fixes it, so the invariants
 of each wedge power are the kernel of the generators' induced matrices
 minus the identity, stacked, and their dimension is one exact rank.  All
@@ -23,7 +24,6 @@ runs Molien, so it validates the input for both routes.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -167,31 +167,38 @@ def order_histogram(mats):
 def exterior_invariant_dims(rep: LinearRep):
     """(dim (Lambda^k V)^G)_{k=0..n} via the group average of det(I + t g).
 
-    Newton's identities give them from the traces of x^j.  The elements are
-    walked in closure order, parent before child, and each element's
-    permutation of the orbit is its generator's map applied to its parent's,
-    so the columns of x^j are those of x^(j-1) looked up once through it.
+    Each x in G has finite order, so its eigenvalues are closed under
+    inversion and the t^(n-k) coefficient of det(I + t x) is det(x) times
+    the t^k one.  Newton's identities therefore need the traces of x^j for
+    j <= n/2 only; the columns of x^j are those of x^(j-1) through x's
+    generator word, and det(x) is the product of the word's determinants.
     The coefficients are summed over the group in integers and divided by
     |G| once.  With a sign character the result is the dimension of the
     isotypic part for that character in each wedge power.
     """
     orbit, acts, elements = rep._closed
     n = rep.dimension
+    half = n // 2
     diag = [[v[i] for v in orbit] for i in range(n)]  # diag[i][o] = orbit[o][i]
-    # element -> its permutation of the orbit indices, as a compact int array
-    # (one tuple per element of a large orbit would raise the peak memory)
-    perms = {}
-    weights = Counter()  # power traces -> signed count of elements with them
+    dets = [linalg.det(g) for g in rep.generators]
+    weights = Counter()  # (det, power traces) -> signed count of elements with them
     for m, (s, k, parent) in elements.items():
-        perms[m] = perm = array("i", range(len(orbit)) if k is None
-                                else map(acts[k].__getitem__, perms[parent]))
+        word, d = [], 1  # x = g_k g_k' ..., so g_k acts last
+        while k is not None:
+            word.append(acts[k].__getitem__)
+            d *= dets[k]
+            _, k, parent = elements[parent]
         powers = [m]
-        for _ in range(n - 1):
-            powers.append(tuple(map(perm.__getitem__, powers[-1])))
-        weights[tuple(sum(map(getitem, diag, cols)) for cols in powers[:n])] += s
+        for _ in range(half - 1):
+            cols = powers[-1]
+            for act in reversed(word):
+                cols = tuple(map(act, cols))
+            powers.append(cols)
+        weights[d, tuple(sum(map(getitem, diag, cols)) for cols in powers[:half])] += s
     total = [0] * (n + 1)
-    for traces, count in weights.items():
-        for j, e in enumerate(linalg.elementary_from_power_sums(traces)):
+    for (d, traces), count in weights.items():
+        low = linalg.elementary_from_power_sums(traces)  # e_0 .. e_half
+        for j, e in enumerate(low + [d * e for e in reversed(low[:n - half])]):
             total[j] += count * e
     out = [divmod(t, len(elements)) for t in total]
     if any(rem or val < 0 for val, rem in out):

@@ -304,6 +304,24 @@ def test_element_cap_with_small_orbits():
         group_closure(LinearRep(6, _signed_permutation_generators(6)))
 
 
+def test_molien_on_free_orbits():
+    # B3 x B1 conjugated by v, whose columns have distinct nonzero absolute
+    # values: every basis orbit is free, so the orbit holds 4 |G| = 384
+    # vectors, many more than any element's generator word is long
+    v = ((-4, 1, 2, 1), (-3, -2, -3, -2), (-2, -3, -1, -4), (-3, 1, 2, 1))
+    v_inv = linalg.adjugate(v)  # det v = 1
+    gens = [[row + [0] for row in g] + [[0, 0, 0, 1]] for g in _signed_permutation_generators(3)]
+    gens.append([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
+    conj = [linalg.mat_mul(linalg.mat_mul(v_inv, g), v) for g in gens]
+    dets = tuple(linalg.det(g) for g in gens)
+    for signs, dims in ((None, (1, 0, 0, 0, 0)),
+                        ((1, 1, 1, -1), (0, 1, 0, 0, 0)),  # the B1 factor's sign
+                        (dets, (0, 0, 0, 0, 1))):
+        rep = LinearRep(4, conj, signs)
+        assert group_order(rep) == 96 and len(rep._closed[0]) == 4 * 96
+        assert exterior_invariant_dims(rep) == fixed_subspace_dims_bruteforce(rep) == dims
+
+
 def test_dimension_zero():
     rep = LinearRep(0, ())
     assert group_closure(rep) == [((), 1)]
@@ -311,7 +329,7 @@ def test_dimension_zero():
 
 
 def test_dimension_one():
-    # n = 1: one power trace per element and no power step
+    # n = 1: no power trace; e_1 is det(x)
     rep = LinearRep(1, (((-1,),),))
     assert exterior_invariant_dims(rep) == fixed_subspace_dims_bruteforce(rep) == (1, 0)
     twisted = LinearRep(1, (((-1,),),), signs=(-1,))

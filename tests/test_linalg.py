@@ -123,20 +123,6 @@ def _matrices(draw, max_rows=4, max_cols=4):
     return linalg.mat_mul(left, right)
 
 
-def largest_nonzero_minor(a):
-    rows, cols = len(a), len(a[0])
-    return max(k for k in range(min(rows, cols) + 1)
-               if k == 0 or any(leibniz_det([[a[i][j] for j in c] for i in r])
-                                for r in combinations(range(rows), k)
-                                for c in combinations(range(cols), k)))
-
-
-@settings(max_examples=100, deadline=None)
-@given(_matrices())
-def test_rank_is_largest_nonzero_minor(a):
-    assert linalg.rank(a) == largest_nonzero_minor(a)
-
-
 @st.composite
 def _sparse_matrices(draw, max_size=5):
     """Mostly-zero integer matrices: many rows hold 0 in a pivot column, so
@@ -149,13 +135,18 @@ def _sparse_matrices(draw, max_size=5):
                          min_size=rows, max_size=rows))
 
 
-@settings(max_examples=150, deadline=None)
-@given(_sparse_matrices())
-def test_lazy_elimination_on_sparse_matrices(a):
-    assert linalg.rank(a) == largest_nonzero_minor(a)
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(_matrices(), _sparse_matrices()))
+def test_rank_is_largest_nonzero_minor(a):
+    rows, cols = len(a), len(a[0])
+    expected = max(k for k in range(min(rows, cols) + 1)
+                   if k == 0 or any(leibniz_det([[a[i][j] for j in c] for i in r])
+                                    for r in combinations(range(rows), k)
+                                    for c in combinations(range(cols), k)))
+    assert linalg.rank(a) == expected
     m, pivots, _ = linalg._eliminate(a)
     assert not any(x for row in m[len(pivots):] for x in row)
-    if len(a) == len(a[0]):
+    if rows == cols:
         assert linalg.det(a) == leibniz_det(a)
 
 

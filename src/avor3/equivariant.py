@@ -72,6 +72,7 @@ class LinearRep:
             raise InputError("", "generators must be a list of matrices, "
                                  "signs a list of +-1") from None
         object.__setattr__(self, "generators", gens)
+        dets = []
         for g in gens:
             if len(g) != n or any(len(row) != n for row in g):
                 raise InputError("", "generator shape does not match dimension")
@@ -80,6 +81,10 @@ class LinearRep:
             d = linalg.det(g)
             if d not in (1, -1):
                 raise InputError("", "generator has determinant %d, not +-1" % d)
+            dets.append(d)
+        # kept for Molien, so that the two routes share only these checks;
+        # like the closure, not a field: equality, hash and repr ignore it
+        object.__setattr__(self, "_determinants", tuple(dets))
         if signs is not None:
             if len(signs) != len(gens) or any(type(s) is not int or s not in (1, -1)
                                               for s in signs):
@@ -171,7 +176,8 @@ def exterior_invariant_dims(rep: LinearRep):
     inversion and the t^(n-k) coefficient of det(I + t x) is det(x) times
     the t^k one.  Newton's identities therefore need the traces of x^j for
     j <= n/2 only; the columns of x^j are those of x^(j-1) through x's
-    generator word, and det(x) is the product of the word's determinants.
+    generator word, and det(x) is the product of the determinants along the
+    word, which `LinearRep`'s check computed.
     The coefficients are summed over the group in integers and divided by
     |G| once.  With a sign character the result is the dimension of the
     isotypic part for that character in each wedge power.
@@ -180,7 +186,7 @@ def exterior_invariant_dims(rep: LinearRep):
     n = rep.dimension
     half = n // 2
     diag = [[v[i] for v in orbit] for i in range(n)]  # diag[i][o] = orbit[o][i]
-    dets = [linalg.det(g) for g in rep.generators]
+    dets = rep._determinants
     weights = Counter()  # (det, power traces) -> signed count of elements with them
     for m, (s, k, parent) in elements.items():
         word, d = [], 1  # x = g_k g_k' ..., so g_k acts last

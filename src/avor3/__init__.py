@@ -14,3 +14,14 @@ class InputError(Avor3Error, ValueError):
 
     def __str__(self):
         return "%s: %s" % self.args if self.args[0] else self.args[1]
+
+
+class Checked:
+    """First base, before its namedtuple, of a record whose `__new__` checks or
+    normalises the fields: `_make`, and so `_replace`, go through `__new__`."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

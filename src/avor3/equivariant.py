@@ -24,13 +24,12 @@ runs Molien, so it validates the input for both routes.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property
 from math import comb
 from operator import getitem, mul
 
-from . import Avor3Error, InputError, linalg
+from . import Avor3Error, Checked, InputError, linalg
 
 
 CAP = 10000  # bound on group orders and element orders
@@ -47,31 +46,28 @@ def _freeze(m):
     return tuple(map(tuple, m))
 
 
-@dataclass(frozen=True)
-class LinearRep:
+class LinearRep(Checked, namedtuple("LinearRep", "dimension generators signs")):
     """A finite subgroup of GL(n,Z) given by generating integer matrices.
 
     `signs` optionally assigns each generator a value of a multiplicative
     order-two character; invariants are then taken with that twist.  Only
     Python ints are accepted (no bool, float or str), and every generator
     must have determinant +-1, as every integer matrix of finite order does.
+    An immutable tuple record (namedtuple); the generators' determinants
+    and the closure are kept on the instance, not as fields, so equality,
+    hash and repr ignore them.
     """
 
-    dimension: int
-    generators: tuple
-    signs: tuple = None
-
-    def __post_init__(self):
-        n = self.dimension
+    def __new__(cls, dimension, generators, signs=None):
+        n = dimension
         if type(n) is not int or n < 0:
             raise InputError("", "dimension must be a nonnegative integer")
         try:
-            gens = tuple(_freeze(g) for g in self.generators)
-            signs = None if self.signs is None else tuple(self.signs)
+            gens = tuple(_freeze(g) for g in generators)
+            signs = None if signs is None else tuple(signs)
         except TypeError:
             raise InputError("", "generators must be a list of matrices, "
                                  "signs a list of +-1") from None
-        object.__setattr__(self, "generators", gens)
         dets = []
         for g in gens:
             if len(g) != n or any(len(row) != n for row in g):
@@ -82,14 +78,13 @@ class LinearRep:
             if d not in (1, -1):
                 raise InputError("", "generator has determinant %d, not +-1" % d)
             dets.append(d)
-        # kept for Molien, so that the two routes share only these checks;
-        # like the closure, not a field: equality, hash and repr ignore it
-        object.__setattr__(self, "_determinants", tuple(dets))
         if signs is not None:
             if len(signs) != len(gens) or any(type(s) is not int or s not in (1, -1)
                                               for s in signs):
                 raise InputError("", "signs must be one value in {1, -1} per generator")
-            object.__setattr__(self, "signs", signs)
+        self = super().__new__(cls, n, gens, signs)
+        self._determinants = tuple(dets)  # for Molien: the routes share only these checks
+        return self
 
     @cached_property
     def _closed(self):

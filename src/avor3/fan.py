@@ -15,15 +15,18 @@ the images of r independent vectors.  Trying every signed assignment of
 those images is therefore a complete search: a found map is itself the
 group element, re-verified as a witness, and exhausting the search proves
 inequivalence.  Stabilizers are finite only when r = 3.
+
+Cones, equivalence results, orbit censuses, stabilizers and character
+lattices are immutable tuple records (namedtuples).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from . import Avor3Error, InputError, linalg
+from . import Avor3Error, Checked, InputError, linalg
 from .forms import (
     GENERATOR_NAMES,
     GENERATORS,
@@ -41,21 +44,23 @@ class SpanDeficient(Avor3Error):
 _FORM_NAMES = {form: name for name, form in GENERATORS.items()}
 
 
-@dataclass(frozen=True)
-class Cone:
-    """A face of the fan, given by a tuple of independent rank-one forms."""
+class Cone(Checked, namedtuple("Cone", "generators")):
+    """A face of the fan, given by a tuple of independent rank-one forms.
 
-    generators: tuple
+    The generators' primitive vectors are kept on the instance, not as a
+    field, so equality, hash and repr ignore them.
+    """
 
-    def __post_init__(self):
-        gens = tuple(self.generators)
-        object.__setattr__(self, "generators", gens)
+    def __new__(cls, generators):
+        gens = tuple(generators)
         vectors = tuple(rank1_vector(q) for q in gens)
         if len(set(gens)) != len(gens):
             raise ValueError("repeated generator")
         if gens and linalg.rank([q.coeffs() for q in gens]) != len(gens):
             raise ValueError("generators are not linearly independent")
-        object.__setattr__(self, "_vectors", vectors)
+        self = super().__new__(cls, gens)
+        self._vectors = vectors
+        return self
 
     @classmethod
     def from_names(cls, text):
@@ -95,10 +100,8 @@ class Cone:
 SIGMA6 = Cone(tuple(GENERATORS[n] for n in GENERATOR_NAMES))
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
-    witness: object
-    verdict: str  # "equivalent" | "inequivalent"
+class EquivalenceResult(namedtuple("EquivalenceResult", "witness verdict")):
+    __slots__ = ()  # verdict is "equivalent" or "inequivalent"
 
     def __bool__(self):
         return self.verdict == "equivalent"
@@ -128,6 +131,14 @@ def _line_maps(source, target):
     signed, ordered r-tuple of target vectors is tried as those images, so
     the search is complete: it yields one h per M, which for r = 3 is every
     map.
+
+    M and -M come in pairs: -M passes every check below exactly when M does.
+    So only tuples whose first image keeps the sign of its target vector are
+    tested, and each M that passes is yielded together with its partner -M,
+    whose h has the block diag(-M, I) (for r = 3, h becomes -h).  The
+    partner of a tuple with the first sign flipped has the same vectors and
+    comes earlier in the signed enumeration, so the first map yielded and
+    the multiset of all maps are those of testing every signed tuple.
 
     With V the pivot columns and d = det V, a candidate P (the tuple as
     columns) gives M = P adj(V) / d, so a non-pivot source vector s goes to
@@ -159,8 +170,8 @@ def _line_maps(source, target):
     signed = [(t, tuple(-x for x in t)) for t in tgt]
     u_t_inv = GroupElement(u_t).inverse().rows
     for chosen in permutations(signed, r):
-        for signs in product((0, 1), repeat=r):
-            picks = [pair[s] for pair, s in zip(chosen, signs)]
+        for signs in product((0, 1), repeat=r - 1):
+            picks = [chosen[0][0]] + [pair[s] for pair, s in zip(chosen[1:], signs)]
             if not _images_on_lines(list(zip(*picks)), xs, d, lines):
                 continue
             num = [[sum(picks[c][i] * adj[c][j] for c in range(r))
@@ -175,9 +186,10 @@ def _line_maps(source, target):
                       for s in src}
             if images != tset:
                 continue
-            block = [[(m[i][j] if i < r and j < r else int(i == j)) for j in range(3)]
-                     for i in range(3)]
-            yield linalg.mat_mul(u_t_inv, linalg.mat_mul(block, u_s))
+            for sign in (1, -1):
+                block = [[(sign * m[i][j] if i < r and j < r else int(i == j))
+                          for j in range(3)] for i in range(3)]
+                yield linalg.mat_mul(u_t_inv, linalg.mat_mul(block, u_s))
 
 
 def _images_on_lines(rows, xs, d, lines):
@@ -215,17 +227,11 @@ def equivalent(c1: Cone, c2: Cone) -> EquivalenceResult:
     return EquivalenceResult(witness, "inequivalent" if witness is None else "equivalent")
 
 
-@dataclass(frozen=True)
-class OrbitClass:
-    representative: Cone
-    size: int
-    cusp_rank: int
+OrbitClass = namedtuple("OrbitClass", "representative size cusp_rank")
 
 
-@dataclass(frozen=True)
-class OrbitCensus:
-    dimension: int
-    orbits: tuple
+class OrbitCensus(namedtuple("OrbitCensus", "dimension orbits")):
+    __slots__ = ()
 
     def counts(self):
         return tuple(o.size for o in self.orbits)
@@ -250,12 +256,10 @@ def classify_orbits(dim) -> OrbitCensus:
     return OrbitCensus(dim, orbits)
 
 
-@dataclass(frozen=True)
-class StabilizerGroup:
+class StabilizerGroup(namedtuple("StabilizerGroup", "cone elements")):
     """The full GL(3,Z) setwise stabilizer of a cone (a finite matrix group)."""
 
-    cone: Cone
-    elements: tuple
+    __slots__ = ()
 
     def order(self):
         return len(self.elements)
@@ -278,8 +282,7 @@ def stabilizer(c: Cone) -> StabilizerGroup:
     return group
 
 
-@dataclass(frozen=True)
-class CharacterLattice:
+class CharacterLattice(namedtuple("CharacterLattice", "cone basis effective")):
     """Characters of the big torus that restrict to a stratum's torus factor.
 
     `basis` spans the sublattice of characters (exponent 6-tuples) pairing
@@ -287,9 +290,7 @@ class CharacterLattice:
     stabilizer acting on that sublattice, written in the basis by columns.
     """
 
-    cone: Cone
-    basis: tuple
-    effective: tuple
+    __slots__ = ()
 
     def dimension(self):
         return len(self.basis)
@@ -306,7 +307,9 @@ def stratum_character_lattice(c: Cone) -> CharacterLattice:
     basis = tuple(map(tuple, basis_rows))
     d = len(basis)
     seen = set()
-    for g in stab.elements:
+    # -I acts trivially on characters: of each pair +-g, act with the one
+    # whose first nonzero entry is positive
+    for g in (g for g in stab.elements if next(x for x in g.rows[0] if x) > 0):
         cols = linalg.lattice_coordinates(basis_rows, dual_action_on_characters(g, basis))
         if cols is None:
             raise AssertionError("stabilizer does not preserve the character sublattice")

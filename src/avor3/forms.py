@@ -12,6 +12,11 @@ the doubled character matrix P of f (diagonal 2 p_ii, off-diagonal p_ij).
 Characters transform contragrediently, so that the pairing is invariant:
 g . f has doubled matrix g^-T P g^-1.
 
+`SymForm` and `GroupElement` are immutable tuple records (namedtuples):
+equality, hash and ordering are those of the tuple of fields.  A `SymForm`
+therefore equals the plain 6-tuple of its coefficients; forms and
+characters never share a set, a dict or a comparison.
+
 Matrix products go through `linalg.mat_mul`.  `GroupElement.det` and
 `GroupElement.inverse` stay closed-form 3x3 expressions: every construction
 checks the determinant and a cold `verify all` inverts about 500 elements,
@@ -21,11 +26,11 @@ an inverse through `linalg.adjugate` about 7 times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, isqrt
 from operator import mul
 
-from . import linalg
+from . import Checked, linalg
 
 COEFF_ORDER = ("a11", "a22", "a33", "a23", "a13", "a12")
 
@@ -34,14 +39,8 @@ class NotRankOneVector(ValueError):
     """Raised when a form is not v v^T for an integer vector v."""
 
 
-@dataclass(frozen=True, order=True)
-class SymForm:
-    a11: int = 0
-    a22: int = 0
-    a33: int = 0
-    a23: int = 0
-    a13: int = 0
-    a12: int = 0
+class SymForm(namedtuple("SymForm", COEFF_ORDER, defaults=(0,) * 6)):
+    __slots__ = ()
 
     @classmethod
     def from_matrix(cls, m):
@@ -50,7 +49,7 @@ class SymForm:
         return cls(m[0][0], m[1][1], m[2][2], m[1][2], m[0][2], m[0][1])
 
     def coeffs(self):
-        return (self.a11, self.a22, self.a33, self.a23, self.a13, self.a12)
+        return tuple(self)
 
     def matrix(self):
         return ((self.a11, self.a12, self.a13),
@@ -70,19 +69,19 @@ GENERATORS = dict(zip(GENERATOR_NAMES, map(rank1_form, (
     (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, -1), (1, 0, -1), (1, -1, 0)))))
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Checked, namedtuple("GroupElement", "rows")):
     """A matrix in GL(3,Z), stored as a tuple of rows."""
 
-    rows: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __new__(cls, rows):
+        rows = tuple(tuple(int(x) for x in r) for r in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("expected a 3x3 matrix")
+        self = super().__new__(cls, rows)
         if self.det() not in (1, -1):
             raise ValueError("matrix is not unimodular")
+        return self
 
     @classmethod
     def identity(cls):

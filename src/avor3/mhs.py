@@ -12,18 +12,19 @@ Tables and pages hold graded entries, a tuple of (key, MhsVector) sorted by
 key (a degree or a (p, q) position), no key repeated and no vector zero.
 Their constructors take any (key, MhsVector) pairs and normalise them with
 `graded`, which sums the vectors at one key; only this module reads and
-writes entries.
+writes entries.  `MhsVector` and `CohomologyTable` are immutable tuple
+records (namedtuples) whose constructors normalise their fields.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import groupby
 from operator import itemgetter
 
-from . import Avor3Error, InputError
+from . import Avor3Error, Checked, InputError
 
 MAX_CLASSES = 10_000  # classes, counted with multiplicity, in one entries array
 _KEY_FIELDS = {"degree": ("degree",), "position": ("p", "q")}
@@ -112,17 +113,16 @@ def json_value(obj, key, path, kind=int, minimum=None, default=None):
     return value
 
 
-@dataclass(frozen=True, order=True)
-class MhsVector:
+class MhsVector(Checked, namedtuple("MhsVector", "tates f_count")):
     """A finite multiset of Tate pieces plus copies of the atom F."""
 
-    tates: tuple = ()
-    f_count: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "tates", tuple(sorted(self.tates)))
-        if self.f_count < 0:
+    def __new__(cls, tates=(), f_count=0):
+        tates = tuple(sorted(tates))
+        if f_count < 0:
             raise ValueError("negative multiplicity")
+        return super().__new__(cls, tates, f_count)
 
     @classmethod
     def tate(cls, n, mult=1):
@@ -248,15 +248,14 @@ def entries_from_json(data, path, kind):
     return entries
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
-    """A graded collection of MhsVectors indexed by cohomological degree."""
+class CohomologyTable(Checked, namedtuple("CohomologyTable", "label entries")):
+    """A graded collection of MhsVectors indexed by cohomological degree:
+    `entries` are (degree, MhsVector) pairs, normalised by `graded`."""
 
-    label: str
-    entries: tuple = ()  # (degree, MhsVector) pairs, normalised by `graded`
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", graded(self.entries))
+    def __new__(cls, label, entries=()):
+        return super().__new__(cls, label, graded(entries))
 
     def entry(self, degree):
         return entry_at(self.entries, degree)

@@ -11,8 +11,8 @@ stored pages used as cross-checks.  The packaged registry is the default;
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
+import pkgutil
+from collections import namedtuple
 
 from . import InputError
 from .mhs import CohomologyTable, json_value, read_json
@@ -22,20 +22,15 @@ FORMAT = "avor3-registry/1"
 _PACKAGED = "data/paper_data.json"
 
 
-@dataclass(frozen=True)
-class RegisteredTable:
-    table: CohomologyTable
-    citation: str
-    notes: str = ""
+RegisteredTable = namedtuple("RegisteredTable", "table citation notes", defaults=("",))
 
 
-@dataclass(frozen=True)
-class Registry:
-    tables: dict
-    fibers: dict
-    knowns: dict
-    pages: dict
-    source: str = "packaged"
+class Registry(namedtuple("Registry", "tables fibers knowns pages source",
+                          defaults=("packaged",))):
+    """The registry's four dicts, by name or label, and where it was read;
+    an immutable tuple record (namedtuple), like `RegisteredTable`."""
+
+    __slots__ = ()
 
     def _lookup(self, mapping, kind, key):
         try:
@@ -113,5 +108,6 @@ def load_registry(path=None) -> Registry:
     """The registry file at `path`, or the packaged one when `path` is None."""
     if path is not None:
         return parse_registry(read_json(path), source=str(path))
-    text = resources.files("avor3").joinpath(_PACKAGED).read_text("utf-8")
+    # pkgutil, not importlib.resources, which imports `inspect` on Python 3.12+
+    text = pkgutil.get_data("avor3", _PACKAGED).decode("utf-8")
     return parse_registry(json.loads(text), source="packaged")

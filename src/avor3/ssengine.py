@@ -15,16 +15,19 @@ Rank choices are built per block and page, and assignments are extended
 one differential at a time.  The enumeration cap counts the assignments
 tried at each state of each block on each of its pages, whether or not
 their removals succeed, and bounds the number of limit pages.
+
+Pages, known differentials, decisions and reports are immutable tuple
+records (namedtuples).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product as iproduct
 from math import prod
 from operator import attrgetter, itemgetter
 
-from . import Avor3Error, InputError
+from . import Avor3Error, Checked, InputError
 from .mhs import (CohomologyTable, entries_from_json, entries_to_json, entry_at, graded,
                   json_path, json_value, remove_weight, weight_counts)
 
@@ -49,19 +52,15 @@ class SplitNotJustified(Avor3Error):
     """The long exact sequence is not forced to split degreewise."""
 
 
-@dataclass(frozen=True)
-class KnownDifferential:
-    r: int
-    p: int
-    q: int
-    rank: int
-    citation: str
+class KnownDifferential(Checked, namedtuple("KnownDifferential", "r p q rank citation")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __new__(cls, r, p, q, rank, citation):
+        if rank < 0:
             raise InputError("", "negative rank")
-        if not self.citation:
+        if not citation:
             raise InputError("", "a known differential must carry a citation")
+        return super().__new__(cls, r, p, q, rank, citation)
 
     @classmethod
     def from_json_dict(cls, data, path):
@@ -75,19 +74,16 @@ class KnownDifferential:
             raise InputError(path, exc.args[1]) from None
 
 
-@dataclass(frozen=True)
-class SSPage:
-    r: int
-    entries: tuple = ()  # ((p, q), MhsVector) pairs, normalised by `graded`
-    knowns: tuple = ()
-    abutment_smooth_proper: bool = False
-    label: str = ""
+class SSPage(Checked, namedtuple("SSPage", "r entries knowns abutment_smooth_proper label")):
+    """Page r of a spectral sequence: `entries` are ((p, q), MhsVector)
+    pairs, normalised by `graded`, and `knowns` its known differentials."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", graded(self.entries))
-        object.__setattr__(self, "knowns", tuple(self.knowns))
-        seen, first = set(), max(self.r, 1)
-        for i, key in enumerate((k.r, k.p, k.q) for k in self.knowns):
+    __slots__ = ()
+
+    def __new__(cls, r, entries=(), knowns=(), abutment_smooth_proper=False, label=""):
+        entries, knowns = graded(entries), tuple(knowns)
+        seen, first = set(), max(r, 1)
+        for i, key in enumerate((k.r, k.p, k.q) for k in knowns):
             if key[0] < first:  # the page no longer has it, so it would go unused
                 raise InputError("knowns[%d]" % i, "known differential d_%d at (%d,%d) "
                                  "precedes page %d" % (key + (first,)))
@@ -95,6 +91,7 @@ class SSPage:
                 raise InputError("knowns[%d]" % i,
                                  "repeated known differential d_%d at (%d,%d)" % key)
             seen.add(key)
+        return super().__new__(cls, r, entries, knowns, abutment_smooth_proper, label)
 
     @classmethod
     def from_dict(cls, r, mapping, **kw):
@@ -131,29 +128,12 @@ class SSPage:
             raise InputError(json_path(path, exc.args[0]), exc.args[1]) from None
 
 
-@dataclass(frozen=True)
-class DifferentialDecision:
-    r: int
-    p: int
-    q: int
-    rank: int
-    kind: str  # "known" | "solver"
-    citation: str = ""
-
-
-@dataclass(frozen=True)
-class ResolutionCandidate:
-    entries: tuple
-    decisions: tuple
-
-
-@dataclass(frozen=True)
-class ResolutionReport:
-    label: str
-    purity: bool
-    final_page: int
-    candidates: tuple
-    enumerated: int
+# kind is "known" or "solver"
+DifferentialDecision = namedtuple("DifferentialDecision", "r p q rank kind citation",
+                                  defaults=("",))
+ResolutionCandidate = namedtuple("ResolutionCandidate", "entries decisions")
+ResolutionReport = namedtuple("ResolutionReport",
+                              "label purity final_page candidates enumerated")
 
 
 def _cancel(entries, cancels):

@@ -18,7 +18,7 @@ computes each locus once and returns every intermediate result in one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import Avor3Error, InputError
 from .equivariant import LinearRep, exterior_invariant_dims, h1_pullback
@@ -40,50 +40,17 @@ class ExpectedPageMismatch(Avor3Error):
     """A freshly assembled page disagrees with the stored cross-check copy."""
 
 
-@dataclass(frozen=True)
-class StratumContribution:
-    """One torus-orbit stratum's class: which cone, and where it lands."""
-
-    cone_name: str
-    cone_dim: int
-    stratum_dim: int
-    degree: int
-
-
-@dataclass(frozen=True)
-class RankThreeResult:
-    table: CohomologyTable
-    contributions: tuple
-
-
-@dataclass(frozen=True)
-class FibrationResult:
-    page: SSPage
-    limit: SSPage
-    table: CohomologyTable
-    report: object
-
-
-@dataclass(frozen=True)
-class RankTwoResult:
-    page: SSPage
-    torus_table: CohomologyTable
-    product_table: CohomologyTable
-    table: CohomologyTable
-    report: object
-
-
-@dataclass(frozen=True)
-class BettiResult:
-    page: SSPage
-    limit: SSPage
-    table: CohomologyTable
-    betti: tuple
-    report: object
-    beta3: RankThreeResult
-    beta2: RankTwoResult
-    beta1: FibrationResult
-    tables: dict  # stratum name -> CohomologyTable
+# Results are immutable tuple records (namedtuples).  A StratumContribution
+# is one torus-orbit stratum's class: which cone, and where it lands;
+# BettiResult.tables maps each stratum name to its CohomologyTable.
+StratumContribution = namedtuple("StratumContribution",
+                                 "cone_name cone_dim stratum_dim degree")
+RankThreeResult = namedtuple("RankThreeResult", "table contributions")
+FibrationResult = namedtuple("FibrationResult", "page limit table report")
+RankTwoResult = namedtuple("RankTwoResult",
+                           "page torus_table product_table table report")
+BettiResult = namedtuple("BettiResult",
+                         "page limit table betti report beta3 beta2 beta1 tables")
 
 
 def rank_three_locus() -> RankThreeResult:

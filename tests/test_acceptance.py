@@ -7,7 +7,6 @@ feeds each result-reading check a doctored result and expects it to fail.
 """
 
 import json
-from dataclasses import replace
 from functools import cache, partial
 from importlib import resources
 
@@ -90,16 +89,16 @@ def test_every_check_is_covered():
 
 # check name -> the shared result with the one field that check reads doctored
 DOCTORED = {
-    "betti_vector": lambda r: replace(r, betti=(1,) + r.betti[1:-1] + (2,)),
-    "main_page_resolution": lambda r: replace(r, limit=r.page),
-    "stratum_invariants": lambda r: replace(
-        r, beta3=replace(r.beta3, contributions=r.beta3.contributions[:3])),
-    "rank_one_pipeline": lambda r: replace(r, beta1=replace(r.beta1, table=r.beta2.table)),
-    "rank_two_pipeline": lambda r: replace(r, beta2=replace(r.beta2, table=r.beta3.table)),
-    "rank_three_attribution": lambda r: replace(
-        r, beta3=replace(r.beta3, contributions=r.beta3.contributions[1:])),
-    "conservation_properties": lambda r: replace(
-        r, tables=dict(r.tables, a3=CohomologyTable("a3", ()))),
+    "betti_vector": lambda r: r._replace(betti=(1,) + r.betti[1:-1] + (2,)),
+    "main_page_resolution": lambda r: r._replace(limit=r.page),
+    "stratum_invariants": lambda r: r._replace(
+        beta3=r.beta3._replace(contributions=r.beta3.contributions[:3])),
+    "rank_one_pipeline": lambda r: r._replace(beta1=r.beta1._replace(table=r.beta2.table)),
+    "rank_two_pipeline": lambda r: r._replace(beta2=r.beta2._replace(table=r.beta3.table)),
+    "rank_three_attribution": lambda r: r._replace(
+        beta3=r.beta3._replace(contributions=r.beta3.contributions[1:])),
+    "conservation_properties": lambda r: r._replace(
+        tables=dict(r.tables, a3=CohomologyTable("a3", ()))),
 }
 
 

@@ -568,7 +568,7 @@ def test_verify_all_passes(capsys):
     assert all(line.startswith("PASS") for line in out.splitlines()[:-1])
 
 
-@pytest.mark.parametrize("module", ("numpy", "fractions"))
+@pytest.mark.parametrize("module", ("numpy", "fractions", "dataclasses", "inspect"))
 def test_cli_import_does_not_load(module):
     env = dict(os.environ, PYTHONPATH=_SRC)
     code = "import sys, avor3.cli; print(%r in sys.modules)" % module

@@ -6,10 +6,23 @@ import avor3
 SRC = Path(avor3.__file__).parent
 
 
+def _nodes():
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path.relative_to(SRC), node
+
+
 def test_package_has_no_assert_statements():
     # guards must raise, so that they survive `python -O`
-    found = ["%s:%d" % (path.relative_to(SRC), node.lineno)
-             for path in sorted(SRC.rglob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    found = ["%s:%d" % (path, node.lineno) for path, node in _nodes()
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_package_does_not_import_dataclasses():
+    # records are namedtuples: `dataclasses` (and the `inspect` it loads)
+    # costs the CLI a large share of its import time
+    found = ["%s:%d" % (path, node.lineno) for path, node in _nodes()
+             if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
     assert found == []

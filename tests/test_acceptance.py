@@ -116,6 +116,15 @@ def _bad_kummer_page_registry():
     return data
 
 
+def test_stratum_invariants_fails_when_molien_ignores_the_sign_character(monkeypatch):
+    # every other random representation carries the determinant character
+    molien = verify.exterior_invariant_dims
+    monkeypatch.setattr(verify, "exterior_invariant_dims",
+                        lambda rep: molien(rep._replace(signs=None)))
+    ok, detail = CHECKS["stratum_invariants"](PIPELINE)
+    assert (ok, detail) == (False, "dual-route disagreement on a random representation")
+
+
 def test_pipeline_error_fails_exactly_the_result_readers():
     results = verify.run_all(parse_registry(_bad_kummer_page_registry()))
     failed = {name: detail for name, ok, detail in results if not ok}

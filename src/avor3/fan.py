@@ -101,7 +101,10 @@ SIGMA6 = Cone(tuple(GENERATORS[n] for n in GENERATOR_NAMES))
 
 
 class EquivalenceResult(namedtuple("EquivalenceResult", "witness verdict")):
-    __slots__ = ()  # verdict is "equivalent" or "inequivalent"
+    """The witness (a GroupElement, or None) and the verdict, "equivalent"
+    or "inequivalent"; true exactly when equivalent."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.verdict == "equivalent"

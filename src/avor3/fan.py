@@ -33,6 +33,7 @@ from .forms import (
     GroupElement,
     act_on_form,
     dual_action_on_characters,
+    pairing,
     rank1_vector,
 )
 
@@ -288,9 +289,14 @@ def stabilizer(c: Cone) -> StabilizerGroup:
 class CharacterLattice(namedtuple("CharacterLattice", "cone basis effective")):
     """Characters of the big torus that restrict to a stratum's torus factor.
 
-    `basis` spans the sublattice of characters (exponent 6-tuples) pairing
-    to zero with every cone generator; `effective` is the (deduplicated) image of the cone's
-    stabilizer acting on that sublattice, written in the basis by columns.
+    The six generators q_j form a Z-basis of the form lattice, so their dual
+    characters f_j (`torus_coordinates`) form a Z-basis of the characters:
+    each character x is the sum of pairing(q_j, x) f_j.  So the characters
+    pairing to zero with a face are exactly the span of the f_j with q_j
+    outside it.  `basis` is lead_positive(f_j) = e_j f_j (e_j = +-1) for
+    those j, in generator order; `effective`, the (deduplicated) image of the
+    cone's stabilizer, holds matrices by columns with entry (i, j) equal to
+    e_i pairing(q_i, g . b_j).  Only faces of the basic cone have this basis.
     """
 
     __slots__ = ()
@@ -304,28 +310,31 @@ class CharacterLattice(namedtuple("CharacterLattice", "cone basis effective")):
 
 @lru_cache(maxsize=None)
 def stratum_character_lattice(c: Cone) -> CharacterLattice:
+    if not all(q in _FORM_NAMES for q in c.generators):
+        raise ValueError("%s is not a face of the basic cone" % c.name())
     stab = stabilizer(c)
-    rows = [q.coeffs() for q in c.generators]
-    basis_rows = linalg.int_kernel(rows) if rows else linalg.identity(6)
-    basis = tuple(map(tuple, basis_rows))
-    d = len(basis)
+    duals = zip(SIGMA6.generators, torus_coordinates())
+    outside = [(q, linalg.lead_positive(f)) for q, f in duals if q not in c.generators]
+    basis = tuple(b for _, b in outside)
+    coords = [(q, pairing(q, b)) for q, b in outside]
     seen = set()
     # -I acts trivially on characters: of each pair +-g, act with the one
     # whose first nonzero entry is positive
     for g in (g for g in stab.elements if next(x for x in g.rows[0] if x) > 0):
-        cols = linalg.lattice_coordinates(basis_rows, dual_action_on_characters(g, basis))
-        if cols is None:
+        images = dual_action_on_characters(g, basis)
+        if any(pairing(q, x) for q in c.generators for x in images):
             raise AssertionError("stabilizer does not preserve the character sublattice")
-        seen.add(tuple(tuple(cols[j][i] for j in range(d)) for i in range(d)))
+        seen.add(tuple(tuple(e * pairing(q, x) for x in images) for q, e in coords))
     return CharacterLattice(c, basis, tuple(sorted(seen)))
 
 
 def torus_coordinates():
-    """The six exponent tuples dual to (a1, a2, a3, b1, b2, b3) under the pairing."""
-    m = [list(GENERATORS[n].coeffs()) for n in GENERATOR_NAMES]
-    d = linalg.det(m)
-    adj = linalg.adjugate(m)
-    if any(x % d for row in adj for x in row):
+    """The six exponent tuples dual to (a1, a2, a3, b1, b2, b3) under the pairing.
+
+    They are the columns of m^-1 for the rows m of generator coefficients: m
+    is unimodular exactly when its Hermite form u m is I, and then u = m^-1.
+    """
+    h, u = linalg.hermite_form([GENERATORS[n].coeffs() for n in GENERATOR_NAMES])
+    if h != linalg.identity(6):
         raise AssertionError("generator coefficient matrix is not unimodular")
-    # the characters are the columns of m^-1 = adj(m) / det(m)
-    return tuple(tuple(row[j] // d for row in adj) for j in range(6))
+    return tuple(zip(*u))

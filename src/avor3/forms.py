@@ -70,12 +70,12 @@ GENERATORS = dict(zip(GENERATOR_NAMES, map(rank1_form, (
 
 
 class GroupElement(Checked, namedtuple("GroupElement", "rows")):
-    """A matrix in GL(3,Z), stored as a tuple of rows."""
+    """A matrix in GL(3,Z), stored as a tuple of rows of the ints given."""
 
     __slots__ = ()
 
     def __new__(cls, rows):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(map(tuple, rows))
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("expected a 3x3 matrix")
         self = super().__new__(cls, rows)

@@ -2,9 +2,12 @@
 
 Every matrix in this package is integral, so everything here takes and
 returns plain Python ints: ranks and determinants by fraction-free
-elimination, Hermite forms, saturated kernels and coordinates in them, and
-all exterior powers of a matrix in one Laplace sweep, all exact.  Matrices
-are lists (or tuples) of rows; vectors are flat sequences.
+elimination, Hermite forms, adjugates, and all exterior powers of a matrix
+in one Laplace sweep, all exact.  Matrices are lists (or tuples) of rows;
+vectors are flat sequences.
+
+No lattice kernel is needed: `fan` reads each stratum's character lattice
+off the dual basis of the basic cone's unimodular generator matrix.
 """
 
 from __future__ import annotations
@@ -101,29 +104,6 @@ def det(a):
     return sign * m[-1][-1] if len(pivots) == n else 0
 
 
-def lattice_coordinates(basis_rows, vectors):
-    """Integer coordinates of each vector in a saturated lattice basis.
-
-    `basis_rows` must span a saturated sublattice of Z^n (a direct summand,
-    such as an `int_kernel` basis).  Then the Hermite form of its transpose
-    is the identity over zero rows, and the first rows of the transformation
-    are a left inverse of the basis.  Each coordinate vector is multiplied
-    back; None when some vector is outside the lattice.
-    """
-    k = len(basis_rows)
-    h, u = hermite_form(transpose(basis_rows))
-    if h[:k] != identity(k):
-        raise ValueError("basis rows do not span a saturated lattice")
-    out = []
-    for v in vectors:
-        coeffs = mat_vec(u[:k], v)
-        back = [sum(c * row[i] for c, row in zip(coeffs, basis_rows)) for i in range(len(v))]
-        if back != list(v):
-            return None
-        out.append(coeffs)
-    return out
-
-
 def hermite_form(a):
     """Row Hermite normal form of an integer matrix.
 
@@ -168,20 +148,6 @@ def hermite_form(a):
             if r == rows:
                 break
     return h, u
-
-
-def int_kernel(a):
-    """Basis of the saturated lattice {x in Z^n : a x = 0} as rows.
-
-    Computed from the Hermite form of the transpose: the transformation rows
-    that reduce a^T to zero rows span the kernel over Z.
-    """
-    if not a:
-        return identity(0)
-    n = len(a[0])
-    h, u = hermite_form(transpose(a))
-    # each basis row leads with a positive entry
-    return [list(lead_positive(u[i])) for i in range(n) if not any(h[i])]
 
 
 def adjugate(a):

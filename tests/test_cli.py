@@ -501,6 +501,20 @@ def test_betti_rejects_malformed_registry(capsys, tmp_path, registry, message):
     assert err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("argv", [("betti", "avor3"), ("strata", "table", "--stratum", "beta2")],
+                         ids=["betti", "beta2"])
+def test_a_weight_overlap_refuses_the_rank_two_split(capsys, tmp_path, argv):
+    # modular_line moved to degree 1, still Q(-1): the product piece then
+    # holds Q(-3) in degree 5, next to the bundle's Q(-3) in degree 6, so
+    # the connecting map into degree 6 is not forced to vanish
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(_registry(
+        lambda d: _table(d, "modular_line")["entries"][0].update(degree=1))))
+    code, out, err = run_cli(capsys, *argv, "--registry", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: connecting map into degree 6 not forced to vanish\n"
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda d: d["pages"][1]["entries"].append(dict(d["pages"][1]["entries"][0])),
      "pages[1]: repeated position (2,2)"),

@@ -10,7 +10,7 @@ from avor3.fan import (SIGMA6, Cone, EquivalenceResult, SpanDeficient, _line_map
                        _span_frame, classify_orbits, equivalent, stabilizer,
                        stratum_character_lattice, torus_coordinates)
 from avor3.forms import GENERATORS, GroupElement, SymForm, act_on_form, pairing
-from avor3.equivariant import order_histogram
+from avor3.equivariant import LinearRep, exterior_invariant_dims, order_histogram
 from avor3.verify import random_unimodular
 
 
@@ -318,3 +318,48 @@ def test_torus_coordinates_are_dual_basis():
     for i, name in enumerate(GENERATOR_NAMES):
         for j, ch in enumerate(coords):
             assert pairing(GENERATORS[name], ch) == int(i == j)
+
+
+_CUSP_RANK_THREE_FACES = [face for dim in range(3, 7) for face in SIGMA6.faces(dim)
+                          if face.cusp_rank() == 3]
+
+
+def _lattice_invariants(lattice):
+    rep = LinearRep(lattice.dimension(), lattice.effective)
+    return (lattice.effective_order(), order_histogram(lattice.effective),
+            exterior_invariant_dims(rep))
+
+
+def test_cusp_rank_three_faces_are_counted():
+    assert len(_CUSP_RANK_THREE_FACES) == 38
+
+
+@pytest.mark.parametrize("face", _CUSP_RANK_THREE_FACES, ids=Cone.name)
+def test_character_lattice_on_the_dual_basis(face):
+    lattice = stratum_character_lattice(face)
+    for ch in lattice.basis:
+        assert all(pairing(q, ch) == 0 for q in face.generators)
+    # together with the dual characters of the cone's generators, the basis
+    # is a Z-basis of all characters
+    duals = [f for q, f in zip(SIGMA6.generators, torus_coordinates()) if q in face.generators]
+    assert abs(linalg.det(list(lattice.basis) + duals)) == 1
+    d = lattice.dimension()
+    effective = set(lattice.effective)
+    assert tuple(map(tuple, linalg.identity(d))) in effective
+    for a in effective:
+        for b in effective:
+            assert tuple(map(tuple, linalg.mat_mul(a, b))) in effective
+    # the orbit's census representative acts the same way up to conjugacy
+    rep = next(o.representative for o in classify_orbits(face.dim()).orbits
+               if o.cusp_rank == 3 and equivalent(face, o.representative))
+    assert _lattice_invariants(lattice) == _lattice_invariants(
+        stratum_character_lattice(rep))
+
+
+def test_character_lattice_needs_a_face_of_the_basic_cone():
+    # spans R^3, so its stabilizer is finite, but its generators are not
+    # among a1..b3 and the dual basis says nothing about its characters
+    cone = NON_UNIMODULAR_CONES["index-two"]
+    assert cone.cusp_rank() == 3
+    with pytest.raises(ValueError, match="not a face of the basic cone"):
+        stratum_character_lattice(cone)

@@ -38,14 +38,6 @@ def test_det_multiplicative():
         assert linalg.det(linalg.mat_mul(a, b)) == linalg.det(a) * linalg.det(b)
 
 
-def test_lattice_coordinates():
-    basis = [[1, 0, 1], [0, 1, 1]]
-    assert linalg.lattice_coordinates(basis, [[1, 1, 2]]) == [[1, 1]]
-    assert linalg.lattice_coordinates(basis, [[0, 0, 1]]) is None
-    with pytest.raises(ValueError):
-        linalg.lattice_coordinates([[2, 0, 0]], [[2, 0, 0]])  # not saturated
-
-
 def test_hermite_form_properties():
     rng = random.Random(13)
     for _ in range(40):
@@ -63,23 +55,6 @@ def test_hermite_form_properties():
                 assert row[nz[0]] > 0
                 pivots.append(nz[0])
         assert pivots == sorted(pivots)
-
-
-def test_int_kernel_is_saturated_orthogonal_complement():
-    rng = random.Random(17)
-    for _ in range(40):
-        rows = rng.randint(1, 3)
-        cols = rng.randint(2, 5)
-        a = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        ker = linalg.int_kernel(a)
-        for k in ker:
-            assert all(sum(x * y for x, y in zip(row, k)) == 0 for row in a)
-        assert len(ker) == cols - linalg.rank(a)
-        if ker:
-            # saturated: the kernel basis has unit elementary divisors
-            h, _ = linalg.hermite_form(linalg.transpose(ker))
-            pivots = [next(x for x in row if x) for row in h if any(row)]
-            assert all(p == 1 for p in pivots)
 
 
 def leibniz_det(a):
@@ -164,20 +139,6 @@ def test_lazy_elimination_row_lagging_two_steps_becomes_the_pivot():
     assert (pivots, sign) == ([0, 1, 2, 3], -1)
     assert linalg.det(a) == leibniz_det(a) == -15
     assert linalg.rank(a) == 4
-
-
-@settings(max_examples=100, deadline=None)
-@given(_matrices(max_rows=3, max_cols=6),
-       st.lists(st.integers(-5, 5), min_size=6, max_size=6))
-def test_lattice_coordinates_roundtrip_on_kernel_bases(a, seed):
-    basis = linalg.int_kernel(a)
-    coeffs = seed[:len(basis)]
-    v = [sum(c * row[i] for c, row in zip(coeffs, basis)) for i in range(len(a[0]))]
-    assert linalg.lattice_coordinates(basis, [v]) == [coeffs]
-    # a vector off the kernel has no coordinates
-    off = [x + y for x, y in zip(v, a[0])]
-    if any(sum(x * y for x, y in zip(row, off)) for row in a):
-        assert linalg.lattice_coordinates(basis, [off]) is None
 
 
 def principal_minor_sum(a, k):

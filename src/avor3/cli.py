@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import Avor3Error, InputError, render, strata, verify
+from . import Avor3Error, InputError, render, strata
 from .equivariant import (MAX_DIMENSION, LinearRep, exterior_invariant_dims, group_order,
                           order_histogram)
 from .fan import (SIGMA6, Cone, classify_orbits, stabilizer, stratum_character_lattice,
@@ -173,6 +173,8 @@ def _run(args, out):
         return 0
 
     if args.group == "verify":
+        from . import verify  # only this command loads the checks
+
         registry = load_registry(args.registry)
         results = verify.run_all(registry)
         out.write(render.render_verification(results, fmt))

@@ -16,6 +16,15 @@ those images is therefore a complete search: a found map is itself the
 group element, re-verified as a witness, and exhausting the search proves
 inequivalence.  Stabilizers are finite only when r = 3.
 
+The orbit census starts from the basic cone's own stabilizer, S4 x {+-1} of
+order 48 (the perfect form A3 = D3).  Its elements permute the six
+generators, so faces one of them maps onto each other are equivalent, and
+they share a class without a search.  Only the first face of each such
+stabilizer orbit is compared with the class representatives, so the census
+of dimensions 0..6 calls `equivalent` 4 times instead of 62.  The result is
+exact: stabilizer orbits lie inside GL(3,Z) orbits, and `equivalent` still
+decides every merge between them.
+
 Cones, equivalence results, orbit censuses, stabilizers and character
 lattices are immutable tuple records (namedtuples).
 """
@@ -242,20 +251,50 @@ class OrbitCensus(namedtuple("OrbitCensus", "dimension orbits")):
 
 
 @lru_cache(maxsize=None)
+def _generator_permutations():
+    """The permutations of the generator indices 0..5 induced by stabilizer(SIGMA6).
+
+    g sends generator i to the generator whose vector is lead_positive(g v_i);
+    +-g induce the same permutation, so each appears once, in sorted order.
+    """
+    vectors = SIGMA6.vectors()
+    index = {v: i for i, v in enumerate(vectors)}
+    perms = set()
+    for g in stabilizer(SIGMA6).elements:
+        images = tuple(index.get(linalg.lead_positive(linalg.mat_vec(g.rows, v)))
+                       for v in vectors)
+        if set(images) != set(range(len(vectors))):
+            raise AssertionError("stabilizer element does not permute the generators")
+        perms.add(images)
+    return tuple(sorted(perms))
+
+
+@lru_cache(maxsize=None)
 def classify_orbits(dim) -> OrbitCensus:
     """Group the dimension-`dim` faces of the basic cone into GL(3,Z) orbits.
 
     Faces are scanned in subset order, so each orbit's representative is its
-    first (lexicographically least) face.
+    first (lexicographically least) face.  The stabilizer of the basic cone
+    permutes its generators, so it maps faces to equivalent faces: a face
+    reached from an earlier face by one of those permutations joins that
+    face's class without a search.  Only the first face of each stabilizer
+    orbit is compared, by `equivalent`, with the class representatives.
+    Stabilizer orbits lie inside GL(3,Z) orbits, and `equivalent` decides
+    every merge of them, so the census is the one of comparing every face.
     """
+    perms = _generator_permutations()
+    class_of = {}  # index subset -> position in classes
     classes = []  # [representative, member count]
-    for face in SIGMA6.faces(dim):
-        for cls in classes:
-            if equivalent(face, cls[0]):
-                cls[1] += 1
-                break
-        else:
-            classes.append([face, 1])
+    for subset, face in zip(combinations(range(SIGMA6.dim()), dim), SIGMA6.faces(dim)):
+        k = class_of.get(subset)
+        if k is None:
+            k = next((n for n, (rep, _) in enumerate(classes) if equivalent(face, rep)),
+                     len(classes))
+            if k == len(classes):
+                classes.append([face, 0])
+            for p in perms:
+                class_of[tuple(sorted(p[i] for i in subset))] = k
+        classes[k][1] += 1
     orbits = tuple(OrbitClass(rep, size, rep.cusp_rank()) for rep, size in classes)
     return OrbitCensus(dim, orbits)
 

@@ -17,11 +17,17 @@ equality, hash and ordering are those of the tuple of fields.  A `SymForm`
 therefore equals the plain 6-tuple of its coefficients; forms and
 characters never share a set, a dict or a comparison.
 
-Matrix products go through `linalg.mat_mul`.  `GroupElement.det` and
-`GroupElement.inverse` stay closed-form 3x3 expressions: every construction
-checks the determinant and a cold `verify all` inverts about 500 elements,
-and the general `linalg.det` is about 35 times slower than the closed form,
-an inverse through `linalg.adjugate` about 7 times.
+The 3x3 kernels are closed-form expressions, not calls to the general
+`linalg` routines: `GroupElement.det`, `.inverse` and products, and one
+congruence h S h^T on six coefficients, which `act_on_form` applies with
+h = g and `dual_action_on_characters` with h = g^-T.  Every construction
+checks the determinant, a cold `verify all` inverts about 500 elements and
+a cold `betti` plus `verify` pair acts on forms and characters thousands of
+times.  Against `linalg` on 3x3 (`timeit`), `linalg.det` is about 35 times
+slower than the closed form and an inverse through `linalg.adjugate` about
+7 times; the closed forms cut `act_on_form` from 12.6 to 1.3 us, a product
+(with its determinant check) from 10.8 to 2.5 us, and the dual action on
+three characters from 42.4 to 12.1 us.
 """
 
 from __future__ import annotations
@@ -41,12 +47,6 @@ class NotRankOneVector(ValueError):
 
 class SymForm(namedtuple("SymForm", COEFF_ORDER, defaults=(0,) * 6)):
     __slots__ = ()
-
-    @classmethod
-    def from_matrix(cls, m):
-        if (m[0][1] != m[1][0]) or (m[0][2] != m[2][0]) or (m[1][2] != m[2][1]):
-            raise ValueError("matrix is not symmetric")
-        return cls(m[0][0], m[1][1], m[2][2], m[1][2], m[0][2], m[0][1])
 
     def coeffs(self):
         return tuple(self)
@@ -100,14 +100,31 @@ class GroupElement(Checked, namedtuple("GroupElement", "rows")):
         return GroupElement(tuple(tuple(x // dt for x in row) for row in adj))
 
     def __mul__(self, other):
-        return GroupElement(linalg.mat_mul(self.rows, other.rows))
+        ((a, b, c), (d, e, f), (g, h, i)) = self.rows
+        ((j, k, l), (m, n, o), (p, q, r)) = other.rows
+        return GroupElement(
+            ((a * j + b * m + c * p, a * k + b * n + c * q, a * l + b * o + c * r),
+             (d * j + e * m + f * p, d * k + e * n + f * q, d * l + e * o + f * r),
+             (g * j + h * m + i * p, g * k + h * n + i * q, g * l + h * o + i * r)))
+
+
+def _congruence(h, s11, s22, s33, s23, s13, s12):
+    """The coefficients (COEFF_ORDER) of h S h^T, S symmetric with the given ones."""
+    ((a, b, c), (d, e, f), (g, k, m)) = h
+    # the rows t, u, w of h S
+    t1, t2, t3 = (a * s11 + b * s12 + c * s13, a * s12 + b * s22 + c * s23,
+                  a * s13 + b * s23 + c * s33)
+    u1, u2, u3 = (d * s11 + e * s12 + f * s13, d * s12 + e * s22 + f * s23,
+                  d * s13 + e * s23 + f * s33)
+    w1, w2, w3 = (g * s11 + k * s12 + m * s13, g * s12 + k * s22 + m * s23,
+                  g * s13 + k * s23 + m * s33)
+    return (t1 * a + t2 * b + t3 * c, u1 * d + u2 * e + u3 * f, w1 * g + w2 * k + w3 * m,
+            u1 * g + u2 * k + u3 * m, t1 * g + t2 * k + t3 * m, t1 * d + t2 * e + t3 * f)
 
 
 def act_on_form(g: GroupElement, q: SymForm) -> SymForm:
     """g . q = g q g^T."""
-    h = g.rows
-    return SymForm.from_matrix(linalg.mat_mul(linalg.mat_mul(h, q.matrix()),
-                                              linalg.transpose(h)))
+    return SymForm._make(_congruence(g.rows, *q))
 
 
 def primitive(v):
@@ -144,14 +161,12 @@ def dual_action_on_characters(g: GroupElement, chars):
     """g . f for each character f of `chars`, as a tuple, with g inverted once.
 
     The contragredient action: pairing(g . q, g . f) == pairing(q, f).  The
-    doubled character matrix P goes to g^-T P g^-1; its diagonal stays even,
-    so halving it back is exact.
+    doubled character matrix P goes to h P h^T with h = g^-T; its diagonal
+    stays even, so halving it back is exact.
     """
-    inv = g.inverse().rows
-    inv_t = linalg.transpose(inv)
+    h = tuple(zip(*g.inverse().rows))
     out = []
     for p11, p22, p33, p23, p13, p12 in chars:
-        doubled = ((2 * p11, p12, p13), (p12, 2 * p22, p23), (p13, p23, 2 * p33))
-        m = linalg.mat_mul(linalg.mat_mul(inv_t, doubled), inv)
-        out.append((m[0][0] // 2, m[1][1] // 2, m[2][2] // 2, m[1][2], m[0][2], m[0][1]))
+        r11, r22, r33, r23, r13, r12 = _congruence(h, 2 * p11, 2 * p22, 2 * p33, p23, p13, p12)
+        out.append((r11 // 2, r22 // 2, r33 // 2, r23, r13, r12))
     return tuple(out)

@@ -13,6 +13,7 @@ and no failure hides the others.
 from __future__ import annotations
 
 import random
+from math import gcd, lcm
 
 from . import linalg, strata
 from .equivariant import (LinearRep, element_order, exterior_invariant_dims,
@@ -87,6 +88,15 @@ def check_orbit_census(pipeline):
     dim3 = classify_orbits(3)
     if sorted(o.cusp_rank for o in dim3.orbits) != [2, 3]:
         return False, "dimension-3 cusp ranks %r" % [o.cusp_rank for o in dim3.orbits]
+    # mass formula: the sum of (-1)^(dim - 1) / |Stab| over the cusp-rank-3
+    # classes is chi(GL_3(Z)) = 0 (Harder), here in integers over the lcm
+    cells = [(dim, stabilizer(o.representative).order()) for dim in expected_classes
+             for o in classify_orbits(dim).orbits if o.cusp_rank == 3]
+    den = lcm(*(order for _, order in cells))
+    mass = sum((-1) ** (dim - 1) * (den // order) for dim, order in cells)
+    if mass:
+        common = gcd(mass, den)
+        return False, "mass formula gives %d/%d, not 0" % (mass // common, den // common)
     # span-deficient faces: every random GL(3,Z) image is found again
     rng = random.Random(_SEED)
     for dim in (1, 2):
@@ -98,18 +108,23 @@ def check_orbit_census(pipeline):
                 if not res or ({act_on_form(res.witness, q) for q in face.generators}
                                != set(image.generators)):
                     return False, "%s not matched with a random image" % face.name()
-    return True, "classes per dimension " + " ".join(details)
+    return True, ("classes per dimension %s, mass formula 0 over %d stabilizers"
+                  % (" ".join(details), len(cells)))
 
 
 def random_unimodular(rng):
-    """A random element of GL(3,Z): a sign change times six elementary matrices."""
-    g = GroupElement(((rng.choice((1, -1)), 0, 0), (0, 1, 0), (0, 0, 1)))
+    """A random element of GL(3,Z): a sign change times six elementary matrices.
+
+    Multiplying on the right by I + k e_ij adds k times column i to column j,
+    so the product is formed in place on one list of rows.
+    """
+    rows = [[rng.choice((1, -1)), 0, 0], [0, 1, 0], [0, 0, 1]]
     for _ in range(6):
         i, j = rng.sample(range(3), 2)
-        rows = [[int(r == c) for c in range(3)] for r in range(3)]
-        rows[i][j] = rng.choice((-2, -1, 1, 2))
-        g = g * GroupElement(rows)
-    return g
+        k = rng.choice((-2, -1, 1, 2))
+        for row in rows:
+            row[j] += k * row[i]
+    return GroupElement(rows)
 
 
 def check_local_cone_symmetries(pipeline):
@@ -255,8 +270,9 @@ def check_conservation_properties(pipeline):
     forms = [GENERATORS[n] for n in GENERATOR_NAMES]
     for g in mats:
         for h in mats:
+            gh = g * h
             for q in forms:
-                if act_on_form(g * h, q) != act_on_form(g, act_on_form(h, q)):
+                if act_on_form(gh, q) != act_on_form(g, act_on_form(h, q)):
                     return False, "composition law fails"
     chars = torus_coordinates()
     for g in mats:

@@ -7,12 +7,14 @@ feeds each result-reading check a doctored result and expects it to fail.
 """
 
 import json
+import random
 from functools import cache, partial
 from importlib import resources
 
 import pytest
 
 from avor3 import cli, strata, verify
+from avor3.forms import GroupElement
 from avor3.mhs import CohomologyTable
 from avor3.registry import load_registry, parse_registry
 
@@ -109,6 +111,26 @@ def test_result_reading_check_fails_on_doctored_result(name):
     assert ok is False, detail
 
 
+def _reference_random_unimodular(rng):
+    """The same draws as `verify.random_unimodular`, multiplied out as
+    GroupElements: a sign change times six elementary matrices."""
+    g = GroupElement(((rng.choice((1, -1)), 0, 0), (0, 1, 0), (0, 0, 1)))
+    for _ in range(6):
+        i, j = rng.sample(range(3), 2)
+        rows = [[int(r == c) for c in range(3)] for r in range(3)]
+        rows[i][j] = rng.choice((-2, -1, 1, 2))
+        g = g * GroupElement(rows)
+    return g
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, verify._SEED])
+def test_random_unimodular_is_the_product_of_its_elementary_matrices(seed):
+    rng, reference = random.Random(seed), random.Random(seed)
+    for _ in range(50):
+        assert verify.random_unimodular(rng) == _reference_random_unimodular(reference)
+    assert rng.getstate() == reference.getstate()
+
+
 def _bad_kummer_page_registry():
     data = json.loads(resources.files("avor3").joinpath("data/paper_data.json").read_text())
     page = next(p for p in data["pages"] if p["label"] == "kummer_e2_expected")
@@ -123,6 +145,23 @@ def test_stratum_invariants_fails_when_molien_ignores_the_sign_character(monkeyp
                         lambda rep: molien(rep._replace(signs=None)))
     ok, detail = CHECKS["stratum_invariants"](PIPELINE)
     assert (ok, detail) == (False, "dual-route disagreement on a random representation")
+
+
+def test_orbit_census_fails_when_a_stabilizer_order_is_off(monkeypatch):
+    # the mass formula 1/48 - 1/24 - 1/48 + 1/16 - 1/48 = 0 over the orders
+    # in dimensions 3, 4, 4, 5, 6; reading the a1,a2,a3,b1 stabilizer as of
+    # order 48 (it has 24) leaves 1/48
+    stabilizer = verify.stabilizer
+
+    def doubled(cone):
+        stab = stabilizer(cone)
+        if cone.name() == "a1,a2,a3,b1":
+            return stab._replace(elements=stab.elements * 2)
+        return stab
+
+    monkeypatch.setattr(verify, "stabilizer", doubled)
+    ok, detail = CHECKS["orbit_census"](PIPELINE)
+    assert (ok, detail) == (False, "mass formula gives 1/48, not 0")
 
 
 def test_pipeline_error_fails_exactly_the_result_readers():
@@ -147,7 +186,8 @@ def test_pipeline_error_is_raised_once_and_shared(monkeypatch):
     assert results == [
         ("betti_vector", False, raised),
         ("main_page_resolution", False, raised),
-        ("orbit_census", True, "classes per dimension 1:1 2:1 3:2 4:2 5:1 6:1"),
+        ("orbit_census", True, "classes per dimension 1:1 2:1 3:2 4:2 5:1 6:1, "
+                               "mass formula 0 over 5 stabilizers"),
         ("local_cone_symmetries", True, "order 48, effective 24 = 4 diagonal x 6"),
         ("distinguished_dim4_symmetry", True, "a1,a2,a3,b1 carries the order-12 action"),
         ("stratum_invariants", False, raised),

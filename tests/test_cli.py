@@ -582,13 +582,24 @@ def test_verify_all_passes(capsys):
     assert all(line.startswith("PASS") for line in out.splitlines()[:-1])
 
 
-@pytest.mark.parametrize("module", ("numpy", "fractions", "dataclasses", "inspect"))
+@pytest.mark.parametrize("module", ("numpy", "fractions", "dataclasses", "inspect",
+                                    "avor3.verify"))
 def test_cli_import_does_not_load(module):
     env = dict(os.environ, PYTHONPATH=_SRC)
     code = "import sys, avor3.cli; print(%r in sys.modules)" % module
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout == "False\n"
+
+
+def test_betti_does_not_load_verify():
+    # only the `verify` command imports the checks
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    code = ("import sys, avor3.cli; code = avor3.cli.main(['betti', 'avor3']); "
+            "print(code, 'avor3.verify' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "0 False"
 
 
 def test_verify_all_latex_escapes_a_failing_detail(capsys, tmp_path, monkeypatch):

@@ -5,11 +5,11 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avor3 import linalg
-from avor3.fan import (SIGMA6, Cone, EquivalenceResult, SpanDeficient, _line_maps,
-                       _span_frame, classify_orbits, equivalent, stabilizer,
-                       stratum_character_lattice, torus_coordinates)
-from avor3.forms import GENERATORS, GroupElement, SymForm, act_on_form, pairing
+from avor3 import fan, linalg
+from avor3.fan import (SIGMA6, Cone, EquivalenceResult, OrbitCensus, OrbitClass,
+                       SpanDeficient, _line_maps, _span_frame, classify_orbits, equivalent,
+                       stabilizer, stratum_character_lattice, torus_coordinates)
+from avor3.forms import GENERATORS, GroupElement, SymForm, act_on_form, pairing, rank1_form
 from avor3.equivariant import LinearRep, exterior_invariant_dims, order_histogram
 from avor3.verify import random_unimodular
 
@@ -75,8 +75,7 @@ def test_equivalence_of_single_rays():
 
 def test_far_ray_is_equivalent_with_verified_witness():
     # every line map sends e1 to +-(2, 3, 1), so none has entries within [-2, 2]
-    v = (2, 3, 1)
-    q = SymForm.from_matrix(tuple(tuple(a * b for b in v) for a in v))
+    q = rank1_form((2, 3, 1))
     res = equivalent(Cone.from_names("a1"), Cone((q,)))
     assert res.verdict == "equivalent"
     assert act_on_form(res.witness, GENERATORS["a1"]) == q
@@ -109,6 +108,45 @@ def test_orbit_census_frozen(dim):
     got = [(o.representative.name(), o.size, o.cusp_rank) for o in census.orbits]
     assert got == EXPECTED_CENSUS[dim]
     assert sum(census.counts()) == comb(6, dim)
+
+
+def _reference_census(dim):
+    """The pairwise scan: every face is compared with the class representatives."""
+    classes = []  # [representative, member count]
+    for face in SIGMA6.faces(dim):
+        for cls in classes:
+            if equivalent(face, cls[0]):
+                cls[1] += 1
+                break
+        else:
+            classes.append([face, 1])
+    return OrbitCensus(dim, tuple(OrbitClass(rep, size, rep.cusp_rank())
+                                  for rep, size in classes))
+
+
+@pytest.mark.parametrize("dim", range(7))
+def test_orbit_census_matches_the_pairwise_scan(dim):
+    # representatives, sizes, cusp ranks and class order
+    assert classify_orbits(dim) == _reference_census(dim)
+
+
+def test_census_rejects_a_stabilizer_element_off_the_generators(monkeypatch):
+    stabilizer = fan.stabilizer
+    shear = GroupElement(((1, 1, 0), (0, 1, 0), (0, 0, 1)))  # sends a2's line to (1, 1, 0)
+
+    def with_shear(cone):
+        stab = stabilizer(cone)
+        return stab._replace(elements=stab.elements + (shear,)) if cone == SIGMA6 else stab
+
+    monkeypatch.setattr(fan, "stabilizer", with_shear)
+    classify_orbits.cache_clear()
+    fan._generator_permutations.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="does not permute the generators"):
+            classify_orbits(3)
+    finally:
+        classify_orbits.cache_clear()
+        fan._generator_permutations.cache_clear()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -209,8 +247,7 @@ def test_line_maps_match_reference_on_images(steps, data):
 
 
 def _cone_of_lines(*vectors):
-    return Cone(tuple(SymForm.from_matrix(tuple(tuple(a * b for b in v) for a in v))
-                      for v in vectors))
+    return Cone(tuple(rank1_form(v) for v in vectors))
 
 
 # generator vectors of index 2 or 4 in their saturated span, so the pivot

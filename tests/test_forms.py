@@ -21,10 +21,8 @@ def random_unimodular(rng):
 def test_coeff_order_and_matrix_roundtrip():
     assert COEFF_ORDER == ("a11", "a22", "a33", "a23", "a13", "a12")
     q = SymForm(1, 2, 3, 4, 5, 6)
-    assert SymForm.from_matrix(q.matrix()) == q
+    assert q.matrix() == ((1, 6, 5), (6, 2, 4), (5, 4, 3))
     assert SymForm(*q.coeffs()) == q
-    with pytest.raises(ValueError):
-        SymForm.from_matrix(((0, 1, 0), (0, 0, 0), (0, 0, 0)))
 
 
 def test_generators_are_squares_of_expected_vectors():
@@ -56,8 +54,7 @@ def test_rank1_vector_recovers_primitive_leading_positive():
         v = [rng.randint(-4, 4) for _ in range(3)]
         if all(x == 0 for x in v):
             continue
-        m = [[a * b for b in v] for a in v]
-        got = rank1_vector(SymForm.from_matrix(m))
+        got = rank1_vector(rank1_form(v))
         assert got == primitive(v)
         assert next(x for x in got if x) > 0
 
@@ -106,14 +103,34 @@ def test_group_element_validation_and_inverse():
     assert g * g.inverse() == GroupElement.identity()
 
 
-def test_action_matches_congruence():
-    # g . q has Gram matrix g Q g^T
-    rng = random.Random(5)
-    for _ in range(25):
-        g = random_unimodular(rng)
-        q = SymForm(*[rng.randint(-3, 3) for _ in range(6)])
-        m = linalg.mat_mul(linalg.mat_mul(g.rows, q.matrix()), linalg.transpose(g.rows))
-        assert act_on_form(g, q).matrix() == tuple(tuple(x for x in row) for row in m)
+_ELEMENTARY = st.tuples(st.sampled_from([(i, j) for i in range(3) for j in range(3) if i != j]),
+                        st.integers(-3, 3))
+_EXPONENTS = st.lists(st.integers(-5, 5), min_size=6, max_size=6)
+
+
+def elementary_product(flip, steps):
+    """diag(-1 if flip else 1, 1, 1) times the elementary matrices I + k e_ij."""
+    g = GroupElement(((-1 if flip else 1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    for (i, j), k in steps:
+        rows = [[int(r == c) for c in range(3)] for r in range(3)]
+        rows[i][j] = k
+        g = g * GroupElement(rows)
+    return g
+
+
+_GROUP_ELEMENTS = st.builds(elementary_product, st.booleans(),
+                            st.lists(_ELEMENTARY, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_GROUP_ELEMENTS, _GROUP_ELEMENTS, st.lists(st.integers(), min_size=6, max_size=6))
+def test_action_matches_congruence(g, h, coeffs):
+    # the closed forms agree with the general matrix product: g . q has Gram
+    # matrix g Q g^T, and g * h is the product of the rows
+    q = SymForm(*coeffs)
+    m = linalg.mat_mul(linalg.mat_mul(g.rows, q.matrix()), linalg.transpose(g.rows))
+    assert act_on_form(g, q).matrix() == tuple(map(tuple, m))
+    assert g * h == GroupElement(linalg.mat_mul(g.rows, h.rows))
 
 
 def test_action_is_a_group_action():
@@ -131,15 +148,10 @@ def test_action_moves_rank1_vectors_by_the_matrix():
     for _ in range(25):
         g = random_unimodular(rng)
         v = (1, 2, -1)
-        q = SymForm.from_matrix(tuple(tuple(a * b for b in v) for a in v))
+        q = rank1_form(v)
         w = rank1_vector(act_on_form(g, q))
         # image line is spanned by g v
         assert w == primitive(linalg.mat_vec(g.rows, v))
-
-
-_ELEMENTARY = st.tuples(st.sampled_from([(i, j) for i in range(3) for j in range(3) if i != j]),
-                        st.integers(-3, 3))
-_EXPONENTS = st.lists(st.integers(-5, 5), min_size=6, max_size=6)
 
 
 def form_action_matrix(g):
@@ -153,11 +165,7 @@ def form_action_matrix(g):
 @given(st.booleans(), st.lists(_ELEMENTARY, max_size=8), _EXPONENTS, _EXPONENTS)
 def test_form_action_matrix_consistency(flip, steps, coeffs, exps):
     # the character action is the coefficient adjoint of the inverse form action
-    g = GroupElement(((-1 if flip else 1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    for (i, j), k in steps:
-        rows = [[int(r == c) for c in range(3)] for r in range(3)]
-        rows[i][j] = k
-        g = g * GroupElement(rows)
+    g = elementary_product(flip, steps)
     q = SymForm(*coeffs)
     phi = form_action_matrix(g)
     assert tuple(linalg.mat_vec(phi, coeffs)) == act_on_form(g, q).coeffs()

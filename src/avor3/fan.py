@@ -123,27 +123,27 @@ class EquivalenceResult(namedtuple("EquivalenceResult", "witness verdict")):
 def _span_frame(vectors):
     """Move the saturated span of `vectors` onto Z^r x 0.
 
-    Returns (u, r, coords): u in GL(3,Z) with every u v in Z^r x 0, the span
-    rank r, and the first r coordinates of each u v.  u comes from the row
-    Hermite form of the matrix whose columns are the vectors.
+    Returns (u, r, coords): the GroupElement u with every u v in Z^r x 0,
+    the span rank r, and the first r coordinates of each u v.  u comes from
+    the row Hermite form of the matrix whose columns are the vectors.
     """
     h, u = linalg.hermite_form(linalg.transpose(vectors))
     r = sum(1 for row in h if any(row))
-    return u, r, [tuple(h[i][c] for i in range(r)) for c in range(len(vectors))]
+    return GroupElement(u), r, [tuple(h[i][c] for i in range(r)) for c in range(len(vectors))]
 
 
 def _line_maps(source, target):
-    """Yield h in GL(3,Z) mapping the source line set onto the target line set.
+    """Yield each GroupElement h mapping the source line set onto the target's.
 
     With u_S, u_T from `_span_frame`, any such map carries the saturated
     source span onto the saturated target span, so u_T h u_S^-1 restricts to
     some M in GL(r,Z) matching the projected lines.  Both spans are direct
     summands of Z^3, so every such M extends, for instance to
-    h = u_T^-1 diag(M, I) u_S.  M is pinned by the images of the r
-    independent source vectors at the Hermite pivot columns, and every
-    signed, ordered r-tuple of target vectors is tried as those images, so
-    the search is complete: it yields one h per M, which for r = 3 is every
-    map.
+    h = u_T^-1 diag(M, I) u_S, a GroupElement product.  M is pinned by the
+    images of the r independent source vectors at the Hermite pivot columns,
+    and every signed, ordered r-tuple of target vectors is tried as those
+    images, so the search is complete: it yields one h per M, which for
+    r = 3 is every map.
 
     M and -M come in pairs: -M passes every check below exactly when M does.
     So only tuples whose first image keeps the sign of its target vector are
@@ -181,7 +181,7 @@ def _line_maps(source, target):
     lines = tset | {tuple(-x for x in t) for t in tset}
     xs = [linalg.mat_vec(adj, s) for c, s in enumerate(src) if c not in pivots]
     signed = [(t, tuple(-x for x in t)) for t in tgt]
-    u_t_inv = GroupElement(u_t).inverse().rows
+    u_t_inv = u_t.inverse()
     for chosen in permutations(signed, r):
         for signs in product((0, 1), repeat=r - 1):
             picks = [chosen[0][0]] + [pair[s] for pair, s in zip(chosen[1:], signs)]
@@ -202,7 +202,7 @@ def _line_maps(source, target):
             for sign in (1, -1):
                 block = [[(sign * m[i][j] if i < r and j < r else int(i == j))
                           for j in range(3)] for i in range(3)]
-                yield linalg.mat_mul(u_t_inv, linalg.mat_mul(block, u_s))
+                yield u_t_inv * GroupElement(block) * u_s
 
 
 def _images_on_lines(rows, xs, d, lines):
@@ -217,13 +217,6 @@ def _images_on_lines(rows, xs, d, lines):
     return True
 
 
-def _witness_from_line_map(h, c1, c2):
-    g = GroupElement(h)
-    if {act_on_form(g, q) for q in c1.generators} != set(c2.generators):
-        raise AssertionError("witness failed re-verification")
-    return g
-
-
 def equivalent(c1: Cone, c2: Cone) -> EquivalenceResult:
     """Decide whether some g in GL(3,Z) has g . c1 = c2.
 
@@ -235,8 +228,10 @@ def equivalent(c1: Cone, c2: Cone) -> EquivalenceResult:
     if c1.dim() == 0 or c2.dim() == 0:
         witness = GroupElement.identity() if c1.dim() == c2.dim() else None
     else:
-        h = next(_line_maps(c1.vectors(), c2.vectors()), None)
-        witness = None if h is None else _witness_from_line_map(h, c1, c2)
+        witness = next(_line_maps(c1.vectors(), c2.vectors()), None)
+        if witness is not None and ({act_on_form(witness, q) for q in c1.generators}
+                                    != set(c2.generators)):
+            raise AssertionError("witness failed re-verification")
     return EquivalenceResult(witness, "inequivalent" if witness is None else "equivalent")
 
 
@@ -250,20 +245,25 @@ class OrbitCensus(namedtuple("OrbitCensus", "dimension orbits")):
         return tuple(o.size for o in self.orbits)
 
 
+def _one_per_sign(elements):
+    """Of each pair +-g, the one with first nonzero entry positive (+-g act alike)."""
+    return [g for g in elements if next(x for x in g.rows[0] if x) > 0]
+
+
 @lru_cache(maxsize=None)
 def _generator_permutations():
     """The permutations of the generator indices 0..5 induced by stabilizer(SIGMA6).
 
-    g sends generator i to the generator whose vector is lead_positive(g v_i);
-    +-g induce the same permutation, so each appears once, in sorted order.
+    g sends generator i to the index of act_on_form(g, q_i); +-g induce the
+    same permutation, so `_one_per_sign` reads one of each pair, and each
+    permutation appears once, in sorted order.
     """
-    vectors = SIGMA6.vectors()
-    index = {v: i for i, v in enumerate(vectors)}
+    forms = SIGMA6.generators
+    index = {q: i for i, q in enumerate(forms)}
     perms = set()
-    for g in stabilizer(SIGMA6).elements:
-        images = tuple(index.get(linalg.lead_positive(linalg.mat_vec(g.rows, v)))
-                       for v in vectors)
-        if set(images) != set(range(len(vectors))):
+    for g in _one_per_sign(stabilizer(SIGMA6).elements):
+        images = tuple(index.get(act_on_form(g, q)) for q in forms)
+        if set(images) != set(range(len(forms))):
             raise AssertionError("stabilizer element does not permute the generators")
         perms.add(images)
     return tuple(sorted(perms))
@@ -281,11 +281,13 @@ def classify_orbits(dim) -> OrbitCensus:
     orbit is compared, by `equivalent`, with the class representatives.
     Stabilizer orbits lie inside GL(3,Z) orbits, and `equivalent` decides
     every merge of them, so the census is the one of comparing every face.
+    A lone face (dimensions 0, 6) needs no permutations and no stabilizer.
     """
-    perms = _generator_permutations()
+    faces = list(zip(combinations(range(SIGMA6.dim()), dim), SIGMA6.faces(dim)))
+    perms = _generator_permutations() if len(faces) > 1 else ()
     class_of = {}  # index subset -> position in classes
     classes = []  # [representative, member count]
-    for subset, face in zip(combinations(range(SIGMA6.dim()), dim), SIGMA6.faces(dim)):
+    for subset, face in faces:
         k = class_of.get(subset)
         if k is None:
             k = next((n for n, (rep, _) in enumerate(classes) if equivalent(face, rep)),
@@ -315,8 +317,7 @@ def stabilizer(c: Cone) -> StabilizerGroup:
         raise SpanDeficient(
             "stabilizer of %s is infinite: generator vectors span rank %d < 3"
             % (c.name(), c.cusp_rank()))
-    elements = sorted((GroupElement(h) for h in _line_maps(c.vectors(), c.vectors())),
-                      key=lambda g: g.rows)
+    elements = sorted(_line_maps(c.vectors(), c.vectors()))
     group = StabilizerGroup(c, tuple(elements))
     eset = set(group.elements)
     for g in group.elements:
@@ -357,9 +358,7 @@ def stratum_character_lattice(c: Cone) -> CharacterLattice:
     basis = tuple(b for _, b in outside)
     coords = [(q, pairing(q, b)) for q, b in outside]
     seen = set()
-    # -I acts trivially on characters: of each pair +-g, act with the one
-    # whose first nonzero entry is positive
-    for g in (g for g in stab.elements if next(x for x in g.rows[0] if x) > 0):
+    for g in _one_per_sign(stab.elements):
         images = dual_action_on_characters(g, basis)
         if any(pairing(q, x) for q in c.generators for x in images):
             raise AssertionError("stabilizer does not preserve the character sublattice")

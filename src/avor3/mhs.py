@@ -200,17 +200,12 @@ def spell(v, tate, atom, power, plus):
 
 def graded(pairs):
     """Graded entries of (key, MhsVector) pairs, zero vectors skipped as read:
-    those at one key summed (one new MhsVector for several), sorted by key."""
-    parts, repeated = {}, {}
+    those at one key summed with MhsVector addition (a key with one vector
+    keeps that vector), sorted by key."""
+    parts = {}
     for key, v in pairs:
         if not v.is_zero():
-            if key in parts:
-                repeated.setdefault(key, [parts[key]]).append(v)
-            else:
-                parts[key] = v
-    for key, vs in repeated.items():
-        parts[key] = MhsVector(tuple([n for u in vs for n in u.tates]),
-                               sum([u.f_count for u in vs]))
+            parts[key] = parts[key] + v if key in parts else v
     return tuple(sorted(parts.items(), key=itemgetter(0)))
 
 

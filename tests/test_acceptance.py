@@ -8,6 +8,7 @@ feeds each result-reading check a doctored result and expects it to fail.
 
 import json
 import random
+import re
 from functools import cache, partial
 from importlib import resources
 
@@ -170,6 +171,24 @@ def test_pipeline_error_fails_exactly_the_result_readers():
     assert set(failed) == set(DOCTORED)
     assert all(d.startswith("raised ExpectedPageMismatch: ") for d in failed.values())
     assert len(results) - len(failed) == 5
+
+
+def test_a_stratum_with_an_extra_invariant_fails_the_pipeline(monkeypatch, capsys):
+    # the one stratum of torus dimension 1 (a1,a2,a3,b1,b2) gains an H^1 invariant
+    molien = strata.exterior_invariant_dims
+    monkeypatch.setattr(strata, "exterior_invariant_dims",
+                        lambda rep: (1, 1) if rep.dimension == 1 else molien(rep))
+    message = "stratum of a1,a2,a3,b1,b2 has stabilizer invariants (1, 1)"
+    with pytest.raises(strata.InvariantNotConcentrated, match=re.escape(message)):
+        strata.rank_three_locus()
+    assert cli.main(["betti", "avor3"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: %s\n" % message)
+    assert cli.main(["verify", "all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = {line.split()[1] for line in lines if line.startswith("FAIL ")}
+    assert failed == set(DOCTORED)
+    assert lines[-1] == "5/12 checks passed"
 
 
 def test_pipeline_error_is_raised_once_and_shared(monkeypatch):

@@ -149,6 +149,47 @@ def test_census_rejects_a_stabilizer_element_off_the_generators(monkeypatch):
         fan._generator_permutations.cache_clear()
 
 
+def test_a_lone_face_census_runs_no_stabilizer_search(monkeypatch):
+    def no_search(cone):
+        raise AssertionError("stabilizer searched for %s" % cone.name())
+
+    for cached in (classify_orbits, fan._generator_permutations, stabilizer):
+        cached.cache_clear()
+    monkeypatch.setattr(fan, "stabilizer", no_search)
+    try:
+        for dim in (0, 6):
+            census = classify_orbits(dim)
+            assert census.counts() == (1,)
+            assert census == _reference_census(dim)
+    finally:
+        classify_orbits.cache_clear()
+
+
+def test_a_witness_failing_re_verification_raises(monkeypatch):
+    monkeypatch.setattr(fan, "_line_maps", lambda source, target: iter([GroupElement.identity()]))
+    with pytest.raises(AssertionError, match="witness failed re-verification"):
+        equivalent(Cone.from_names("a1"), Cone.from_names("a2"))
+
+
+def test_a_stabilizer_not_closed_under_inverse_raises(monkeypatch):
+    cycle = GroupElement(((0, 0, 1), (1, 0, 0), (0, 1, 0)))  # its inverse is cycle^2
+    monkeypatch.setattr(fan, "_line_maps",
+                        lambda source, target: iter([GroupElement.identity(), cycle]))
+    with pytest.raises(AssertionError, match="stabilizer not closed under inverse"):
+        stabilizer.__wrapped__(SIGMA6)
+
+
+def test_a_stabilizer_moving_the_face_fails_the_lattice_check(monkeypatch):
+    # an element of the basic cone's stabilizer that sends some a_i to a b_j
+    cone = Cone.from_names("a1,a2,a3")
+    kept = set(stabilizer(cone).elements)
+    extra = next(g for g in fan._one_per_sign(stabilizer(SIGMA6).elements) if g not in kept)
+    monkeypatch.setattr(fan, "stabilizer", lambda c: stabilizer(c)._replace(
+        elements=stabilizer(c).elements + (extra,)))
+    with pytest.raises(AssertionError, match="does not preserve the character sublattice"):
+        stratum_character_lattice.__wrapped__(cone)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_span_deficient_faces_match_random_images(dim):
     rng = random.Random(dim)
@@ -179,7 +220,8 @@ def _reference_line_maps(source, target):
 
     For each signed, ordered r-tuple of target vectors as the images of the
     pivot columns, M = P adj(V) / d is kept when it is integral, unimodular
-    and maps the source lines exactly onto the target lines.
+    and maps the source lines exactly onto the target lines, and yielded as
+    the GroupElement u_T^-1 diag(M, I) u_S, multiplied by `linalg.mat_mul`.
     """
     u_s, r, src = _span_frame(source)
     u_t, r_t, tgt = _span_frame(target)
@@ -190,7 +232,7 @@ def _reference_line_maps(source, target):
     adj = linalg.adjugate(vmat)
     d = linalg.det(vmat)
     tset = {linalg.lead_positive(t) for t in tgt}
-    u_t_inv = GroupElement(u_t).inverse().rows
+    u_t_inv = u_t.inverse().rows
     for picks in permutations(tgt, r):
         for signs in product((1, -1), repeat=r):
             num = [[sum(signs[c] * picks[c][i] * adj[c][j] for c in range(r))
@@ -207,11 +249,7 @@ def _reference_line_maps(source, target):
                 continue
             block = [[(m[i][j] if i < r and j < r else int(i == j)) for j in range(3)]
                      for i in range(3)]
-            yield linalg.mat_mul(u_t_inv, linalg.mat_mul(block, u_s))
-
-
-def _sorted_maps(maps):
-    return sorted(tuple(map(tuple, h)) for h in maps)
+            yield GroupElement(linalg.mat_mul(u_t_inv, linalg.mat_mul(block, u_s.rows)))
 
 
 def _assert_same_maps(c1, c2):
@@ -220,8 +258,8 @@ def _assert_same_maps(c1, c2):
     maps = list(_line_maps(c1.vectors(), c2.vectors()))
     reference = list(_reference_line_maps(c1.vectors(), c2.vectors()))
     assert maps[:1] == reference[:1]
-    got = _sorted_maps(maps)
-    assert got == _sorted_maps(reference)
+    got = sorted(maps)
+    assert got == sorted(reference)
     return got
 
 

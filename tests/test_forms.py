@@ -97,8 +97,11 @@ def test_primitive_reduces_gcd():
 
 
 def test_group_element_validation_and_inverse():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not unimodular"):
         GroupElement(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+    for rows in (((1, 0), (0, 1)), ((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1), (0, 0, 1))):
+        with pytest.raises(ValueError, match="expected a 3x3 matrix"):
+            GroupElement(rows)
     g = GroupElement(((0, 1, 0), (1, 0, 0), (0, 0, -1)))
     assert g * g.inverse() == GroupElement.identity()
 

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 import avor3
@@ -26,3 +27,13 @@ def test_package_does_not_import_dataclasses():
              if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
              or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
     assert found == []
+
+
+def test_every_mutant_patch_matches_exactly_once():
+    # the mutation census in CI needs each patched site once; a refactor that
+    # moves or copies one fails here first
+    path = Path(__file__).resolve().parent.parent / "tools" / "mutants.py"
+    spec = importlib.util.spec_from_file_location("mutants", path)
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.check_patches(SRC) == {}

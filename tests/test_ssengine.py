@@ -172,6 +172,32 @@ def test_a_known_out_of_reach_is_found_before_the_cap():
     assert _outcome(page, cap=5) == (None, NoConsistentAssignment)
 
 
+def _known_source_page(*knowns):
+    # Q at (0,1), (1,1) and (2,0): d_1 (0,1) -> (1,1) and d_2 (0,1) -> (2,0)
+    return SSPage.from_dict(1, {(0, 1): T(0), (1, 1): T(0), (2, 0): T(0)},
+                            knowns=knowns + (KnownDifferential(2, 0, 1, 1, "ref"),))
+
+
+def test_a_state_that_empties_a_known_source_is_dropped():
+    # a d_1 of rank 1 empties (0,1), so the known d_2 there has no choice on
+    # page 2 and that state is dropped; d_1 of rank 0 remains
+    page = _known_source_page()
+    limit, report = resolve(page)
+    assert limit.entries == (((1, 1), T(0)),)
+    assert [(d.r, d.p, d.q, d.rank, d.kind) for d in report.candidates[0].decisions] == [
+        (1, 0, 1, 0, "solver"), (2, 0, 1, 1, "known")]
+    assert _summary(_outcome(page)) == _summary(_reference_resolve(page))
+
+
+def test_every_state_dying_on_a_later_page_is_inconsistent():
+    # a known d_1 of rank 1 empties (0,1) in every state, so every state dies
+    # on page 2
+    page = _known_source_page(KnownDifferential(1, 0, 1, 1, "ref"))
+    with pytest.raises(NoConsistentAssignment):
+        resolve(page)
+    assert _reference_resolve(page) == (None, NoConsistentAssignment)
+
+
 def test_resolve_cap_raises_named_error():
     page = load_registry().page("main_e1_expected")
     with pytest.raises(EnumerationCapExceeded):

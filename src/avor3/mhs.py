@@ -10,10 +10,14 @@ here (none are ever needed), and twisting it raises UnsupportedTwist.
 
 Tables and pages hold graded entries, a tuple of (key, MhsVector) sorted by
 key (a degree or a (p, q) position), no key repeated and no vector zero.
-Their constructors take any (key, MhsVector) pairs and normalise them with
-`graded`, which sums the vectors at one key; only this module reads and
-writes entries.  `MhsVector` and `CohomologyTable` are immutable tuple
-records (namedtuples) whose constructors normalise their fields.
+Entries are normalised once: `graded`, the one normaliser, sums the
+vectors at one key and returns a `Graded` tuple, which only this module
+makes and which `graded` passes through unchanged.  So the table and page
+constructors, which apply `graded` to whatever pairs they are given, take
+`Graded` entries as they are, and `disjoint_union` joins `Graded` pieces
+with no key in common without normalising them again.  Only this module
+reads and writes entries.  `MhsVector` and `CohomologyTable` are immutable
+tuple records (namedtuples) whose constructors normalise their fields.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import json
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from itertools import groupby
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from . import Avor3Error, Checked, InputError
 
@@ -135,7 +139,9 @@ class MhsVector(Checked, namedtuple("MhsVector", "tates f_count")):
         return len(self.tates) + 2 * self.f_count
 
     def __add__(self, other):
-        return MhsVector(self.tates + other.tates, self.f_count + other.f_count)
+        # two valid vectors have a valid sum: no check, one tuple made
+        return tuple.__new__(MhsVector, (tuple(sorted(self.tates + other.tates)),
+                                         self.f_count + other.f_count))
 
     def weights(self):
         """The weight multiset as a sorted tuple (F contributes 0 and 6)."""
@@ -198,15 +204,56 @@ def spell(v, tate, atom, power, plus):
     return plus.join(name if k == 1 else power % (name, k) for name, k in runs) or "0"
 
 
+class Graded(tuple):
+    """Graded entries as `graded` or `disjoint_union` made them; it compares,
+    hashes, prints and encodes as the plain tuple."""
+
+    __slots__ = ()
+
+
+_KEY = itemgetter(0)
+
+
 def graded(pairs):
     """Graded entries of (key, MhsVector) pairs, zero vectors skipped as read:
     those at one key summed with MhsVector addition (a key with one vector
-    keeps that vector), sorted by key."""
+    keeps that vector), sorted by key.  A `Graded` is returned unchanged."""
+    if type(pairs) is Graded:
+        return pairs
     parts = {}
     for key, v in pairs:
         if not v.is_zero():
             parts[key] = parts[key] + v if key in parts else v
-    return tuple(sorted(parts.items(), key=itemgetter(0)))
+    return Graded(sorted(parts.items(), key=_KEY))
+
+
+def disjoint_union(pieces):
+    """Graded entries holding the pairs of the `Graded` pieces, which share no
+    key: one sort by key, nothing summed.  TypeError on a piece that is not
+    `Graded`, ValueError on a key in two pieces."""
+    out = []
+    for piece in pieces:
+        if type(piece) is not Graded:
+            raise TypeError("disjoint_union joins Graded entries, not %s"
+                            % type(piece).__name__)
+        out += piece
+    out.sort(key=_KEY)
+    keys = list(map(_KEY, out))
+    if any(map(eq, keys, keys[1:])):
+        raise ValueError("pieces share a key")
+    return Graded(out)
+
+
+def weight_graded_euler(entries):
+    """{w: e_w} of graded `entries`, by increasing weight w, zero values
+    dropped: e_w sums (-1)^k dim Gr^W_w of the vector at each key, where k is
+    the key (a degree) or p + q (a (p, q) position)."""
+    out = {}
+    for key, v in entries:
+        sign = -1 if (sum(key) if type(key) is tuple else key) % 2 else 1
+        for w, n in weight_counts(v).items():
+            out[w] = out.get(w, 0) + sign * n
+    return {w: e for w, e in sorted(out.items()) if e}
 
 
 def entry_at(entries, key):
@@ -257,9 +304,6 @@ class CohomologyTable(Checked, namedtuple("CohomologyTable", "label entries")):
 
     def degrees(self):
         return tuple(d for d, _ in self.entries)
-
-    def euler_characteristic(self):
-        return sum((-1) ** d * v.dimension() for d, v in self.entries)
 
     def betti(self, max_degree):
         return tuple(self.entry(d).dimension() for d in range(max_degree + 1))

@@ -9,7 +9,9 @@ it enumerates every per-weight rank assignment for the block's differentials,
 page by page, cancelling matched-weight dimensions on both ends, and keeps
 the outcomes that survive all constraints; an optional purity filter
 discards outcomes that carry a weight different from the total degree
-anywhere.  The limit pages of the page are the products of its blocks'.
+anywhere.  The limit pages of the page are the products of its blocks',
+each joined once from normalised pieces by `mhs.disjoint_union`, so the
+page constructor takes its entries as they are.
 
 Rank choices are built per block and page, and assignments are extended
 one differential at a time.  The enumeration cap counts the assignments
@@ -25,11 +27,11 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import product as iproduct
 from math import prod
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from . import Avor3Error, Checked, InputError
-from .mhs import (CohomologyTable, entries_from_json, entries_to_json, entry_at, graded,
-                  json_path, json_value, remove_weight, weight_counts)
+from .mhs import (CohomologyTable, disjoint_union, entries_from_json, entries_to_json,
+                  entry_at, graded, json_path, json_value, remove_weight, weight_counts)
 
 
 class NoConsistentAssignment(Avor3Error):
@@ -99,9 +101,6 @@ class SSPage(Checked, namedtuple("SSPage", "r entries knowns abutment_smooth_pro
 
     def entry(self, p, q):
         return entry_at(self.entries, (p, q))
-
-    def euler_characteristic(self):
-        return sum((-1) ** (p + q) * v.dimension() for (p, q), v in self.entries)
 
     def to_json_dict(self):
         return {
@@ -220,7 +219,6 @@ def _blocks(support, weights, start):
     return last, list(blocks.values())
 
 
-_POSITION = itemgetter(0)
 _DECISION_ORDER = attrgetter("r", "p", "q")
 
 
@@ -235,8 +233,12 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
 
     No differential joins two blocks (see `_blocks`), so each block runs
     alone, on its own pages, and the page's limits are the products of its
-    blocks' limits.  Candidates come in product order over the blocks, in
-    enumeration order within a block; a candidate's decisions, sorted by
+    blocks' limits.  The fixed positions and each block's final states are
+    normalised once by `graded`, which also keys the block's distinct
+    limits, and a candidate's entries are the `disjoint_union` of the fixed
+    positions and its blocks' limits, which a limit page takes as they are.
+    Candidates come in product order over the blocks, in enumeration order
+    within a block; a candidate's decisions, sorted by
     (r, p, q), are the first assignment found for its limit.  The count
     starts at 1 and adds, for each state of each block on each of its pages,
     the number of assignments tried there.  A known rank out of reach of its
@@ -264,12 +266,12 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
         known_map[k.r, (k.p, k.q)] = k
     purity = page.abutment_smooth_proper
     joined = {pq for positions, _ in blocks for pq in positions}
-    fixed = tuple((pq, v) for pq, v in page.entries if pq not in joined)
+    fixed = graded((pq, v) for pq, v in page.entries if pq not in joined)
     if purity and not all(_is_pure(*item) for item in fixed):
         raise nothing
 
     enumerated = 1
-    limits = []  # per block, {limit entries: decisions of the first assignment}
+    limits = []  # per block, {Graded limit entries: decisions of the first assignment}
     for positions, pages in blocks:
         states = [({pq: support[pq] for pq in positions}, ())]
         for r, arrows in pages.items():
@@ -305,7 +307,7 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
         seen = {}
         for entries, decisions in states:
             if not purity or all(_is_pure(*item) for item in entries.items()):
-                seen.setdefault(tuple(entries.items()), decisions)
+                seen.setdefault(graded(entries.items()), decisions)
         if not seen:
             raise nothing
         limits.append(seen)
@@ -313,14 +315,14 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
     if combined > cap:
         raise EnumerationCapExceeded("%d limit pages exceed cap %d" % (combined, cap))
 
-    # the candidates of the blocks so far, each the concatenated limits of its
-    # blocks after the fixed positions, in product order
-    partial = [(fixed, ())]
+    # the candidates of the blocks so far, each the fixed positions and the
+    # limits of its blocks, in product order
+    partial = [((fixed,), ())]
     for seen in limits:
-        partial = [(e + pe, ds + pds) for e, ds in partial for pe, pds in seen.items()]
-    candidates = tuple(ResolutionCandidate(tuple(sorted(e, key=_POSITION)),
+        partial = [(es + (pe,), ds + pds) for es, ds in partial for pe, pds in seen.items()]
+    candidates = tuple(ResolutionCandidate(disjoint_union(es),
                                            tuple(sorted(ds, key=_DECISION_ORDER)))
-                       for e, ds in partial)
+                       for es, ds in partial)
     report = ResolutionReport(page.label, purity, final_r, candidates, enumerated)
     if len(candidates) > 1:
         raise AmbiguousResolution(report)

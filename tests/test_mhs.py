@@ -4,8 +4,9 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from avor3.mhs import (MAX_CLASSES, CohomologyTable, MhsVector, UnsupportedTwist,
-                       entries_to_json, graded, remove_weight, weight_counts)
+from avor3.mhs import (MAX_CLASSES, CohomologyTable, Graded, MhsVector, UnsupportedTwist,
+                       disjoint_union, entries_to_json, graded, remove_weight,
+                       weight_counts, weight_graded_euler)
 from avor3.ssengine import SSPage
 
 T = MhsVector.tate
@@ -91,7 +92,8 @@ def test_table_operations():
     b = CohomologyTable("b", ((2, T(1)), (3, T(0))))
     merged = CohomologyTable("m", graded(a.entries + b.entries))
     assert dict(merged.entries) == {0: T(0), 2: T(1) + T(1), 3: T(0)}
-    assert merged.euler_characteristic() == 1 + 2 - 1
+    # e_0 = 1 - 1 cancels, so only weight 2 is left; the sum is 1 + 2 - 1
+    assert weight_graded_euler(merged.entries) == {2: 2}
     assert a.betti(4) == (1, 0, 1, 0, 0)
 
 
@@ -128,8 +130,68 @@ def test_graded_is_the_plain_sum_by_key(pairs):
 @given(st.lists(st.tuples(st.integers(0, 4), _VECTORS), max_size=12),
        st.lists(st.tuples(_POSITIONS, _VECTORS), max_size=12))
 def test_constructors_normalise_their_entries_with_graded(degrees, positions):
-    assert CohomologyTable("x", degrees).entries == graded(degrees)
-    assert SSPage(1, positions).entries == graded(positions)
+    for make in (list, tuple):
+        assert CohomologyTable("x", make(degrees)).entries == graded(degrees)
+        assert SSPage(1, make(positions)).entries == graded(positions)
+
+
+@given(st.lists(st.tuples(_POSITIONS, _VECTORS), max_size=12))
+def test_graded_entries_pass_through_graded_and_the_constructors(pairs):
+    entries = graded(pairs)
+    assert type(entries) is Graded
+    assert graded(entries) is entries
+    page = SSPage(1, entries)
+    assert page.entries is entries
+    assert page._replace(r=2).entries is entries
+    table = CohomologyTable("x", graded((p + q, v) for (p, q), v in pairs))
+    assert CohomologyTable("y", table.entries).entries is table.entries
+
+
+@given(st.lists(st.tuples(_POSITIONS, _VECTORS), max_size=12))
+def test_a_graded_is_its_plain_tuple(pairs):
+    entries = graded(pairs)
+    plain = tuple(entries)
+    assert type(plain) is tuple
+    assert entries == plain and plain == entries and not entries != plain
+    assert hash(entries) == hash(plain)
+    assert repr(entries) == repr(plain) and str(entries) == str(plain)
+    assert json.dumps(entries) == json.dumps(plain)
+    assert {plain: 1}[entries] == 1
+
+
+def test_a_plain_tuple_with_a_repeated_key_or_a_zero_vector_is_normalised():
+    # a tuple made elsewhere is normalised, however it looks
+    degrees = ((2, T(1)), (0, T(0)), (2, T(0)), (3, MhsVector()))
+    assert CohomologyTable("x", degrees).entries == ((0, T(0)), (2, T(0) + T(1)))
+    positions = (((0, 1), T(1)), ((0, 1), F), ((1, 0), MhsVector()))
+    assert SSPage(1, positions).entries == (((0, 1), T(1) + F),)
+    assert type(SSPage(1, positions).entries) is Graded
+
+
+@given(st.dictionaries(_POSITIONS, _NONZERO, max_size=8), st.data())
+def test_disjoint_union_of_graded_pieces_is_graded_of_their_pairs(entries, data):
+    # each key goes to one of up to four pieces, and the pieces come in any order
+    where = {pq: data.draw(st.integers(0, 3)) for pq in entries}
+    pieces = [graded([(pq, v) for pq, v in entries.items() if where[pq] == i])
+              for i in range(4)]
+    pieces = data.draw(st.permutations(pieces))
+    union = disjoint_union(pieces)
+    assert type(union) is Graded
+    assert union == graded(pair for piece in pieces for pair in piece)
+    assert all(v is entries[pq] for pq, v in union)  # nothing summed
+
+
+@given(st.dictionaries(_POSITIONS, _NONZERO, min_size=1, max_size=6), st.data())
+def test_disjoint_union_rejects_a_shared_key_and_a_piece_not_graded(entries, data):
+    shared = data.draw(st.sampled_from(sorted(entries)))
+    other = graded([(shared, data.draw(_NONZERO))])
+    with pytest.raises(ValueError, match="^pieces share a key$"):
+        disjoint_union([graded(entries.items()), other])
+    with pytest.raises(ValueError, match="^pieces share a key$"):
+        disjoint_union([other, graded(entries.items())])
+    for plain in (tuple(graded(entries.items())), list(graded(entries.items()))):
+        with pytest.raises(TypeError, match="^disjoint_union joins Graded entries, not "):
+            disjoint_union([graded([]), plain])
 
 
 def _key(pq, kind):

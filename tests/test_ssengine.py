@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avor3 import ssengine
-from avor3.mhs import CohomologyTable, MhsVector
+from avor3.mhs import CohomologyTable, Graded, MhsVector, graded, weight_graded_euler
 from avor3.registry import load_registry
 from avor3.ssengine import (AmbiguousResolution, DifferentialDecision,
                             EnumerationCapExceeded, KnownDifferential,
@@ -237,6 +237,16 @@ def test_gysin_split_justified_by_weights():
     assert dict(merged.entries) == {2: T(1), 4: T(2), 6: T(3) + T(3), 8: T(4)}
 
 
+def test_gysin_split_sums_the_two_tables_at_one_degree():
+    # the two Graded tables join into a plain tuple with degree 2 twice and
+    # not sorted, which the table constructor still normalises
+    open_part = CohomologyTable("open", ((2, T(1)), (4, T(2))))
+    closed_part = CohomologyTable("closed", ((0, T(0)), (2, T(3))))
+    split = gysin_split(open_part, closed_part)
+    assert split.entries == ((0, T(0)), (2, T(1) + T(3)), (4, T(2)))
+    assert type(split.entries) is Graded
+
+
 def test_gysin_split_rejects_weight_overlap():
     open_part = CohomologyTable("open", ((2, T(0)),))
     closed_part = CohomologyTable("closed", ((1, T(0)),))
@@ -253,17 +263,20 @@ def test_leray_assemble_places_twisted_base_rows():
         leray_assemble(base, ((0, "missing", 0),))
 
 
+def _euler(entries):
+    return sum(weight_graded_euler(entries).values())
+
+
 def test_euler_characteristic_preserved_by_resolution():
     page = SSPage.from_dict(1, {(0, 0): T(0) + T(1), (1, 0): T(0) + T(2)},
                             label="chi")
-    before = page.euler_characteristic()
+    before = _euler(page.entries)
     try:
         limit, _ = resolve(page)
-        assert limit.euler_characteristic() == before
+        assert _euler(limit.entries) == before
     except AmbiguousResolution as exc:
         for cand in exc.report.candidates:
-            chi = sum((-1) ** (p + q) * v.dimension() for (p, q), v in cand.entries)
-            assert chi == before
+            assert _euler(cand.entries) == before
 
 
 # small random first-quadrant pages: a few Tate classes and atoms per entry
@@ -300,9 +313,9 @@ def _limits(page):
 @given(_ENTRIES)
 def test_every_candidate_keeps_the_euler_characteristic(entries):
     page = SSPage.from_json_dict(_page_json(sorted(entries.items())))
-    before = page.euler_characteristic()
+    before = _euler(page.entries)
     for limit in _limits(page):
-        assert SSPage(1, limit).euler_characteristic() == before
+        assert _euler(SSPage(1, limit).entries) == before
 
 
 @settings(max_examples=100, deadline=None)
@@ -624,15 +637,6 @@ def test_differentials_are_found_without_pairing_every_two_positions():
     assert _position_reads(32) <= 8 * _position_reads(16)
 
 
-def _weight_graded_euler(entries):
-    """{w: sum over entries of (-1)^(p+q) dim Gr^W_w}, zero values dropped."""
-    out = Counter()
-    for (p, q), v in entries:
-        for w in v.weights():
-            out[w] += (-1) ** (p + q)
-    return {w: e for w, e in out.items() if e}
-
-
 @settings(max_examples=200, deadline=None)
 @given(_ENTRIES, _KNOWNS, st.booleans())
 def test_every_candidate_keeps_the_weight_graded_euler_characteristic(entries, knowns,
@@ -641,10 +645,28 @@ def test_every_candidate_keeps_the_weight_graded_euler_characteristic(entries, k
         1, {pq: MhsVector.from_classes(c) for pq, c in entries.items()},
         knowns=tuple(KnownDifferential(r, p, q, rank, "ref") for r, p, q, rank in knowns),
         abutment_smooth_proper=purity)
-    before = _weight_graded_euler(page.entries)
+    before = weight_graded_euler(page.entries)
     report, _ = _outcome(page)
     for candidate in (report.candidates if report else ()):
-        assert _weight_graded_euler(candidate.entries) == before
+        assert weight_graded_euler(candidate.entries) == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ENTRIES, _KNOWNS, st.booleans())
+def test_candidates_are_graded_and_limit_pages_take_them_as_they_are(entries, knowns,
+                                                                    purity):
+    page = SSPage.from_dict(
+        1, {pq: MhsVector.from_classes(c) for pq, c in entries.items()},
+        knowns=tuple(KnownDifferential(r, p, q, rank, "ref") for r, p, q, rank in knowns),
+        abutment_smooth_proper=purity)
+    report, _ = _outcome(page)
+    for candidate in (report.candidates if report else ()):
+        assert type(candidate.entries) is Graded
+        assert candidate.entries == graded(candidate.entries + ())
+        assert SSPage(report.final_page, candidate.entries).entries is candidate.entries
+    if report and len(report.candidates) == 1:
+        limit, report = resolve(page)
+        assert limit.entries is report.candidates[0].entries
 
 
 def test_cap_admits_exactly_the_enumerated_count():

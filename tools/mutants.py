@@ -3,9 +3,10 @@
 Each mutant is one (file, old, new) string patch, and `old` must occur exactly
 once in its file, so a refactor that moves a site fails here loudly instead of
 leaving a mutant that no longer mutates anything.  Each mutant is applied to
-a temporary copy of `src`, `tests` and README.md, one at a time, and the copy runs
-`avor3 verify all` and the test modules of TEST_MODULES, each under a
-timeout.  The unpatched copy runs first and must pass everything.
+a temporary copy of `src`, `tests` and README.md, WORKERS copies at a time, and
+the copy runs `avor3 verify all` and the test modules of TEST_MODULES, each
+under a timeout.  The unpatched copy runs first, alone, and must pass
+everything.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -26,10 +27,12 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600  # per command; a mutant that runs longer counts as killed
+WORKERS = 2  # mutant copies run at once, one per vCPU of a 2-vCPU CI runner
 TEST_MODULES = ("test_acceptance", "test_cli", "test_equivariant", "test_fan", "test_mhs",
                 "test_ssengine", "test_strata")
 
@@ -56,6 +59,18 @@ MUTANTS = (
     ("line-maps-without-target-inverse", "fan.py",
      "yield u_t_inv * GroupElement(block) * u_s",
      "yield GroupElement(block) * u_s"),
+    ("graded-passes-any-tuple", "mhs.py",
+     "if type(pairs) is Graded:",
+     "if isinstance(pairs, tuple):"),
+    ("disjoint-union-skips-key-check", "mhs.py",
+     "if any(map(eq, keys, keys[1:])):",
+     "if False:"),
+    ("torus-coordinates-transposed", "fan.py",
+     "return tuple(zip(*u))",
+     "return tuple(map(tuple, u))"),
+    ("product-shear-sign", "strata.py",
+     "((1, 1), (0, -1))",
+     "((1, 1), (0, 1))"),
 )
 
 
@@ -129,12 +144,14 @@ def main():
         print("the unpatched copy fails: %s %s" % (checks, tests), file=sys.stderr)
         return 2
     matrix = {}
-    for name, path, old, new in MUTANTS:
-        verdicts, failed = run_copy((path, old, new))
-        verdicts = {check: verdicts.get(check, "absent") for check in checks}
-        killed = _caught(verdicts, failed)
-        matrix[name] = {"file": path, "verify": verdicts, "tests": failed, "killed": killed}
-        print("%s %s" % ("killed" if killed else "SURVIVED", name), file=sys.stderr)
+    with ThreadPoolExecutor(WORKERS) as pool:
+        runs = pool.map(lambda mutant: run_copy(mutant[1:]), MUTANTS)
+        for (name, path, _, _), (verdicts, failed) in zip(MUTANTS, runs):
+            verdicts = {check: verdicts.get(check, "absent") for check in checks}
+            killed = _caught(verdicts, failed)
+            matrix[name] = {"file": path, "verify": verdicts, "tests": failed,
+                            "killed": killed}
+            print("%s %s" % ("killed" if killed else "SURVIVED", name), file=sys.stderr)
     print(json.dumps({"checks": list(checks), "test_modules": list(TEST_MODULES),
                       "mutants": matrix}, indent=1))
     return 0 if all(m["killed"] for m in matrix.values()) else 1

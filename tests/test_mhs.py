@@ -148,6 +148,18 @@ def test_graded_entries_pass_through_graded_and_the_constructors(pairs):
 
 
 @given(st.lists(st.tuples(_POSITIONS, _VECTORS), max_size=12))
+def test_weight_graded_euler_refines_the_euler_characteristic(pairs):
+    # a page keyed by (p, q) and the table of its total degrees p + q
+    page = graded(pairs)
+    table = graded((p + q, v) for (p, q), v in pairs)
+    chi = sum((-1) ** (p + q) * v.dimension() for (p, q), v in page)
+    assert weight_graded_euler(page) == weight_graded_euler(table)
+    assert sum(weight_graded_euler(page).values()) == chi
+    assert all(weight_graded_euler(page).values())
+    assert list(weight_graded_euler(page)) == sorted(weight_graded_euler(page))
+
+
+@given(st.lists(st.tuples(_POSITIONS, _VECTORS), max_size=12))
 def test_a_graded_is_its_plain_tuple(pairs):
     entries = graded(pairs)
     plain = tuple(entries)

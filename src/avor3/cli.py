@@ -162,7 +162,7 @@ def _run(args, out):
 
     if args.group == "strata":
         registry = load_registry(args.registry)
-        table = strata.stratum_table(args.stratum, registry)
+        table = strata.locus(args.stratum, registry).table
         out.write(render.render_table(table, fmt))
         return 0
 

@@ -10,10 +10,12 @@ Each pipeline here produces a table of compactly supported cohomology
 with its Tate-type decomposition; the four tables feed a first-quadrant
 page whose resolved limit gives the Betti numbers.
 
-`compactification_betti` is the one place the whole pipeline runs: it
-computes each locus once and returns every intermediate result in one
-`BettiResult`, which `betti` prints from and every pipeline check of
-`avor3.verify` reads.  `stratum_table` computes a single stratum alone.
+`STRATUM_NAMES` is the one list of strata, in torus-rank order, and
+`locus(name, registry)` the one dispatch from a name to its pipeline.
+`compactification_betti` runs each locus once, in column order of the main
+page, and returns every intermediate result in one `BettiResult`, which
+`betti` prints from; `avor3.verify` computes the loci itself, so that a
+broken locus fails only the checks that read it or the whole result.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .mhs import CohomologyTable, MhsVector, UnsupportedTwist
 from .registry import Registry
 from .ssengine import SSPage, abutment, gysin_split, leray_assemble, resolve
 
+# index = torus rank; column p of the main page holds the rank-(3 - p) locus
 STRATUM_NAMES = ("a3", "beta1", "beta2", "beta3")
 
 COMPACTIFICATION_DIMENSION = 6
@@ -42,15 +45,14 @@ class ExpectedPageMismatch(Avor3Error):
 
 # Results are immutable tuple records (namedtuples).  A StratumContribution
 # is one torus-orbit stratum's class: which cone, and where it lands;
-# BettiResult.tables maps each stratum name to its CohomologyTable.
+# BettiResult.loci maps each stratum name to the result of its `locus`.
 StratumContribution = namedtuple("StratumContribution",
                                  "cone_name cone_dim stratum_dim degree")
 RankThreeResult = namedtuple("RankThreeResult", "table contributions")
 FibrationResult = namedtuple("FibrationResult", "page limit table report")
 RankTwoResult = namedtuple("RankTwoResult",
                            "page torus_table product_table table report")
-BettiResult = namedtuple("BettiResult",
-                         "page limit table betti report beta3 beta2 beta1 tables")
+BettiResult = namedtuple("BettiResult", "page limit table betti report loci")
 
 
 def rank_three_locus() -> RankThreeResult:
@@ -164,33 +166,32 @@ def rank_two_locus(registry: Registry) -> RankTwoResult:
     return RankTwoResult(page, torus_table, product_table, table, report)
 
 
-def open_locus_table(registry: Registry) -> CohomologyTable:
-    return CohomologyTable("a3", registry.table("a3_open").table.entries)
-
-
-def stratum_table(name: str, registry: Registry) -> CohomologyTable:
+def locus(name: str, registry: Registry):
+    """The result of one stratum's pipeline; its `.table` is the stratum's
+    table.  The open part is the registry's `a3_open` entry, relabelled."""
     if name == "a3":
-        return open_locus_table(registry)
+        found = registry.table("a3_open")
+        return found._replace(table=found.table._replace(label=name))
     if name == "beta1":
-        return rank_one_locus(registry).table
+        return rank_one_locus(registry)
     if name == "beta2":
-        return rank_two_locus(registry).table
+        return rank_two_locus(registry)
     if name == "beta3":
-        return rank_three_locus().table
+        return rank_three_locus()
     raise ValueError("unknown stratum %r; expected one of %s"
                      % (name, ", ".join(STRATUM_NAMES)))
 
 
-def main_first_page(tables: dict, registry: Registry) -> SSPage:
+def main_first_page(loci: dict, registry: Registry) -> SSPage:
     """First page of the stratification sequence for the whole space.
 
-    `tables` maps each stratum name to its table.  Column p holds the
+    `loci` maps each stratum name to its `locus` result.  Column p holds the
     rank-(3-p) locus: a class of degree d in that locus's table sits at
     position (p, d - p).  The abutment is the cohomology of the compact
     space, so purity of the limit is enforced.
     """
-    columns = enumerate(("beta3", "beta2", "beta1", "a3"))
-    entries = (((p, d - p), vec) for p, name in columns for d, vec in tables[name].entries)
+    columns = enumerate(reversed(STRATUM_NAMES))
+    entries = (((p, d - p), vec) for p, name in columns for d, vec in loci[name].table.entries)
     page = SSPage(1, entries, (), abutment_smooth_proper=True, label="main")
     expected = registry.pages.get("main_e1_expected")
     if expected is not None and expected.entries != page.entries:
@@ -199,16 +200,17 @@ def main_first_page(tables: dict, registry: Registry) -> SSPage:
     return page
 
 
-def compactification_betti(registry: Registry) -> BettiResult:
+def compactification_betti(registry: Registry, loci: dict | None = None) -> BettiResult:
     """Betti numbers of the compactification from the resolved main page,
-    with every locus result the computation went through."""
-    beta3 = rank_three_locus()
-    beta2 = rank_two_locus(registry)
-    beta1 = rank_one_locus(registry)
-    tables = {"a3": open_locus_table(registry), "beta1": beta1.table,
-              "beta2": beta2.table, "beta3": beta3.table}
-    page = main_first_page(tables, registry)
+    with every locus result the computation went through.
+
+    Each locus runs once, in column order, unless `loci` already maps every
+    stratum name to its `locus` result; the first locus error propagates.
+    """
+    if loci is None:
+        loci = {name: locus(name, registry) for name in reversed(STRATUM_NAMES)}
+    page = main_first_page(loci, registry)
     limit, report = resolve(page)
     table = abutment(limit, "avor3")
     betti = table.betti(2 * COMPACTIFICATION_DIMENSION)
-    return BettiResult(page, limit, table, betti, report, beta3, beta2, beta1, tables)
+    return BettiResult(page, limit, table, betti, report, loci)

@@ -1,13 +1,15 @@
 """Named verification checks, one per acceptance criterion.
 
-Each check takes `pipeline`, a callable returning the one
-`strata.BettiResult` of the registry, and returns (ok, detail).  `run_all`
-computes that result, or the error it raises, once, before the checks, and
-shares it: the seven checks that read it compare its loci, tables and
+Each check takes `pipeline` and returns (ok, detail).  `pipeline(name)`
+returns the `strata.locus` result of one stratum, and `pipeline()` the one
+`strata.BettiResult` of the registry; each raises the error its
+computation raised instead.  `run_all` computes each locus once, and the
+whole result once when every locus succeeds, before the checks, and
+shares them: the seven checks that read them compare loci, tables and
 pages against independently frozen expectations, and the five fan- and
-group-only checks never call it.  Every check runs under exception
-capture, so a pipeline error fails only the checks that read the result,
-and no failure hides the others.
+group-only checks never call `pipeline`.  Every check runs under exception
+capture, so a locus error fails only the checks that read that locus or
+the whole result, and no failure hides the others.
 """
 
 from __future__ import annotations
@@ -173,7 +175,7 @@ def random_signed_permutation_rep(rng, max_dim=4):
 
 
 def check_stratum_invariants(pipeline):
-    contributions = pipeline().beta3.contributions
+    contributions = pipeline("beta3").contributions
     for c in contributions:
         lattice = stratum_character_lattice(Cone.from_names(c.cone_name))
         rep = LinearRep(lattice.dimension(), lattice.effective)
@@ -195,7 +197,7 @@ def check_stratum_invariants(pipeline):
 
 
 def check_rank_one_pipeline(pipeline):
-    result = pipeline().beta1
+    result = pipeline("beta1")
     if result.limit.entries != result.page.entries:
         return False, "page does not degenerate"
     if any(d.rank for d in result.report.candidates[0].decisions):
@@ -208,7 +210,7 @@ def check_rank_one_pipeline(pipeline):
 
 
 def check_rank_two_pipeline(pipeline):
-    result = pipeline().beta2
+    result = pipeline("beta2")
     used = [(d.r, d.p, d.q, d.rank, d.kind)
             for d in result.report.candidates[0].decisions if d.rank]
     if used != [(2, 2, 2, 1, "known")]:
@@ -222,7 +224,7 @@ def check_rank_two_pipeline(pipeline):
 
 
 def check_rank_three_attribution(pipeline):
-    result = pipeline().beta3
+    result = pipeline("beta3")
     expected = {
         ("a1,a2,a3", 3, 3, 6),
         ("a1,a2,a3,b1", 4, 2, 4),
@@ -287,7 +289,7 @@ def check_conservation_properties(pipeline):
             if any(pairing(gq, gf) != pairing(q, f) for f, gf in zip(chars, images)):
                 return False, "pairing is not invariant"
     result = pipeline()
-    eulers = [_euler(result.tables[name].entries) for name in strata.STRATUM_NAMES]
+    eulers = [_euler(locus.table.entries) for locus in result.loci.values()]
     if eulers != [5, 5, 5, 5]:
         return False, "stratum euler characteristics %r" % (eulers,)
     balanced = (_euler(result.page.entries) == 20 and _euler(result.table.entries) == 20
@@ -313,24 +315,33 @@ ALL_CHECKS = (
 )
 
 
-def run_all(registry):
-    """Run every check on one shared pipeline result, computed first; returns
-    a list of (name, ok, detail) triples."""
+def _outcome(fn, *args):
+    """fn(*args), or the exception it raises."""
     try:
-        result, error = strata.compactification_betti(registry), None
-    except Exception as exc:  # fails the checks that read the result
-        result, error = None, exc
+        return fn(*args)
+    except Exception as exc:  # kept as the outcome, to fail whoever reads it
+        return exc
 
-    def pipeline():
-        if error is not None:
-            raise error
-        return result
+
+def run_all(registry):
+    """Run every check on shared pipeline results, computed first; returns
+    a list of (name, ok, detail) triples."""
+    # in column order, so errors[0] is what compactification_betti would raise
+    loci = {name: _outcome(strata.locus, name, registry)
+            for name in reversed(strata.STRATUM_NAMES)}
+    errors = [x for x in loci.values() if isinstance(x, Exception)]
+    whole = errors[0] if errors else _outcome(strata.compactification_betti, registry, loci)
+
+    def pipeline(name=None):
+        found = whole if name is None else loci[name]
+        if isinstance(found, Exception):
+            raise found
+        return found
 
     results = []
     for name, fn in ALL_CHECKS:
-        try:
-            ok, detail = fn(pipeline)
-        except Exception as exc:  # a crashed check is a failed check
-            ok, detail = False, "raised %s: %s" % (type(exc).__name__, exc)
-        results.append((name, ok, detail))
+        ok_detail = _outcome(fn, pipeline)
+        if isinstance(ok_detail, Exception):  # a crashed check is a failed check
+            ok_detail = False, "raised %s: %s" % (type(ok_detail).__name__, ok_detail)
+        results.append((name, *ok_detail))
     return results

@@ -2,8 +2,10 @@
 
 One test per criterion; each delegates to the matching named check in
 avor3.verify, so `avor3 verify all` and this suite can never drift apart.
-All of them read one pipeline result, as `run_all` does.  A second group
-feeds each result-reading check a doctored result and expects it to fail.
+All of them read one pipeline result and its loci, as `run_all` does.  A
+second group feeds each result-reading check a doctored result and expects
+it to fail; a third breaks one locus, or the main page, at a time and pins
+exactly which checks fail: the readers of that locus and of the whole result.
 """
 
 import json
@@ -21,11 +23,22 @@ from avor3.registry import load_registry, parse_registry
 
 REGISTRY = load_registry()
 CHECKS = dict(verify.ALL_CHECKS)
-PIPELINE = cache(partial(strata.compactification_betti, REGISTRY))
+RESULT = cache(partial(strata.compactification_betti, REGISTRY))
+# the checks that read the whole result; every locus error fails them
+WHOLE = {"betti_vector", "main_page_resolution", "conservation_properties"}
+
+
+def _pipeline(result):
+    """A check's `pipeline` argument: `result`, or with a name one of its loci."""
+    return lambda name=None: result if name is None else result.loci[name]
+
+
+def pipeline(name=None):
+    return _pipeline(RESULT())(name)
 
 
 def _run(name):
-    ok, detail = CHECKS[name](PIPELINE)
+    ok, detail = CHECKS[name](pipeline)
     assert ok, detail
 
 
@@ -90,25 +103,29 @@ def test_every_check_is_covered():
     assert covered == names
 
 
+def _doctor_locus(r, name, **fields):
+    """The result `r` with the given fields of its locus `name` replaced."""
+    return r._replace(loci=dict(r.loci, **{name: r.loci[name]._replace(**fields)}))
+
+
 # check name -> the shared result with the one field that check reads doctored
 DOCTORED = {
     "betti_vector": lambda r: r._replace(betti=(1,) + r.betti[1:-1] + (2,)),
     "main_page_resolution": lambda r: r._replace(limit=r.page),
-    "stratum_invariants": lambda r: r._replace(
-        beta3=r.beta3._replace(contributions=r.beta3.contributions[:3])),
-    "rank_one_pipeline": lambda r: r._replace(beta1=r.beta1._replace(table=r.beta2.table)),
-    "rank_two_pipeline": lambda r: r._replace(beta2=r.beta2._replace(table=r.beta3.table)),
-    "rank_three_attribution": lambda r: r._replace(
-        beta3=r.beta3._replace(contributions=r.beta3.contributions[1:])),
-    "conservation_properties": lambda r: r._replace(
-        tables=dict(r.tables, a3=CohomologyTable("a3", ()))),
+    "stratum_invariants": lambda r: _doctor_locus(
+        r, "beta3", contributions=r.loci["beta3"].contributions[:3]),
+    "rank_one_pipeline": lambda r: _doctor_locus(r, "beta1", table=r.loci["beta2"].table),
+    "rank_two_pipeline": lambda r: _doctor_locus(r, "beta2", table=r.loci["beta3"].table),
+    "rank_three_attribution": lambda r: _doctor_locus(
+        r, "beta3", contributions=r.loci["beta3"].contributions[1:]),
+    "conservation_properties": lambda r: _doctor_locus(
+        r, "a3", table=CohomologyTable("a3", ())),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DOCTORED))
 def test_result_reading_check_fails_on_doctored_result(name):
-    doctored = DOCTORED[name](PIPELINE())
-    ok, detail = CHECKS[name](lambda: doctored)
+    ok, detail = CHECKS[name](_pipeline(DOCTORED[name](RESULT())))
     assert ok is False, detail
 
 
@@ -132,11 +149,20 @@ def test_random_unimodular_is_the_product_of_its_elementary_matrices(seed):
     assert rng.getstate() == reference.getstate()
 
 
-def _bad_kummer_page_registry():
+def _registry_with_extra_entry(label):
+    """The packaged registry data with one extra entry on the stored page `label`."""
     data = json.loads(resources.files("avor3").joinpath("data/paper_data.json").read_text())
-    page = next(p for p in data["pages"] if p["label"] == "kummer_e2_expected")
+    page = next(p for p in data["pages"] if p["label"] == label)
     page["entries"].append({"p": 9, "q": 9, "classes": [{"tate": 1}]})
     return data
+
+
+def _extra_beta3_invariant(monkeypatch):
+    """The one stratum of torus dimension 1 (a1,a2,a3,b1,b2) gains an H^1
+    invariant, so `rank_three_locus` raises."""
+    molien = strata.exterior_invariant_dims
+    monkeypatch.setattr(strata, "exterior_invariant_dims",
+                        lambda rep: (1, 1) if rep.dimension == 1 else molien(rep))
 
 
 def test_stratum_invariants_fails_when_molien_ignores_the_sign_character(monkeypatch):
@@ -144,7 +170,7 @@ def test_stratum_invariants_fails_when_molien_ignores_the_sign_character(monkeyp
     molien = verify.exterior_invariant_dims
     monkeypatch.setattr(verify, "exterior_invariant_dims",
                         lambda rep: molien(rep._replace(signs=None)))
-    ok, detail = CHECKS["stratum_invariants"](PIPELINE)
+    ok, detail = CHECKS["stratum_invariants"](pipeline)
     assert (ok, detail) == (False, "dual-route disagreement on a random representation")
 
 
@@ -161,23 +187,21 @@ def test_orbit_census_fails_when_a_stabilizer_order_is_off(monkeypatch):
         return stab
 
     monkeypatch.setattr(verify, "stabilizer", doubled)
-    ok, detail = CHECKS["orbit_census"](PIPELINE)
+    ok, detail = CHECKS["orbit_census"](pipeline)
     assert (ok, detail) == (False, "mass formula gives 1/48, not 0")
 
 
 def test_pipeline_error_fails_exactly_the_result_readers():
-    results = verify.run_all(parse_registry(_bad_kummer_page_registry()))
+    # a rank-1 error fails the rank-1 check and the readers of the whole result
+    results = verify.run_all(parse_registry(_registry_with_extra_entry("kummer_e2_expected")))
     failed = {name: detail for name, ok, detail in results if not ok}
-    assert set(failed) == set(DOCTORED)
+    assert set(failed) == WHOLE | {"rank_one_pipeline"}
     assert all(d.startswith("raised ExpectedPageMismatch: ") for d in failed.values())
-    assert len(results) - len(failed) == 5
+    assert len(results) - len(failed) == 8
 
 
 def test_a_stratum_with_an_extra_invariant_fails_the_pipeline(monkeypatch, capsys):
-    # the one stratum of torus dimension 1 (a1,a2,a3,b1,b2) gains an H^1 invariant
-    molien = strata.exterior_invariant_dims
-    monkeypatch.setattr(strata, "exterior_invariant_dims",
-                        lambda rep: (1, 1) if rep.dimension == 1 else molien(rep))
+    _extra_beta3_invariant(monkeypatch)
     message = "stratum of a1,a2,a3,b1,b2 has stabilizer invariants (1, 1)"
     with pytest.raises(strata.InvariantNotConcentrated, match=re.escape(message)):
         strata.rank_three_locus()
@@ -187,20 +211,56 @@ def test_a_stratum_with_an_extra_invariant_fails_the_pipeline(monkeypatch, capsy
     assert cli.main(["verify", "all"]) == 1
     lines = capsys.readouterr().out.splitlines()
     failed = {line.split()[1] for line in lines if line.startswith("FAIL ")}
-    assert failed == set(DOCTORED)
-    assert lines[-1] == "5/12 checks passed"
+    assert failed == WHOLE | {"stratum_invariants", "rank_three_attribution"}
+    assert lines[-1] == "7/12 checks passed"
+
+
+# a stored page with an extra entry, or a rank-3 stratum with an extra
+# invariant -> the checks beyond WHOLE that fail: 8, 8, 9 and 7 of 12 pass
+BROKEN = {
+    "kummer_e2_expected": {"rank_one_pipeline"},
+    "cstar_bundle_e2": {"rank_two_pipeline"},
+    "main_e1_expected": set(),
+    "beta3_invariant": {"stratum_invariants", "rank_three_attribution"},
+}
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN))
+def test_a_broken_locus_fails_its_readers_and_the_whole_result(monkeypatch, broken):
+    if broken == "beta3_invariant":
+        _extra_beta3_invariant(monkeypatch)
+        registry = REGISTRY
+    else:
+        registry = parse_registry(_registry_with_extra_entry(broken))
+    failed = {name for name, ok, _ in verify.run_all(registry) if not ok}
+    assert failed == WHOLE | BROKEN[broken]
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    """Record the first argument of every call of `module.name` in `calls`."""
+    fn = getattr(module, name)
+
+    def counted(first, *args):
+        calls.append(first)
+        return fn(first, *args)
+
+    monkeypatch.setattr(module, name, counted)
 
 
 def test_pipeline_error_is_raised_once_and_shared(monkeypatch):
-    calls, compactification_betti = [], strata.compactification_betti
-
-    def counted(registry):
-        calls.append(registry)
-        return compactification_betti(registry)
-
-    monkeypatch.setattr(strata, "compactification_betti", counted)
-    results = verify.run_all(parse_registry(_bad_kummer_page_registry()))
-    assert len(calls) == 1
+    loci, assembled = [], []
+    _count_calls(monkeypatch, strata, "locus", loci)
+    _count_calls(monkeypatch, strata, "compactification_betti", assembled)
+    verify.run_all(REGISTRY)
+    # each locus once, in column order, and the whole result once from them
+    assert loci == list(reversed(strata.STRATUM_NAMES))
+    assert assembled == [REGISTRY]
+    loci.clear()
+    assembled.clear()
+    results = verify.run_all(parse_registry(_registry_with_extra_entry("kummer_e2_expected")))
+    # nothing is assembled after a locus error, which the whole result shares
+    assert loci == list(reversed(strata.STRATUM_NAMES))
+    assert assembled == []
     raised = "raised ExpectedPageMismatch: assembled rank-1 page differs from the stored cross-check"
     assert results == [
         ("betti_vector", False, raised),
@@ -209,19 +269,20 @@ def test_pipeline_error_is_raised_once_and_shared(monkeypatch):
                                "mass formula 0 over 5 stabilizers"),
         ("local_cone_symmetries", True, "order 48, effective 24 = 4 diagonal x 6"),
         ("distinguished_dim4_symmetry", True, "a1,a2,a3,b1 carries the order-12 action"),
-        ("stratum_invariants", False, raised),
+        ("stratum_invariants", True, "4 stratum actions concentrated, "
+                                     "50 random dual-route checks"),
         ("rank_one_pipeline", False, raised),
-        ("rank_two_pipeline", False, raised),
-        ("rank_three_attribution", False, raised),
+        ("rank_two_pipeline", True, "known rank-1 differential applied, split justified"),
+        ("rank_three_attribution", True, "5 strata attributed across dimensions 3..6"),
         ("torus_coordinates", True, "six dual characters reproduced"),
         ("product_symmetry", True, "order 12 with an order-6 element, invariants 1 0 1 0 1"),
         ("conservation_properties", False, raised),
     ]
 
 
-def test_verify_all_on_a_bad_registry_reports_5_of_12(tmp_path, capsys):
+def test_verify_all_on_a_bad_registry_reports_8_of_12(tmp_path, capsys):
     path = tmp_path / "registry.json"
-    path.write_text(json.dumps(_bad_kummer_page_registry()))
+    path.write_text(json.dumps(_registry_with_extra_entry("kummer_e2_expected")))
     code = cli.main(["verify", "all", "--registry", str(path)])
     assert code == 1
-    assert capsys.readouterr().out.splitlines()[-1] == "5/12 checks passed"
+    assert capsys.readouterr().out.splitlines()[-1] == "8/12 checks passed"

@@ -21,7 +21,7 @@ import os
 import sys
 from importlib import resources
 
-from avor3 import cli
+from avor3 import cli, strata
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_stdout.json")
 
@@ -47,7 +47,7 @@ TWO_BLOCKS = {"label": "two_blocks", "page": 1, "knowns": [], "entries": [
     {"p": 0, "q": 1, "classes": [{"tate": 0}]}, {"p": 2, "q": 0, "classes": [{"tate": 0}]},
     {"p": 0, "q": 3, "classes": [{"tate": 1}]}, {"p": 1, "q": 3, "classes": [{"tate": 1}]}]}
 # the packaged registry with one extra entry on the stored page
-# kummer_e2_expected: seven checks fail with a detail that names no file
+# kummer_e2_expected: four checks fail with a detail that names no file
 BAD_REGISTRY = "bad_registry"
 
 
@@ -57,7 +57,7 @@ def golden_commands():
         cmds.append(["betti", "avor3", "--format", fmt])
         cmds.append(["verify", "all", "--format", fmt])
         cmds.extend(["strata", "table", "--stratum", s, "--format", fmt]
-                    for s in ("a3", "beta1", "beta2", "beta3"))
+                    for s in strata.STRATUM_NAMES)
         for label in PAGES:
             page = "{%s}" % label
             cmds.append(["ss", "resolve", "--input", page, "--format", fmt])

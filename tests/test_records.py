@@ -24,6 +24,10 @@ def _record_classes():
             and obj.__module__ == m.__name__}
 
 
+# the locus results of rank 3, 2 and 1; that of the open part is a RegisteredTable
+STRATA = ("beta3", "beta2", "beta1")
+
+
 def _instances():
     reg = registry.load_registry()
     result = strata.compactification_betti(reg)
@@ -33,7 +37,7 @@ def _instances():
              classify_orbits(3).orbits[0], classify_orbits(3), stabilizer(cone),
              stratum_character_lattice(cone), T(1), result.table, result.page,
              reg.known("cstar_bundle_d2"), candidate.decisions[0], candidate, result.report,
-             result.beta3.contributions[0], result.beta3, result.beta2, result.beta1, result,
+             result.loci["beta3"].contributions[0], *map(result.loci.get, STRATA), result,
              reg.table("a3_open"), reg, strata.product_symmetry_rep()]
     return {type(x).__name__: x for x in found}
 

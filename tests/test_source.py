@@ -29,11 +29,24 @@ def test_package_does_not_import_dataclasses():
     assert found == []
 
 
-def test_every_mutant_patch_matches_exactly_once():
-    # the mutation census in CI needs each patched site once; a refactor that
-    # moves or copies one fails here first
+def _mutants():
     path = Path(__file__).resolve().parent.parent / "tools" / "mutants.py"
     spec = importlib.util.spec_from_file_location("mutants", path)
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
-    assert mutants.check_patches(SRC) == {}
+    return mutants
+
+
+def test_every_mutant_patch_matches_exactly_once():
+    # the mutation census in CI needs each patched site once; a refactor that
+    # moves or copies one fails here first
+    assert _mutants().check_patches(SRC) == {}
+
+
+def test_sole_kills_lists_the_mutants_only_one_check_fails():
+    rows = {"one": ("fail", "pass", "pass"), "two": ("fail", "fail", "pass"),
+            "crash": ("absent", "absent", "absent"), "none": ("pass", "pass", "pass"),
+            "last": ("pass", "pass", "fail")}
+    checks = ("a", "b", "c")
+    matrix = {name: {"verify": dict(zip(checks, row))} for name, row in rows.items()}
+    assert _mutants().sole_kills(matrix, checks) == {"a": ["one"], "b": [], "c": ["last"]}

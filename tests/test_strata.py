@@ -89,7 +89,7 @@ EXPECTED_TABLES = {
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_TABLES))
 def test_stratum_tables_frozen(name, registry):
-    table = strata.stratum_table(name, registry)
+    table = strata.locus(name, registry).table
     assert dict(table.entries) == EXPECTED_TABLES[name]
     assert table.label == name
     assert sum(weight_graded_euler(table.entries).values()) == 5
@@ -97,7 +97,28 @@ def test_stratum_tables_frozen(name, registry):
 
 def test_stratum_table_rejects_unknown_name(registry):
     with pytest.raises(ValueError):
-        strata.stratum_table("beta4", registry)
+        strata.locus("beta4", registry)
+
+
+def test_each_locus_runs_through_the_module_globals(monkeypatch, registry):
+    # a producer reached through the module's globals is the one a patch of
+    # the module attribute replaces; one held elsewhere would escape the patch
+    calls = []
+    for rank, producer in ((1, "rank_one_locus"), (2, "rank_two_locus"),
+                           (3, "rank_three_locus")):
+        fn = getattr(strata, producer)
+
+        def counted(*args, rank=rank, fn=fn):
+            calls.append(rank)
+            return fn(*args)
+
+        monkeypatch.setattr(strata, producer, counted)
+    strata.compactification_betti(registry)
+    assert calls == [3, 2, 1]  # once each, in column order
+    for rank, name in enumerate(strata.STRATUM_NAMES):
+        calls.clear()
+        strata.locus(name, registry)
+        assert calls == ([rank] if rank else [])
 
 
 def test_rank_three_contributions(registry):
@@ -158,7 +179,10 @@ def test_tensor_tables():
 
 
 def test_main_first_page_layout(registry):
-    page = strata.compactification_betti(registry).page
+    result = strata.compactification_betti(registry)
+    # column p holds the rank-(3 - p) locus, and the loci ran in that order
+    assert list(result.loci) == list(reversed(strata.STRATUM_NAMES))
+    page = result.page
     assert page.abutment_smooth_proper
     assert page.entry(3, 3) == F
     assert page.entry(2, 3) == T(0)

@@ -14,7 +14,9 @@ Run from anywhere, with pytest and hypothesis installed:
 Progress goes to stderr.  Stdout is one JSON document: for each mutant its
 verdict per `verify` check ("pass", "fail", or "absent" when the command
 crashed or timed out), its failed-test count per test module, and whether it
-was killed.  A mutant is killed when any check or any test module fails.
+was killed; and for each check, under "sole_kills", the mutants that it
+fails and no other check does.  A mutant is killed when any check or any
+test module fails.
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 when a
 patch does not match exactly once or the unpatched copy fails.
 """
@@ -126,6 +128,17 @@ def _caught(verdicts, failed):
     return any(v != "pass" for v in verdicts.values()) or any(n != 0 for n in failed.values())
 
 
+def sole_kills(matrix, checks):
+    """{check: the mutants of `matrix` whose only check verdict other than
+    "pass" is this check's}."""
+    sole = {check: [] for check in checks}
+    for name, row in matrix.items():
+        failing = [check for check, verdict in row["verify"].items() if verdict != "pass"]
+        if len(failing) == 1:
+            sole[failing[0]].append(name)
+    return sole
+
+
 def run_copy(patch=None):
     """(verify verdicts, failed tests per module) of a temporary copy, with the (file, old, new) `patch` applied when one is given."""
     with tempfile.TemporaryDirectory(prefix="avor3-mutant-") as tmp:
@@ -158,7 +171,8 @@ def main():
         matrix[name] = {"file": path, "verify": verdicts, "tests": failed, "killed": killed}
         print("%s %s" % ("killed" if killed else "SURVIVED", name), file=sys.stderr)
     print(json.dumps({"checks": list(checks), "test_modules": list(TEST_MODULES),
-                      "mutants": matrix}, indent=1))
+                      "mutants": matrix, "sole_kills": sole_kills(matrix, checks)},
+                     indent=1))
     return 0 if all(m["killed"] for m in matrix.values()) else 1
 
 

@@ -12,6 +12,7 @@ off the dual basis of the basic cone's unimodular generator matrix.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from operator import mul
 
@@ -174,6 +175,26 @@ def elementary_from_power_sums(p):
     return e
 
 
+@lru_cache(maxsize=None)
+def _laplace_plan(n):
+    """The index work of `exterior_powers` for n x n matrices, a pure function
+    of n: for each k = 1..n, the k-subsets of range(n) in lexicographic order,
+    each paired with the index of its tail (the subset without its first
+    element) among the (k-1)-subsets, and per column subset its Laplace
+    terms (column, index of the subset without it, odd position).  Tuples
+    throughout, so nothing cached can be mutated."""
+    plan = []
+    below_index = {(): 0}
+    for k in range(1, n + 1):
+        subsets = tuple(combinations(range(n), k))
+        rows = tuple((s[0], below_index[s[1:]]) for s in subsets)
+        expand = tuple(tuple((j, below_index[cols[:p] + cols[p + 1:]], p % 2)
+                             for p, j in enumerate(cols)) for cols in subsets)
+        plan.append((rows, expand))
+        below_index = {s: i for i, s in enumerate(subsets)}
+    return tuple(plan)
+
+
 def exterior_powers(a):
     """[Lambda^0 a, Lambda^1 a, ..., Lambda^n a] of a square matrix in one sweep.
 
@@ -181,21 +202,18 @@ def exterior_powers(a):
     coordinates in lexicographic order; entries are the k x k minors.  Each
     minor is the Laplace expansion along its first row over the
     (k-1) x (k-1) minors of the level below, so every minor is formed once
-    from k products, and terms with a zero factor are skipped.
+    from k products, and terms with a zero factor are skipped.  The expansion
+    plan (which subsets, which terms, which signs) is a pure function of n,
+    built once per dimension per process by `_laplace_plan`; only the minors
+    are computed per call, into fresh nested lists the caller may mutate.
     """
-    n = len(a)
     powers = [[[1]]]
-    below_index = {(): 0}
-    for k in range(1, n + 1):
-        subsets = list(combinations(range(n), k))
-        # per column subset: (column, index of the subset without it, odd position)
-        expand = [[(j, below_index[cols[:p] + cols[p + 1:]], p % 2)
-                   for p, j in enumerate(cols)] for cols in subsets]
+    for rows, expand in _laplace_plan(len(a)):
         below = powers[-1]
         level = []
-        for rows in subsets:
-            top = a[rows[0]]
-            minors = below[below_index[rows[1:]]]
+        for first, tail in rows:
+            top = a[first]
+            minors = below[tail]
             row = []
             for terms in expand:
                 s = 0
@@ -208,5 +226,4 @@ def exterior_powers(a):
                 row.append(s)
             level.append(row)
         powers.append(level)
-        below_index = {rows: i for i, rows in enumerate(subsets)}
     return powers

@@ -26,7 +26,7 @@ import json
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from itertools import groupby
-from operator import eq, itemgetter
+from operator import itemgetter
 
 from . import Avor3Error, Checked, InputError
 
@@ -229,18 +229,21 @@ def graded(pairs):
 
 def disjoint_union(pieces):
     """Graded entries holding the pairs of the `Graded` pieces, which share no
-    key: one sort by key, nothing summed.  TypeError on a piece that is not
-    `Graded`, ValueError on a key in two pieces."""
+    key: one sort of the pairs, which distinct keys order without comparing
+    vectors, and one pass over adjacent keys, nothing summed.  TypeError on a
+    piece that is not `Graded`, ValueError on a key in two pieces."""
     out = []
     for piece in pieces:
         if type(piece) is not Graded:
             raise TypeError("disjoint_union joins Graded entries, not %s"
                             % type(piece).__name__)
         out += piece
-    out.sort(key=_KEY)
-    keys = list(map(_KEY, out))
-    if any(map(eq, keys, keys[1:])):
-        raise ValueError("pieces share a key")
+    out.sort()
+    prev = None
+    for key, _ in out:
+        if key == prev:
+            raise ValueError("pieces share a key")
+        prev = key
     return Graded(out)
 
 

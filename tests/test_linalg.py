@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avor3 import linalg
+from avor3.equivariant import MAX_DIMENSION
 
 
 def random_matrix(rng, n, lo=-5, hi=5):
@@ -172,7 +173,8 @@ def test_elementary_from_power_sums_checks_divisibility():
         linalg.elementary_from_power_sums((1, 0))
 
 
-_SQUARE = st.integers(0, 5).flatmap(
+# every dimension the projector oracle accepts, so each cached plan is checked
+_SQUARE = st.integers(0, MAX_DIMENSION).flatmap(
     lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                        min_size=n, max_size=n))
 
@@ -183,14 +185,36 @@ def test_exterior_powers_are_the_minors(a):
     n = len(a)
     powers = linalg.exterior_powers(a)
     assert len(powers) == n + 1
-    for k, wedge in enumerate(powers):
-        subsets = list(combinations(range(n), k))
-        assert wedge == [[leibniz_det([[a[i][j] for j in cols] for i in rows])
-                          for cols in subsets] for rows in subsets]
+    assert powers == exterior_minors(a)
     assert powers[0] == [[1]]
     if n:
         assert powers[1] == a
     assert powers[n] == [[linalg.det(a)]]
+
+
+def exterior_minors(a):
+    """Lambda^0 a .. Lambda^n a by Leibniz determinants of every k x k submatrix."""
+    n = len(a)
+    return [[[leibniz_det([[a[i][j] for j in cols] for i in rows]) for cols in subsets]
+             for rows in subsets]
+            for subsets in (list(combinations(range(n), k)) for k in range(n + 1))]
+
+
+def test_exterior_powers_of_the_empty_matrix():
+    assert linalg.exterior_powers([]) == [[[1]]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_SQUARE)
+def test_mutating_a_result_leaves_the_next_call_intact(a):
+    # the oracle subtracts a sign from the diagonal of each wedge in place;
+    # the plan cached for this dimension must not see that
+    for wedge in linalg.exterior_powers(a):
+        for i, row in enumerate(wedge):
+            row[i] -= 1
+    assert linalg.exterior_powers(a) == exterior_minors(a)
+    at = linalg.transpose(a)
+    assert linalg.exterior_powers(at) == exterior_minors(at)
 
 
 def test_exterior_powers_are_multiplicative():

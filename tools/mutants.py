@@ -72,7 +72,7 @@ MUTANTS = (
      "if type(pairs) is Graded:",
      "if isinstance(pairs, tuple):"),
     ("disjoint-union-skips-key-check", "mhs.py",
-     "if any(map(eq, keys, keys[1:])):",
+     "if key == prev:",
      "if False:"),
     ("torus-coordinates-transposed", "fan.py",
      "return tuple(zip(*u))",
@@ -80,6 +80,9 @@ MUTANTS = (
     ("product-shear-sign", "strata.py",
      "((1, 1), (0, -1))",
      "((1, 1), (0, 1))"),
+    ("laplace-plan-without-odd-signs", "linalg.py",
+     "cols[p + 1:]], p % 2)",
+     "cols[p + 1:]], 0)"),
 )
 
 

@@ -229,16 +229,16 @@ def graded(pairs):
 
 def disjoint_union(pieces):
     """Graded entries holding the pairs of the `Graded` pieces, which share no
-    key: one sort of the pairs, which distinct keys order without comparing
-    vectors, and one pass over adjacent keys, nothing summed.  TypeError on a
-    piece that is not `Graded`, ValueError on a key in two pieces."""
+    key: one sort by key and one pass over adjacent keys, nothing summed.
+    TypeError on a piece that is not `Graded`, ValueError on a key in two
+    pieces."""
     out = []
     for piece in pieces:
         if type(piece) is not Graded:
             raise TypeError("disjoint_union joins Graded entries, not %s"
                             % type(piece).__name__)
         out += piece
-    out.sort()
+    out.sort(key=_KEY)
     prev = None
     for key, _ in out:
         if key == prev:

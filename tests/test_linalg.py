@@ -173,6 +173,14 @@ def test_elementary_from_power_sums_checks_divisibility():
         linalg.elementary_from_power_sums((1, 0))
 
 
+def exterior_minors(a):
+    """Lambda^0 a .. Lambda^n a by Leibniz determinants of every k x k submatrix."""
+    n = len(a)
+    return [[[leibniz_det([[a[i][j] for j in cols] for i in rows]) for cols in subsets]
+             for rows in subsets]
+            for subsets in (list(combinations(range(n), k)) for k in range(n + 1))]
+
+
 # every dimension the projector oracle accepts, so each cached plan is checked
 _SQUARE = st.integers(0, MAX_DIMENSION).flatmap(
     lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
@@ -190,14 +198,6 @@ def test_exterior_powers_are_the_minors(a):
     if n:
         assert powers[1] == a
     assert powers[n] == [[linalg.det(a)]]
-
-
-def exterior_minors(a):
-    """Lambda^0 a .. Lambda^n a by Leibniz determinants of every k x k submatrix."""
-    n = len(a)
-    return [[[leibniz_det([[a[i][j] for j in cols] for i in rows]) for cols in subsets]
-             for rows in subsets]
-            for subsets in (list(combinations(range(n), k)) for k in range(n + 1))]
 
 
 def test_exterior_powers_of_the_empty_matrix():

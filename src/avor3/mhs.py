@@ -309,6 +309,12 @@ class CohomologyTable(Checked, namedtuple("CohomologyTable", "label entries")):
         return tuple(d for d, _ in self.entries)
 
     def betti(self, max_degree):
+        """Dimensions in degrees 0..max_degree; Avor3Error when a class lies
+        outside them, which the vector would drop."""
+        for d in self.degrees():
+            if not 0 <= d <= max_degree:
+                raise Avor3Error("table %r has classes in degree %d, outside 0..%d"
+                                 % (self.label, d, max_degree))
         return tuple(self.entry(d).dimension() for d in range(max_degree + 1))
 
     def to_json_dict(self):

@@ -50,10 +50,6 @@ class AmbiguousResolution(Avor3Error):
         super().__init__("%d candidate resolutions survive" % len(report.candidates))
 
 
-class SplitNotJustified(Avor3Error):
-    """The long exact sequence is not forced to split degreewise."""
-
-
 class KnownDifferential(Checked, namedtuple("KnownDifferential", "r p q rank citation")):
     __slots__ = ()
 
@@ -333,27 +329,6 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
 def abutment(page: SSPage, label=None) -> CohomologyTable:
     """Total cohomology of a degenerate (limit) page: sum along p + q = k."""
     return CohomologyTable(label or page.label, [(p + q, v) for (p, q), v in page.entries])
-
-
-def gysin_split(open_table: CohomologyTable, closed_table: CohomologyTable,
-                label=None) -> CohomologyTable:
-    """Degreewise sum of open and closed pieces when the boundary maps die.
-
-    Sufficient condition checked degree by degree: the connecting map
-    closed^(k-1) -> open^k vanishes because one side is zero or the weights
-    are disjoint.  Otherwise SplitNotJustified.
-    """
-    degs = set(open_table.degrees()) | {d + 1 for d in closed_table.degrees()}
-    for k in sorted(degs):
-        c = closed_table.entry(k - 1)
-        o = open_table.entry(k)
-        if c.is_zero() or o.is_zero():
-            continue
-        if set(c.weights()) & set(o.weights()):
-            raise SplitNotJustified(
-                "connecting map into degree %d not forced to vanish" % k)
-    return CohomologyTable(label or open_table.label,
-                           open_table.entries + closed_table.entries)
 
 
 def leray_assemble(base_tables, fiber_items, label="", knowns=()) -> SSPage:

@@ -10,6 +10,13 @@ Each pipeline here produces a table of compactly supported cohomology
 with its Tate-type decomposition; the four tables feed a first-quadrant
 page whose resolved limit gives the Betti numbers.
 
+Strata are glued one way: `_column_page` lays tables out as the first page
+of a stratification spectral sequence of compactly supported cohomology
+(D. Petersen, Geom. Topol. 21, 2017), closed strata in the low columns, and
+`resolve` runs it.  The main page glues the four loci; inside the rank-2
+locus a two-column page glues the product piece (closed) to the bundle
+piece (open).
+
 `STRATUM_NAMES` is the one list of strata, in torus-rank order, and
 `locus(name, registry)` the one dispatch from a name to its pipeline.
 `compactification_betti` runs each locus once, in column order of the main
@@ -27,7 +34,7 @@ from .equivariant import LinearRep, exterior_invariant_dims, h1_pullback
 from .fan import classify_orbits, stratum_character_lattice
 from .mhs import CohomologyTable, MhsVector, UnsupportedTwist
 from .registry import Registry
-from .ssengine import SSPage, abutment, gysin_split, leray_assemble, resolve
+from .ssengine import SSPage, abutment, leray_assemble, resolve
 
 # index = torus rank; column p of the main page holds the rank-(3 - p) locus
 STRATUM_NAMES = ("a3", "beta1", "beta2", "beta3")
@@ -53,6 +60,21 @@ FibrationResult = namedtuple("FibrationResult", "page limit table report")
 RankTwoResult = namedtuple("RankTwoResult",
                            "page torus_table product_table table report")
 BettiResult = namedtuple("BettiResult", "page limit table betti report loci")
+
+
+def _cross_check(page, stored, what):
+    """ExpectedPageMismatch unless the assembled `page` has the entries of
+    the `stored` page; no check when `stored` is None."""
+    if stored is not None and stored.entries != page.entries:
+        raise ExpectedPageMismatch("assembled %s differs from the stored cross-check" % what)
+
+
+def _column_page(tables, label, proper=False):
+    """First page of a stratification sequence: column p holds `tables[p]`,
+    a class of degree d at (p, d - p), so d_1 maps degree d of column p to
+    degree d + 1 of column p + 1.  `proper` enforces purity of the limit."""
+    entries = (((p, d - p), v) for p, table in enumerate(tables) for d, v in table.entries)
+    return SSPage(1, entries, (), proper, label)
 
 
 def rank_three_locus() -> RankThreeResult:
@@ -90,10 +112,7 @@ def rank_one_locus(registry: Registry) -> FibrationResult:
     """Kummer-type family over the abelian surface moduli."""
     page = leray_assemble(registry.base_tables(), registry.fiber("kummer_fiber"),
                           label="beta1")
-    expected = registry.pages.get("kummer_e2_expected")
-    if expected is not None and expected.entries != page.entries:
-        raise ExpectedPageMismatch(
-            "assembled rank-1 page differs from the stored cross-check")
+    _cross_check(page, registry.pages.get("kummer_e2_expected"), "rank-1 page")
     limit, report = resolve(page)
     table = abutment(limit, "beta1")
     return FibrationResult(page, limit, table, report)
@@ -142,8 +161,9 @@ def rank_two_locus(registry: Registry) -> RankTwoResult:
     The bundle piece is a fibration whose page carries one externally
     known differential rank; the product piece is the invariant fiber
     cohomology of the symmetrized elliptic square spread over the modular
-    line.  The two merge through a degreewise split that must be justified
-    by weight disjointness.
+    line.  The two are glued on a two-column page, the product piece closed
+    (column 0) and the bundle piece open (column 1); a connecting map that
+    the weights do not force to vanish leaves it AmbiguousResolution.
     """
     stored = registry.page("cstar_bundle_e2")
     known = registry.known("cstar_bundle_d2")
@@ -152,9 +172,7 @@ def rank_two_locus(registry: Registry) -> RankTwoResult:
                               label=stored.label, knowns=(known,))
     except InputError as exc:  # the page's first known is this registry field
         raise InputError("knowns.cstar_bundle_d2", exc.args[1]) from None
-    if page.entries != stored.entries:
-        raise ExpectedPageMismatch(
-            "assembled rank-2 bundle page differs from the stored cross-check")
+    _cross_check(page, stored, "rank-2 bundle page")
     limit, report = resolve(page)
     torus_table = abutment(limit, "beta2_bundle")
     fiber_invariants = invariant_fiber_table(product_symmetry_rep(),
@@ -162,7 +180,8 @@ def rank_two_locus(registry: Registry) -> RankTwoResult:
     product_table = tensor_tables(fiber_invariants,
                                   registry.table("modular_line").table,
                                   "beta2_products")
-    table = gysin_split(torus_table, product_table, "beta2")
+    split, _ = resolve(_column_page((product_table, torus_table), "beta2"))
+    table = abutment(split)
     return RankTwoResult(page, torus_table, product_table, table, report)
 
 
@@ -190,13 +209,9 @@ def main_first_page(loci: dict, registry: Registry) -> SSPage:
     position (p, d - p).  The abutment is the cohomology of the compact
     space, so purity of the limit is enforced.
     """
-    columns = enumerate(reversed(STRATUM_NAMES))
-    entries = (((p, d - p), vec) for p, name in columns for d, vec in loci[name].table.entries)
-    page = SSPage(1, entries, (), abutment_smooth_proper=True, label="main")
-    expected = registry.pages.get("main_e1_expected")
-    if expected is not None and expected.entries != page.entries:
-        raise ExpectedPageMismatch(
-            "assembled first page differs from the stored cross-check")
+    page = _column_page([loci[name].table for name in reversed(STRATUM_NAMES)], "main",
+                        proper=True)
+    _cross_check(page, registry.pages.get("main_e1_expected"), "first page")
     return page
 
 

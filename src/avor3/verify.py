@@ -161,9 +161,10 @@ def check_distinguished_dim4_symmetry(pipeline):
     return ok, detail
 
 
-def random_signed_permutation_rep(rng, max_dim=4):
-    """Small random finite matrix group: signed permutation generators."""
-    dim = rng.randint(2, max_dim)
+def random_signed_permutation_rep(rng):
+    """Small random finite matrix group of dimension 2 to 4: signed
+    permutation generators."""
+    dim = rng.randint(2, 4)
     gens = []
     for _ in range(rng.randint(1, 3)):
         perm = list(range(dim))
@@ -267,13 +268,7 @@ def _euler(entries):
 
 def check_conservation_properties(pipeline):
     rng = random.Random(_SEED)
-    mats = []
-    while len(mats) < 6:
-        rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
-        try:
-            mats.append(GroupElement(rows))
-        except ValueError:  # not unimodular: draw again
-            pass
+    mats = [random_unimodular(rng) for _ in range(6)]
     forms = [GENERATORS[n] for n in GENERATOR_NAMES]
     for g in mats:
         for h in mats:

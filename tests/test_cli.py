@@ -488,10 +488,15 @@ _FIBER = "fibers.kummer_fiber[0]"
     # only the assembled rank-2 page sees this, but the error names the registry field
     (_registry(lambda d: d["knowns"]["cstar_bundle_d2"].update(r=1)),
      _KNOWN + ": known differential d_1 at (2,2) precedes page 2"),
+    # Q(-7) in degree 14 reaches the resolved table, outside the Betti vector
+    (_registry(lambda d: _table(d, "a3_open")["entries"].append(
+        {"degree": 14, "classes": [{"tate": 7}]}), _drop_page("main_e1_expected")),
+     "table 'avor3' has classes in degree 14, outside 0..12"),
 ], ids=["list-file", "fibers-list", "string-known", "short-fiber-item", "missing-citation",
         "bool-rank", "float-twist", "number-citation", "negative-table-tate", "float-page-p",
         "huge-table-mult", "early-page-known", "tate-and-atom", "duplicate-table-label",
-        "duplicate-page-label", "empty-citation", "early-registry-known"])
+        "duplicate-page-label", "empty-citation", "early-registry-known",
+        "class-above-the-top-degree"])
 def test_betti_rejects_malformed_registry(capsys, tmp_path, registry, message):
     path = tmp_path / "registry.json"
     path.write_text(json.dumps(registry))
@@ -506,13 +511,13 @@ def test_betti_rejects_malformed_registry(capsys, tmp_path, registry, message):
 def test_a_weight_overlap_refuses_the_rank_two_split(capsys, tmp_path, argv):
     # modular_line moved to degree 1, still Q(-1): the product piece then
     # holds Q(-3) in degree 5, next to the bundle's Q(-3) in degree 6, so
-    # the connecting map into degree 6 is not forced to vanish
+    # d_1 between them on the two-column page may have rank 0 or 1
     path = tmp_path / "registry.json"
     path.write_text(json.dumps(_registry(
         lambda d: _table(d, "modular_line")["entries"][0].update(degree=1))))
     code, out, err = run_cli(capsys, *argv, "--registry", str(path))
     assert (code, out) == (1, "")
-    assert err == "error: connecting map into degree 6 not forced to vanish\n"
+    assert err == "error: 2 candidate resolutions survive\n"
 
 
 @pytest.mark.parametrize("edit,message", [

@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from avor3 import Avor3Error
 from avor3.mhs import (MAX_CLASSES, CohomologyTable, Graded, MhsVector, UnsupportedTwist,
                        disjoint_union, entries_to_json, graded, remove_weight,
                        weight_counts, weight_graded_euler)
@@ -95,6 +96,14 @@ def test_table_operations():
     # e_0 = 1 - 1 cancels, so only weight 2 is left; the sum is 1 + 2 - 1
     assert weight_graded_euler(merged.entries) == {2: 2}
     assert a.betti(4) == (1, 0, 1, 0, 0)
+
+
+@pytest.mark.parametrize("degree", [-1, 3])
+def test_betti_refuses_a_class_outside_its_degrees(degree):
+    table = CohomologyTable("x", ((0, T(0)), (degree, T(1))))
+    with pytest.raises(Avor3Error, match=r"^table 'x' has classes in degree %d, outside 0\.\.2$"
+                       % degree):
+        table.betti(2)
 
 
 def test_table_json_roundtrip_is_canonical():

@@ -4,7 +4,7 @@ from collections import Counter
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from avor3 import ssengine
 from avor3.mhs import CohomologyTable, Graded, MhsVector, graded, weight_graded_euler
@@ -12,8 +12,9 @@ from avor3.registry import load_registry
 from avor3.ssengine import (AmbiguousResolution, DifferentialDecision,
                             EnumerationCapExceeded, KnownDifferential,
                             NoConsistentAssignment, ResolutionCandidate,
-                            ResolutionReport, SSPage, SplitNotJustified, abutment,
-                            gysin_split, leray_assemble, resolve)
+                            ResolutionReport, SSPage, abutment, leray_assemble,
+                            resolve)
+from avor3.strata import _column_page
 
 T = MhsVector.tate
 
@@ -230,28 +231,39 @@ def test_abutment_merges_total_degree():
     assert table.label == "x"
 
 
-def test_gysin_split_justified_by_weights():
-    open_part = CohomologyTable("open", ((6, T(3)), (8, T(4))))
-    closed_part = CohomologyTable("closed", ((2, T(1)), (4, T(2)), (6, T(3))))
-    merged = gysin_split(open_part, closed_part, "m")
-    assert dict(merged.entries) == {2: T(1), 4: T(2), 6: T(3) + T(3), 8: T(4)}
+def _table(*pairs):
+    return CohomologyTable("t", pairs)
 
 
-def test_gysin_split_sums_the_two_tables_at_one_degree():
-    # the two Graded tables join into a plain tuple with degree 2 twice and
-    # not sorted, which the table constructor still normalises
-    open_part = CohomologyTable("open", ((2, T(1)), (4, T(2))))
-    closed_part = CohomologyTable("closed", ((0, T(0)), (2, T(3))))
-    split = gysin_split(open_part, closed_part)
-    assert split.entries == ((0, T(0)), (2, T(1) + T(3)), (4, T(2)))
-    assert type(split.entries) is Graded
+# small random tables of Tate classes: up to four degrees, one or two classes each
+_TATE_TABLES = st.dictionaries(st.integers(0, 6), st.lists(st.integers(0, 3), min_size=1,
+                                                           max_size=2), max_size=4).map(
+    lambda classes: _table(*((d, MhsVector(tuple(ns))) for d, ns in classes.items())))
 
 
-def test_gysin_split_rejects_weight_overlap():
-    open_part = CohomologyTable("open", ((2, T(0)),))
-    closed_part = CohomologyTable("closed", ((1, T(0)),))
-    with pytest.raises(SplitNotJustified):
-        gysin_split(open_part, closed_part)
+@settings(max_examples=200, deadline=None)
+@given(_TATE_TABLES, _TATE_TABLES)
+# the rank-2 locus: products closed, bundle open, weights apart in each degree
+@example(_table((2, T(1)), (4, T(2)), (6, T(3))), _table((6, T(3)), (8, T(4))))
+# two classes of one degree, one from each column, are summed
+@example(_table((0, T(0)), (2, T(3))), _table((2, T(1)), (4, T(2))))
+# Q in degree 1 closed and in degree 2 open share weight 0
+@example(_table((1, T(0))), _table((2, T(0))))
+def test_a_two_column_page_resolves_to_the_degreewise_sum_or_is_ambiguous(closed, opened):
+    # d_1 maps closed^(k-1) to open^k; it may be nonzero exactly when the two
+    # share a weight, and then rank 0 and a positive rank both survive
+    page = _column_page((closed, opened), "split")
+    shared = any(set(closed.entry(k - 1).weights()) & set(v.weights())
+                 for k, v in opened.entries)
+    if shared:
+        with pytest.raises(AmbiguousResolution):
+            resolve(page)
+        return
+    limit, report = resolve(page)
+    table = abutment(limit)
+    assert table.entries == graded(closed.entries + opened.entries)
+    assert type(limit.entries) is Graded and type(table.entries) is Graded
+    assert not any(d.rank for d in report.candidates[0].decisions)
 
 
 def test_leray_assemble_places_twisted_base_rows():

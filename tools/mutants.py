@@ -59,9 +59,9 @@ MUTANTS = (
     ("molien-ignores-sign-character", "equivariant.py",
      "for cols in powers[:half])] += s",
      "for cols in powers[:half])] += 1"),
-    ("gysin-split-skips-weight-test", "ssengine.py",
-     "if set(c.weights()) & set(o.weights()):",
-     "if False:"),
+    ("beta2-split-columns-swapped", "strata.py",
+     "_column_page((product_table, torus_table)",
+     "_column_page((torus_table, product_table)"),
     ("graded-keeps-first-part", "mhs.py",
      "parts[key] = parts[key] + v if key in parts else v",
      "parts[key] = parts[key] if key in parts else v"),

@@ -4,7 +4,7 @@ from collections import Counter
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from avor3 import ssengine
 from avor3.mhs import CohomologyTable, Graded, MhsVector, graded, weight_graded_euler
@@ -243,12 +243,6 @@ _TATE_TABLES = st.dictionaries(st.integers(0, 6), st.lists(st.integers(0, 3), mi
 
 @settings(max_examples=200, deadline=None)
 @given(_TATE_TABLES, _TATE_TABLES)
-# the rank-2 locus: products closed, bundle open, weights apart in each degree
-@example(_table((2, T(1)), (4, T(2)), (6, T(3))), _table((6, T(3)), (8, T(4))))
-# two classes of one degree, one from each column, are summed
-@example(_table((0, T(0)), (2, T(3))), _table((2, T(1)), (4, T(2))))
-# Q in degree 1 closed and in degree 2 open share weight 0
-@example(_table((1, T(0))), _table((2, T(0))))
 def test_a_two_column_page_resolves_to_the_degreewise_sum_or_is_ambiguous(closed, opened):
     # d_1 maps closed^(k-1) to open^k; it may be nonzero exactly when the two
     # share a weight, and then rank 0 and a positive rank both survive
@@ -264,6 +258,37 @@ def test_a_two_column_page_resolves_to_the_degreewise_sum_or_is_ambiguous(closed
     assert table.entries == graded(closed.entries + opened.entries)
     assert type(limit.entries) is Graded and type(table.entries) is Graded
     assert not any(d.rank for d in report.candidates[0].decisions)
+
+
+def _split(closed, opened, label="split"):
+    limit, _ = resolve(_column_page((closed, opened), label))
+    return abutment(limit)
+
+
+def test_gysin_split_justified_by_weights():
+    # the rank-2 locus: products closed, bundle open, weights apart in each degree
+    opened = CohomologyTable("open", ((6, T(3)), (8, T(4))))
+    closed = CohomologyTable("closed", ((2, T(1)), (4, T(2)), (6, T(3))))
+    merged = _split(closed, opened, "m")
+    assert dict(merged.entries) == {2: T(1), 4: T(2), 6: T(3) + T(3), 8: T(4)}
+    assert merged.label == "m"
+
+
+def test_gysin_split_sums_the_two_tables_at_one_degree():
+    # two classes of degree 2, one from each column, are summed
+    opened = CohomologyTable("open", ((2, T(1)), (4, T(2))))
+    closed = CohomologyTable("closed", ((0, T(0)), (2, T(3))))
+    split = _split(closed, opened)
+    assert split.entries == ((0, T(0)), (2, T(1) + T(3)), (4, T(2)))
+    assert type(split.entries) is Graded
+
+
+def test_gysin_split_rejects_weight_overlap():
+    # Q in degree 1 closed and in degree 2 open share weight 0, so d_1 may not vanish
+    opened = CohomologyTable("open", ((2, T(0)),))
+    closed = CohomologyTable("closed", ((1, T(0)),))
+    with pytest.raises(AmbiguousResolution):
+        _split(closed, opened)
 
 
 def test_leray_assemble_places_twisted_base_rows():

@@ -15,7 +15,11 @@ vectors at one key and returns a `Graded` tuple, which only this module
 makes and which `graded` passes through unchanged.  So the table and page
 constructors, which apply `graded` to whatever pairs they are given, take
 `Graded` entries as they are, and `disjoint_union` joins `Graded` pieces
-with no key in common without normalising them again.  Only this module
+with no key in common without normalising them again.  `diagonal_sums`
+sums the `Graded` (p, q) entries of a page along each diagonal p + q in
+one pass, into `Graded` entries by degree.  It and `graded` add vectors by
+the one sum rule, `MhsVector.__add__`, which their loops call as the plain
+function `_add`, and test a vector for zero inline.  Only this module
 reads and writes entries.  `MhsVector` and `CohomologyTable` are immutable
 tuple records (namedtuples) whose constructors normalise their fields.
 """
@@ -139,7 +143,7 @@ class MhsVector(Checked, namedtuple("MhsVector", "tates f_count")):
         return len(self.tates) + 2 * self.f_count
 
     def __add__(self, other):
-        # two valid vectors have a valid sum: no check, one tuple made
+        # the one sum rule; two valid vectors have a valid sum: no check, one tuple made
         return tuple.__new__(MhsVector, (tuple(sorted(self.tates + other.tates)),
                                          self.f_count + other.f_count))
 
@@ -212,18 +216,30 @@ class Graded(tuple):
 
 
 _KEY = itemgetter(0)
+_add = MhsVector.__add__  # the sum rule, called where a loop sums many vectors
 
 
 def graded(pairs):
     """Graded entries of (key, MhsVector) pairs, zero vectors skipped as read:
-    those at one key summed with MhsVector addition (a key with one vector
-    keeps that vector), sorted by key.  A `Graded` is returned unchanged."""
+    those at one key summed by `_add` (a key with one vector keeps that
+    vector), sorted by key.  A `Graded` is returned unchanged."""
     if type(pairs) is Graded:
         return pairs
     parts = {}
     for key, v in pairs:
-        if not v.is_zero():
-            parts[key] = parts[key] + v if key in parts else v
+        if v.tates or v.f_count:
+            parts[key] = _add(parts[key], v) if key in parts else v
+    return Graded(sorted(parts.items(), key=_KEY))
+
+
+def diagonal_sums(entries):
+    """Graded entries by degree k of the graded (p, q) `entries`, in one pass:
+    the vectors on each diagonal p + q = k summed by `_add`, as `graded`
+    sums those at one key."""
+    parts = {}
+    for (p, q), v in entries:
+        k = p + q
+        parts[k] = _add(parts[k], v) if k in parts else v
     return Graded(sorted(parts.items(), key=_KEY))
 
 

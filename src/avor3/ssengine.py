@@ -11,7 +11,8 @@ the outcomes that survive all constraints; an optional purity filter
 discards outcomes that carry a weight different from the total degree
 anywhere.  The limit pages of the page are the products of its blocks',
 each joined once from normalised pieces by `mhs.disjoint_union`, so the
-page constructor takes its entries as they are.
+page constructor takes its entries as they are.  The abutment of a limit
+page sums its diagonals in the one pass of `mhs.diagonal_sums`.
 
 Rank choices are built per block and page, and assignments are extended
 one differential at a time.  The enumeration cap counts the assignments
@@ -27,11 +28,11 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import product as iproduct
 from math import prod
-from operator import attrgetter
 
 from . import Avor3Error, Checked, InputError
-from .mhs import (CohomologyTable, disjoint_union, entries_from_json, entries_to_json,
-                  entry_at, graded, json_path, json_value, remove_weight, weight_counts)
+from .mhs import (CohomologyTable, diagonal_sums, disjoint_union, entries_from_json,
+                  entries_to_json, entry_at, graded, json_path, json_value, remove_weight,
+                  weight_counts)
 
 
 class NoConsistentAssignment(Avor3Error):
@@ -80,15 +81,16 @@ class SSPage(Checked, namedtuple("SSPage", "r entries knowns abutment_smooth_pro
 
     def __new__(cls, r, entries=(), knowns=(), abutment_smooth_proper=False, label=""):
         entries, knowns = graded(entries), tuple(knowns)
-        seen, first = set(), max(r, 1)
-        for i, key in enumerate((k.r, k.p, k.q) for k in knowns):
-            if key[0] < first:  # the page no longer has it, so it would go unused
-                raise InputError("knowns[%d]" % i, "known differential d_%d at (%d,%d) "
-                                 "precedes page %d" % (key + (first,)))
-            if key in seen:
-                raise InputError("knowns[%d]" % i,
-                                 "repeated known differential d_%d at (%d,%d)" % key)
-            seen.add(key)
+        if knowns:  # a limit page has none, and skips the check's set-up
+            seen, first = set(), max(r, 1)
+            for i, key in enumerate((k.r, k.p, k.q) for k in knowns):
+                if key[0] < first:  # the page no longer has it, so it would go unused
+                    raise InputError("knowns[%d]" % i, "known differential d_%d at (%d,%d) "
+                                     "precedes page %d" % (key + (first,)))
+                if key in seen:
+                    raise InputError("knowns[%d]" % i,
+                                     "repeated known differential d_%d at (%d,%d)" % key)
+                seen.add(key)
         return super().__new__(cls, r, entries, knowns, abutment_smooth_proper, label)
 
     @classmethod
@@ -215,9 +217,6 @@ def _blocks(support, weights, start):
     return last, list(blocks.values())
 
 
-_DECISION_ORDER = attrgetter("r", "p", "q")
-
-
 def resolve(page: SSPage, cap: int = 10 ** 6):
     """Run the page to its limit; return (limit page, report) if unique.
 
@@ -234,8 +233,9 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
     limits, and a candidate's entries are the `disjoint_union` of the fixed
     positions and its blocks' limits, which a limit page takes as they are.
     Candidates come in product order over the blocks, in enumeration order
-    within a block; a candidate's decisions, sorted by
-    (r, p, q), are the first assignment found for its limit.  The count
+    within a block; a candidate's decisions, in plain tuple order, are the
+    first assignment found for its limit.  That order is (r, p, q) order, as
+    a candidate decides each differential d_r at (p, q) once.  The count
     starts at 1 and adds, for each state of each block on each of its pages,
     the number of assignments tried there.  A known rank out of reach of its
     differential's input ends, or a fixed position failing the purity
@@ -316,8 +316,7 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
     partial = [((fixed,), ())]
     for seen in limits:
         partial = [(es + (pe,), ds + pds) for es, ds in partial for pe, pds in seen.items()]
-    candidates = tuple(ResolutionCandidate(disjoint_union(es),
-                                           tuple(sorted(ds, key=_DECISION_ORDER)))
+    candidates = tuple(ResolutionCandidate(disjoint_union(es), tuple(sorted(ds)))
                        for es, ds in partial)
     report = ResolutionReport(page.label, purity, final_r, candidates, enumerated)
     if len(candidates) > 1:
@@ -327,8 +326,9 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
 
 
 def abutment(page: SSPage, label=None) -> CohomologyTable:
-    """Total cohomology of a degenerate (limit) page: sum along p + q = k."""
-    return CohomologyTable(label or page.label, [(p + q, v) for (p, q), v in page.entries])
+    """Total cohomology of a degenerate (limit) page: sum along p + q = k,
+    by `mhs.diagonal_sums`; labelled `label`, or the page's label."""
+    return CohomologyTable(label or page.label, diagonal_sums(page.entries))
 
 
 def leray_assemble(base_tables, fiber_items, label="", knowns=()) -> SSPage:

@@ -9,13 +9,7 @@ from avor3 import linalg
 from avor3.forms import (COEFF_ORDER, GENERATOR_NAMES, GENERATORS, GroupElement,
                          NotRankOneVector, SymForm, act_on_form, dual_action_on_characters,
                          pairing, primitive, rank1_form, rank1_vector)
-
-
-def random_unimodular(rng):
-    while True:
-        rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
-        if linalg.det(rows) in (1, -1):
-            return GroupElement(tuple(tuple(r) for r in rows))
+from avor3.verify import random_unimodular
 
 
 def test_coeff_order_and_matrix_roundtrip():

@@ -389,6 +389,35 @@ def test_pages_survive_a_json_round_trip(entries, knowns):
     assert json.dumps(again.to_json_dict(), sort_keys=True) == text
 
 
+def _reference_abutment(page, label):
+    """(label, entries) of `abutment`, spelled out without `graded` or
+    MhsVector addition: each diagonal's Tate pieces and F atoms collected
+    first, then one vector made per degree."""
+    tates, f_counts = {}, {}
+    for (p, q), v in page.entries:
+        tates.setdefault(p + q, []).extend(v.tates)
+        f_counts[p + q] = f_counts.get(p + q, 0) + v.f_count
+    return label or page.label, tuple((k, MhsVector(tuple(tates[k]), f_counts[k]))
+                                      for k in sorted(tates))
+
+
+# pages with several positions on most diagonals: up to eight of the 5 x 5
+# positions, each holding Tate pieces, F atoms or both
+_DIAGONAL_PAGES = st.builds(
+    lambda entries, label: SSPage.from_dict(
+        3, {pq: MhsVector.from_classes(c) for pq, c in entries.items()}, label=label),
+    st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), _CLASSES, max_size=8),
+    st.sampled_from(("", "page")))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DIAGONAL_PAGES, st.sampled_from((None, "", "table")))
+def test_abutment_sums_each_diagonal_as_the_reference_does(page, label):
+    table = abutment(page, label)
+    assert (table.label, table.entries) == _reference_abutment(page, label)
+    assert type(table.entries) is Graded
+
+
 # --- the enumeration as it stood before states became plain pairs -------------
 # kept only as an oracle: it works on MhsVectors throughout and cancels one
 # weight-w dimension at a time
@@ -579,6 +608,17 @@ def test_resolve_matches_the_reference_enumeration_on_wide_pages(entries, knowns
     if reference != (None, EnumerationCapExceeded):
         assert _summary(full) == _summary(reference)
     _check_cap(page, cap, full)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_WIDE_ENTRIES, _WIDE_KNOWNS, st.booleans())
+def test_every_candidates_decisions_increase_strictly_in_r_p_q(entries, knowns, purity):
+    # a candidate decides each differential d_r at (p, q) once, so a plain
+    # sort of its decisions never compares past (r, p, q)
+    report, _ = _outcome(_reference_page(entries, knowns, purity), 1000)
+    for candidate in (report.candidates if report else ()):
+        keys = [(d.r, d.p, d.q) for d in candidate.decisions]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_a_failed_removal_drops_the_extensions_of_its_partial_assignment():

@@ -63,8 +63,11 @@ MUTANTS = (
      "_column_page((product_table, torus_table)",
      "_column_page((torus_table, product_table)"),
     ("graded-keeps-first-part", "mhs.py",
-     "parts[key] = parts[key] + v if key in parts else v",
+     "parts[key] = _add(parts[key], v) if key in parts else v",
      "parts[key] = parts[key] if key in parts else v"),
+    ("diagonal-sums-keep-first-part", "mhs.py",
+     "parts[k] = _add(parts[k], v) if k in parts else v",
+     "parts[k] = parts[k] if k in parts else v"),
     ("line-maps-without-target-inverse", "fan.py",
      "yield u_t_inv * GroupElement(block) * u_s",
      "yield GroupElement(block) * u_s"),

@@ -19,7 +19,9 @@ with no key in common without normalising them again.  `diagonal_sums`
 sums the `Graded` (p, q) entries of a page along each diagonal p + q in
 one pass, into `Graded` entries by degree.  It and `graded` add vectors by
 the one sum rule, `MhsVector.__add__`, which their loops call as the plain
-function `_add`, and test a vector for zero inline.  Only this module
+function `_add`; `graded` tests a vector for zero inline, and
+`diagonal_sums` needs no test, as `Graded` entries hold no zero vector.
+Only this module
 reads and writes entries.  `MhsVector` and `CohomologyTable` are immutable
 tuple records (namedtuples) whose constructors normalise their fields.
 """

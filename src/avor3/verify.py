@@ -221,7 +221,7 @@ def check_rank_two_pipeline(pipeline):
     if not _table_matches(result.product_table, {2: _T(1), 4: _T(2), 6: _T(3)}):
         return False, "product part %r" % (result.product_table.entries,)
     ok = _table_matches(result.table, EXPECTED_RANK2)
-    return ok, "known rank-1 differential applied, split justified"
+    return ok, "known rank-1 differential applied, two-column page resolved"
 
 
 def check_rank_three_attribution(pipeline):

@@ -272,7 +272,8 @@ def test_pipeline_error_is_raised_once_and_shared(monkeypatch):
         ("stratum_invariants", True, "4 stratum actions concentrated, "
                                      "50 random dual-route checks"),
         ("rank_one_pipeline", False, raised),
-        ("rank_two_pipeline", True, "known rank-1 differential applied, split justified"),
+        ("rank_two_pipeline", True,
+         "known rank-1 differential applied, two-column page resolved"),
         ("rank_three_attribution", True, "5 strata attributed across dimensions 3..6"),
         ("torus_coordinates", True, "six dual characters reproduced"),
         ("product_symmetry", True, "order 12 with an order-6 element, invariants 1 0 1 0 1"),

@@ -3,9 +3,13 @@
 Each mutant is one (file, old, new) string patch, and `old` must occur exactly
 once in its file, so a refactor that moves a site fails here loudly instead of
 leaving a mutant that no longer mutates anything.  Each mutant is applied to
-a temporary copy of `src`, `tests` and README.md, one at a time, and the copy runs
-`avor3 verify all` and the test modules of TEST_MODULES, each under a
-timeout.  The unpatched copy runs first and must pass everything.
+a temporary copy of `src`, `tests`, `tools`, README.md and pyproject.toml, one
+at a time, and every copy runs `avor3 verify all`.  The test suite, every
+`tests/test_*.py` to the end, runs only where it can change the verdict: in
+the unpatched copy, which runs first and must pass everything, and in a
+mutant that passes every check.  Each command runs under a timeout.  The
+copies deselect DESELECTED, which a patched copy fails by construction; the
+patches are checked on the real tree first instead.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -13,10 +17,11 @@ Run from anywhere, with pytest and hypothesis installed:
 
 Progress goes to stderr.  Stdout is one JSON document: for each mutant its
 verdict per `verify` check ("pass", "fail", or "absent" when the command
-crashed or timed out), its failed-test count per test module, and whether it
-was killed; and for each check, under "sole_kills", the mutants that it
-fails and no other check does.  A mutant is killed when any check or any
-test module fails.
+crashed or timed out), its failed-test count per test module (null when a
+check killed it and the suite did not run, or when the suite timed out), and
+whether it was killed; and for each check, under "sole_kills", the mutants
+that it fails and no other check does.  A mutant is killed when any check
+does not pass, or else when any test fails or the suite times out.
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 when a
 patch does not match exactly once or the unpatched copy fails.
 """
@@ -32,8 +37,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600  # per command; a mutant that runs longer counts as killed
-TEST_MODULES = ("test_acceptance", "test_cli", "test_equivariant", "test_fan", "test_mhs",
-                "test_ssengine", "test_strata")
+# fails in every patched copy by construction, so it would kill every mutant
+DESELECTED = "tests/test_source.py::test_every_mutant_patch_matches_exactly_once"
 
 # pytest with Hypothesis reporting the first failing example it finds: a mutant
 # only has to fail, and shrinking each failure to a smallest example took the
@@ -86,6 +91,12 @@ MUTANTS = (
     ("laplace-plan-without-odd-signs", "linalg.py",
      "cols[p + 1:]], p % 2)",
      "cols[p + 1:]], 0)"),
+    ("leray-twist-off-by-one", "ssengine.py",
+     "vec.tate_twist(twist)",
+     "vec.tate_twist(twist + 1)"),
+    ("congruence-swaps-s12-s13", "forms.py",
+     "a * s11 + b * s12 + c * s13",
+     "a * s11 + b * s13 + c * s12"),
 )
 
 
@@ -112,26 +123,39 @@ def _verify(cwd):
             if len(parts) > 1 and parts[0] in ("PASS", "FAIL")}
 
 
-def _tests(cwd):
-    """{module: failed or errored tests, a collection error included}; None
-    for every module on a timeout or when pytest writes no report."""
-    report = cwd / "report.xml"
-    done = _run(["-c", _PYTEST, "-q", "-p", "no:cacheprovider", "--junitxml", str(report)]
-                + ["tests/%s.py" % m for m in TEST_MODULES], cwd)
-    if done is None or not report.exists():
-        return dict.fromkeys(TEST_MODULES)
-    failed = dict.fromkeys(TEST_MODULES, 0)
-    for case in ET.parse(report).iter("testcase"):
-        # a collection error has no class name; its name is the module's
-        module = (case.get("classname") or case.get("name", "")).rsplit(".", 1)[-1]
-        if module in failed and (case.find("failure") is not None
-                                 or case.find("error") is not None):
-            failed[module] += 1
+def failed_tests(report):
+    """{test module: failed or errored tests} from the text of a pytest JUnit
+    report, for every module the report names; a collection error counts as
+    one failed test of its module."""
+    failed = {}
+    for case in ET.fromstring(report).iter("testcase"):
+        # "tests.<module>[.<class>]"; a collection error has no class name,
+        # and its name is the module's
+        module = (case.get("classname") or case.get("name")).split(".")[1]
+        failed[module] = failed.get(module, 0) + (case.find("failure") is not None
+                                                  or case.find("error") is not None)
     return failed
 
 
-def _caught(verdicts, failed):
-    return any(v != "pass" for v in verdicts.values()) or any(n != 0 for n in failed.values())
+def _tests(cwd):
+    """failed_tests of the whole suite, or None on a timeout or when pytest
+    writes no report."""
+    report = cwd / "report.xml"
+    done = _run(["-c", _PYTEST, "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
+                 "--junitxml", str(report), "--deselect", DESELECTED, "tests"], cwd)
+    if done is None or not report.exists():
+        return None
+    return failed_tests(report.read_text())
+
+
+def judge(verdicts, run_tests):
+    """(failed tests per module, killed) of one copy from its check verdicts.
+    `run_tests()` runs the suite only when every check passes; the tests are
+    None when it did not run, or when it timed out, which kills."""
+    if any(v != "pass" for v in verdicts.values()):
+        return None, True
+    failed = run_tests()
+    return failed, failed is None or any(failed.values())
 
 
 def sole_kills(matrix, checks):
@@ -145,19 +169,28 @@ def sole_kills(matrix, checks):
     return sole
 
 
-def run_copy(patch=None):
-    """(verify verdicts, failed tests per module) of a temporary copy, with the (file, old, new) `patch` applied when one is given."""
+def run_copy(checks=None, patch=None):
+    """(verdict per check, failed tests per module, killed) of a temporary
+    copy, by `judge`, with the (file, old, new) `patch` applied when one is
+    given.  With `checks`, a check that `verify all` does not report is
+    "absent"."""
     with tempfile.TemporaryDirectory(prefix="avor3-mutant-") as tmp:
         cwd = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "tools"):  # test_source loads tools/mutants.py
             shutil.copytree(ROOT / part, cwd / part, ignore=ignore)
-        shutil.copy(ROOT / "README.md", cwd)  # test_cli runs its JSON examples
+        # test_cli runs README's JSON examples; pyproject.toml makes the copy
+        # pytest's root directory, to which DESELECTED is relative
+        for name in ("README.md", "pyproject.toml"):
+            shutil.copy(ROOT / name, cwd)
         if patch is not None:
             path, old, new = patch
             target = cwd / "src" / "avor3" / path
             target.write_text(target.read_text().replace(old, new))
-        return _verify(cwd), _tests(cwd)
+        verdicts = _verify(cwd)
+        if checks is not None:
+            verdicts = {check: verdicts.get(check, "absent") for check in checks}
+        return (verdicts,) + judge(verdicts, lambda: _tests(cwd))
 
 
 def main():
@@ -165,18 +198,16 @@ def main():
     if unmatched:
         print("patches not matching exactly once: %s" % unmatched, file=sys.stderr)
         return 2
-    checks, tests = run_copy()
-    if not checks or _caught(checks, tests):
+    checks, tests, caught = run_copy()
+    if not checks or caught:
         print("the unpatched copy fails: %s %s" % (checks, tests), file=sys.stderr)
         return 2
     matrix = {}
     for name, path, old, new in MUTANTS:
-        verdicts, failed = run_copy((path, old, new))
-        verdicts = {check: verdicts.get(check, "absent") for check in checks}
-        killed = _caught(verdicts, failed)
+        verdicts, failed, killed = run_copy(checks, (path, old, new))
         matrix[name] = {"file": path, "verify": verdicts, "tests": failed, "killed": killed}
         print("%s %s" % ("killed" if killed else "SURVIVED", name), file=sys.stderr)
-    print(json.dumps({"checks": list(checks), "test_modules": list(TEST_MODULES),
+    print(json.dumps({"checks": list(checks), "test_modules": sorted(tests),
                       "mutants": matrix, "sole_kills": sole_kills(matrix, checks)},
                      indent=1))
     return 0 if all(m["killed"] for m in matrix.values()) else 1

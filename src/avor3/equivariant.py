@@ -33,8 +33,8 @@ from . import Avor3Error, Checked, InputError, linalg
 
 
 CAP = 10000  # bound on group orders and element orders
-# largest dimension the oracle and `equi invariants --rep` accept; the
-# oracle's k-th wedge powers have C(n, k)^2 entries
+# largest dimension the oracle and `LinearRep.from_json_dict` (so `equi
+# invariants --rep`) accept; the oracle's k-th wedge powers have C(n, k)^2 entries
 MAX_DIMENSION = 6
 
 
@@ -85,6 +85,20 @@ class LinearRep(Checked, namedtuple("LinearRep", "dimension generators signs")):
         self = super().__new__(cls, n, gens, signs)
         self._determinants = tuple(dets)  # for Molien: the routes share only these checks
         return self
+
+    @classmethod
+    def from_json_dict(cls, data):
+        """The representation a JSON document states: "dimension", at most
+        MAX_DIMENSION, "generators" and optional "signs"; InputError if malformed."""
+        if not isinstance(data, dict):
+            raise InputError("", "a representation must be a JSON object")
+        for key in ("dimension", "generators"):
+            if key not in data:
+                raise InputError("representation", 'missing "%s"' % key)
+        dim = data["dimension"]
+        if type(dim) is int and dim > MAX_DIMENSION:
+            raise InputError("representation", '"dimension" must be at most %d' % MAX_DIMENSION)
+        return cls(dim, data["generators"], data.get("signs"))
 
     @cached_property
     def _closed(self):

@@ -14,7 +14,10 @@ every GL(r,Z) map between them extends to GL(3,Z), and a map is pinned by
 the images of r independent vectors.  Trying every signed assignment of
 those images is therefore a complete search: a found map is itself the
 group element, re-verified as a witness, and exhausting the search proves
-inequivalence.  Stabilizers are finite only when r = 3.
+inequivalence.  A candidate is kept when it is integral and unimodular and
+puts every other vector on a target line; being unimodular it is injective
+on lines, so it matches the two line sets exactly.  Stabilizers are finite
+only when r = 3.
 
 The orbit census starts from the basic cone's own stabilizer, S4 x {+-1} of
 order 48 (the perfect form A3 = D3).  Its elements permute the six
@@ -162,11 +165,15 @@ def _line_maps(source, target):
        target line (necessary for an integral M mapping lines to lines, so
        no map is lost);
     2. M is integral;
-    3. |det M| = 1;
-    4. the images of all source vectors are exactly the target lines.
+    3. |det M| = 1.
 
-    Callers re-verify what they keep: `equivalent` checks its witness on the
-    forms and `stabilizer` checks closure under inverse.
+    A candidate passing all three maps the source lines exactly onto the
+    target lines: the pivot vectors go to the picks, since M V = P; the
+    line test puts every other source vector on a target line; |det M| = 1
+    makes M injective on lines; and source and target have equally many
+    lines, all distinct (a cone's generators are distinct forms), so it is
+    onto.  Callers re-verify what they keep: `equivalent` checks its witness
+    on the forms and `stabilizer` checks closure under inverse.
     """
     u_s, r, src = _span_frame(source)
     u_t, r_t, tgt = _span_frame(target)
@@ -177,10 +184,9 @@ def _line_maps(source, target):
     vmat = [[src[c][i] for c in pivots] for i in range(r)]
     adj = linalg.adjugate(vmat)
     d = linalg.det(vmat)
-    tset = {linalg.lead_positive(t) for t in tgt}
-    lines = tset | {tuple(-x for x in t) for t in tset}
     xs = [linalg.mat_vec(adj, s) for c, s in enumerate(src) if c not in pivots]
     signed = [(t, tuple(-x for x in t)) for t in tgt]
+    lines = {v for pair in signed for v in pair}
     u_t_inv = u_t.inverse()
     for chosen in permutations(signed, r):
         for signs in product((0, 1), repeat=r - 1):
@@ -193,11 +199,6 @@ def _line_maps(source, target):
                 continue
             m = [[x // d for x in row] for row in num]
             if abs(linalg.det(m)) != 1:
-                continue
-            images = {linalg.lead_positive([sum(row[k] * s[k] for k in range(r))
-                                            for row in m])
-                      for s in src}
-            if images != tset:
                 continue
             for sign in (1, -1):
                 block = [[(sign * m[i][j] if i < r and j < r else int(i == j))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avor3 import InputError, equivariant, linalg
-from avor3.equivariant import (LinearRep, NotClosedWithinCap, element_order,
+from avor3.equivariant import (MAX_DIMENSION, LinearRep, NotClosedWithinCap, element_order,
                                exterior_invariant_dims,
                                fixed_subspace_dims_bruteforce, group_closure,
                                group_order, h1_pullback, order_histogram)
@@ -354,3 +354,26 @@ def test_large_groups_molien_matches_oracle():
     for rep, order in ((b5, 3840), (s7, 5040)):
         assert len(group_closure(rep)) == order
         assert exterior_invariant_dims(rep) == fixed_subspace_dims_bruteforce(rep)
+
+
+def test_rep_from_json_dict_reads_a_document():
+    doc = {"dimension": 2, "generators": [[[0, 1], [1, 0]]]}
+    assert LinearRep.from_json_dict(doc) == LinearRep(2, (SWAP2,))
+    assert LinearRep.from_json_dict(dict(doc, signs=[-1])) == LinearRep(2, (SWAP2,), (-1,))
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([1], "a representation must be a JSON object"),
+    ({"generators": []}, 'representation: missing "dimension"'),
+    ({"dimension": 2}, 'representation: missing "generators"'),
+    ({"dimension": MAX_DIMENSION + 1, "generators": []},
+     'representation: "dimension" must be at most %d' % MAX_DIMENSION),
+    # types, shapes and determinants are the constructor's checks
+    ({"dimension": "2", "generators": []}, "dimension must be a nonnegative integer"),
+    ({"dimension": 2, "generators": [[[1, 1], [1, 1]]]}, "generator has determinant 0, not +-1"),
+], ids=["not-an-object", "no-dimension", "no-generators", "above-the-bound", "str-dimension",
+        "singular"])
+def test_rep_from_json_dict_rejects_a_malformed_document(doc, message):
+    with pytest.raises(InputError) as info:
+        LinearRep.from_json_dict(doc)
+    assert str(info.value) == message

@@ -13,6 +13,7 @@ After an intended change of output, rewrite the stored file with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -118,6 +119,22 @@ def _stored():
 
 def test_golden_file_pins_every_command():
     assert [g["argv"] for g in _stored()] == golden_commands()
+
+
+def _leaf_commands(parser, path=()):
+    """The argv prefix of every leaf command under `parser`, e.g. ("fan", "faces")."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        return [path]
+    return [leaf for name, sub in groups[0].choices.items()
+            for leaf in _leaf_commands(sub, path + (name,))]
+
+
+def test_golden_pins_every_command_of_the_parser():
+    leaves = _leaf_commands(cli._build_parser())
+    assert ("fan", "faces") in leaves and ("betti",) in leaves
+    pinned = {tuple(argv[:n]) for argv in golden_commands() for n in range(1, len(argv) + 1)}
+    assert [leaf for leaf in leaves if leaf not in pinned] == []
 
 
 def test_stdout_matches_golden(tmp_path):

@@ -21,14 +21,14 @@ The 3x3 kernels are closed-form expressions, not calls to the general
 `linalg` routines: `GroupElement.det`, `.inverse` and products, and one
 congruence h S h^T on six coefficients, which `act_on_form` applies with
 h = g and `dual_action_on_characters` with h = g^-T.  Every construction
-checks the determinant, and one cold `betti` plus `verify all` computation
-makes about 1200 congruences and 350 inverses.  Measured with `timeit` on
-a 2-vCPU host with Python 3.11.7, the general routines are slower on 3x3
-by these factors: `linalg.det` about 35, an inverse through
-`linalg.adjugate` about 7, `act_on_form` through `linalg.mat_mul` about
-11 (19.6 against 1.7 us), a product with its determinant check about 4
-(11.3 against 2.8 us), and the dual action on three characters about 4.5
-(50.5 against 11.3 us).
+checks the determinant.  A cold `verify all`, which also computes the
+Betti vector, makes 1345 congruences and 353 inverses (a cold `betti avor3`
+alone makes 299 and 283).  Measured with `timeit` on a 2-vCPU host with
+Python 3.11.7, the general routines are slower on 3x3 by these factors:
+`linalg.det` about 35, an inverse through `linalg.adjugate` about 7,
+`act_on_form` through `linalg.mat_mul` about 11 (19.6 against 1.7 us), a
+product with its determinant check about 4 (11.3 against 2.8 us), and the
+dual action on three characters about 4.5 (50.5 against 11.3 us).
 """
 
 from __future__ import annotations

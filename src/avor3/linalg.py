@@ -2,12 +2,14 @@
 
 Every matrix in this package is integral, so everything here takes and
 returns plain Python ints: ranks and determinants by fraction-free
-elimination, Hermite forms, adjugates, and all exterior powers of a matrix
-in one Laplace sweep, all exact.  Matrices are lists (or tuples) of rows;
-vectors are flat sequences.
+elimination, row Hermite normal forms by Euclid's algorithm on row pairs,
+adjugates, and all exterior powers of a matrix in one Laplace sweep, all
+exact.  Matrices are lists (or tuples) of rows; vectors are flat sequences.
 
-No lattice kernel is needed: `fan` reads each stratum's character lattice
-off the dual basis of the basic cone's unimodular generator matrix.
+`fan` takes every lattice frame from `hermite_form`: the span frame of each
+`equivalent` and `stabilizer` search, and the inverse of the basic cone's
+unimodular generator matrix, off whose dual basis it reads each stratum's
+character lattice.  So no lattice kernel is needed.
 """
 
 from __future__ import annotations
@@ -108,47 +110,39 @@ def det(a):
 def hermite_form(a):
     """Row Hermite normal form of an integer matrix.
 
-    Returns (h, u) with u unimodular and u a = h; h has its pivot entries
-    positive and is zero below each pivot.  Plain integer row reduction; the
-    matrices here are tiny so no care about coefficient growth is needed.
+    Returns (h, u) with u unimodular and u a = h.  The row operations run on
+    the augmented matrix [a | I], so whatever they do to h they do to u, and
+    the right block ends as u.  Column by column, Euclid's algorithm on row
+    pairs (H. Cohen, A Course in Computational Algebraic Number Theory,
+    section 2.4) clears each entry below the pivot row r: row r loses
+    q = h[r][c] // h[i][c] times row i and the two rows swap, until h[i][c]
+    is 0.  A nonzero pivot is then made positive, the rows above it are
+    reduced into [0, pivot), and r moves down; a column with no nonzero
+    entry from row r down gets no pivot.
+
+    h is unique: the row space of a fixes the matrix with positive pivots,
+    zeros below them, entries above them in [0, pivot) and zero rows last.
+    u is not when the rank is below the row count, since adding multiples
+    of the rows of u that give zero rows of h to the others leaves u a = h;
+    so a different elimination order may return a different u.
     """
-    h = [list(row) for row in a]
-    rows = len(h)
-    cols = len(h[0]) if rows else 0
-    u = identity(rows)
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    m = [list(row) + e for row, e in zip(a, identity(rows))]  # [h | u]
     r = 0
     for c in range(cols):
-        # gcd sweep on column c below row r
-        while True:
-            nz = [i for i in range(r, rows) if h[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(h[i][c]))
-            h[r], h[i0] = h[i0], h[r]
-            u[r], u[i0] = u[i0], u[r]
-            done = True
-            for i in range(r + 1, rows):
-                if h[i][c] != 0:
-                    q = h[i][c] // h[r][c]
-                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-                    if h[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < rows and h[r][c] != 0:
-            if h[r][c] < 0:
-                h[r] = [-x for x in h[r]]
-                u[r] = [-x for x in u[r]]
+        for i in range(r + 1, rows):
+            while m[i][c]:
+                q = m[r][c] // m[i][c]
+                m[r], m[i] = m[i], [x - q * y for x, y in zip(m[r], m[i])]
+        if r < rows and m[r][c]:
+            if m[r][c] < 0:
+                m[r] = [-x for x in m[r]]
             for i in range(r):
-                q = h[i][c] // h[r][c]
-                if q:
-                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                q = m[i][c] // m[r][c]
+                m[i] = [x - q * y for x, y in zip(m[i], m[r])]
             r += 1
-            if r == rows:
-                break
-    return h, u
+    return [row[:cols] for row in m], [row[cols:] for row in m]
 
 
 def adjugate(a):

@@ -310,6 +310,21 @@ def test_line_maps_match_reference_on_non_unimodular_cones(name):
         assert _assert_same_maps(cone, _image(random_unimodular(rng), cone))
 
 
+def test_span_frame_moves_each_span_onto_its_first_coordinates():
+    rng = random.Random(126)
+    cones = list(NON_UNIMODULAR_CONES.values())
+    for face in (f for dim in range(1, 7) for f in SIGMA6.faces(dim)):
+        cones += [face] + [_image(random_unimodular(rng), face) for _ in range(5)]
+    for cone in cones:
+        vectors = cone.vectors()
+        u, r, coords = _span_frame(vectors)
+        assert r == cone.cusp_rank()
+        assert len(coords) == len(vectors)
+        for v, x in zip(vectors, coords):
+            image = linalg.mat_vec(u.rows, v)
+            assert tuple(image[:r]) == x and not any(image[r:])
+
+
 def test_integrality_rejects_line_permutations():
     # the full search sees all 48 signed permutations of the three lines, and
     # every one that moves the line of (0,0,1) is rational but not integral:

@@ -39,23 +39,44 @@ def test_det_multiplicative():
         assert linalg.det(linalg.mat_mul(a, b)) == linalg.det(a) * linalg.det(b)
 
 
+def _assert_hermite_normal_form(a):
+    before = [list(row) for row in a]
+    h, u = linalg.hermite_form(a)
+    assert [list(row) for row in a] == before  # the input is not mutated
+    assert linalg.det(u) in (1, -1)
+    assert linalg.mat_mul(u, a) == h
+    pivots = [next((j for j, x in enumerate(row) if x), None) for row in h]
+    r = len(pivots) - pivots.count(None)
+    # zero rows come last and the pivot columns increase
+    assert pivots[r:] == [None] * (len(h) - r)
+    assert pivots[:r] == sorted(set(pivots[:r]))
+    for i, c in enumerate(pivots[:r]):
+        assert h[i][c] > 0
+        assert all(h[k][c] == 0 for k in range(i + 1, len(h)))
+        # reduced above the pivot: this is what makes h unique
+        assert all(0 <= h[k][c] < h[i][c] for k in range(i))
+
+
 def test_hermite_form_properties():
     rng = random.Random(13)
-    for _ in range(40):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        a = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-        h, u = linalg.hermite_form(a)
-        assert linalg.det(u) in (1, -1)
-        assert linalg.mat_mul(u, a) == h
-        # pivots positive, rows below a pivot zero in that column
-        pivots = []
-        for row in h:
-            nz = [j for j, x in enumerate(row) if x]
-            if nz:
-                assert row[nz[0]] > 0
-                pivots.append(nz[0])
-        assert pivots == sorted(pivots)
+    matrices = [[], [[]], [[0, 0, 0], [0, 0, 0]]]
+    # random shapes, and 3 x k like the frames of `fan._span_frame`
+    shapes = [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(150)]
+    shapes += [(3, rng.randint(1, 6)) for _ in range(150)]
+    for rows, cols in shapes:
+        bound = rng.choice((1, 6, 1000))
+        if rng.random() < 0.5:
+            a = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+        else:  # rank at most k < rows: every row a combination of k rows
+            basis = [[rng.randint(-bound, bound) for _ in range(cols)]
+                     for _ in range(rng.randint(0, rows - 1))]
+            a = []
+            for _ in range(rows):
+                f = [rng.randint(-3, 3) for _ in basis]
+                a.append([sum(x * b[j] for x, b in zip(f, basis)) for j in range(cols)])
+        matrices.append(a)
+    for a in matrices:
+        _assert_hermite_normal_form(a)
 
 
 def leibniz_det(a):

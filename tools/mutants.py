@@ -97,6 +97,9 @@ MUTANTS = (
     ("congruence-swaps-s12-s13", "forms.py",
      "a * s11 + b * s12 + c * s13",
      "a * s11 + b * s13 + c * s12"),
+    ("hermite-form-skips-reduction-above-pivots", "linalg.py",
+     "q = m[i][c] // m[r][c]",
+     "q = 0"),
 )
 
 

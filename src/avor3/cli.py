@@ -53,12 +53,11 @@ def _torus_coords(args):
 def _invariants(args):
     if args.cone is not None:
         lattice = stratum_character_lattice(Cone.from_names(args.cone))
-        rep = LinearRep(lattice.dimension(), lattice.effective)
-        order = lattice.effective_order()
+        rep = LinearRep(len(lattice.basis), lattice.effective)
     else:
         rep = LinearRep.from_json_dict(read_json(args.rep))
-        order = group_order(rep)
-    return render.render_invariants(exterior_invariant_dims(rep), order, args.format), 0
+    return render.render_invariants(exterior_invariant_dims(rep), group_order(rep),
+                                    args.format), 0
 
 
 def _resolve(args):

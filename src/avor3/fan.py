@@ -9,15 +9,16 @@ sign under v |-> g v.
 
 Equivalence is decided exactly, in integers, for every span rank r of the
 generator vectors, by one search and nothing else.  Hermite forms move both
-saturated spans onto Z^r x 0; each span is a direct summand of Z^3, so
-every GL(r,Z) map between them extends to GL(3,Z), and a map is pinned by
-the images of r independent vectors.  Trying every signed assignment of
-those images is therefore a complete search: a found map is itself the
-group element, re-verified as a witness, and exhausting the search proves
-inequivalence.  A candidate is kept when it is integral and unimodular and
-puts every other vector on a target line; being unimodular it is injective
-on lines, so it matches the two line sets exactly.  Stabilizers are finite
-only when r = 3.
+saturated spans onto Z^r x 0 (each cone's frame, `Cone.frame`, is computed
+once per cone, and its r is the cusp rank); each span is a direct summand of
+Z^3, so every GL(r,Z) map between them extends to GL(3,Z), and a map is
+pinned by the images of r independent vectors.  Trying every signed
+assignment of those images is therefore a complete search: a found map is
+itself the group element, re-verified as a witness, and exhausting the
+search proves inequivalence.  A candidate is kept when it is integral and
+unimodular and puts every other vector on a target line; being unimodular it
+is injective on lines, so it matches the two line sets exactly.  Stabilizers
+are finite only when r = 3.
 
 The orbit census starts from the basic cone's own stabilizer, S4 x {+-1} of
 order 48 (the perfect form A3 = D3).  Its elements permute the six
@@ -29,13 +30,14 @@ exact: stabilizer orbits lie inside GL(3,Z) orbits, and `equivalent` still
 decides every merge between them.
 
 Cones, equivalence results, orbit censuses, stabilizers and character
-lattices are immutable tuple records (namedtuples).
+lattices are immutable tuple records (namedtuples); only cones and
+equivalence results add methods.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 
 from . import Avor3Error, Checked, InputError, linalg
@@ -60,8 +62,9 @@ _FORM_NAMES = {form: name for name, form in GENERATORS.items()}
 class Cone(Checked, namedtuple("Cone", "generators")):
     """A face of the fan, given by a tuple of independent rank-one forms.
 
-    The generators' primitive vectors are kept on the instance, not as a
-    field, so equality, hash and repr ignore them.
+    The generators' primitive vectors, and the frame of their span once it
+    is read, are kept on the instance, not as fields, so equality, hash and
+    repr ignore them.
     """
 
     def __new__(cls, generators):
@@ -99,12 +102,25 @@ class Cone(Checked, namedtuple("Cone", "generators")):
     def dim(self):
         return len(self.generators)
 
-    def vectors(self):
-        return self._vectors
+    @cached_property
+    def frame(self):
+        """(u, r, coords): the frame that moves the saturated span of the
+        generator vectors onto Z^r x 0.
+
+        u is the GroupElement with every u v in Z^r x 0, r the span rank and
+        coords the first r coordinates of each u v, in generator order.  u
+        comes from the row Hermite form of the 3 x n matrix whose columns are
+        the vectors, so the empty cone has the frame (I, 0, ()).  Tuples
+        throughout, so nothing cached can be mutated.
+        """
+        h, u = linalg.hermite_form([[v[i] for v in self._vectors] for i in range(3)])
+        r = sum(1 for row in h if any(row))
+        return GroupElement(u), r, tuple(zip(*h[:r]))
 
     def cusp_rank(self):
-        """Rank of the sum of the generators v v^T, which is the rank of the v."""
-        return linalg.rank(self._vectors)
+        """Rank of the sum of the generators v v^T, which is the rank of the v:
+        the span rank r of the frame."""
+        return self.frame[1]
 
     def faces(self, dim):
         return [Cone(sub) for sub in combinations(self.generators, dim)]
@@ -123,30 +139,18 @@ class EquivalenceResult(namedtuple("EquivalenceResult", "witness verdict")):
         return self.verdict == "equivalent"
 
 
-def _span_frame(vectors):
-    """Move the saturated span of `vectors` onto Z^r x 0.
-
-    Returns (u, r, coords): the GroupElement u with every u v in Z^r x 0,
-    the span rank r, and the first r coordinates of each u v.  u comes from
-    the row Hermite form of the matrix whose columns are the vectors.
-    """
-    h, u = linalg.hermite_form(linalg.transpose(vectors))
-    r = sum(1 for row in h if any(row))
-    return GroupElement(u), r, [tuple(h[i][c] for i in range(r)) for c in range(len(vectors))]
-
-
 def _line_maps(source, target):
-    """Yield each GroupElement h mapping the source line set onto the target's.
+    """Yield each GroupElement h mapping the lines of cone `source` onto `target`'s.
 
-    With u_S, u_T from `_span_frame`, any such map carries the saturated
-    source span onto the saturated target span, so u_T h u_S^-1 restricts to
-    some M in GL(r,Z) matching the projected lines.  Both spans are direct
-    summands of Z^3, so every such M extends, for instance to
-    h = u_T^-1 diag(M, I) u_S, a GroupElement product.  M is pinned by the
-    images of the r independent source vectors at the Hermite pivot columns,
-    and every signed, ordered r-tuple of target vectors is tried as those
-    images, so the search is complete: it yields one h per M, which for
-    r = 3 is every map.
+    With u_S, u_T from the frames of the two cones (`Cone.frame`, computed
+    once per cone), any such map carries the saturated source span onto the
+    saturated target span, so u_T h u_S^-1 restricts to some M in GL(r,Z)
+    matching the projected lines.  Both spans are direct summands of Z^3, so
+    every such M extends, for instance to h = u_T^-1 diag(M, I) u_S, a
+    GroupElement product.  M is pinned by the images of the r independent
+    source vectors at the Hermite pivot columns, and every signed, ordered
+    r-tuple of target vectors is tried as those images, so the search is
+    complete: it yields one h per M, which for r = 3 is every map.
 
     M and -M come in pairs: -M passes every check below exactly when M does.
     So only tuples whose first image keeps the sign of its target vector are
@@ -175,8 +179,8 @@ def _line_maps(source, target):
     onto.  Callers re-verify what they keep: `equivalent` checks its witness
     on the forms and `stabilizer` checks closure under inverse.
     """
-    u_s, r, src = _span_frame(source)
-    u_t, r_t, tgt = _span_frame(target)
+    u_s, r, src = source.frame
+    u_t, r_t, tgt = target.frame
     if r != r_t or len(src) != len(tgt):
         return
     # the Hermite pivot columns form an upper triangular, nonsingular V
@@ -229,7 +233,7 @@ def equivalent(c1: Cone, c2: Cone) -> EquivalenceResult:
     if c1.dim() == 0 or c2.dim() == 0:
         witness = GroupElement.identity() if c1.dim() == c2.dim() else None
     else:
-        witness = next(_line_maps(c1.vectors(), c2.vectors()), None)
+        witness = next(_line_maps(c1, c2), None)
         if witness is not None and ({act_on_form(witness, q) for q in c1.generators}
                                     != set(c2.generators)):
             raise AssertionError("witness failed re-verification")
@@ -237,13 +241,7 @@ def equivalent(c1: Cone, c2: Cone) -> EquivalenceResult:
 
 
 OrbitClass = namedtuple("OrbitClass", "representative size cusp_rank")
-
-
-class OrbitCensus(namedtuple("OrbitCensus", "dimension orbits")):
-    __slots__ = ()
-
-    def counts(self):
-        return tuple(o.size for o in self.orbits)
+OrbitCensus = namedtuple("OrbitCensus", "dimension orbits")
 
 
 def _one_per_sign(elements):
@@ -302,13 +300,8 @@ def classify_orbits(dim) -> OrbitCensus:
     return OrbitCensus(dim, orbits)
 
 
-class StabilizerGroup(namedtuple("StabilizerGroup", "cone elements")):
-    """The full GL(3,Z) setwise stabilizer of a cone (a finite matrix group)."""
-
-    __slots__ = ()
-
-    def order(self):
-        return len(self.elements)
+# the full GL(3,Z) setwise stabilizer of a cone, a finite matrix group
+StabilizerGroup = namedtuple("StabilizerGroup", "cone elements")
 
 
 @lru_cache(maxsize=None)
@@ -318,7 +311,7 @@ def stabilizer(c: Cone) -> StabilizerGroup:
         raise SpanDeficient(
             "stabilizer of %s is infinite: generator vectors span rank %d < 3"
             % (c.name(), c.cusp_rank()))
-    elements = sorted(_line_maps(c.vectors(), c.vectors()))
+    elements = sorted(_line_maps(c, c))
     group = StabilizerGroup(c, tuple(elements))
     eset = set(group.elements)
     for g in group.elements:
@@ -327,8 +320,13 @@ def stabilizer(c: Cone) -> StabilizerGroup:
     return group
 
 
-class CharacterLattice(namedtuple("CharacterLattice", "cone basis effective")):
-    """Characters of the big torus that restrict to a stratum's torus factor.
+CharacterLattice = namedtuple("CharacterLattice", "cone basis effective")
+
+
+@lru_cache(maxsize=None)
+def stratum_character_lattice(c: Cone) -> CharacterLattice:
+    """The characters of the big torus that restrict to the torus factor of
+    the stratum of face c, as CharacterLattice(c, basis, effective).
 
     The six generators q_j form a Z-basis of the form lattice, so their dual
     characters f_j (`torus_coordinates`) form a Z-basis of the characters:
@@ -338,19 +336,9 @@ class CharacterLattice(namedtuple("CharacterLattice", "cone basis effective")):
     those j, in generator order; `effective`, the (deduplicated) image of the
     cone's stabilizer, holds matrices by columns with entry (i, j) equal to
     e_i pairing(q_i, g . b_j).  Only faces of the basic cone have this basis.
+    The lattice has rank len(basis), and the effective action has order
+    len(effective).
     """
-
-    __slots__ = ()
-
-    def dimension(self):
-        return len(self.basis)
-
-    def effective_order(self):
-        return len(self.effective)
-
-
-@lru_cache(maxsize=None)
-def stratum_character_lattice(c: Cone) -> CharacterLattice:
     if not all(q in _FORM_NAMES for q in c.generators):
         raise ValueError("%s is not a face of the basic cone" % c.name())
     stab = stabilizer(c)

@@ -6,10 +6,11 @@ elimination, row Hermite normal forms by Euclid's algorithm on row pairs,
 adjugates, and all exterior powers of a matrix in one Laplace sweep, all
 exact.  Matrices are lists (or tuples) of rows; vectors are flat sequences.
 
-`fan` takes every lattice frame from `hermite_form`: the span frame of each
-`equivalent` and `stabilizer` search, and the inverse of the basic cone's
-unimodular generator matrix, off whose dual basis it reads each stratum's
-character lattice.  So no lattice kernel is needed.
+`fan` takes every lattice frame from `hermite_form`: each cone's frame of
+the span of its generator vectors, computed once per cone and read by every
+`equivalent` and `stabilizer` search and by the cusp rank, and the inverse
+of the basic cone's unimodular generator matrix, off whose dual basis it
+reads each stratum's character lattice.  So no lattice kernel is needed.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ from operator import mul
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def mat_mul(a, b):
@@ -51,21 +48,22 @@ def _eliminate(a):
 
     The elimination is lazy.  A row with 0 in the pivot column would only be
     scaled by p_k / p_(k-1), and across skipped steps these factors
-    telescope, so the row is left as it is and remembers the step t it is
-    current at: its Bareiss value is its stored value times p_(k-1) / d_t,
-    d_t being the divisor of step t.  When the row is next rewritten, that
-    step divides by d_t instead of p_(k-1), which applies the pending factor
-    in the same pass; when it becomes the pivot row it is first multiplied
-    by p_(k-1) and divided exactly by d_t.  So each pivot row is the eager
-    Bareiss row, and every row below the last pivot row is zero.
+    telescope, so the row is left as it is and keeps one divisor: the pivot
+    of the step before the one that last rewrote it (1 for a row never
+    rewritten).  Its Bareiss value is its stored value times the previous
+    pivot over that divisor.  When the row is next rewritten, the step
+    divides by the row's divisor instead of the previous pivot, which
+    applies the pending factor in the same pass; when it becomes the pivot
+    row it is first multiplied by the previous pivot and divided exactly by
+    its divisor.  So each pivot row is the eager Bareiss row, and every row
+    below the last pivot row is zero.
     """
     m = [list(row) for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
-    divisors = [1]  # divisors[k]: the divisor of step k, the pivot of step k - 1
-    current = [0] * rows  # the step each row is current at
-    sign, r = 1, 0
+    divisors = [1] * rows  # divisors[i]: what the next rewrite of row i divides by
+    sign, r, prev = 1, 0, 1  # prev: the pivot of the previous step
     for c in range(cols):
         if r == rows:
             break
@@ -74,19 +72,18 @@ def _eliminate(a):
             continue
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
-            current[r], current[pivot] = current[pivot], current[r]
+            divisors[r], divisors[pivot] = divisors[pivot], divisors[r]
             sign = -sign
         top = m[r]
-        if current[r] != r:
-            top = m[r] = [x * divisors[r] // divisors[current[r]] for x in top]
+        if divisors[r] != prev:
+            top = m[r] = [x * prev // divisors[r] for x in top]
         p = top[c]
         for i in range(r + 1, rows):
             f = m[i][c]
             if f:
-                d = divisors[current[i]]
-                m[i] = [(p * x - f * y) // d for x, y in zip(m[i], top)]
-                current[i] = r + 1
-        divisors.append(p)
+                m[i] = [(p * x - f * y) // divisors[i] for x, y in zip(m[i], top)]
+                divisors[i] = p
+        prev = p
         pivots.append(c)
         r += 1
     return m, pivots, sign

@@ -72,7 +72,7 @@ def render_census(census, fmt="text"):
                  ["orbit census: dimension %d" % census.dimension]
                  + ["  %-*s  orbit size %-3d cusp rank %d" % (width, n, s, c)
                     for n, s, c in rows]
-                 + ["classes: %d, faces covered: %d" % (len(rows), sum(census.counts()))],
+                 + ["classes: %d, faces covered: %d" % (len(rows), sum(s for _, s, _ in rows))],
                  "lrr", ("representative", "orbit size", "cusp rank"),
                  [(_cone(n), s, c) for n, s, c in rows])
 
@@ -84,14 +84,14 @@ def render_cusp_rank(name, rank, fmt="text"):
 
 
 def render_stabilizer(stab, lattice, histogram, fmt="text"):
-    rows = [("stabilizer order", stab.order()),
-            ("lattice dimension", lattice.dimension()),
-            ("effective order", lattice.effective_order()),
+    rows = [("stabilizer order", len(stab.elements)),
+            ("lattice dimension", len(lattice.basis)),
+            ("effective order", len(lattice.effective)),
             ("element orders",
              " ".join("%d:%d" % (k, v) for k, v in sorted(histogram.items())) or "-")]
-    return _emit(fmt, {"cone": stab.cone.name(), "order": stab.order(),
-                       "lattice_dimension": lattice.dimension(),
-                       "effective_order": lattice.effective_order(),
+    return _emit(fmt, {"cone": stab.cone.name(), "order": len(stab.elements),
+                       "lattice_dimension": len(lattice.basis),
+                       "effective_order": len(lattice.effective),
                        "effective_element_orders": {str(k): v
                                                     for k, v in histogram.items()}},
                  ["cone %s" % stab.cone.name()] + ["  %-20s%s" % row for row in rows],

@@ -93,10 +93,6 @@ class SSPage(Checked, namedtuple("SSPage", "r entries knowns abutment_smooth_pro
                 seen.add(key)
         return super().__new__(cls, r, entries, knowns, abutment_smooth_proper, label)
 
-    @classmethod
-    def from_dict(cls, r, mapping, **kw):
-        return cls(r, tuple(mapping.items()), **kw)
-
     def entry(self, p, q):
         return entry_at(self.entries, (p, q))
 

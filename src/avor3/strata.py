@@ -94,7 +94,7 @@ def rank_three_locus() -> RankThreeResult:
             if cone.cusp_rank() != 3:
                 continue
             lattice = stratum_character_lattice(cone)
-            m = lattice.dimension()
+            m = len(lattice.basis)
             if m != COMPACTIFICATION_DIMENSION - cone_dim:
                 raise AssertionError("character lattice dimension mismatch")
             dims = exterior_invariant_dims(LinearRep(m, lattice.effective))

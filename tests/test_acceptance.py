@@ -4,8 +4,11 @@ One test per criterion; each delegates to the matching named check in
 avor3.verify, so `avor3 verify all` and this suite can never drift apart.
 All of them read one pipeline result and its loci, as `run_all` does.  A
 second group feeds each result-reading check a doctored result and expects
-it to fail; a third breaks one locus, or the main page, at a time and pins
-exactly which checks fail: the readers of that locus and of the whole result.
+it to fail, and pins the detail of every failure branch of every check: a
+doctored result for the checks that read one, a replaced `verify` function
+for those of the fan and groups alone.  A third breaks one locus, or the
+main page, at a time and pins exactly which checks fail: the readers of that
+locus and of the whole result.
 """
 
 import json
@@ -18,9 +21,11 @@ import pytest
 
 from avor3 import cli, strata, verify
 from avor3.forms import GroupElement
-from avor3.mhs import CohomologyTable
+from avor3.mhs import CohomologyTable, MhsVector
 from avor3.registry import load_registry, parse_registry
+from avor3.ssengine import SSPage
 
+T = MhsVector.tate
 REGISTRY = load_registry()
 CHECKS = dict(verify.ALL_CHECKS)
 RESULT = cache(partial(strata.compactification_betti, REGISTRY))
@@ -127,6 +132,124 @@ DOCTORED = {
 def test_result_reading_check_fails_on_doctored_result(name):
     ok, detail = CHECKS[name](_pipeline(DOCTORED[name](RESULT())))
     assert ok is False, detail
+
+
+def _first_candidate(report, **fields):
+    """`report` with the given fields of its first candidate replaced."""
+    first = report.candidates[0]._replace(**fields)
+    return report._replace(candidates=(first,) + report.candidates[1:])
+
+
+def _first_contribution(r, **fields):
+    """`r` with the given fields of the first rank-three contribution replaced."""
+    first, *rest = r.loci["beta3"].contributions
+    return _doctor_locus(r, "beta3", contributions=(first._replace(**fields), *rest))
+
+
+def _table_part(r, name, field, entries):
+    """`r` with table `field` of locus `name` holding only `entries`."""
+    table = getattr(r.loci[name], field)._replace(entries=entries)
+    return _doctor_locus(r, name, **{field: table})
+
+
+# one doctored result per failure branch of the checks that read results:
+# (check, the result with the fields it reads doctored, its expected detail)
+FAILURE_BRANCHES = {
+    "main-decisions": ("main_page_resolution",
+                       lambda r: r._replace(report=_first_candidate(r.report, decisions=())),
+                       "unexpected decisions []"),
+    "main-unique": ("main_page_resolution",
+                    lambda r: r._replace(page=r.page._replace(entries=())),
+                    "resolution without purity was unexpectedly unique"),
+    "main-candidates": ("main_page_resolution",
+                        lambda r: r._replace(page=r.page._replace(
+                            entries=[((0, 3), T(1) + T(1)), ((1, 3), T(1) + T(1))])),
+                        "purity-off candidates 3 with ranks [0, 1, 2]"),
+    "invariants": ("stratum_invariants",
+                   lambda r: _first_contribution(r, stratum_dim=4),
+                   "a1,a2,a3 gives (1, 0, 0, 0) / (1, 0, 0, 0)"),
+    "rank-one-degenerate": ("rank_one_pipeline",
+                            lambda r: _doctor_locus(r, "beta1", limit=SSPage(1)),
+                            "page does not degenerate"),
+    "rank-one-differential": ("rank_one_pipeline",
+                              lambda r: _doctor_locus(r, "beta1",
+                                                      report=r.loci["beta2"].report),
+                              "nonzero differential decided"),
+    "rank-one-weights": ("rank_one_pipeline",
+                         lambda r: _table_part(r, "beta1", "table", [(5, T(1))]),
+                         "degree-5 class has weights (2,)"),
+    "rank-one-table": ("rank_one_pipeline",
+                       lambda r: _table_part(r, "beta1", "table", [(5, T(0))]),
+                       "table ((5, MhsVector(tates=(0,), f_count=0)),)"),
+    "rank-two-decisions": ("rank_two_pipeline",
+                           lambda r: _doctor_locus(r, "beta2", report=r.loci["beta1"].report),
+                           "decisions []"),
+    "rank-two-bundle": ("rank_two_pipeline",
+                        lambda r: _table_part(r, "beta2", "torus_table", [(6, T(3))]),
+                        "bundle part ((6, MhsVector(tates=(3,), f_count=0)),)"),
+    "rank-two-product": ("rank_two_pipeline",
+                         lambda r: _table_part(r, "beta2", "product_table", [(2, T(1))]),
+                         "product part ((2, MhsVector(tates=(1,), f_count=0)),)"),
+    "euler": ("conservation_properties",
+              lambda r: r._replace(betti=r.betti[:-1] + (2,)),
+              "euler characteristic not conserved"),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(FAILURE_BRANCHES))
+def test_each_failure_branch_reports_its_detail(branch):
+    name, doctor, detail = FAILURE_BRANCHES[branch]
+    assert CHECKS[name](_pipeline(doctor(RESULT()))) == (False, detail)
+
+
+def _off_diagonal(lattice):
+    """`lattice` with its diagonal effective elements replaced by repeats of
+    the others, so the effective order stays."""
+    off = [m for m in lattice.effective
+           if any(m[i][j] for i in range(3) for j in range(3) if i != j)]
+    return lattice._replace(effective=tuple(off + off[:len(lattice.effective) - len(off)]))
+
+
+# the same for the checks of the fan and groups alone, which read no result:
+# (check, the function of `verify` replaced, its replacement made from the
+# original, the expected detail)
+SUBSTITUTED_BRANCHES = {
+    "census-classes": ("orbit_census", "classify_orbits",
+                       lambda f: lambda d: f(d)._replace(orbits=f(d).orbits[:1]),
+                       "dimension 3: 1 classes"),
+    "census-cusp-ranks": ("orbit_census", "classify_orbits",
+                          lambda f: lambda d: f(d)._replace(
+                              orbits=tuple(o._replace(cusp_rank=3) for o in f(d).orbits)),
+                          "dimension-3 cusp ranks [3, 3]"),
+    "census-random-images": ("orbit_census", "equivalent",
+                             lambda f: lambda c1, c2: f(c1, c1)._replace(verdict="inequivalent"),
+                             "a1 not matched with a random image"),
+    "local-orders": ("local_cone_symmetries", "stabilizer",
+                     lambda f: lambda c: f(c)._replace(elements=f(c).elements[:24]),
+                     "orders 24/24"),
+    "local-diagonal": ("local_cone_symmetries", "stratum_character_lattice",
+                       lambda f: lambda c: _off_diagonal(f(c)),
+                       "diagonal part has order 0"),
+    "product-order": ("product_symmetry", "group_closure",
+                      lambda f: lambda rep: f(rep)[:6],
+                      "group order 6"),
+    "product-element-orders": ("product_symmetry", "element_order",
+                               lambda f: lambda m: 1,
+                               "no element of order 6"),
+    "composition": ("conservation_properties", "act_on_form",
+                    lambda f: lambda g, q: f(g.inverse(), q),
+                    "composition law fails"),
+    "pairing": ("conservation_properties", "dual_action_on_characters",
+                lambda f: lambda g, chars: tuple(chars),
+                "pairing is not invariant"),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(SUBSTITUTED_BRANCHES))
+def test_each_fan_and_group_failure_branch_reports_its_detail(monkeypatch, branch):
+    name, attr, substitute, detail = SUBSTITUTED_BRANCHES[branch]
+    monkeypatch.setattr(verify, attr, substitute(getattr(verify, attr)))
+    assert CHECKS[name](pipeline) == (False, detail)
 
 
 def _reference_random_unimodular(rng):

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from avor3 import fan, linalg
 from avor3.fan import (SIGMA6, Cone, EquivalenceResult, OrbitCensus, OrbitClass,
-                       SpanDeficient, _line_maps, _span_frame, classify_orbits, equivalent,
-                       stabilizer, stratum_character_lattice, torus_coordinates)
-from avor3.forms import GENERATORS, GroupElement, SymForm, act_on_form, pairing, rank1_form
+                       SpanDeficient, _line_maps, classify_orbits, equivalent, stabilizer,
+                       stratum_character_lattice, torus_coordinates)
+from avor3.forms import (GENERATORS, GroupElement, SymForm, act_on_form, pairing, primitive,
+                         rank1_form, rank1_vector)
 from avor3.equivariant import LinearRep, exterior_invariant_dims, order_histogram
 from avor3.verify import random_unimodular
 
@@ -107,7 +108,7 @@ def test_orbit_census_frozen(dim):
     census = classify_orbits(dim)
     got = [(o.representative.name(), o.size, o.cusp_rank) for o in census.orbits]
     assert got == EXPECTED_CENSUS[dim]
-    assert sum(census.counts()) == comb(6, dim)
+    assert sum(o.size for o in census.orbits) == comb(6, dim)
 
 
 def _reference_census(dim):
@@ -159,7 +160,7 @@ def test_a_lone_face_census_runs_no_stabilizer_search(monkeypatch):
     try:
         for dim in (0, 6):
             census = classify_orbits(dim)
-            assert census.counts() == (1,)
+            assert [o.size for o in census.orbits] == [1]
             assert census == _reference_census(dim)
     finally:
         classify_orbits.cache_clear()
@@ -223,8 +224,8 @@ def _reference_line_maps(source, target):
     and maps the source lines exactly onto the target lines, and yielded as
     the GroupElement u_T^-1 diag(M, I) u_S, multiplied by `linalg.mat_mul`.
     """
-    u_s, r, src = _span_frame(source)
-    u_t, r_t, tgt = _span_frame(target)
+    u_s, r, src = source.frame
+    u_t, r_t, tgt = target.frame
     if r != r_t or len(src) != len(tgt):
         return
     pivots = [next(c for c, v in enumerate(src) if v[i]) for i in range(r)]
@@ -255,8 +256,8 @@ def _reference_line_maps(source, target):
 def _assert_same_maps(c1, c2):
     # compared with multiplicity: the search yields each map once; its first
     # map, the witness of `equivalent`, is also the reference's first
-    maps = list(_line_maps(c1.vectors(), c2.vectors()))
-    reference = list(_reference_line_maps(c1.vectors(), c2.vectors()))
+    maps = list(_line_maps(c1, c2))
+    reference = list(_reference_line_maps(c1, c2))
     assert maps[:1] == reference[:1]
     got = sorted(maps)
     assert got == sorted(reference)
@@ -301,7 +302,7 @@ NON_UNIMODULAR_CONES = {
 @pytest.mark.parametrize("name", sorted(NON_UNIMODULAR_CONES))
 def test_line_maps_match_reference_on_non_unimodular_cones(name):
     cone = NON_UNIMODULAR_CONES[name]
-    _, r, src = _span_frame(cone.vectors())
+    _, r, src = cone.frame
     pivots = [next(c for c, v in enumerate(src) if v[i]) for i in range(r)]
     assert abs(linalg.det([[src[c][i] for c in pivots] for i in range(r)])) in (2, 4)
     assert _assert_same_maps(cone, cone)
@@ -316,13 +317,30 @@ def test_span_frame_moves_each_span_onto_its_first_coordinates():
     for face in (f for dim in range(1, 7) for f in SIGMA6.faces(dim)):
         cones += [face] + [_image(random_unimodular(rng), face) for _ in range(5)]
     for cone in cones:
-        vectors = cone.vectors()
-        u, r, coords = _span_frame(vectors)
-        assert r == cone.cusp_rank()
+        # the frame's input: each generator's primitive vector, lead-positive
+        vectors = [rank1_vector(q) for q in cone.generators]
+        assert all(v == primitive(v) and rank1_form(v) == q
+                   for v, q in zip(vectors, cone.generators))
+        u, r, coords = cone.frame
+        assert r == cone.cusp_rank() == linalg.rank(vectors)
         assert len(coords) == len(vectors)
         for v, x in zip(vectors, coords):
             image = linalg.mat_vec(u.rows, v)
             assert tuple(image[:r]) == x and not any(image[r:])
+    # the empty cone frames too, as 3 empty rows
+    assert Cone(()).frame == (GroupElement.identity(), 0, ())
+
+
+def test_each_search_frames_its_cones_once(monkeypatch):
+    calls = []
+    hermite_form = linalg.hermite_form
+    monkeypatch.setattr(linalg, "hermite_form", lambda a: calls.append(a) or hermite_form(a))
+    cone, other = Cone.from_names("a1,a2,a3,b1"), Cone.from_names("a1,a2,a3,b2")
+    stabilizer.__wrapped__(cone)
+    assert len(calls) == 1  # as both source and target
+    assert equivalent(cone, other) and equivalent(other, cone)
+    assert len(calls) == 2  # only `other` was not framed yet
+    assert cone.cusp_rank() == other.cusp_rank() == 3 and len(calls) == 2
 
 
 def test_integrality_rejects_line_permutations():
@@ -332,7 +350,7 @@ def test_integrality_rejects_line_permutations():
     # to ((1,1,0) + (0,0,1)) / 2
     cone = NON_UNIMODULAR_CONES["index-two"]
     stab = stabilizer(cone)
-    assert stab.order() == 16
+    assert len(stab.elements) == 16
     for g in stab.elements:
         assert [row[2] for row in g.rows] in ([0, 0, 1], [0, 0, -1])
         assert {act_on_form(g, q) for q in cone.generators} == set(cone.generators)
@@ -340,7 +358,7 @@ def test_integrality_rejects_line_permutations():
     # the lines that another candidate already gives, so without the
     # integrality test the search would yield elements twice
     stab = stabilizer(NON_UNIMODULAR_CONES["index-four"])
-    assert stab.order() == len(set(stab.elements)) == 8
+    assert len(stab.elements) == len(set(stab.elements)) == 8
 
 
 EXPECTED_STABILIZERS = {
@@ -357,10 +375,10 @@ def test_stabilizer_orders_frozen(name):
     cone = Cone.from_names(name)
     order, lat_dim, eff = EXPECTED_STABILIZERS[name]
     stab = stabilizer(cone)
-    assert stab.order() == order
+    assert len(stab.elements) == order
     lattice = stratum_character_lattice(cone)
-    assert lattice.dimension() == lat_dim
-    assert lattice.effective_order() == eff
+    assert len(lattice.basis) == lat_dim
+    assert len(lattice.effective) == eff
 
 
 def test_stabilizer_elements_fix_the_cone():
@@ -415,8 +433,8 @@ _CUSP_RANK_THREE_FACES = [face for dim in range(3, 7) for face in SIGMA6.faces(d
 
 
 def _lattice_invariants(lattice):
-    rep = LinearRep(lattice.dimension(), lattice.effective)
-    return (lattice.effective_order(), order_histogram(lattice.effective),
+    rep = LinearRep(len(lattice.basis), lattice.effective)
+    return (len(lattice.effective), order_histogram(lattice.effective),
             exterior_invariant_dims(rep))
 
 
@@ -433,7 +451,7 @@ def test_character_lattice_on_the_dual_basis(face):
     # is a Z-basis of all characters
     duals = [f for q, f in zip(SIGMA6.generators, torus_coordinates()) if q in face.generators]
     assert abs(linalg.det(list(lattice.basis) + duals)) == 1
-    d = lattice.dimension()
+    d = len(lattice.basis)
     effective = set(lattice.effective)
     assert tuple(map(tuple, linalg.identity(d))) in effective
     for a in effective:

@@ -125,7 +125,7 @@ def test_action_matches_congruence(g, h, coeffs):
     # the closed forms agree with the general matrix product: g . q has Gram
     # matrix g Q g^T, and g * h is the product of the rows
     q = SymForm(*coeffs)
-    m = linalg.mat_mul(linalg.mat_mul(g.rows, q.matrix()), linalg.transpose(g.rows))
+    m = linalg.mat_mul(linalg.mat_mul(g.rows, q.matrix()), list(zip(*g.rows)))
     assert act_on_form(g, q).matrix() == tuple(map(tuple, m))
     assert g * h == GroupElement(linalg.mat_mul(g.rows, h.rows))
 
@@ -166,7 +166,7 @@ def test_form_action_matrix_consistency(flip, steps, coeffs, exps):
     q = SymForm(*coeffs)
     phi = form_action_matrix(g)
     assert tuple(linalg.mat_vec(phi, coeffs)) == act_on_form(g, q).coeffs()
-    adjoint = linalg.transpose(form_action_matrix(g.inverse()))
+    adjoint = list(zip(*form_action_matrix(g.inverse())))
     assert dual_action_on_characters(g, [exps]) == (tuple(linalg.mat_vec(adjoint, exps)),)
 
 

@@ -12,9 +12,8 @@ def random_matrix(rng, n, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
 
 
-def test_identity_and_transpose():
+def test_identity():
     assert linalg.identity(2) == [[1, 0], [0, 1]]
-    assert linalg.transpose([[1, 2], [3, 4]]) == [[1, 3], [2, 4]]
 
 
 def test_mat_mul_matches_manual():
@@ -60,7 +59,7 @@ def _assert_hermite_normal_form(a):
 def test_hermite_form_properties():
     rng = random.Random(13)
     matrices = [[], [[]], [[0, 0, 0], [0, 0, 0]]]
-    # random shapes, and 3 x k like the frames of `fan._span_frame`
+    # random shapes, and 3 x k like the frames of `fan.Cone.frame`
     shapes = [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(150)]
     shapes += [(3, rng.randint(1, 6)) for _ in range(150)]
     for rows, cols in shapes:
@@ -234,7 +233,7 @@ def test_mutating_a_result_leaves_the_next_call_intact(a):
         for i, row in enumerate(wedge):
             row[i] -= 1
     assert linalg.exterior_powers(a) == exterior_minors(a)
-    at = linalg.transpose(a)
+    at = [list(col) for col in zip(*a)]
     assert linalg.exterior_powers(at) == exterior_minors(at)
 
 

@@ -4,11 +4,11 @@ records that check or normalise their fields do so on every copy."""
 
 import pytest
 
-from avor3 import Checked, equivariant, fan, forms, mhs, registry, ssengine, strata
+from avor3 import Checked, equivariant, fan, forms, linalg, mhs, registry, ssengine, strata
 from avor3.equivariant import LinearRep
 from avor3.fan import Cone, classify_orbits, equivalent, stabilizer, stratum_character_lattice
 from avor3.forms import (GENERATORS, GroupElement, SymForm, act_on_form,
-                         dual_action_on_characters)
+                         dual_action_on_characters, rank1_vector)
 from avor3.mhs import CohomologyTable, MhsVector
 from avor3.ssengine import DifferentialDecision, KnownDifferential, SSPage
 
@@ -130,7 +130,9 @@ def test_copies_are_normalised_like_new_records():
     assert loose == SSPage(1, [((0, 0), T(0)), ((1, 0), T(1))], (), False, "main")
     assert MhsVector()._replace(tates=(3, 1)).tates == (1, 3)
     cone = Cone.from_names("a1")._replace(generators=[GENERATORS["b1"]])
-    assert cone.vectors() == ((0, 1, -1),)
+    assert rank1_vector(cone.generators[0]) == (0, 1, -1)
+    u, r, coords = cone.frame  # the frame of b1's vector, not a1's
+    assert linalg.mat_vec(u.rows, (0, 1, -1)) == [1, 0, 0] and (r, coords) == (1, ((1,),))
     rep = LinearRep(1, [[[1]]])._replace(generators=[[[-1]]])
     assert rep.generators == (((-1,),),) and equivariant.exterior_invariant_dims(rep) == (1, 0)
 

@@ -20,9 +20,9 @@ T = MhsVector.tate
 
 
 def test_page_normalization_and_json_roundtrip():
-    page = SSPage.from_dict(2, {(1, 0): T(1), (0, 0): MhsVector()},
-                            knowns=(KnownDifferential(2, 1, 0, 0, "somewhere"),),
-                            label="p")
+    page = SSPage(2, {(1, 0): T(1), (0, 0): MhsVector()}.items(),
+                  knowns=(KnownDifferential(2, 1, 0, 0, "somewhere"),),
+                  label="p")
     assert [pq for pq, _ in page.entries] == [(1, 0)]
     again = SSPage.from_json_dict(json.loads(json.dumps(page.to_json_dict())))
     assert again.entries == page.entries
@@ -39,7 +39,7 @@ def test_repeated_known_differential_is_rejected():
         knowns = tuple(KnownDifferential(1, 0, 0, rank, "ref %d" % rank) for rank in ranks)
         with pytest.raises(ValueError, match=r"^knowns\[1\]: repeated known "
                                              r"differential d_1 at \(0,0\)$"):
-            SSPage.from_dict(1, entries, knowns=knowns)
+            SSPage(1, entries.items(), knowns=knowns)
 
 
 def test_a_known_differential_of_an_earlier_page_is_rejected():
@@ -49,12 +49,12 @@ def test_a_known_differential_of_an_earlier_page_is_rejected():
     d1, d2 = (KnownDifferential(r, 0, 0, 1, "ref") for r in (1, 2))
     with pytest.raises(ValueError, match=r"^knowns\[1\]: known differential d_1 at "
                                          r"\(0,0\) precedes page 2$"):
-        SSPage.from_dict(2, entries, knowns=(d2, d1))
+        SSPage(2, entries.items(), knowns=(d2, d1))
     with pytest.raises(ValueError, match=r"^knowns\[0\]: known differential d_0 at "
                                          r"\(0,0\) precedes page 1$"):
-        SSPage.from_dict(0, entries, knowns=(KnownDifferential(0, 0, 0, 0, "ref"),))
-    assert SSPage.from_dict(0, entries, knowns=(d1,)).knowns == (d1,)
-    assert SSPage.from_dict(2, entries, knowns=(d2,)).knowns == (d2,)
+        SSPage(0, entries.items(), knowns=(KnownDifferential(0, 0, 0, 0, "ref"),))
+    assert SSPage(0, entries.items(), knowns=(d1,)).knowns == (d1,)
+    assert SSPage(2, entries.items(), knowns=(d2,)).knowns == (d2,)
 
 
 @given(st.lists(st.tuples(st.integers(1, 2), st.integers(0, 1), st.integers(0, 1),
@@ -77,24 +77,24 @@ def test_known_differential_validation():
 
 def test_forced_zero_cases_exactly():
     # (0,0) -> (1,0): weights {0} vs {6} are disjoint, so the page is its limit
-    page = SSPage.from_dict(1, {(0, 0): T(0), (1, 0): T(3), (1, 2): T(0)})
+    page = SSPage(1, {(0, 0): T(0), (1, 0): T(3), (1, 2): T(0)}.items())
     limit, report = resolve(page)
     assert limit.entries == page.entries
     assert [(d.r, d.p, d.q, d.rank) for d in report.candidates[0].decisions] == []
     # every differential has an empty end: nothing to decide
-    page = SSPage.from_dict(1, {(0, 0): T(0), (0, 3): T(0)})
+    page = SSPage(1, {(0, 0): T(0), (0, 3): T(0)}.items())
     limit, report = resolve(page)
     assert (limit.entries, limit.r) == (page.entries, 1)
     assert report.candidates[0].decisions == ()
     # matching weights: rank 0 and rank 1 both survive
-    page = SSPage.from_dict(1, {(0, 0): T(0), (1, 0): T(0)})
+    page = SSPage(1, {(0, 0): T(0), (1, 0): T(0)}.items())
     with pytest.raises(AmbiguousResolution) as exc:
         resolve(page)
     assert len(exc.value.report.candidates) == 2
 
 
 def test_resolve_degenerate_when_all_differentials_forced():
-    page = SSPage.from_dict(1, {(0, 0): T(0), (1, 0): T(3)}, label="deg")
+    page = SSPage(1, {(0, 0): T(0), (1, 0): T(3)}.items(), label="deg")
     limit, report = resolve(page)
     assert limit.entries == page.entries
     assert all(d.rank == 0 for c in report.candidates for d in c.decisions)
@@ -102,7 +102,7 @@ def test_resolve_degenerate_when_all_differentials_forced():
 
 def test_resolve_enumerates_weight_assignments():
     # matching single weights on both ends: rank 0 or 1 both possible
-    page = SSPage.from_dict(1, {(0, 0): T(0), (1, 0): T(0)})
+    page = SSPage(1, {(0, 0): T(0), (1, 0): T(0)}.items())
     with pytest.raises(AmbiguousResolution) as exc:
         resolve(page)
     assert len(exc.value.report.candidates) == 2
@@ -112,7 +112,7 @@ def test_resolve_enumerates_weight_assignments():
 
 def test_resolve_multi_weight_candidates():
     v = T(0) + T(3)
-    page = SSPage.from_dict(1, {(0, 0): v, (1, 0): v})
+    page = SSPage(1, {(0, 0): v, (1, 0): v}.items())
     with pytest.raises(AmbiguousResolution) as exc:
         resolve(page)
     # independent rank choice per shared weight: 2 x 2 outcomes
@@ -122,7 +122,7 @@ def test_resolve_multi_weight_candidates():
 def test_known_rank_pins_the_total():
     v = T(0) + T(3)
     known = KnownDifferential(1, 0, 0, 2, "ref")
-    page = SSPage.from_dict(1, {(0, 0): v, (1, 0): v}, knowns=(known,))
+    page = SSPage(1, {(0, 0): v, (1, 0): v}.items(), knowns=(known,))
     limit, report = resolve(page)
     assert limit.entries == ()
     decision = report.candidates[0].decisions[0]
@@ -132,7 +132,7 @@ def test_known_rank_pins_the_total():
 def test_known_rank_partial_still_ambiguous():
     v = T(0) + T(3)
     known = KnownDifferential(1, 0, 0, 1, "ref")
-    page = SSPage.from_dict(1, {(0, 0): v, (1, 0): v}, knowns=(known,))
+    page = SSPage(1, {(0, 0): v, (1, 0): v}.items(), knowns=(known,))
     with pytest.raises(AmbiguousResolution) as exc:
         resolve(page)
     assert len(exc.value.report.candidates) == 2  # weight 0 or weight 6 cancelled
@@ -140,14 +140,14 @@ def test_known_rank_partial_still_ambiguous():
 
 def test_known_rank_too_large_is_inconsistent():
     known = KnownDifferential(1, 0, 0, 2, "ref")
-    page = SSPage.from_dict(1, {(0, 0): T(0), (1, 0): T(0)}, knowns=(known,))
+    page = SSPage(1, {(0, 0): T(0), (1, 0): T(0)}.items(), knowns=(known,))
     with pytest.raises(NoConsistentAssignment):
         resolve(page)
 
 
 def test_known_positive_rank_on_forced_zero_is_inconsistent():
     known = KnownDifferential(1, 0, 0, 1, "ref")
-    page = SSPage.from_dict(1, {(0, 0): T(0), (1, 0): T(3)}, knowns=(known,))
+    page = SSPage(1, {(0, 0): T(0), (1, 0): T(3)}.items(), knowns=(known,))
     with pytest.raises(NoConsistentAssignment):
         resolve(page)
 
@@ -155,7 +155,7 @@ def test_known_positive_rank_on_forced_zero_is_inconsistent():
 def test_a_positive_known_off_the_support_is_inconsistent():
     # d_2 (0,0) -> (2,-1) of rank 1, with no entry at (2,-1)
     known = KnownDifferential(2, 0, 0, 1, "ref")
-    page = SSPage.from_dict(1, {(0, 0): T(0), (1, 0): T(0)}, knowns=(known,), label="off")
+    page = SSPage(1, {(0, 0): T(0), (1, 0): T(0)}.items(), knowns=(known,), label="off")
     with pytest.raises(NoConsistentAssignment,
                        match="^no differential assignment for 'off' survives all "
                              "constraints$"):
@@ -167,7 +167,7 @@ def test_a_known_out_of_reach_is_found_before_the_cap():
     # support: the reference reaches page 2 only after 81 assignments, past
     # the cap, where nothing survives whatever the cap
     entries = {(p, q): T(0) + T(0) for p in (0, 1) for q in range(4)}
-    page = SSPage.from_dict(1, entries, knowns=(KnownDifferential(2, 5, 5, 1, "ref"),))
+    page = SSPage(1, entries.items(), knowns=(KnownDifferential(2, 5, 5, 1, "ref"),))
     assert _reference_resolve(page, cap=5) == (None, EnumerationCapExceeded)
     assert _reference_resolve(page) == (None, NoConsistentAssignment)
     assert _outcome(page, cap=5) == (None, NoConsistentAssignment)
@@ -175,8 +175,8 @@ def test_a_known_out_of_reach_is_found_before_the_cap():
 
 def _known_source_page(*knowns):
     # Q at (0,1), (1,1) and (2,0): d_1 (0,1) -> (1,1) and d_2 (0,1) -> (2,0)
-    return SSPage.from_dict(1, {(0, 1): T(0), (1, 1): T(0), (2, 0): T(0)},
-                            knowns=knowns + (KnownDifferential(2, 0, 1, 1, "ref"),))
+    return SSPage(1, {(0, 1): T(0), (1, 1): T(0), (2, 0): T(0)}.items(),
+                  knowns=knowns + (KnownDifferential(2, 0, 1, 1, "ref"),))
 
 
 def test_a_state_that_empties_a_known_source_is_dropped():
@@ -207,8 +207,8 @@ def test_resolve_cap_raises_named_error():
 
 def test_purity_filter_selects_the_pure_outcome():
     # abutment of a smooth proper space: only weight == degree survives
-    page = SSPage.from_dict(1, {(0, 0): T(0), (1, 0): T(0)},
-                            abutment_smooth_proper=True)
+    page = SSPage(1, {(0, 0): T(0), (1, 0): T(0)}.items(),
+                  abutment_smooth_proper=True)
     limit, report = resolve(page)
     assert limit.entries == ()
     assert sum(d.rank for d in report.candidates[0].decisions) == 1
@@ -216,8 +216,8 @@ def test_purity_filter_selects_the_pure_outcome():
 
 def test_resolve_spans_multiple_pages():
     # r=1 arrow is weight-forced to die; r=2 arrow can fire
-    page = SSPage.from_dict(1, {(0, 1): T(1), (2, 0): T(1)},
-                            abutment_smooth_proper=True)
+    page = SSPage(1, {(0, 1): T(1), (2, 0): T(1)}.items(),
+                  abutment_smooth_proper=True)
     limit, report = resolve(page)
     assert limit.entries == ()
     fired = [d for c in report.candidates for d in c.decisions if d.rank]
@@ -225,7 +225,7 @@ def test_resolve_spans_multiple_pages():
 
 
 def test_abutment_merges_total_degree():
-    page = SSPage.from_dict(3, {(0, 2): T(1), (1, 1): T(1), (4, 0): T(2)}, label="x")
+    page = SSPage(3, {(0, 2): T(1), (1, 1): T(1), (4, 0): T(2)}.items(), label="x")
     table = abutment(page)
     assert dict(table.entries) == {2: T(1) + T(1), 4: T(2)}
     assert table.label == "x"
@@ -305,8 +305,8 @@ def _euler(entries):
 
 
 def test_euler_characteristic_preserved_by_resolution():
-    page = SSPage.from_dict(1, {(0, 0): T(0) + T(1), (1, 0): T(0) + T(2)},
-                            label="chi")
+    page = SSPage(1, {(0, 0): T(0) + T(1), (1, 0): T(0) + T(2)}.items(),
+                  label="chi")
     before = _euler(page.entries)
     try:
         limit, _ = resolve(page)
@@ -379,8 +379,8 @@ def test_purity_on_limits_are_purity_off_limits(entries):
 @settings(max_examples=100, deadline=None)
 @given(_ENTRIES, _KNOWNS)
 def test_pages_survive_a_json_round_trip(entries, knowns):
-    page = SSPage.from_dict(
-        1, {pq: MhsVector.from_classes(c) for pq, c in entries.items()},
+    page = SSPage(
+        1, ((pq, MhsVector.from_classes(c)) for pq, c in entries.items()),
         knowns=tuple(KnownDifferential(r, p, q, rank, "ref") for r, p, q, rank in knowns),
         label="round")
     text = json.dumps(page.to_json_dict(), sort_keys=True)
@@ -404,8 +404,8 @@ def _reference_abutment(page, label):
 # pages with several positions on most diagonals: up to eight of the 5 x 5
 # positions, each holding Tate pieces, F atoms or both
 _DIAGONAL_PAGES = st.builds(
-    lambda entries, label: SSPage.from_dict(
-        3, {pq: MhsVector.from_classes(c) for pq, c in entries.items()}, label=label),
+    lambda entries, label: SSPage(
+        3, ((pq, MhsVector.from_classes(c)) for pq, c in entries.items()), label=label),
     st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), _CLASSES, max_size=8),
     st.sampled_from(("", "page")))
 
@@ -573,8 +573,8 @@ def _check_cap(page, cap, full):
 
 
 def _reference_page(entries, knowns, purity):
-    return SSPage.from_dict(
-        1, {pq: MhsVector.from_classes(c) for pq, c in entries.items()},
+    return SSPage(
+        1, ((pq, MhsVector.from_classes(c)) for pq, c in entries.items()),
         knowns=tuple(KnownDifferential(r, p, q, rank, "ref") for r, p, q, rank in knowns),
         abutment_smooth_proper=purity, label="ref")
 
@@ -624,7 +624,7 @@ def test_every_candidates_decisions_increase_strictly_in_r_p_q(entries, knowns, 
 def test_a_failed_removal_drops_the_extensions_of_its_partial_assignment():
     # (0,0) -> (1,0) -> (2,0) on page 1: the middle class can die only once,
     # so of the four assignments the one firing both differentials fails
-    page = SSPage.from_dict(1, {(0, 0): T(0), (1, 0): T(0), (2, 0): T(0)}, label="chain")
+    page = SSPage(1, {(0, 0): T(0), (1, 0): T(0), (2, 0): T(0)}.items(), label="chain")
     report, _ = _outcome(page)
     assert report == _reference_resolve(page)[0]
     assert (report.final_page, report.enumerated) == (2, 5)
@@ -640,7 +640,7 @@ def test_an_unreachable_known_rank_stops_the_page_before_any_expansion(monkeypat
     # nothing survives and not one partial assignment may be built
     entries = {(p, i): T(0) + T(0) + T(0) for p in (0, 1) for i in range(6)}
     entries.update({(0, 6): T(0), (1, 6): T(0)})
-    page = SSPage.from_dict(1, entries, knowns=(KnownDifferential(1, 0, 6, 9, "ref"),))
+    page = SSPage(1, entries.items(), knowns=(KnownDifferential(1, 0, 6, 9, "ref"),))
     calls = []
     cancel = ssengine._cancel
     monkeypatch.setattr(ssengine, "_cancel", lambda *a: calls.append(a) or cancel(*a))
@@ -661,7 +661,7 @@ class _CountedKnown(KnownDifferential):
 def _known_field_reads(n):
     _CountedKnown.reads = 0
     knowns = tuple(_CountedKnown(r, 0, 0, 0, "ref") for r in range(1, n + 1))
-    limit, report = resolve(SSPage.from_dict(1, {(0, 0): T(0)}, knowns=knowns))
+    limit, report = resolve(SSPage(1, {(0, 0): T(0)}.items(), knowns=knowns))
     assert (limit.r, limit.entries) == (n + 1, (((0, 0), T(0)),))
     assert report.candidates[0].decisions == ()
     return _CountedKnown.reads
@@ -676,7 +676,7 @@ def test_many_known_differentials_take_linear_time():
     assert _known_field_reads(2000) <= 2 * _known_field_reads(1000)
     knowns = tuple(KnownDifferential(r, 0, 0, 0, "ref") for r in range(1, 20_001))
     start = time.perf_counter()
-    page = SSPage.from_dict(1, {(0, 0): T(0)}, knowns=knowns)
+    page = SSPage(1, {(0, 0): T(0)}.items(), knowns=knowns)
     limit, report = resolve(page)
     assert time.perf_counter() - start < 5
     assert (limit.r, limit.entries) == (20_001, (((0, 0), T(0)),))
@@ -700,7 +700,7 @@ def _position_reads(side):
     # Q(-p-q) at each position of a side x side square: the ends of every
     # differential differ in weight, so the page is its own limit
     entries = {_CountedPosition((p, q)): T(p + q) for p in range(side) for q in range(side)}
-    page = SSPage.from_dict(1, entries)
+    page = SSPage(1, entries.items())
     _CountedPosition.reads = 0
     limit, _ = resolve(page)
     assert (limit.r, limit.entries) == (side, page.entries)
@@ -718,8 +718,8 @@ def test_differentials_are_found_without_pairing_every_two_positions():
 @given(_ENTRIES, _KNOWNS, st.booleans())
 def test_every_candidate_keeps_the_weight_graded_euler_characteristic(entries, knowns,
                                                                       purity):
-    page = SSPage.from_dict(
-        1, {pq: MhsVector.from_classes(c) for pq, c in entries.items()},
+    page = SSPage(
+        1, ((pq, MhsVector.from_classes(c)) for pq, c in entries.items()),
         knowns=tuple(KnownDifferential(r, p, q, rank, "ref") for r, p, q, rank in knowns),
         abutment_smooth_proper=purity)
     before = weight_graded_euler(page.entries)
@@ -732,8 +732,8 @@ def test_every_candidate_keeps_the_weight_graded_euler_characteristic(entries, k
 @given(_ENTRIES, _KNOWNS, st.booleans())
 def test_candidates_are_graded_and_limit_pages_take_them_as_they_are(entries, knowns,
                                                                     purity):
-    page = SSPage.from_dict(
-        1, {pq: MhsVector.from_classes(c) for pq, c in entries.items()},
+    page = SSPage(
+        1, ((pq, MhsVector.from_classes(c)) for pq, c in entries.items()),
         knowns=tuple(KnownDifferential(r, p, q, rank, "ref") for r, p, q, rank in knowns),
         abutment_smooth_proper=purity)
     report, _ = _outcome(page)
@@ -753,9 +753,9 @@ def test_cap_admits_exactly_the_enumerated_count():
     ambiguous = {(0, 0): T(0) + T(1), (1, 0): T(0) + T(1), (0, 1): T(1), (2, 0): T(1) + T(1)}
     chain = {(0, 4): T(2), (1, 4): T(2), (2, 4): T(2)}
     known = (KnownDifferential(1, 0, 4, 1, "ref"),)
-    both = SSPage.from_dict(1, {**ambiguous, **chain}, knowns=known)
-    ambiguous, other = (SSPage.from_dict(1, ambiguous),
-                        SSPage.from_dict(1, chain, knowns=known))
+    both = SSPage(1, {**ambiguous, **chain}.items(), knowns=known)
+    ambiguous, other = (SSPage(1, ambiguous.items()),
+                        SSPage(1, chain.items(), knowns=known))
     assert len(_outcome(ambiguous)[0].candidates) > 1
     assert _outcome(both)[0].enumerated == (_outcome(ambiguous)[0].enumerated
                                             + _outcome(other)[0].enumerated - 1)
@@ -768,8 +768,8 @@ def test_cap_admits_exactly_the_enumerated_count():
 
 def _pairs(n, purity):
     """n independent d_1 pairs of Q(-1)^2, in degrees where no class is pure."""
-    return SSPage.from_dict(1, {(p, q): T(1) + T(1) for q in range(3, 3 + n) for p in (0, 1)},
-                            abutment_smooth_proper=purity, label="pairs")
+    return SSPage(1, (((p, q), T(1) + T(1)) for q in range(3, 3 + n) for p in (0, 1)),
+                  abutment_smooth_proper=purity, label="pairs")
 
 
 def test_independent_blocks_add_their_counts():
@@ -798,7 +798,7 @@ def test_candidates_come_in_product_order_over_blocks():
     # block A, d_2 (0,1) -> (2,0), holds the first position; block B,
     # d_1 (0,3) -> (1,3), holds the first page.  The reference runs page 1
     # first and so varies A fastest; the blocks vary B fastest.
-    page = SSPage.from_dict(1, {(0, 1): T(0), (2, 0): T(0), (0, 3): T(1), (1, 3): T(1)})
+    page = SSPage(1, {(0, 1): T(0), (2, 0): T(0), (0, 3): T(1), (1, 3): T(1)}.items())
     report, _ = _outcome(page)
     reference, _ = _reference_resolve(page)
     assert _summary((report, None)) == _summary((reference, None))

@@ -100,6 +100,9 @@ MUTANTS = (
     ("hermite-form-skips-reduction-above-pivots", "linalg.py",
      "q = m[i][c] // m[r][c]",
      "q = 0"),
+    ("h1-pullback-transposed", "equivariant.py",
+     "out[2 * i][2 * j] = b[j][i]\n            out[2 * i + 1][2 * j + 1] = b[j][i]",
+     "out[2 * i][2 * j] = b[i][j]\n            out[2 * i + 1][2 * j + 1] = b[i][j]"),
 )
 
 

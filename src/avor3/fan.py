@@ -355,6 +355,7 @@ def stratum_character_lattice(c: Cone) -> CharacterLattice:
     return CharacterLattice(c, basis, tuple(sorted(seen)))
 
 
+@lru_cache(maxsize=None)
 def torus_coordinates():
     """The six exponent tuples dual to (a1, a2, a3, b1, b2, b3) under the pairing.
 

@@ -7,6 +7,9 @@ part.  F has weight multiset {0, 6}; its weight-0 piece is a sub-object, so
 a rank-one map from a weight-0 class into F can cancel it and leave Q(-3),
 while cancelling the weight-6 piece leaves Q.  F does not admit Tate twists
 here (none are ever needed), and twisting it raises UnsupportedTwist.
+This module alone knows F: the resolver cancels dimensions by weight
+(`weight_counts`), and `from_weight_counts` turns the dimensions left back
+into a vector.
 
 Tables and pages hold graded entries, a tuple of (key, MhsVector) sorted by
 key (a degree or a (p, q) position), no key repeated and no vector zero.
@@ -29,7 +32,6 @@ tuple records (namedtuples) whose constructors normalise their fields.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from itertools import groupby
 from operator import itemgetter
@@ -55,31 +57,22 @@ def weight_counts(v):
     return counts
 
 
-def remove_weight(v, w, k=1):
-    """The MhsVector `v` less k dimensions of weight w (a differential
-    cancelled them).
+def from_weight_counts(counts, f_count):
+    """The MhsVector with the {weight: dimension} `counts` of a vector that
+    held `f_count` F atoms before some of its dimensions were cancelled.
 
-    Tate pieces of weight w go first; each further dimension splits an F
-    atom, whose complementary piece stays as a pure Tate class: weight 0
-    leaves Q(-3), weight 6 leaves Q.  None when fewer than k dimensions of
-    weight w are there.
+    A cancelled dimension of weight w is a Tate piece of weight w if one is
+    left, and else splits an F atom, whose complementary piece stays as a
+    pure Tate class: weight 0 leaves Q(-3), weight 6 leaves Q.  So, in any
+    order of the cancels, min(f_count, counts[0], counts[6]) atoms are left
+    (a missing weight counts 0), and every other dimension is a Tate piece.
     """
-    if w % 2:
-        return None
-    tates, f_count, n = v.tates, v.f_count, w // 2
-    lo = bisect_left(tates, n)
-    hi = bisect_right(tates, n, lo)
-    taken = min(k, hi - lo)
-    tates = tates[:lo] + tates[lo + taken:]
-    split = k - taken
-    if split:
-        if w not in (0, 6) or split > f_count:
-            return None
-        left = 3 if w == 0 else 0
-        at = bisect_left(tates, left)
-        tates = tates[:at] + (left,) * split + tates[at:]
-        f_count -= split
-    return MhsVector(tates, f_count)
+    f = min(f_count, counts.get(0, 0), counts.get(6, 0))
+    tates = []
+    for w, n in sorted(counts.items()):
+        tates += [w // 2] * (n - f if w in (0, 6) else n)
+    # tates sorted and f >= 0 by construction: no check, one tuple made
+    return tuple.__new__(MhsVector, (tuple(tates), f))
 
 
 _KIND_NAMES = {int: "an integer", list: "a list", str: "a string", dict: "an object"}

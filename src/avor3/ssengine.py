@@ -2,22 +2,26 @@
 
 A page holds entries E_r^{p,q} (MhsVectors) and optional externally known
 differential ranks.  Differentials on page r go (p, q) -> (p+r, q-r+1) and
-are morphisms of Hodge structures, so they vanish outright whenever source
-and target share no weight (strictness).  The others split the positions
-into blocks that no differential joins.  The resolver runs each block alone:
-it enumerates every per-weight rank assignment for the block's differentials,
-page by page, cancelling matched-weight dimensions on both ends, and keeps
-the outcomes that survive all constraints; an optional purity filter
-discards outcomes that carry a weight different from the total degree
-anywhere.  The limit pages of the page are the products of its blocks',
-each joined once from normalised pieces by `mhs.disjoint_union`, so the
-page constructor takes its entries as they are.  The abutment of a limit
-page sums its diagonals in the one pass of `mhs.diagonal_sums`.
+are morphisms of Hodge structures, strictly compatible with weights, so
+they vanish outright whenever source and target share no weight.  The
+others split the positions into blocks that no differential joins.  The
+resolver runs each block alone, in weights only: its states count the
+dimensions of each weight at each position, it enumerates every per-weight
+rank assignment for the block's differentials, page by page, subtracting
+matched-weight dimensions on both ends, and keeps the outcomes that survive
+all constraints; an optional purity filter discards outcomes that carry a
+weight different from the total degree anywhere.  Vectors appear only at
+the edges: `mhs.from_weight_counts` rebuilds each distinct limit of a block
+once, so only `mhs` knows the atom F.  The limit pages of the page are the
+products of its blocks', each joined once from normalised pieces by
+`mhs.disjoint_union`, so the page constructor takes its entries as they
+are.  The abutment of a limit page sums its diagonals in the one pass of
+`mhs.diagonal_sums`.
 
 Rank choices are built per block and page, and assignments are extended
 one differential at a time.  The enumeration cap counts the assignments
 tried at each state of each block on each of its pages, whether or not
-their removals succeed, and bounds the number of limit pages.
+their cancels succeed, and bounds the number of limit pages.
 
 Pages, known differentials, decisions and reports are immutable tuple
 records (namedtuples).
@@ -26,13 +30,13 @@ records (namedtuples).
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 from math import prod
 
 from . import Avor3Error, Checked, InputError
 from .mhs import (CohomologyTable, diagonal_sums, disjoint_union, entries_from_json,
-                  entries_to_json, entry_at, graded, json_path, json_value, remove_weight,
-                  weight_counts)
+                  entries_to_json, entry_at, from_weight_counts, graded, json_path,
+                  json_value, weight_counts)
 
 
 class NoConsistentAssignment(Avor3Error):
@@ -129,48 +133,29 @@ ResolutionReport = namedtuple("ResolutionReport",
                               "label purity final_page candidates enumerated")
 
 
-def _cancel(entries, cancels):
-    """`entries` with k dimensions of weight w removed at each (position, w, k).
-
-    Positions left empty are dropped; None when a removal is impossible.
-    The result does not depend on the order of the cancels: at one position
-    the F atoms left are min(f_count, weight-0 dimension, weight-6 dimension)
-    after all of them, and a removal fails only when its weight has run out.
-    """
-    out = dict(entries)
-    for pq, w, k in cancels:
-        v = out.get(pq)
-        if v is not None:
-            v = remove_weight(v, w, k)
-        if v is None:
+def _cancel(counts, cancels):
+    """`counts` less k at each (key, k) of `cancels`; None when a count would
+    go below 0."""
+    out = dict(counts)
+    for key, k in cancels:
+        n = out[key] - k
+        if n < 0:
             return None
-        if v.is_zero():
-            del out[pq]
-        else:
-            out[pq] = v
+        out[key] = n
     return out
 
 
-def _choices(r, src, tgt, ends, known):
-    """(cancels, decision) of each per-weight rank vector of d_r: src -> tgt,
-    whose ends hold the vectors `ends`, of the `known` rank if any; None when
-    an end is empty or the two share no weight."""
-    if None in ends:
-        return None
-    sc, tc = weight_counts(ends[0]), weight_counts(ends[1])
-    ws = sorted(sc.keys() & tc.keys())
-    if not ws:
+def _choices(r, src, tgt, ws, caps, known):
+    """(cancels, decision) of each per-weight rank vector of d_r: src -> tgt
+    whose ends share each weight of `ws` at most as often as `caps` says, of
+    the `known` rank if any; None when they share no weight."""
+    if not any(caps):
         return None
     kind, citation = ("solver", "") if known is None else ("known", known.citation)
-    return [(tuple((pq, w, k) for w, k in zip(ws, combo) if k for pq in (src, tgt)),
+    return [(tuple(((pq, w), k) for w, k in zip(ws, combo) if k for pq in (src, tgt)),
              DifferentialDecision(r, *src, sum(combo), kind, citation))
-            for combo in iproduct(*[range(min(sc[w], tc[w]) + 1) for w in ws])
+            for combo in iproduct(*[range(c + 1) for c in caps])
             if known is None or sum(combo) == known.rank]
-
-
-def _is_pure(pq, v):
-    """Whether the vector `v` at `pq` has weight p + q throughout (no F atom)."""
-    return not v.f_count and all(2 * n == pq[0] + pq[1] for n in v.tates)
 
 
 def _blocks(support, weights, start):
@@ -224,10 +209,16 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
 
     No differential joins two blocks (see `_blocks`), so each block runs
     alone, on its own pages, and the page's limits are the products of its
-    blocks' limits.  The fixed positions and each block's final states are
-    normalised once by `graded`, which also keys the block's distinct
-    limits, and a candidate's entries are the `disjoint_union` of the fixed
-    positions and its blocks' limits, which a limit page takes as they are.
+    blocks' limits.  Differentials are strictly compatible with weights, so
+    a block's state is a flat multiset, the dimensions left at each
+    (position, weight), and a cancel subtracts from it.  The fixed positions
+    keep their vectors.  A block's final states are deduplicated on their
+    frozen counts, and each distinct limit is rebuilt once into vectors by
+    `mhs.from_weight_counts`, normalised by `graded`; a candidate's entries
+    are the `disjoint_union` of the fixed positions and its blocks' limits,
+    which a limit page takes as they are.  The purity filter is one rule on
+    (position, weight) keys, w == p + q, read by the fixed positions and by
+    the final states alike.
     Candidates come in product order over the blocks, in enumeration order
     within a block; a candidate's decisions, in plain tuple order, are the
     first assignment found for its limit.  That order is (r, p, q) order, as
@@ -237,10 +228,11 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
     differential's input ends, or a fixed position failing the purity
     filter, raises NoConsistentAssignment before any block is enumerated.
 
-    On each page a block keeps each differential's choices per pair of end
-    values, and a state's assignments grow one differential at a time in the
-    order of the full product, so a failed removal drops all extensions of
-    its partial assignment.
+    On each page a block keeps each differential's choices per source and
+    caps (for each weight its ends share on the block's input, the smaller
+    of the two counts left), and a state's assignments grow one differential
+    at a time in the order of the full product, so a failed cancel drops all
+    extensions of its partial assignment.
     """
     support = dict(page.entries)
     weights = {pq: weight_counts(v) for pq, v in support.items()}
@@ -259,23 +251,29 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
     purity = page.abutment_smooth_proper
     joined = {pq for positions, _ in blocks for pq in positions}
     fixed = graded((pq, v) for pq, v in page.entries if pq not in joined)
-    if purity and not all(_is_pure(*item) for item in fixed):
+    # the purity rule: a dimension of weight w at (p, q) is pure when w == p + q
+    impure = {((p, q), w) for (p, q), ws in weights.items() for w in ws
+              if w != p + q} if purity else set()
+    if any(pq not in joined for pq, _ in impure):
         raise nothing
 
     enumerated = 1
     limits = []  # per block, {Graded limit entries: decisions of the first assignment}
     for positions, pages in blocks:
-        states = [({pq: support[pq] for pq in positions}, ())]
+        # a state: the dimensions of each (position, weight) left, and decisions
+        start = {(pq, w): n for pq in positions for w, n in weights[pq].items()}
+        states = [(start, ())]
         for r, arrows in pages.items():
-            arrows = [(src, tgt, known_map.get((r, src))) for src, tgt in arrows]
-            memo = {}  # (source, its vector, target vector) -> `_choices`, for this page only
+            arrows = [(src, tgt, sorted(weights[src].keys() & weights[tgt].keys()),
+                       known_map.get((r, src))) for src, tgt in arrows]
+            memo = {}  # (source, caps) -> `_choices`, for this page only
             nxt = []
-            for entries, decisions in states:
-                options = []  # the choices of each differential with nonzero ends
-                for src, tgt, known in arrows:
-                    key = (src, entries.get(src), entries.get(tgt))
+            for counts, decisions in states:
+                options = []  # the choices of each differential with a shared weight
+                for src, tgt, ws, known in arrows:  # ws: the weights its ends share at first
+                    key = (src, tuple([min(counts[src, w], counts[tgt, w]) for w in ws]))
                     if key not in memo:
-                        memo[key] = _choices(r, src, tgt, key[1:], known)
+                        memo[key] = _choices(r, src, tgt, ws, key[1], known)
                     if memo[key] is not None:
                         options.append(memo[key])
                     elif known is not None and known.rank:
@@ -287,22 +285,42 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
                         raise EnumerationCapExceeded(
                             "assignment enumeration exceeds cap %d" % cap)
                     # the product of the choices, one differential at a time
-                    partial = [(entries, decisions)] if count else []
+                    partial = [(counts, decisions)] if count else []
                     for choices in options:
-                        partial = [(out, ds + (d,)) for e, ds in partial
+                        partial = [(out, ds + (d,)) for c, ds in partial
                                    for cancels, d in choices
-                                   if (out := _cancel(e, cancels)) is not None]
+                                   if (out := _cancel(c, cancels)) is not None]
                     nxt.extend(partial)
             states = nxt
             if not states:
                 raise nothing
+        tested = impure.intersection(start)
+        if tested:
+            states = [s for s in states if not any(s[0][key] for key in tested)]
+        # every state holds the keys of `start` in its order, so the tuple of
+        # its counts freezes it
         seen = {}
-        for entries, decisions in states:
-            if not purity or all(_is_pure(*item) for item in entries.items()):
-                seen.setdefault(graded(entries.items()), decisions)
+        for counts, decisions in states:
+            seen.setdefault(tuple(counts.values()), decisions)
         if not seen:
             raise nothing
-        limits.append(seen)
+        stops = list(accumulate(len(weights[pq]) for pq in positions))
+        spans = list(zip(positions, [0] + stops, stops))  # a position's slice of the tuple
+        # (position, its counts left) -> its vector, first the page's own
+        vectors = {(pq, tuple(weights[pq].values())): support[pq] for pq in positions}
+        limit = {}
+        for values, decisions in seen.items():
+            pairs = []
+            for pq, lo, hi in spans:
+                left = values[lo:hi]
+                if any(left):
+                    v = vectors.get((pq, left))
+                    if v is None:
+                        v = vectors[pq, left] = from_weight_counts(
+                            dict(zip(weights[pq], left)), support[pq].f_count)
+                    pairs.append((pq, v))
+            limit[graded(pairs)] = decisions
+        limits.append(limit)
     combined = prod(map(len, limits))
     if combined > cap:
         raise EnumerationCapExceeded("%d limit pages exceed cap %d" % (combined, cap))

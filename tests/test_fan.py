@@ -343,6 +343,16 @@ def test_each_search_frames_its_cones_once(monkeypatch):
     assert cone.cusp_rank() == other.cusp_rank() == 3 and len(calls) == 2
 
 
+def test_torus_coordinates_run_one_hermite_form(monkeypatch):
+    # the generator matrix is a constant, so its inverse is computed once
+    calls = []
+    hermite_form = linalg.hermite_form
+    monkeypatch.setattr(linalg, "hermite_form", lambda a: calls.append(a) or hermite_form(a))
+    torus_coordinates.cache_clear()
+    assert torus_coordinates() is torus_coordinates() is torus_coordinates()
+    assert len(calls) == 1
+
+
 def test_integrality_rejects_line_permutations():
     # the full search sees all 48 signed permutations of the three lines, and
     # every one that moves the line of (0,0,1) is rational but not integral:

@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 from avor3 import Avor3Error
 from avor3.mhs import (MAX_CLASSES, CohomologyTable, Graded, MhsVector, UnsupportedTwist,
-                       disjoint_union, entries_to_json, graded, remove_weight,
+                       disjoint_union, entries_to_json, from_weight_counts, graded,
                        weight_counts, weight_graded_euler)
-from avor3.ssengine import SSPage
+from avor3.ssengine import SSPage, _cancel
 
 T = MhsVector.tate
 F = MhsVector(f_count=1)
@@ -46,27 +46,35 @@ def test_tate_twist():
         F.tate_twist(1)
 
 
-def test_remove_weight_prefers_tate_pieces():
-    # a weight-0 removal takes the plain Tate class first (Q + F -> F)
-    assert remove_weight(V((0,), 1), 0) == V((), 1)
-    # with only the atom left, removal splits it: F -> Q(-3), F -> Q
-    assert remove_weight(V((), 1), 0) == V((3,), 0)
-    assert remove_weight(V((), 1), 6) == V((0,), 0)
+def _cancelled(v, w, k=1):
+    """The weight counts of `v` less k of weight w, by `_cancel` as `resolve`
+    cancels them: None when they run out."""
+    return _cancel({w: 0, **weight_counts(v)}, ((w, k),))
+
+
+def test_cancels_take_tate_pieces_before_f_atoms():
+    # a weight-0 cancel takes the plain Tate class first (Q + F -> F)
+    assert from_weight_counts(_cancelled(V((0,), 1), 0), 1) == V((), 1)
+    # with only the atom left, a cancel splits it: F -> Q(-3), F -> Q
+    assert from_weight_counts(_cancelled(V((), 1), 0), 1) == V((3,), 0)
+    assert from_weight_counts(_cancelled(V((), 1), 6), 1) == V((0,), 0)
     # nothing of the weight: a Tate class of another weight, or a weight F lacks
-    assert remove_weight(V((1,), 0), 0) is None
-    assert remove_weight(V((), 1), 2) is None
+    assert _cancelled(V((1,), 0), 0) is None
+    assert _cancelled(V((), 1), 2) is None
 
 
-def test_remove_weight_of_k_is_k_single_removals():
+def test_a_cancel_of_k_is_k_single_cancels():
     # Tate pieces first, then one atom per further dimension, tates kept sorted
-    assert remove_weight(V((0, 1, 3), 2), 6, 2) == V((0, 0, 1), 1)
-    assert remove_weight(V((0, 1, 3), 2), 6, 3) == V((0, 0, 0, 1), 0)
-    assert remove_weight(V((0, 1, 3), 2), 6, 4) is None
-    assert remove_weight(V((0, 0, 2), 1), 0, 3) == V((2, 3), 0)
-    assert remove_weight(V((1, 1, 2), 0), 2, 2) == V((2,), 0)
-    assert remove_weight(V((1, 1, 2), 0), 2, 3) is None
-    assert remove_weight(V((1,), 0), 3) is None
-    assert remove_weight(V((1,), 3), 4, 0) == V((1,), 3)
+    assert from_weight_counts(_cancelled(V((0, 1, 3), 2), 6, 2), 2) == V((0, 0, 1), 1)
+    assert from_weight_counts(_cancelled(V((0, 1, 3), 2), 6, 3), 2) == V((0, 0, 0, 1), 0)
+    assert _cancelled(V((0, 1, 3), 2), 6, 4) is None
+    assert from_weight_counts(_cancelled(V((0, 0, 2), 1), 0, 3), 1) == V((2, 3), 0)
+    assert from_weight_counts(_cancelled(V((1, 1, 2), 0), 2, 2), 0) == V((2,), 0)
+    assert _cancelled(V((1, 1, 2), 0), 2, 3) is None
+    assert _cancelled(V((1,), 0), 3) is None
+    assert from_weight_counts(_cancelled(V((1,), 3), 4, 0), 3) == V((1,), 3)
+    # the counts left, as `_cancel` leaves them: a weight run out stays at 0
+    assert _cancelled(V((0, 0, 2), 1), 0, 3) == {0: 0, 4: 1, 6: 1}
 
 
 def test_class_roundtrip_and_str():

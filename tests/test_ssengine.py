@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avor3 import ssengine
-from avor3.mhs import CohomologyTable, Graded, MhsVector, graded, weight_graded_euler
+from avor3.mhs import (CohomologyTable, Graded, MhsVector, from_weight_counts, graded,
+                       weight_counts, weight_graded_euler)
 from avor3.registry import load_registry
 from avor3.ssengine import (AmbiguousResolution, DifferentialDecision,
                             EnumerationCapExceeded, KnownDifferential,
@@ -431,6 +432,26 @@ def _reference_remove_weight(vec, w):
         left = 3 if w == 0 else 0
         return MhsVector(vec.tates + (left,), vec.f_count - 1)
     raise ValueError("no weight-%d piece to remove" % w)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.builds(MhsVector, st.lists(st.integers(0, 3), max_size=5), st.integers(0, 3)),
+       st.lists(st.integers(0, 7), max_size=6), st.data())
+def test_from_weight_counts_is_any_order_of_single_removals(vec, removals, data):
+    # `resolve` subtracts the removals from the weight counts and rebuilds the
+    # vector once; the reference removes one dimension at a time from the
+    # vector, here in the order drawn and in a shuffled one
+    counts = ssengine._cancel({**dict.fromkeys(removals, 0), **weight_counts(vec)},
+                              tuple(Counter(removals).items()))
+    expected = None if counts is None else from_weight_counts(counts, vec.f_count)
+    for order in (removals, data.draw(st.permutations(removals))):
+        folded = vec
+        try:
+            for w in order:
+                folded = _reference_remove_weight(folded, w)
+        except ValueError:
+            folded = None
+        assert folded == expected
 
 
 def _weight_overlap_candidates(entries, r):

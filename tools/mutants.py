@@ -56,8 +56,11 @@ MUTANTS = (
      "low + [d * e for e in reversed(low[:n - half])]",
      "low + [e for e in reversed(low[:n - half])]"),
     ("is-pure-always-true", "ssengine.py",
-     "return not v.f_count and all(2 * n == pq[0] + pq[1] for n in v.tates)",
-     "return True"),
+     "if w != p + q}",
+     "if False}"),
+    ("weight-counts-keep-every-f", "mhs.py",
+     "f = min(f_count, counts.get(0, 0), counts.get(6, 0))",
+     "f = f_count"),
     ("stabilizer-keeps-half", "fan.py",
      "group = StabilizerGroup(c, tuple(elements))",
      "group = StabilizerGroup(c, tuple(elements[::2]))"),

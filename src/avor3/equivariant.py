@@ -5,13 +5,15 @@ int tuples and all arithmetic stays in the integers.  Invariant dimensions
 of wedge powers are computed two independent ways.  The production route is
 a Molien-style sum of the coefficients of det(I + t g) over the group,
 closed on the orbits of the basis vectors so that a product is n index
-lookups (Newton's identities on the traces of g^j for j <= n/2, the upper
-coefficients by the symmetry e_(n-k) = det(g) e_k), divided by the group
-order once.  The oracle that cross-checks it never closes the group: a vector is
-fixed by the group exactly when each generator fixes it, so the invariants
-of each wedge power are the kernel of the generators' induced matrices
-minus the identity, stacked, and their dimension is one exact rank.  All
-wedge powers of a generator come from one Laplace sweep over its minors
+lookups; each element keeps its character value and determinant, and its
+matrix is read from its columns in the orbit (Newton's identities on the
+traces of g^j for j <= n/2, the upper coefficients by the symmetry
+e_(n-k) = det(g) e_k), divided by the group order once.  The oracle that
+cross-checks it never closes the group: a vector is fixed by the group
+exactly when each generator fixes it, so the invariants of each wedge power
+are the kernel of the generators' induced matrices minus the identity,
+stacked, and their dimension is one exact rank.  All wedge powers of a
+generator come from one Laplace sweep over its minors
 (`linalg.exterior_powers`), so the two routes share no step.
 
 Each `LinearRep` closes its group once, on first use, and keeps the closure,
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import cached_property
+from itertools import accumulate, chain
 from math import comb
 from operator import getitem, mul
 
@@ -83,7 +86,7 @@ class LinearRep(Checked, namedtuple("LinearRep", "dimension generators signs")):
                                               for s in signs):
                 raise InputError("", "signs must be one value in {1, -1} per generator")
         self = super().__new__(cls, n, gens, signs)
-        self._determinants = tuple(dets)  # for Molien: the routes share only these checks
+        self._determinants = tuple(dets)  # the closure's: the routes share only these checks
         return self
 
     @classmethod
@@ -107,11 +110,12 @@ class LinearRep(Checked, namedtuple("LinearRep", "dimension generators signs")):
 
 
 def _closure(rep: LinearRep):
-    """(orbit O of e_1 .. e_n, generators as maps of O-indices, elements).
+    """(orbit O of e_1 .. e_n, elements), O a tuple.
 
-    O and the maps are tuples.  An element x, the tuple of O-indices of its
-    columns, maps to (chi(x), k, parent) with x = g_k parent; callers share
-    the triple through `LinearRep._closed`, so `elements` is read-only.
+    An element x, the tuple of O-indices of its columns, maps to
+    (chi(x), det x); both are multiplicative, so the breadth-first walk
+    carries them from the generators' signs and determinants.  Callers share
+    the dict through `LinearRep._closed`, so it is read-only.
     NotClosedWithinCap past CAP elements or n CAP orbit vectors (then an
     orbit exceeds CAP); InputError if chi is ill-defined.
     """
@@ -131,32 +135,32 @@ def _closure(rep: LinearRep):
                     raise NotClosedWithinCap("more than %d elements generated" % CAP)
             act.append(i)
     ident = tuple(range(n))
-    elements, queue = {ident: (1, None, None)}, [ident]
+    elements, queue = {ident: (1, 1)}, [ident]
     for m in queue:  # breadth first: the queue grows while it is walked
-        val = elements[m][0]
-        for k, (act, s) in enumerate(zip(acts, signs)):
+        val, det = elements[m]
+        for act, s, d in zip(acts, signs, rep._determinants):
             prod = tuple(map(act.__getitem__, m))
             known = elements.get(prod)
             if known is None:
-                elements[prod] = (val * s, k, m)
+                elements[prod] = (val * s, det * d)
                 queue.append(prod)
                 if len(elements) > CAP:
                     raise NotClosedWithinCap("more than %d elements generated" % CAP)
             elif known[0] != val * s:
                 raise InputError("", "sign character is not well-defined on the group")
-    return tuple(orbit), tuple(map(tuple, acts)), elements
+    return tuple(orbit), elements
 
 
 def group_closure(rep: LinearRep):
     """All elements of the generated group as sorted (matrix, character value) pairs."""
-    orbit, _, elements = rep._closed
+    orbit, elements = rep._closed
     return sorted((tuple(zip(*map(orbit.__getitem__, m))), v)
-                  for m, (v, _, _) in elements.items())
+                  for m, (v, _) in elements.items())
 
 
 def group_order(rep: LinearRep):
     """The number of elements of the generated group, from its one closure."""
-    return len(rep._closed[2])
+    return len(rep._closed[1])
 
 
 def element_order(m):
@@ -184,35 +188,31 @@ def exterior_invariant_dims(rep: LinearRep):
     Each x in G has finite order, so its eigenvalues are closed under
     inversion and the t^(n-k) coefficient of det(I + t x) is det(x) times
     the t^k one.  Newton's identities therefore need the traces of x^j for
-    j <= n/2 only; the columns of x^j are those of x^(j-1) through x's
-    generator word, and det(x) is the product of the determinants along the
-    word, which `LinearRep`'s check computed.
+    j <= n/2 only, read from x's columns, the orbit vectors of its record:
+    tr x from the diagonal, and tr x^(j+1) = sum_ik (x^j)_ik x_ki, one dot
+    product for tr x^2, matrix powers only from n = 6 on.  For even n and
+    det(x) = -1 the middle coefficient is 0, as it equals its own negative,
+    so one trace fewer is needed.
     The coefficients are summed over the group in integers and divided by
     |G| once.  With a sign character the result is the dimension of the
     isotypic part for that character in each wedge power.
     """
-    orbit, acts, elements = rep._closed
+    orbit, elements = rep._closed
     n = rep.dimension
     half = n // 2
-    diag = [[v[i] for v in orbit] for i in range(n)]  # diag[i][o] = orbit[o][i]
-    dets = rep._determinants
     weights = Counter()  # (det, power traces) -> signed count of elements with them
-    for m, (s, k, parent) in elements.items():
-        word, d = [], 1  # x = g_k g_k' ..., so g_k acts last
-        while k is not None:
-            word.append(acts[k].__getitem__)
-            d *= dets[k]
-            _, k, parent = elements[parent]
-        powers = [m]
-        for _ in range(half - 1):
-            cols = powers[-1]
-            for act in reversed(word):
-                cols = tuple(map(act, cols))
-            powers.append(cols)
-        weights[d, tuple(sum(map(getitem, diag, cols)) for cols in powers[:half])] += s
+    for m, (s, d) in elements.items():
+        cols = [orbit[k] for k in m]  # cols[k][i] = x_ik
+        h = half - (d < 0 and n % 2 == 0)  # the traces needed
+        traces = [sum(map(getitem, cols, range(n)))]  # tr x
+        # tr x^(j+1) = sum_ik (x^j)_ik x_ki, with the rows of x^j for j = 1 .. h-1
+        for power in accumulate([list(zip(*cols))] * (h - 1), linalg.mat_mul):
+            traces.append(sum(map(mul, chain.from_iterable(power), chain.from_iterable(cols))))
+        weights[d, tuple(traces[:h])] += s
     total = [0] * (n + 1)
     for (d, traces), count in weights.items():
         low = linalg.elementary_from_power_sums(traces)  # e_0 .. e_half
+        low += [0] * (half + 1 - len(low))  # e_(n/2) = 0 when its trace was skipped
         for j, e in enumerate(low + [d * e for e in reversed(low[:n - half])]):
             total[j] += count * e
     out = [divmod(t, len(elements)) for t in total]

@@ -21,7 +21,9 @@ are.  The abutment of a limit page sums its diagonals in the one pass of
 Rank choices are built per block and page, and assignments are extended
 one differential at a time.  The enumeration cap counts the assignments
 tried at each state of each block on each of its pages, whether or not
-their cancels succeed, and bounds the number of limit pages.
+their cancels succeed, and bounds the number of limit pages.  A state's
+assignments are counted from its caps before any choice is built, so a
+page past the cap raises before doing the large work.
 
 Pages, known differentials, decisions and reports are immutable tuple
 records (namedtuples).
@@ -145,12 +147,22 @@ def _cancel(counts, cancels):
     return out
 
 
+def _count(caps, known):
+    """The number of per-weight rank vectors under `caps`, of the `known` rank
+    if any: len(`_choices`) for these caps, without building them."""
+    if known is None:
+        return prod(c + 1 for c in caps)
+    ways = [1] + [0] * known.rank  # ways[t]: the vectors so far of sum t
+    for c in caps:
+        acc = [0, *accumulate(ways)]  # acc[t]: the vectors so far of sum below t
+        ways = [acc[t + 1] - acc[max(0, t - c)] for t in range(known.rank + 1)]
+    return ways[-1]
+
+
 def _choices(r, src, tgt, ws, caps, known):
     """(cancels, decision) of each per-weight rank vector of d_r: src -> tgt
     whose ends share each weight of `ws` at most as often as `caps` says, of
-    the `known` rank if any; None when they share no weight."""
-    if not any(caps):
-        return None
+    the `known` rank if any."""
     kind, citation = ("solver", "") if known is None else ("known", known.citation)
     return [(tuple(((pq, w), k) for w, k in zip(ws, combo) if k for pq in (src, tgt)),
              DifferentialDecision(r, *src, sum(combo), kind, citation))
@@ -232,7 +244,9 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
     caps (for each weight its ends share on the block's input, the smaller
     of the two counts left), and a state's assignments grow one differential
     at a time in the order of the full product, so a failed cancel drops all
-    extensions of its partial assignment.
+    extensions of its partial assignment.  They are counted by `_count`
+    first, and compared with the cap before any of the state's choices is
+    built, so no list of choices is longer than the cap.
     """
     support = dict(page.entries)
     weights = {pq: weight_counts(v) for pq, v in support.items()}
@@ -269,28 +283,30 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
             memo = {}  # (source, caps) -> `_choices`, for this page only
             nxt = []
             for counts, decisions in states:
-                options = []  # the choices of each differential with a shared weight
+                # the assignments are counted from the caps before any is built;
+                # a differential whose ends share no weight any more has no
+                # choice, and drops the state if its known rank is positive
+                count, keys = 1, []
                 for src, tgt, ws, known in arrows:  # ws: the weights its ends share at first
-                    key = (src, tuple([min(counts[src, w], counts[tgt, w]) for w in ws]))
-                    if key not in memo:
-                        memo[key] = _choices(r, src, tgt, ws, key[1], known)
-                    if memo[key] is not None:
-                        options.append(memo[key])
-                    elif known is not None and known.rank:
-                        break  # a positive known rank with no choice: drop the state
-                else:
-                    count = prod(map(len, options))
-                    enumerated += count
-                    if enumerated > cap:
-                        raise EnumerationCapExceeded(
-                            "assignment enumeration exceeds cap %d" % cap)
-                    # the product of the choices, one differential at a time
-                    partial = [(counts, decisions)] if count else []
-                    for choices in options:
-                        partial = [(out, ds + (d,)) for c, ds in partial
-                                   for cancels, d in choices
-                                   if (out := _cancel(c, cancels)) is not None]
-                    nxt.extend(partial)
+                    caps = tuple([min(counts[src, w], counts[tgt, w]) for w in ws])
+                    count *= _count(caps, known)
+                    if any(caps):
+                        keys.append((src, tgt, ws, caps, known))
+                enumerated += count
+                if enumerated > cap:
+                    raise EnumerationCapExceeded("assignment enumeration exceeds cap %d" % cap)
+                if not count:
+                    continue
+                # the product of the choices, one differential at a time; each
+                # differential's number of choices is at most `count`
+                partial = [(counts, decisions)]
+                for src, tgt, ws, caps, known in keys:
+                    choices = memo.get((src, caps))
+                    if choices is None:
+                        choices = memo[src, caps] = _choices(r, src, tgt, ws, caps, known)
+                    partial = [(out, ds + (d,)) for c, ds in partial for cancels, d in choices
+                               if (out := _cancel(c, cancels)) is not None]
+                nxt.extend(partial)
             states = nxt
             if not states:
                 raise nothing

@@ -6,12 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avor3 import cli, strata
+from avor3 import cli, ssengine, strata
 from avor3.equivariant import MAX_DIMENSION
 from avor3.mhs import MAX_CLASSES
 from avor3.registry import load_registry, parse_registry
@@ -367,6 +368,28 @@ def test_ss_abutment_accepts_the_class_bound(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "ss", "abutment", "--input", str(path))
     assert code == 0
     assert out == "table bad\n  H_c^0  = Q^%d\n  H_c^1  = F\n" % (MAX_CLASSES - 1)
+
+
+def test_ss_resolve_counts_the_assignments_before_building_them(capsys, tmp_path, monkeypatch):
+    # d_1 from (0,0) to (1,0), whose ends share 40 copies of each of four
+    # weights: 41^4 assignments, past the cap, raise before any choice is built
+    # (building them all took about 30 s and 3.5 GB)
+    path = tmp_path / "page.json"
+    classes = [{"tate": w, "mult": 40} for w in range(4)]
+    path.write_text(json.dumps(_page(entries=[{"p": p, "q": 0, "classes": classes}
+                                              for p in (0, 1)], knowns=None)))
+
+    def refuse(*args):
+        raise RuntimeError("choices built")
+    monkeypatch.setattr(ssengine, "_choices", refuse)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "ss", "resolve", "--input", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (1, "", "error: assignment enumeration exceeds cap 1000000\n")
+    assert peak < 2 ** 22
 
 
 @pytest.mark.parametrize("argv", [("ss", "resolve", "--input"), ("equi", "invariants", "--rep"),

@@ -184,6 +184,17 @@ def test_group_closure_matches_independent_closure(reps):
         assert group_order(rep) == len(group)
 
 
+@settings(max_examples=50, deadline=None)
+@given(conjugated_signed_permutation_groups())
+def test_each_closure_record_holds_the_character_and_the_determinant(reps):
+    for rep in reps:
+        orbit, elements = rep._closed
+        chi = dict(group_closure(rep))
+        for m, (s, d) in elements.items():
+            x = tuple(zip(*(orbit[k] for k in m)))  # the columns orbit[m[j]]
+            assert (s, d) == (chi[x], linalg.det(x))
+
+
 @settings(max_examples=25, deadline=None)
 @given(conjugated_signed_permutation_groups())
 def test_dual_route_agreement_on_random_groups(reps):
@@ -307,7 +318,7 @@ def test_element_cap_with_small_orbits():
 def test_molien_on_free_orbits():
     # B3 x B1 conjugated by v, whose columns have distinct nonzero absolute
     # values: every basis orbit is free, so the orbit holds 4 |G| = 384
-    # vectors, many more than any element's generator word is long
+    # vectors and each of them is one column of exactly one element
     v = ((-4, 1, 2, 1), (-3, -2, -3, -2), (-2, -3, -1, -4), (-3, 1, 2, 1))
     v_inv = linalg.adjugate(v)  # det v = 1
     gens = [[row + [0] for row in g] + [[0, 0, 0, 1]] for g in _signed_permutation_generators(3)]

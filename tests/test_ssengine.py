@@ -830,3 +830,14 @@ def test_candidates_come_in_product_order_over_blocks():
         [(0, 0), (0, 0)], [(0, 0), (0, 1)], [(0, 1), (0, 0)], [(0, 1), (0, 1)]]
     assert report.candidates[0].entries == page.entries
     assert [pq for pq, _ in report.candidates[1].entries] == [(0, 1), (2, 0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=4).filter(any),
+       st.one_of(st.none(), st.integers(0, 18)))
+def test_the_count_of_choices_is_their_number(caps, rank):
+    # resolve compares the count with the cap before `_choices` builds them
+    known = None if rank is None else KnownDifferential(1, 0, 0, rank, "ref")
+    caps = tuple(caps)
+    choices = ssengine._choices(1, (0, 0), (1, 0), tuple(range(len(caps))), caps, known)
+    assert ssengine._count(caps, known) == len(choices)

@@ -65,8 +65,14 @@ MUTANTS = (
      "group = StabilizerGroup(c, tuple(elements))",
      "group = StabilizerGroup(c, tuple(elements[::2]))"),
     ("molien-ignores-sign-character", "equivariant.py",
-     "for cols in powers[:half])] += s",
-     "for cols in powers[:half])] += 1"),
+     "tuple(traces[:h])] += s",
+     "tuple(traces[:h])] += 1"),
+    ("molien-trace-of-x-times-xt", "equivariant.py",
+     "chain.from_iterable(power), chain.from_iterable(cols)",
+     "chain.from_iterable(power), chain.from_iterable(power)"),
+    ("molien-middle-rule-for-odd-n", "equivariant.py",
+     "h = half - (d < 0 and n % 2 == 0)",
+     "h = half - (d < 0)"),
     ("beta2-split-columns-swapped", "strata.py",
      "_column_page((product_table, torus_table)",
      "_column_page((torus_table, product_table)"),
@@ -94,6 +100,9 @@ MUTANTS = (
     ("laplace-plan-without-odd-signs", "linalg.py",
      "cols[p + 1:]], p % 2)",
      "cols[p + 1:]], 0)"),
+    ("count-known-rank-one-past-each-cap", "ssengine.py",
+     "acc[t + 1] - acc[max(0, t - c)]",
+     "acc[t + 1] - acc[max(0, t - c - 1)]"),
     ("leray-twist-off-by-one", "ssengine.py",
      "vec.tate_twist(twist)",
      "vec.tate_twist(twist + 1)"),

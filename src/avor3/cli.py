@@ -15,7 +15,7 @@ from . import Avor3Error, render, strata
 from .equivariant import LinearRep, exterior_invariant_dims, group_order, order_histogram
 from .fan import (SIGMA6, Cone, classify_orbits, stabilizer, stratum_character_lattice,
                   torus_coordinates)
-from .forms import COEFF_ORDER, GENERATOR_NAMES
+from .forms import COEFF_ORDER
 from .mhs import read_json
 from .registry import load_registry
 from .ssengine import AmbiguousResolution, SSPage, abutment, resolve
@@ -46,8 +46,8 @@ def _cusp_rank(args):
 
 
 def _torus_coords(args):
-    return render.render_characters(GENERATOR_NAMES, torus_coordinates(), COEFF_ORDER,
-                                    args.format), 0
+    names = [c.name() for c in SIGMA6.faces(1)]
+    return render.render_characters(names, torus_coordinates(), COEFF_ORDER, args.format), 0
 
 
 def _invariants(args):

@@ -2,8 +2,10 @@
 
 The basic 6-dimensional cone is spanned by the six rank-one forms
 x1^2, x2^2, x3^2, (x2-x3)^2, (x1-x3)^2, (x1-x2)^2 (named a1..a3, b1..b3);
-its faces are exactly the subsets of these generators.  Two faces are
-equivalent when some g in GL(3,Z) maps one generator set onto the other
+its faces are exactly the subsets of these generators.  `SIGMA6` is its one
+value: cone names, the census, the stratum tori and the dual characters all
+read it, and a name is found by its generator's position in it.  Two faces
+are equivalent when some g in GL(3,Z) maps one generator set onto the other
 under q |-> g q g^T, i.e. when the primitive generator lines match up to
 sign under v |-> g v.
 
@@ -42,21 +44,19 @@ from itertools import combinations, permutations, product
 
 from . import Avor3Error, Checked, InputError, linalg
 from .forms import (
-    GENERATOR_NAMES,
-    GENERATORS,
     GroupElement,
     act_on_form,
     dual_action_on_characters,
     pairing,
+    rank1_form,
     rank1_vector,
 )
+
+GENERATOR_NAMES = ("a1", "a2", "a3", "b1", "b2", "b3")
 
 
 class SpanDeficient(Avor3Error):
     """The operation needs generator vectors spanning R^3."""
-
-
-_FORM_NAMES = {form: name for name, form in GENERATORS.items()}
 
 
 class Cone(Checked, namedtuple("Cone", "generators")):
@@ -72,7 +72,7 @@ class Cone(Checked, namedtuple("Cone", "generators")):
         vectors = tuple(rank1_vector(q) for q in gens)
         if len(set(gens)) != len(gens):
             raise ValueError("repeated generator")
-        if gens and linalg.rank([q.coeffs() for q in gens]) != len(gens):
+        if linalg.rank(gens) != len(gens):
             raise ValueError("generators are not linearly independent")
         self = super().__new__(cls, gens)
         self._vectors = vectors
@@ -85,18 +85,20 @@ class Cone(Checked, namedtuple("Cone", "generators")):
             return cls(())
         names = [t.strip() for t in text.split(",")]
         for n in names:
-            if n not in GENERATORS:
+            if n not in GENERATOR_NAMES:
                 raise InputError("", "unknown generator %r (use a1..a3, b1..b3)" % n)
-        ordered = sorted(set(names), key=GENERATOR_NAMES.index)
+        ordered = sorted({GENERATOR_NAMES.index(n) for n in names})
         if len(ordered) != len(names):
             raise InputError("", "repeated generator in %r" % text)
-        return cls(tuple(GENERATORS[n] for n in ordered))
+        return cls(tuple(SIGMA6.generators[i] for i in ordered))
 
     def name(self):
+        """The names of the generators, by their positions in SIGMA6, joined by
+        commas; "0" for the zero cone, "<cone dim d>" off the basic cone."""
         if not self.generators:
             return "0"
-        if all(q in _FORM_NAMES for q in self.generators):
-            return ",".join(_FORM_NAMES[q] for q in self.generators)
+        if set(self.generators).issubset(SIGMA6.generators):
+            return ",".join(GENERATOR_NAMES[SIGMA6.generators.index(q)] for q in self.generators)
         return "<cone dim %d>" % self.dim()
 
     def dim(self):
@@ -126,7 +128,10 @@ class Cone(Checked, namedtuple("Cone", "generators")):
         return [Cone(sub) for sub in combinations(self.generators, dim)]
 
 
-SIGMA6 = Cone(tuple(GENERATORS[n] for n in GENERATOR_NAMES))
+# the basic cone: its generators, named by GENERATOR_NAMES in this order, are
+# x1^2, x2^2, x3^2, (x2-x3)^2, (x1-x3)^2, (x1-x2)^2
+SIGMA6 = Cone(map(rank1_form, ((1, 0, 0), (0, 1, 0), (0, 0, 1),
+                               (0, 1, -1), (1, 0, -1), (1, -1, 0))))
 
 
 class EquivalenceResult(namedtuple("EquivalenceResult", "witness verdict")):
@@ -339,7 +344,7 @@ def stratum_character_lattice(c: Cone) -> CharacterLattice:
     The lattice has rank len(basis), and the effective action has order
     len(effective).
     """
-    if not all(q in _FORM_NAMES for q in c.generators):
+    if not set(c.generators).issubset(SIGMA6.generators):
         raise ValueError("%s is not a face of the basic cone" % c.name())
     stab = stabilizer(c)
     duals = zip(SIGMA6.generators, torus_coordinates())
@@ -357,12 +362,13 @@ def stratum_character_lattice(c: Cone) -> CharacterLattice:
 
 @lru_cache(maxsize=None)
 def torus_coordinates():
-    """The six exponent tuples dual to (a1, a2, a3, b1, b2, b3) under the pairing.
+    """The six exponent tuples dual to the generators of SIGMA6 under the pairing.
 
-    They are the columns of m^-1 for the rows m of generator coefficients: m
-    is unimodular exactly when its Hermite form u m is I, and then u = m^-1.
+    They are the columns of m^-1 for the rows m of generator coefficients (a
+    form is its coefficient tuple): m is unimodular exactly when its Hermite
+    form u m is I, and then u = m^-1.
     """
-    h, u = linalg.hermite_form([GENERATORS[n].coeffs() for n in GENERATOR_NAMES])
+    h, u = linalg.hermite_form(SIGMA6.generators)
     if h != linalg.identity(6):
         raise AssertionError("generator coefficient matrix is not unimodular")
     return tuple(zip(*u))

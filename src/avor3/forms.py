@@ -49,9 +49,6 @@ class NotRankOneVector(ValueError):
 class SymForm(namedtuple("SymForm", COEFF_ORDER, defaults=(0,) * 6)):
     __slots__ = ()
 
-    def coeffs(self):
-        return tuple(self)
-
     def matrix(self):
         return ((self.a11, self.a12, self.a13),
                 (self.a12, self.a22, self.a23),
@@ -62,12 +59,6 @@ def rank1_form(v):
     """The form v v^T."""
     a, b, c = v
     return SymForm(a * a, b * b, c * c, b * c, a * c, a * b)
-
-
-GENERATOR_NAMES = ("a1", "a2", "a3", "b1", "b2", "b3")
-# x1^2, x2^2, x3^2, (x2-x3)^2, (x1-x3)^2, (x1-x2)^2
-GENERATORS = dict(zip(GENERATOR_NAMES, map(rank1_form, (
-    (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, -1), (1, 0, -1), (1, -1, 0)))))
 
 
 class GroupElement(Checked, namedtuple("GroupElement", "rows")):
@@ -155,7 +146,7 @@ def rank1_vector(q: SymForm):
 
 
 def pairing(q: SymForm, f) -> int:
-    return sum(map(mul, q.coeffs(), f))
+    return sum(map(mul, q, f))
 
 
 def dual_action_on_characters(g: GroupElement, chars):

@@ -47,7 +47,8 @@ class UnsupportedTwist(Avor3Error, ValueError):
 
 
 def weight_counts(v):
-    """{weight: dimension} of the MhsVector `v`."""
+    """{weight: dimension} of the MhsVector `v` (each F adds one dimension of
+    weight 0 and one of weight 6)."""
     counts = {}
     for n in v.tates:
         counts[2 * n] = counts.get(2 * n, 0) + 1
@@ -141,12 +142,6 @@ class MhsVector(Checked, namedtuple("MhsVector", "tates f_count")):
         # the one sum rule; two valid vectors have a valid sum: no check, one tuple made
         return tuple.__new__(MhsVector, (tuple(sorted(self.tates + other.tates)),
                                          self.f_count + other.f_count))
-
-    def weights(self):
-        """The weight multiset as a sorted tuple (F contributes 0 and 6)."""
-        w = [2 * n for n in self.tates]
-        w.extend([0, 6] * self.f_count)
-        return tuple(sorted(w))
 
     def tate_twist(self, n):
         """Tensor with Q(-n): each Q(-m) becomes Q(-m-n)."""

@@ -171,27 +171,40 @@ def _choices(r, src, tgt, ws, caps, known):
 
 
 def _blocks(support, weights, start):
-    """(last r of a differential or 0, blocks) of the positions in `support`.
+    """(last r of a differential or 0, blocks) of the positions in `support`,
+    which come in position order.
 
     A differential d_r (r >= `start`) joins a position of total degree k to
-    one of degree k + 1, so only positions on adjacent diagonals are paired.
-    One whose ends share no weight vanishes by strictness and joins nothing.
-    A block is a class of positions joined by the others: (its positions,
-    {r: [(source, target)]}) with pages and sources in order.  Blocks come in
-    the order of their first positions; positions of no block are fixed.
+    one of degree k + 1, so only positions on adjacent diagonals are paired,
+    and the last r is the largest, over such k, of the greatest p on diagonal
+    k + 1 less the least p on diagonal k that is at least `start`.  One whose
+    ends share no weight vanishes by strictness and joins nothing, so each
+    diagonal is indexed by weight and only positions sharing one are paired;
+    a pair sharing several is one differential.  A block is a class of
+    positions joined by the others: (its positions, {r: [(source, target)]})
+    with pages and sources in order.  Blocks come in the order of their first
+    positions; positions of no block are fixed.
     """
-    diagonals = {}  # total degree -> [(p, position)], in position order
+    diagonals = {}  # total degree -> ([p of each position], {weight: [(p, position)]})
     for pq in support:
-        diagonals.setdefault(pq[0] + pq[1], []).append((pq[0], pq))
-    last, arrows = 0, []
-    for k, sources in diagonals.items():
-        targets = diagonals.get(k + 1, ())
-        for p1, src in sources:
-            for p2, tgt in targets:
-                if p2 - p1 >= start:
-                    last = max(last, p2 - p1)
-                    if not weights[src].keys().isdisjoint(weights[tgt]):
-                        arrows.append((p2 - p1, src, tgt))
+        p = pq[0]
+        ps, by_weight = diagonals.setdefault(p + pq[1], ([], {}))
+        ps.append(p)  # in position order, so ps[0] is the least p and ps[-1] the greatest
+        for w in weights[pq]:
+            by_weight.setdefault(w, []).append((p, pq))
+    last, arrows = 0, set()
+    for k, (ps, by_weight) in diagonals.items():
+        if k + 1 not in diagonals:
+            continue
+        next_ps, targets = diagonals[k + 1]
+        if next_ps[-1] - ps[0] >= start:
+            last = max(last, next_ps[-1] - ps[0])
+        for w, sources in by_weight.items():
+            for p2, tgt in targets.get(w, ()):
+                for p1, src in sources:
+                    if p2 - p1 >= start:
+                        arrows.add((p2 - p1, src, tgt))
+    arrows = sorted(arrows)
     leader = {}  # union-find over the ends of the differentials kept
 
     def find(pq):
@@ -205,7 +218,7 @@ def _blocks(support, weights, start):
     for pq in support:
         if pq in leader:
             blocks.setdefault(find(pq), ([], {}))[0].append(pq)
-    for r, src, tgt in sorted(arrows):
+    for r, src, tgt in arrows:
         blocks[find(src)][1].setdefault(r, []).append((src, tgt))
     return last, list(blocks.values())
 

@@ -177,7 +177,7 @@ FAILURE_BRANCHES = {
                               "nonzero differential decided"),
     "rank-one-weights": ("rank_one_pipeline",
                          lambda r: _table_part(r, "beta1", "table", [(5, T(1))]),
-                         "degree-5 class has weights (2,)"),
+                         "degree-5 class has weights {2: 1}"),
     "rank-one-table": ("rank_one_pipeline",
                        lambda r: _table_part(r, "beta1", "table", [(5, T(0))]),
                        "table ((5, MhsVector(tates=(0,), f_count=0)),)"),

@@ -5,13 +5,14 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avor3 import fan, linalg
-from avor3.fan import (SIGMA6, Cone, EquivalenceResult, OrbitCensus, OrbitClass,
-                       SpanDeficient, _line_maps, classify_orbits, equivalent, stabilizer,
-                       stratum_character_lattice, torus_coordinates)
-from avor3.forms import (GENERATORS, GroupElement, SymForm, act_on_form, pairing, primitive,
-                         rank1_form, rank1_vector)
+from avor3 import fan, linalg, strata
+from avor3.fan import (GENERATOR_NAMES, SIGMA6, Cone, EquivalenceResult, OrbitCensus,
+                       OrbitClass, SpanDeficient, _line_maps, classify_orbits, equivalent,
+                       stabilizer, stratum_character_lattice, torus_coordinates)
+from avor3.forms import (GroupElement, SymForm, act_on_form, pairing, primitive, rank1_form,
+                         rank1_vector)
 from avor3.equivariant import LinearRep, exterior_invariant_dims, order_histogram
+from avor3.registry import load_registry
 from avor3.verify import random_unimodular
 
 
@@ -29,7 +30,7 @@ def test_cone_parsing_and_names():
 def test_cone_rejects_dependent_generators():
     # (x2 - x3)^2 is in the span of x2^2, x3^2 and x2 x3 but the six
     # generators are pairwise independent; a repeated square is not
-    q = GENERATORS["a1"]
+    q = SIGMA6.generators[0]
     with pytest.raises(ValueError):
         Cone((q, SymForm(4, 0, 0, 0, 0, 0)))  # (2 x1)^2 is a dependent rank-1 form
 
@@ -71,7 +72,8 @@ def test_equivalence_of_single_rays():
     res = equivalent(Cone.from_names("a1"), Cone.from_names("b2"))
     assert res.verdict == "equivalent"
     g = res.witness
-    assert act_on_form(g, GENERATORS["a1"]) == GENERATORS["b2"]
+    (a1,), (b2,) = Cone.from_names("a1").generators, Cone.from_names("b2").generators
+    assert act_on_form(g, a1) == b2
 
 
 def test_far_ray_is_equivalent_with_verified_witness():
@@ -79,7 +81,7 @@ def test_far_ray_is_equivalent_with_verified_witness():
     q = rank1_form((2, 3, 1))
     res = equivalent(Cone.from_names("a1"), Cone((q,)))
     assert res.verdict == "equivalent"
-    assert act_on_form(res.witness, GENERATORS["a1"]) == q
+    assert act_on_form(res.witness, SIGMA6.generators[0]) == q
 
 
 def _image(g, face):
@@ -432,10 +434,9 @@ def test_torus_coordinates_are_dual_basis():
         (0, 0, 0, 0, 0, -1),
     )
     assert coords == expected
-    from avor3.forms import GENERATOR_NAMES
-    for i, name in enumerate(GENERATOR_NAMES):
+    for i, q in enumerate(SIGMA6.generators):
         for j, ch in enumerate(coords):
-            assert pairing(GENERATORS[name], ch) == int(i == j)
+            assert pairing(q, ch) == int(i == j)
 
 
 _CUSP_RANK_THREE_FACES = [face for dim in range(3, 7) for face in SIGMA6.faces(dim)
@@ -481,3 +482,41 @@ def test_character_lattice_needs_a_face_of_the_basic_cone():
     assert cone.cusp_rank() == 3
     with pytest.raises(ValueError, match="not a face of the basic cone"):
         stratum_character_lattice(cone)
+
+
+_FAN_CACHES = (fan._generator_permutations, fan.classify_orbits, fan.stabilizer,
+               fan.stratum_character_lattice, fan.torus_coordinates)
+
+
+def _basis_free_results():
+    """The census (representative names, orbit sizes and cusp ranks) of each
+    dimension, the stabilizer orders of its cusp-rank-3 classes, the rank-3
+    locus and the Betti vector: what a change of basis of Z^3 must keep."""
+    census = [[(o.representative.name(), o.size, o.cusp_rank) for o in
+               classify_orbits(dim).orbits] for dim in range(SIGMA6.dim() + 1)]
+    orders = [len(stabilizer(o.representative).elements) for dim in range(SIGMA6.dim() + 1)
+              for o in classify_orbits(dim).orbits if o.cusp_rank == 3]
+    betti = strata.compactification_betti(load_registry()).betti
+    return census, orders, strata.rank_three_locus(), betti
+
+
+def test_the_pipeline_reads_the_basic_cone_only_through_sigma6(monkeypatch):
+    # a GL(3,Z) image of the basic cone, its generators keeping their names,
+    # gives the same census, stabilizers, strata and Betti vector; a reader
+    # that took the generators from anywhere but fan.SIGMA6 would mix the two
+    # bases, and fail or change a result
+    before = _basis_free_results()
+    g = GroupElement(((2, 1, 3), (1, 1, 2), (0, 1, 2)))
+    image = Cone(tuple(act_on_form(g, q) for q in SIGMA6.generators))
+    # no generator keeps its form, so no name may be read in the old basis
+    assert all(q != p for q, p in zip(image.generators, SIGMA6.generators))
+    for cache in _FAN_CACHES:
+        cache.cache_clear()
+    monkeypatch.setattr(fan, "SIGMA6", image)
+    try:
+        assert _basis_free_results() == before
+        assert Cone.from_names("a1,b3").generators == image.generators[::5]
+    finally:
+        monkeypatch.undo()
+        for cache in _FAN_CACHES:
+            cache.cache_clear()

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from avor3 import linalg
-from avor3.forms import (COEFF_ORDER, GENERATOR_NAMES, GENERATORS, GroupElement,
-                         NotRankOneVector, SymForm, act_on_form, dual_action_on_characters,
-                         pairing, primitive, rank1_form, rank1_vector)
+from avor3.fan import GENERATOR_NAMES, SIGMA6
+from avor3.forms import (COEFF_ORDER, GroupElement, NotRankOneVector, SymForm, act_on_form,
+                         dual_action_on_characters, pairing, primitive, rank1_form,
+                         rank1_vector)
 from avor3.verify import random_unimodular
 
 
@@ -16,7 +17,8 @@ def test_coeff_order_and_matrix_roundtrip():
     assert COEFF_ORDER == ("a11", "a22", "a33", "a23", "a13", "a12")
     q = SymForm(1, 2, 3, 4, 5, 6)
     assert q.matrix() == ((1, 6, 5), (6, 2, 4), (5, 4, 3))
-    assert SymForm(*q.coeffs()) == q
+    # a form is its coefficient tuple
+    assert q == (1, 2, 3, 4, 5, 6) and SymForm(*q) == q
 
 
 def test_generators_are_squares_of_expected_vectors():
@@ -24,12 +26,13 @@ def test_generators_are_squares_of_expected_vectors():
         "a1": (1, 0, 0), "a2": (0, 1, 0), "a3": (0, 0, 1),
         "b1": (0, 1, -1), "b2": (1, 0, -1), "b3": (1, -1, 0),
     }
+    generators = dict(zip(GENERATOR_NAMES, SIGMA6.generators))
     for name, vec in expected.items():
-        q = GENERATORS[name]
+        q = generators[name]
         assert q.matrix() == tuple(tuple(a * b for b in vec) for a in vec)
         assert rank1_vector(q) == vec
-    assert GENERATORS["a1"] == SymForm(a11=1)
-    assert GENERATORS["b1"] == SymForm(a22=1, a33=1, a23=-1)
+    assert generators["a1"] == SymForm(a11=1)
+    assert generators["b1"] == SymForm(a22=1, a33=1, a23=-1)
     assert GENERATOR_NAMES == ("a1", "a2", "a3", "b1", "b2", "b3")
 
 
@@ -68,7 +71,7 @@ def test_rank1_form_and_vector_are_inverse(v):
 @settings(max_examples=200, deadline=None)
 @given(_VECTORS, _NON_SQUARES)
 def test_rank1_vector_rejects_non_square_and_negative_multiples(v, k):
-    coeffs = rank1_form(v).coeffs()
+    coeffs = rank1_form(v)
     for scale in (k, -1):
         with pytest.raises(NotRankOneVector):
             rank1_vector(SymForm(*(scale * x for x in coeffs)))
@@ -80,7 +83,7 @@ def test_rank1_vector_rejects_non_square_and_negative_multiples(v, k):
 @given(_VECTORS, _VECTORS)
 def test_rank1_vector_rejects_sums_of_independent_squares(v, w):
     assume(linalg.rank([v, w]) == 2)
-    q = SymForm(*map(add, rank1_form(v).coeffs(), rank1_form(w).coeffs()))
+    q = SymForm(*map(add, rank1_form(v), rank1_form(w)))
     with pytest.raises(NotRankOneVector):
         rank1_vector(q)
 
@@ -154,7 +157,7 @@ def test_action_moves_rank1_vectors_by_the_matrix():
 def form_action_matrix(g):
     """The 6x6 matrix of q |-> g . q on coefficient vectors, by columns."""
     basis = [SymForm(*[int(i == j) for j in range(6)]) for i in range(6)]
-    cols = [act_on_form(g, b).coeffs() for b in basis]
+    cols = [act_on_form(g, b) for b in basis]
     return [[cols[j][i] for j in range(6)] for i in range(6)]
 
 
@@ -165,7 +168,7 @@ def test_form_action_matrix_consistency(flip, steps, coeffs, exps):
     g = elementary_product(flip, steps)
     q = SymForm(*coeffs)
     phi = form_action_matrix(g)
-    assert tuple(linalg.mat_vec(phi, coeffs)) == act_on_form(g, q).coeffs()
+    assert tuple(linalg.mat_vec(phi, coeffs)) == act_on_form(g, q)
     adjoint = list(zip(*form_action_matrix(g.inverse())))
     assert dual_action_on_characters(g, [exps]) == (tuple(linalg.mat_vec(adjoint, exps)),)
 

@@ -6,9 +6,9 @@ import pytest
 
 from avor3 import Checked, equivariant, fan, forms, linalg, mhs, registry, ssengine, strata
 from avor3.equivariant import LinearRep
-from avor3.fan import Cone, classify_orbits, equivalent, stabilizer, stratum_character_lattice
-from avor3.forms import (GENERATORS, GroupElement, SymForm, act_on_form,
-                         dual_action_on_characters, rank1_vector)
+from avor3.fan import (SIGMA6, Cone, classify_orbits, equivalent, stabilizer,
+                       stratum_character_lattice)
+from avor3.forms import GroupElement, SymForm, act_on_form, dual_action_on_characters, rank1_vector
 from avor3.mhs import CohomologyTable, MhsVector
 from avor3.ssengine import DifferentialDecision, KnownDifferential, SSPage
 
@@ -33,7 +33,7 @@ def _instances():
     result = strata.compactification_betti(reg)
     cone = Cone.from_names("a1,a2,a3")
     candidate = result.report.candidates[0]
-    found = [GENERATORS["a1"], GroupElement.identity(), cone, equivalent(cone, cone),
+    found = [SIGMA6.generators[0], GroupElement.identity(), cone, equivalent(cone, cone),
              classify_orbits(3).orbits[0], classify_orbits(3), stabilizer(cone),
              stratum_character_lattice(cone), T(1), result.table, result.page,
              reg.known("cstar_bundle_d2"), candidate.decisions[0], candidate, result.report,
@@ -101,7 +101,7 @@ def test_forms_and_vectors_order_by_their_fields():
 # a change to each checked record that its constructor rejects; the
 # CohomologyTable constructor only normalises (see the next test)
 REJECTED = {
-    "Cone": dict(generators=(GENERATORS["a1"], GENERATORS["a1"])),
+    "Cone": dict(generators=SIGMA6.generators[:1] * 2),
     "GroupElement": dict(rows=((2, 0, 0), (0, 1, 0), (0, 0, 1))),
     "MhsVector": dict(f_count=-1),
     "SSPage": dict(knowns=(KnownDifferential(0, 0, 0, 1, "x"),)),
@@ -129,7 +129,7 @@ def test_copies_are_normalised_like_new_records():
                           abutment_smooth_proper=False)
     assert loose == SSPage(1, [((0, 0), T(0)), ((1, 0), T(1))], (), False, "main")
     assert MhsVector()._replace(tates=(3, 1)).tates == (1, 3)
-    cone = Cone.from_names("a1")._replace(generators=[GENERATORS["b1"]])
+    cone = Cone.from_names("a1")._replace(generators=Cone.from_names("b1").generators)
     assert rank1_vector(cone.generators[0]) == (0, 1, -1)
     u, r, coords = cone.frame  # the frame of b1's vector, not a1's
     assert linalg.mat_vec(u.rows, (0, 1, -1)) == [1, 0, 0] and (r, coords) == (1, ((1,),))

@@ -2,9 +2,9 @@ import pytest
 
 from avor3 import render
 from avor3.equivariant import order_histogram
-from avor3.fan import (Cone, classify_orbits, stabilizer, stratum_character_lattice,
-                       torus_coordinates)
-from avor3.forms import COEFF_ORDER, GENERATOR_NAMES
+from avor3.fan import (GENERATOR_NAMES, Cone, classify_orbits, stabilizer,
+                       stratum_character_lattice, torus_coordinates)
+from avor3.forms import COEFF_ORDER
 from avor3.mhs import CohomologyTable, MhsVector
 from avor3.registry import load_registry
 from avor3.ssengine import AmbiguousResolution, resolve

@@ -29,6 +29,23 @@ def test_package_does_not_import_dataclasses():
     assert found == []
 
 
+def test_every_imported_name_is_used():
+    # an import nothing reads is dead weight, and misleads a reader about
+    # what a module depends on
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        used = {node.id for node in nodes if isinstance(node, ast.Name)}
+        for node in nodes:
+            if (isinstance(node, ast.Import)
+                    or isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                # `import a.b` binds the name a
+                bound = (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+                found += ["%s:%d %s" % (path.relative_to(SRC), node.lineno, name)
+                          for name in bound if name not in used]
+    assert found == []
+
+
 def _mutants():
     path = Path(__file__).resolve().parent.parent / "tools" / "mutants.py"
     spec = importlib.util.spec_from_file_location("mutants", path)

@@ -248,7 +248,7 @@ def test_a_two_column_page_resolves_to_the_degreewise_sum_or_is_ambiguous(closed
     # d_1 maps closed^(k-1) to open^k; it may be nonzero exactly when the two
     # share a weight, and then rank 0 and a positive rank both survive
     page = _column_page((closed, opened), "split")
-    shared = any(set(closed.entry(k - 1).weights()) & set(v.weights())
+    shared = any(weight_counts(closed.entry(k - 1)).keys() & weight_counts(v).keys()
                  for k, v in opened.entries)
     if shared:
         with pytest.raises(AmbiguousResolution):
@@ -374,7 +374,7 @@ def test_purity_on_limits_are_purity_off_limits(entries):
     pure = _limits(SSPage.from_json_dict(data, abutment_smooth_proper=True))
     assert pure <= _limits(SSPage.from_json_dict(data))
     for limit in pure:
-        assert all(w == p + q for (p, q), v in limit for w in v.weights())
+        assert all(w == p + q for (p, q), v in limit for w in weight_counts(v))
 
 
 @settings(max_examples=100, deadline=None)
@@ -460,7 +460,7 @@ def _weight_overlap_candidates(entries, r):
         tgt = entries.get((p + r, q - r + 1))
         if tgt is None:
             continue
-        sc, tc = Counter(src.weights()), Counter(tgt.weights())
+        sc, tc = weight_counts(src), weight_counts(tgt)
         caps = {w: min(sc[w], tc[w]) for w in sorted(set(sc) & set(tc))}
         if caps:
             out.append(((p, q), caps))
@@ -485,7 +485,7 @@ def _apply_removals(entries, removals):
 
 
 def _is_pure(entries):
-    return all(w == p + q for (p, q), v in entries.items() for w in v.weights())
+    return all(w == p + q for (p, q), v in entries.items() for w in weight_counts(v))
 
 
 def _reference_resolve(page, cap=10 ** 6):
@@ -702,6 +702,20 @@ def test_many_known_differentials_take_linear_time():
     assert time.perf_counter() - start < 5
     assert (limit.r, limit.entries) == (20_001, (((0, 0), T(0)),))
     assert report.candidates[0].decisions == ()
+
+
+def test_positions_sharing_no_weight_are_not_paired():
+    # Q at 5000 positions (p, -p) and Q(-1) at 5000 positions (p, 1 - p), the
+    # most classes a page file may hold: no two adjacent positions share a
+    # weight, so the page is its own limit, found without comparing each of
+    # the 25 million pairs of the two diagonals
+    n = 5000
+    page = SSPage(1, [((p, -p), T(0)) for p in range(n)] + [((p, 1 - p), T(1))
+                                                             for p in range(n)])
+    start = time.perf_counter()
+    limit, report = resolve(page)
+    assert time.perf_counter() - start < 1
+    assert (limit.r, limit.entries, report.enumerated) == (n, page.entries, 1)
 
 
 class _CountedPosition(tuple):

@@ -19,11 +19,13 @@ are.  The abutment of a limit page sums its diagonals in the one pass of
 `mhs.diagonal_sums`.
 
 Rank choices are built per block and page, and assignments are extended
-one differential at a time.  The enumeration cap counts the assignments
-tried at each state of each block on each of its pages, whether or not
-their cancels succeed, and bounds the number of limit pages.  A state's
-assignments are counted from its caps before any choice is built, so a
-page past the cap raises before doing the large work.
+one differential at a time.  The enumeration cap counts the rank vectors
+walked at each state of each block on each of its pages: for each of the
+state's differentials, known or not, the product of (c + 1) over the caps
+c of the weights its ends share, whether or not a vector's cancels succeed
+or its sum is the known rank.  It also bounds the number of limit pages.
+A state's count comes from its caps before any choice is built, so a page
+past the cap raises before doing the large work.
 
 Pages, known differentials, decisions and reports are immutable tuple
 records (namedtuples).
@@ -147,18 +149,6 @@ def _cancel(counts, cancels):
     return out
 
 
-def _count(caps, known):
-    """The number of per-weight rank vectors under `caps`, of the `known` rank
-    if any: len(`_choices`) for these caps, without building them."""
-    if known is None:
-        return prod(c + 1 for c in caps)
-    ways = [1] + [0] * known.rank  # ways[t]: the vectors so far of sum t
-    for c in caps:
-        acc = [0, *accumulate(ways)]  # acc[t]: the vectors so far of sum below t
-        ways = [acc[t + 1] - acc[max(0, t - c)] for t in range(known.rank + 1)]
-    return ways[-1]
-
-
 def _choices(r, src, tgt, ws, caps, known):
     """(cancels, decision) of each per-weight rank vector of d_r: src -> tgt
     whose ends share each weight of `ws` at most as often as `caps` says, of
@@ -229,7 +219,7 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
     Raises AmbiguousResolution (with the report of all surviving limit
     pages) when the constraints and the optional purity filter do not pin
     the answer, NoConsistentAssignment when nothing survives, and
-    EnumerationCapExceeded once more than `cap` assignments are enumerated,
+    EnumerationCapExceeded once more than `cap` rank vectors are walked,
     or before more than `cap` limit pages would be built.
 
     No differential joins two blocks (see `_blocks`), so each block runs
@@ -249,7 +239,7 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
     first assignment found for its limit.  That order is (r, p, q) order, as
     a candidate decides each differential d_r at (p, q) once.  The count
     starts at 1 and adds, for each state of each block on each of its pages,
-    the number of assignments tried there.  A known rank out of reach of its
+    the number of rank vectors walked there.  A known rank out of reach of its
     differential's input ends, or a fixed position failing the purity
     filter, raises NoConsistentAssignment before any block is enumerated.
 
@@ -257,9 +247,11 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
     caps (for each weight its ends share on the block's input, the smaller
     of the two counts left), and a state's assignments grow one differential
     at a time in the order of the full product, so a failed cancel drops all
-    extensions of its partial assignment.  They are counted by `_count`
-    first, and compared with the cap before any of the state's choices is
-    built, so no list of choices is longer than the cap.
+    extensions of its partial assignment.  That product walks every rank
+    vector under the caps of each differential, known or not (a known keeps
+    those of its rank), so the state's count, the product of (c + 1) over
+    all its caps c, is compared with the cap before any of its choices is
+    built, and no list of choices is longer than the cap.
     """
     support = dict(page.entries)
     weights = {pq: weight_counts(v) for pq, v in support.items()}
@@ -296,20 +288,18 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
             memo = {}  # (source, caps) -> `_choices`, for this page only
             nxt = []
             for counts, decisions in states:
-                # the assignments are counted from the caps before any is built;
-                # a differential whose ends share no weight any more has no
-                # choice, and drops the state if its known rank is positive
+                # a differential whose ends share no weight any more is skipped,
+                # unless its known rank is positive: its one rank vector, of
+                # rank 0, is then no choice, and drops the state
                 count, keys = 1, []
                 for src, tgt, ws, known in arrows:  # ws: the weights its ends share at first
                     caps = tuple([min(counts[src, w], counts[tgt, w]) for w in ws])
-                    count *= _count(caps, known)
-                    if any(caps):
+                    count *= prod(c + 1 for c in caps)
+                    if any(caps) or known and known.rank:
                         keys.append((src, tgt, ws, caps, known))
                 enumerated += count
                 if enumerated > cap:
                     raise EnumerationCapExceeded("assignment enumeration exceeds cap %d" % cap)
-                if not count:
-                    continue
                 # the product of the choices, one differential at a time; each
                 # differential's number of choices is at most `count`
                 partial = [(counts, decisions)]

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from importlib import resources
 
@@ -390,6 +391,26 @@ def test_ss_resolve_counts_the_assignments_before_building_them(capsys, tmp_path
         tracemalloc.stop()
     assert (code, out, err) == (1, "", "error: assignment enumeration exceeds cap 1000000\n")
     assert peak < 2 ** 22
+
+
+def test_ss_resolve_caps_every_rank_vector_of_a_known_differential(capsys, tmp_path,
+                                                                   monkeypatch):
+    # a known d_1 of rank 1 from (0,0) to (1,0), whose ends share 40 copies of
+    # each of five weights (400 classes): 5 of its 41^5 rank vectors have sum
+    # 1, but the walk tries them all, so the page is past the cap before any
+    # choice is built (walking them took 19 s, then printed 5 candidates)
+    path = tmp_path / "page.json"
+    classes = [{"tate": w, "mult": 40} for w in range(5)]
+    path.write_text(json.dumps(_page(entries=[{"p": p, "q": 0, "classes": classes}
+                                              for p in (0, 1)], known={"rank": 1})))
+
+    def refuse(*args):
+        raise RuntimeError("choices built")
+    monkeypatch.setattr(ssengine, "_choices", refuse)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "ss", "resolve", "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (1, "", "error: assignment enumeration exceeds cap 1000000\n")
 
 
 @pytest.mark.parametrize("argv", [("ss", "resolve", "--input"), ("equi", "invariants", "--rep"),

@@ -46,6 +46,21 @@ def test_every_imported_name_is_used():
     assert found == []
 
 
+def test_every_module_level_definition_is_referenced():
+    # a function or class that no code of the package names is dead weight:
+    # a helper left behind by its last caller fails here
+    names, defined = set(), []
+    for path, node in _nodes():
+        if isinstance(node, ast.Module):
+            defined += [("%s:%d" % (path, d.lineno), d.name) for d in node.body
+                        if isinstance(d, (ast.FunctionDef, ast.ClassDef))]
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert [where for where, name in defined if name not in names] == []
+
+
 def _mutants():
     path = Path(__file__).resolve().parent.parent / "tools" / "mutants.py"
     spec = importlib.util.spec_from_file_location("mutants", path)

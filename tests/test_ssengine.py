@@ -2,6 +2,7 @@ import json
 import time
 from collections import Counter
 from itertools import product as iproduct
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -507,11 +508,12 @@ def _reference_resolve(page, cap=10 ** 6):
             if any(k.rank > 0 and k.r == r and (k.p, k.q) not in cand_pos
                    for k in page.knowns):
                 continue
-            options = []
+            options, count = [], 1
             for (p, q), caps in cands:
                 ws = sorted(caps)
                 vecs = [dict(zip(ws, combo))
                         for combo in iproduct(*[range(caps[w] + 1) for w in ws])]
+                count *= len(vecs)  # every rank vector is walked, known or not
                 known = known_map.get((r, p, q))
                 if known is not None:
                     vecs = [v for v in vecs if sum(v.values()) == known.rank]
@@ -519,9 +521,6 @@ def _reference_resolve(page, cap=10 ** 6):
                 else:
                     kind, citation = "solver", ""
                 options.append(((p, q), vecs, kind, citation))
-            count = 1
-            for _, vecs, _, _ in options:
-                count *= len(vecs)
             enumerated += count
             if enumerated > cap:
                 return None, EnumerationCapExceeded
@@ -846,12 +845,21 @@ def test_candidates_come_in_product_order_over_blocks():
     assert [pq for pq, _ in report.candidates[1].entries] == [(0, 1), (2, 0)]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 4), min_size=1, max_size=4).filter(any),
-       st.one_of(st.none(), st.integers(0, 18)))
-def test_the_count_of_choices_is_their_number(caps, rank):
-    # resolve compares the count with the cap before `_choices` builds them
-    known = None if rank is None else KnownDifferential(1, 0, 0, rank, "ref")
-    caps = tuple(caps)
-    choices = ssengine._choices(1, (0, 0), (1, 0), tuple(range(len(caps))), caps, known)
-    assert ssengine._count(caps, known) == len(choices)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=4),
+       st.data())
+def test_the_cap_counts_every_rank_vector_of_a_known_differential(ends, data):
+    # a known d_1 (0,0) -> (1,0) whose ends hold a_i and b_i copies of Q(-i):
+    # its caps are c_i = min(a_i, b_i), and the walk tries all prod(c_i + 1)
+    # rank vectors, not only those of the known rank
+    caps = [min(a, b) for a, b in ends]
+    rank = data.draw(st.integers(0, sum(caps)))
+    walked = prod(c + 1 for c in caps)
+    vectors = [MhsVector([i for i, dims in enumerate(ends) for _ in range(dims[end])])
+               for end in (0, 1)]
+    page = SSPage(1, zip([(0, 0), (1, 0)], vectors),
+                  knowns=(KnownDifferential(1, 0, 0, rank, "ref"),))
+    report, _ = _outcome(page, walked + 1)
+    assert report.enumerated == 1 + walked
+    assert all(c.decisions[0].rank == rank for c in report.candidates)
+    assert _outcome(page, walked) == (None, EnumerationCapExceeded)

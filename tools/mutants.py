@@ -100,9 +100,9 @@ MUTANTS = (
     ("laplace-plan-without-odd-signs", "linalg.py",
      "cols[p + 1:]], p % 2)",
      "cols[p + 1:]], 0)"),
-    ("count-known-rank-one-past-each-cap", "ssengine.py",
-     "acc[t + 1] - acc[max(0, t - c)]",
-     "acc[t + 1] - acc[max(0, t - c - 1)]"),
+    ("known-sharing-nothing-left-skipped", "ssengine.py",
+     "if any(caps) or known and known.rank:",
+     "if any(caps):"),
     ("leray-twist-off-by-one", "ssengine.py",
      "vec.tate_twist(twist)",
      "vec.tate_twist(twist + 1)"),

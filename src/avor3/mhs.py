@@ -43,7 +43,9 @@ _KEY_FIELDS = {"degree": ("degree",), "position": ("p", "q")}
 
 
 class UnsupportedTwist(Avor3Error, ValueError):
-    """A Tate twist or a tensor product of the extension atom F."""
+    """A nonzero Tate twist of the extension atom F.  Every fibred piece, the
+    rank-2 products included, meets F through `tate_twist` alone: no tensor
+    product of vectors or tables raises it."""
 
 
 def weight_counts(v):

@@ -25,7 +25,9 @@ state's differentials, known or not, the product of (c + 1) over the caps
 c of the weights its ends share, whether or not a vector's cancels succeed
 or its sum is the known rank.  It also bounds the number of limit pages.
 A state's count comes from its caps before any choice is built, so a page
-past the cap raises before doing the large work.
+past the cap raises before doing the large work; and the differentials
+themselves are counted before they are built, by weight on each pair of
+adjacent diagonals, where no known rank is positive.
 
 Pages, known differentials, decisions and reports are immutable tuple
 records (namedtuples).
@@ -33,9 +35,11 @@ records (namedtuples).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from itertools import accumulate, product as iproduct
-from math import prod
+from math import inf, prod
+from operator import itemgetter
 
 from . import Avor3Error, Checked, InputError
 from .mhs import (CohomologyTable, diagonal_sums, disjoint_union, entries_from_json,
@@ -160,7 +164,7 @@ def _choices(r, src, tgt, ws, caps, known):
             if known is None or sum(combo) == known.rank]
 
 
-def _blocks(support, weights, start):
+def _blocks(support, weights, start, cap):
     """(last r of a differential or 0, blocks) of the positions in `support`,
     which come in position order.
 
@@ -174,6 +178,14 @@ def _blocks(support, weights, start):
     positions joined by the others: (its positions, {r: [(source, target)]})
     with pages and sources in order.  Blocks come in the order of their first
     positions; positions of no block are fixed.
+
+    Before any differential is built, the (source, target, shared weight)
+    triples are counted by bisection on each weight's p list, but only where
+    the lengths of the lists, multiplied per weight and summed, exceed `cap`;
+    EnumerationCapExceeded when the count does too.  On a page with no known differential of
+    positive rank, each triple at least doubles the rank vectors that the
+    state of rank-0 choices walks on its page, so `resolve` would pass the
+    cap anyway.
     """
     diagonals = {}  # total degree -> ([p of each position], {weight: [(p, position)]})
     for pq in support:
@@ -182,7 +194,7 @@ def _blocks(support, weights, start):
         ps.append(p)  # in position order, so ps[0] is the least p and ps[-1] the greatest
         for w in weights[pq]:
             by_weight.setdefault(w, []).append((p, pq))
-    last, arrows = 0, set()
+    last, shared, most = 0, [], 0  # shared: (sources, targets) of one weight
     for k, (ps, by_weight) in diagonals.items():
         if k + 1 not in diagonals:
             continue
@@ -190,10 +202,18 @@ def _blocks(support, weights, start):
         if next_ps[-1] - ps[0] >= start:
             last = max(last, next_ps[-1] - ps[0])
         for w, sources in by_weight.items():
-            for p2, tgt in targets.get(w, ()):
-                for p1, src in sources:
-                    if p2 - p1 >= start:
-                        arrows.add((p2 - p1, src, tgt))
+            if w in targets:
+                shared.append((sources, targets[w]))
+                most += len(sources) * len(targets[w])
+    if most > cap and sum(bisect_right(sources, p2 - start, key=itemgetter(0))
+                          for sources, targets in shared for p2, _ in targets) > cap:
+        raise EnumerationCapExceeded("assignment enumeration exceeds cap %d" % cap)
+    arrows = set()
+    for sources, targets in shared:
+        for p2, tgt in targets:
+            for p1, src in sources:
+                if p2 - p1 >= start:
+                    arrows.add((p2 - p1, src, tgt))
     arrows = sorted(arrows)
     leader = {}  # union-find over the ends of the differentials kept
 
@@ -220,7 +240,11 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
     pages) when the constraints and the optional purity filter do not pin
     the answer, NoConsistentAssignment when nothing survives, and
     EnumerationCapExceeded once more than `cap` rank vectors are walked,
-    or before more than `cap` limit pages would be built.
+    or before more than `cap` limit pages would be built.  On a page whose
+    known ranks are all 0, `_blocks` raises it before building any
+    differential when their (source, target, shared weight) triples pass
+    the cap, as the walk would pass it too; so where nothing survives (an
+    impure fixed position under purity), that error may come first.
 
     No differential joins two blocks (see `_blocks`), so each block runs
     alone, on its own pages, and the page's limits are the products of its
@@ -255,7 +279,9 @@ def resolve(page: SSPage, cap: int = 10 ** 6):
     """
     support = dict(page.entries)
     weights = {pq: weight_counts(v) for pq, v in support.items()}
-    last, blocks = _blocks(support, weights, max(page.r, 1))
+    # the bound of `_blocks` holds only where rank-0 choices are always allowed
+    last, blocks = _blocks(support, weights, max(page.r, 1),
+                           inf if any(k.rank for k in page.knowns) else cap)
     last = max([last] + [k.r for k in page.knowns])
     final_r = last + 1 if last else page.r
     nothing = NoConsistentAssignment("no differential assignment for %r survives all "

@@ -17,6 +17,11 @@ of a stratification spectral sequence of compactly supported cohomology
 locus a two-column page glues the product piece (closed) to the bundle
 piece (open).
 
+Fibred pieces are spread over their bases one way too: `leray_assemble`
+lays fiber items over base tables as a Leray page.  The Kummer family and
+the C*-bundle resolve theirs; the product piece reads its page off as it
+is, since the Leray sequence of a product degenerates (Kunneth).
+
 `STRATUM_NAMES` is the one list of strata, in torus-rank order, and
 `locus(name, registry)` the one dispatch from a name to its pipeline.
 `compactification_betti` runs each locus once, in column order of the main
@@ -32,7 +37,7 @@ from collections import namedtuple
 from . import Avor3Error, InputError
 from .equivariant import LinearRep, exterior_invariant_dims, h1_pullback
 from .fan import classify_orbits, stratum_character_lattice
-from .mhs import CohomologyTable, MhsVector, UnsupportedTwist
+from .mhs import CohomologyTable, MhsVector
 from .registry import Registry
 from .ssengine import SSPage, abutment, leray_assemble, resolve
 
@@ -144,26 +149,20 @@ def invariant_fiber_table(rep: LinearRep, label: str) -> CohomologyTable:
                                         for k, mult in enumerate(dims)))
 
 
-def _tensor_vectors(v: MhsVector, w: MhsVector) -> MhsVector:
-    if v.f_count or w.f_count:
-        raise UnsupportedTwist("tensor product with the non-Tate atom is not supported")
-    return MhsVector(tuple(a + b for a in v.tates for b in w.tates))
-
-
-def tensor_tables(a: CohomologyTable, b: CohomologyTable, label: str) -> CohomologyTable:
-    return CohomologyTable(label, ((d1 + d2, _tensor_vectors(v, w))
-                                   for d1, v in a.entries for d2, w in b.entries))
-
-
 def rank_two_locus(registry: Registry) -> RankTwoResult:
     """Rank-2 locus: C*-bundle piece plus the elliptic-product piece.
 
     The bundle piece is a fibration whose page carries one externally
     known differential rank; the product piece is the invariant fiber
     cohomology of the symmetrized elliptic square spread over the modular
-    line.  The two are glued on a two-column page, the product piece closed
-    (column 0) and the bundle piece open (column 1); a connecting map that
-    the weights do not force to vanish leaves it AmbiguousResolution.
+    line: each Q(-n) of fiber degree k is the item (k, "modular_line", n) of
+    a Leray page, whose abutment is taken without resolving, as the family
+    is a product and its Leray sequence degenerates (Kunneth).  The fiber
+    has Q(-1) in degree 2, so an F in the modular line raises
+    UnsupportedTwist.  The two are glued on a two-column page, the product
+    piece closed (column 0) and the bundle piece open (column 1); a
+    connecting map that the weights do not force to vanish leaves it
+    AmbiguousResolution.
     """
     stored = registry.page("cstar_bundle_e2")
     known = registry.known("cstar_bundle_d2")
@@ -175,11 +174,10 @@ def rank_two_locus(registry: Registry) -> RankTwoResult:
     _cross_check(page, stored, "rank-2 bundle page")
     limit, report = resolve(page)
     torus_table = abutment(limit, "beta2_bundle")
-    fiber_invariants = invariant_fiber_table(product_symmetry_rep(),
-                                             "product_fiber_invariants")
-    product_table = tensor_tables(fiber_invariants,
-                                  registry.table("modular_line").table,
-                                  "beta2_products")
+    base = {"modular_line": registry.table("modular_line").table}
+    fiber = invariant_fiber_table(product_symmetry_rep(), "product_fiber_invariants")
+    items = [(k, "modular_line", n) for k, v in fiber.entries for n in v.tates]
+    product_table = abutment(leray_assemble(base, items), "beta2_products")
     split, _ = resolve(_column_page((product_table, torus_table), "beta2"))
     table = abutment(split)
     return RankTwoResult(page, torus_table, product_table, table, report)

@@ -536,11 +536,15 @@ _FIBER = "fibers.kummer_fiber[0]"
     (_registry(lambda d: _table(d, "a3_open")["entries"].append(
         {"degree": 14, "classes": [{"tate": 7}]}), _drop_page("main_e1_expected")),
      "table 'avor3' has classes in degree 14, outside 0..12"),
+    # the product piece twists modular_line by the fiber's Q(-1) in degree 2
+    (_registry(lambda d: _table(d, "modular_line")["entries"][0]["classes"].append(
+        {"atom": "F"})),
+     "the extension atom F cannot be Tate twisted"),
 ], ids=["list-file", "fibers-list", "string-known", "short-fiber-item", "missing-citation",
         "bool-rank", "float-twist", "number-citation", "negative-table-tate", "float-page-p",
         "huge-table-mult", "early-page-known", "tate-and-atom", "duplicate-table-label",
         "duplicate-page-label", "empty-citation", "early-registry-known",
-        "class-above-the-top-degree"])
+        "class-above-the-top-degree", "atom-in-modular-line"])
 def test_betti_rejects_malformed_registry(capsys, tmp_path, registry, message):
     path = tmp_path / "registry.json"
     path.write_text(json.dumps(registry))
@@ -585,7 +589,10 @@ def test_parse_registry_names_the_document_of_a_repeated_key(edit, message):
     (lambda d: d["fibers"].pop("kummer_fiber"), "fibration 'kummer_fiber'"),
     (lambda d: d["knowns"].pop("cstar_bundle_d2"), "known differential 'cstar_bundle_d2'"),
     (_drop_page("cstar_bundle_e2"), "page 'cstar_bundle_e2'"),
-], ids=["table", "fibration", "known", "page"])
+    # the product piece of the rank-2 locus looks its base table up by name
+    (lambda d: d.update(tables=[t for t in d["tables"] if t["label"] != "modular_line"]),
+     "table 'modular_line'"),
+], ids=["table", "fibration", "known", "page", "modular-line"])
 def test_betti_names_missing_registry_entry(capsys, tmp_path, edit, missing):
     path = tmp_path / "registry.json"
     path.write_text(json.dumps(_registry(edit)))

@@ -327,9 +327,30 @@ _ENTRIES = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _CLA
                            max_size=5)
 
 
-# (r, p, q, rank); a page holds at most one known differential per (r, p, q)
-_KNOWNS = st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3),
-                             st.integers(0, 2)), max_size=2, unique_by=lambda k: k[:3])
+@st.composite
+def _with_knowns(draw, entries, side):
+    """(entries, knowns) of a random page on a side x side grid, with up to
+    two known differentials (r, p, q, rank), at most one per (r, p, q).  Each
+    is anywhere, or a d_r, r >= 2, at a source that a state of page 1 can
+    empty: one more Q(-n) at its source, its d_1 target and its own target,
+    so the three share a weight."""
+    entries, knowns = dict(draw(entries)), {}
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            r = draw(st.integers(2, side - 1))
+            p, q = draw(st.integers(0, side - 1 - r)), draw(st.integers(r - 1, side - 1))
+            tate = {"tate": draw(st.integers(0, 3)), "mult": 1}
+            for pq in ((p, q), (p + 1, q), (p + r, q - r + 1)):
+                entries[pq] = entries.get(pq, []) + [tate]
+        else:
+            r, p, q = (draw(st.integers(1, side - 1)), draw(st.integers(0, side - 1)),
+                       draw(st.integers(0, side - 1)))
+        knowns.setdefault((r, p, q), draw(st.integers(0, 2)))
+    return entries, [rpq + (rank,) for rpq, rank in knowns.items()]
+
+
+# (entries, knowns) of small random pages
+_PAGES = _with_knowns(_ENTRIES, 4)
 
 
 def _page_json(entries, label="random"):
@@ -379,8 +400,9 @@ def test_purity_on_limits_are_purity_off_limits(entries):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_ENTRIES, _KNOWNS)
-def test_pages_survive_a_json_round_trip(entries, knowns):
+@given(_PAGES)
+def test_pages_survive_a_json_round_trip(parts):
+    entries, knowns = parts
     page = SSPage(
         1, ((pq, MhsVector.from_classes(c)) for pq, c in entries.items()),
         knowns=tuple(KnownDifferential(r, p, q, rank, "ref") for r, p, q, rank in knowns),
@@ -600,8 +622,9 @@ def _reference_page(entries, knowns, purity):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_ENTRIES, _KNOWNS, st.booleans(), st.integers(1, 40))
-def test_resolve_matches_the_reference_enumeration(entries, knowns, purity, cap):
+@given(_PAGES, st.booleans(), st.integers(1, 40))
+def test_resolve_matches_the_reference_enumeration(parts, purity, cap):
+    entries, knowns = parts
     page = _reference_page(entries, knowns, purity)
     full = _outcome(page)
     assert _summary(full) == _summary(_reference_resolve(page))
@@ -614,14 +637,13 @@ def test_resolve_matches_the_reference_enumeration(entries, knowns, purity, cap)
 # small cap, so its enumeration stays short
 _WIDE_ENTRIES = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)), _CLASSES,
                                 max_size=10)
-_WIDE_KNOWNS = st.lists(st.tuples(st.integers(1, 5), st.integers(0, 5), st.integers(0, 5),
-                                  st.integers(0, 2)), max_size=2, unique_by=lambda k: k[:3])
+_WIDE_PAGES = _with_knowns(_WIDE_ENTRIES, 6)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_WIDE_ENTRIES, _WIDE_KNOWNS, st.booleans(), st.integers(1, 1000))
-def test_resolve_matches_the_reference_enumeration_on_wide_pages(entries, knowns, purity,
-                                                                 cap):
+@given(_WIDE_PAGES, st.booleans(), st.integers(1, 1000))
+def test_resolve_matches_the_reference_enumeration_on_wide_pages(parts, purity, cap):
+    entries, knowns = parts
     page = _reference_page(entries, knowns, purity)
     full = _outcome(page)
     reference = _reference_resolve(page, cap)
@@ -631,10 +653,11 @@ def test_resolve_matches_the_reference_enumeration_on_wide_pages(entries, knowns
 
 
 @settings(max_examples=200, deadline=None)
-@given(_WIDE_ENTRIES, _WIDE_KNOWNS, st.booleans())
-def test_every_candidates_decisions_increase_strictly_in_r_p_q(entries, knowns, purity):
+@given(_WIDE_PAGES, st.booleans())
+def test_every_candidates_decisions_increase_strictly_in_r_p_q(parts, purity):
     # a candidate decides each differential d_r at (p, q) once, so a plain
     # sort of its decisions never compares past (r, p, q)
+    entries, knowns = parts
     report, _ = _outcome(_reference_page(entries, knowns, purity), 1000)
     for candidate in (report.candidates if report else ()):
         keys = [(d.r, d.p, d.q) for d in candidate.decisions]
@@ -717,6 +740,46 @@ def test_positions_sharing_no_weight_are_not_paired():
     assert (limit.r, limit.entries, report.enumerated) == (n, page.entries, 1)
 
 
+def _two_diagonals(n):
+    # Q at n positions (p, -p) and Q at n positions (p, 1 - p): each d_r from
+    # the first diagonal to the second shares weight 0
+    return SSPage(1, [((p, -p), T(0)) for p in range(n)] + [((p, 1 - p), T(0))
+                                                             for p in range(n)])
+
+
+def _no_set(*args):
+    raise RuntimeError("differentials collected")
+
+
+def test_the_cap_bounds_the_differentials_before_they_are_built(monkeypatch):
+    # 8000 classes and n(n - 1)/2, about 8 million, differentials of one
+    # shared weight each: their count passes the cap, so none is built
+    # (`_blocks` collects them in a set) and the page raises at once
+    page = _two_diagonals(4000)
+    monkeypatch.setattr(ssengine, "set", _no_set, raising=False)
+    start = time.perf_counter()
+    with pytest.raises(EnumerationCapExceeded,
+                       match="^assignment enumeration exceeds cap 1000000$"):
+        resolve(page)
+    assert time.perf_counter() - start < 1
+
+
+def test_the_differential_bound_is_their_count(monkeypatch):
+    # n = 5: 10 differentials of one shared weight each, where the lengths of
+    # the two diagonals' weight-0 lists multiply to 25.  Only a cap below 10
+    # raises before they are built, and only on a page whose knowns all have
+    # rank 0, where the state of rank-0 choices is never dropped.
+    page, known = _two_diagonals(5), KnownDifferential(1, 0, 0, 1, "ref")
+    report, _ = _outcome(page)
+    assert report.enumerated > 10
+    monkeypatch.setattr(ssengine, "set", _no_set, raising=False)
+    assert _outcome(page, 9) == (None, EnumerationCapExceeded)
+    with pytest.raises(RuntimeError):
+        resolve(page, cap=10)
+    with pytest.raises(RuntimeError):
+        resolve(SSPage(1, page.entries, (known,)), cap=9)
+
+
 class _CountedPosition(tuple):
     """A position that counts how often it is read."""
     reads = 0
@@ -749,9 +812,9 @@ def test_differentials_are_found_without_pairing_every_two_positions():
 
 
 @settings(max_examples=200, deadline=None)
-@given(_ENTRIES, _KNOWNS, st.booleans())
-def test_every_candidate_keeps_the_weight_graded_euler_characteristic(entries, knowns,
-                                                                      purity):
+@given(_PAGES, st.booleans())
+def test_every_candidate_keeps_the_weight_graded_euler_characteristic(parts, purity):
+    entries, knowns = parts
     page = SSPage(
         1, ((pq, MhsVector.from_classes(c)) for pq, c in entries.items()),
         knowns=tuple(KnownDifferential(r, p, q, rank, "ref") for r, p, q, rank in knowns),
@@ -763,9 +826,9 @@ def test_every_candidate_keeps_the_weight_graded_euler_characteristic(entries, k
 
 
 @settings(max_examples=100, deadline=None)
-@given(_ENTRIES, _KNOWNS, st.booleans())
-def test_candidates_are_graded_and_limit_pages_take_them_as_they_are(entries, knowns,
-                                                                    purity):
+@given(_PAGES, st.booleans())
+def test_candidates_are_graded_and_limit_pages_take_them_as_they_are(parts, purity):
+    entries, knowns = parts
     page = SSPage(
         1, ((pq, MhsVector.from_classes(c)) for pq, c in entries.items()),
         knowns=tuple(KnownDifferential(r, p, q, rank, "ref") for r, p, q, rank in knowns),

@@ -1,14 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avor3.equivariant import LinearRep, exterior_invariant_dims, group_closure
-from avor3.mhs import CohomologyTable, MhsVector, weight_counts, weight_graded_euler
+from avor3.mhs import (CohomologyTable, MhsVector, UnsupportedTwist, weight_counts,
+                       weight_graded_euler)
 from avor3.registry import Registry, load_registry, parse_registry
-from avor3.ssengine import SSPage
+from avor3.ssengine import SSPage, abutment, leray_assemble
 from avor3 import strata
-from avor3.strata import (ExpectedPageMismatch, InvariantNotConcentrated,
-                          invariant_fiber_table, tensor_tables)
+from avor3.strata import ExpectedPageMismatch, InvariantNotConcentrated, invariant_fiber_table
 
 T = MhsVector.tate
 F = MhsVector(f_count=1)
@@ -169,13 +170,36 @@ def test_invariant_fiber_table_rejects_odd_invariants():
         invariant_fiber_table(LinearRep(2, ()), "t")
 
 
-def test_tensor_tables():
-    a = CohomologyTable("a", ((0, T(0)), (2, T(1) + T(1))))
-    b = CohomologyTable("b", ((2, T(1)),))
-    prod = tensor_tables(a, b, "p")
-    assert dict(prod.entries) == {2: T(1), 4: T(2) + T(2)}
-    with pytest.raises(ValueError):
-        tensor_tables(CohomologyTable("f", ((0, F),)), b, "p")
+# a table of degrees 0-6, each with one to three Tate classes Q(-n), n <= 3
+_TATES = st.dictionaries(st.integers(0, 6), st.lists(st.integers(0, 3), min_size=1,
+                                                     max_size=3), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TATES, _TATES, st.dictionaries(st.integers(0, 6), st.integers(1, 2), max_size=2))
+def test_a_product_piece_is_the_tensor_product_of_its_tables(fiber, base, atoms):
+    # the route of the rank-2 product piece: each Q(-n) of fiber degree k is
+    # the Leray item (k, "b", n), and the abutment of the unresolved page is
+    # the degreewise tensor product, spelled out here; `atoms` adds copies of
+    # F to the base, which only a twist by Q(0) leaves as they are
+    table = CohomologyTable("b", [(d, MhsVector(t)) for d, t in base.items()]
+                            + [(d, MhsVector(f_count=f)) for d, f in atoms.items()])
+    items = [(k, "b", n) for k, tates in fiber.items() for n in tates]
+    tates, f_counts = {}, {}
+    for k, twists in fiber.items():
+        for d, base_tates in base.items():
+            tates.setdefault(k + d, []).extend(m + n for n in twists for m in base_tates)
+        for d, f in atoms.items():
+            f_counts[k + d] = f_counts.get(k + d, 0) + f * twists.count(0)
+    if atoms and any(n for _, _, n in items):
+        with pytest.raises(UnsupportedTwist, match="^the extension atom F cannot be Tate "
+                                                   "twisted$"):
+            leray_assemble({"b": table}, items)
+        return
+    expected = {d: MhsVector(tates.get(d, ()), f_counts.get(d, 0))
+                for d in tates.keys() | f_counts.keys()}
+    product = abutment(leray_assemble({"b": table}, items), "p")
+    assert dict(product.entries) == {d: v for d, v in expected.items() if not v.is_zero()}
 
 
 def test_main_first_page_layout(registry):

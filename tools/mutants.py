@@ -106,6 +106,9 @@ MUTANTS = (
     ("leray-twist-off-by-one", "ssengine.py",
      "vec.tate_twist(twist)",
      "vec.tate_twist(twist + 1)"),
+    ("product-items-twist-off-by-one", "strata.py",
+     '(k, "modular_line", n) for k, v in fiber.entries',
+     '(k, "modular_line", n + 1) for k, v in fiber.entries'),
     ("congruence-swaps-s12-s13", "forms.py",
      "a * s11 + b * s12 + c * s13",
      "a * s11 + b * s13 + c * s12"),
